@@ -11,7 +11,7 @@
 //! and status GC (DESIGN §3.16) per-cell work is linear in the cell's
 //! action count, and this harness runs with both on — the cell split
 //! remains as the unit of *hosting*: each cell's entire repository side
-//! is one [`LoadBackend::EventLoop`] thread multiplexing nonblocking
+//! is one event-loop thread multiplexing nonblocking
 //! sockets, so the fleet runs on one OS thread per cell group instead of
 //! one per repository plus one per accepted connection.
 //!
@@ -29,7 +29,7 @@
 use quorumcc_adts::Queue;
 use quorumcc_bench::{experiment_bounds, section};
 use quorumcc_core::minimal_static_relation;
-use quorumcc_net::{run_load, LoadBackend, LoadConfig, LoadReport};
+use quorumcc_net::{run_load, LoadConfig, LoadReport};
 use quorumcc_replication::protocol::Mode;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -102,7 +102,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             deadline: sh.deadline,
             scoped_statuses: true,
             status_gc: Some(64),
-            backend: LoadBackend::EventLoop,
             ..LoadConfig::default()
         });
         println!(

@@ -35,7 +35,7 @@ use quorumcc_adts::Queue;
 use quorumcc_bench::{experiment_bounds, section, threads_from_args};
 use quorumcc_core::parallel::map_indexed;
 use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation, DependencyRelation};
-use quorumcc_net::{run_load, CrashSpec, LoadBackend, LoadConfig, LoadReport, NetFaultProfile};
+use quorumcc_net::{run_load, CrashSpec, LoadConfig, LoadReport, NetFaultProfile};
 use quorumcc_replication::cluster::{ProtocolConfig, RunBuilder};
 use quorumcc_replication::protocol::{Mode, Protocol};
 use quorumcc_replication::{
@@ -278,7 +278,6 @@ fn eventloop_phase(quick: bool, json: &mut String) {
         deadline: Duration::from_secs(if quick { 120 } else { 300 }),
         scoped_statuses: true,
         status_gc: Some(4),
-        backend: LoadBackend::EventLoop,
         fault_profile: NetFaultProfile::lossy(BASE_SEED + 2),
         // Paced well above per-op service latency: an aggressive period
         // (50 ms here) re-sends the whole dark-window backlog every
@@ -356,7 +355,6 @@ fn eventloop_phase(quick: bool, json: &mut String) {
         deadline: Duration::from_secs(if quick { 120 } else { 300 }),
         scoped_statuses: true,
         status_gc: Some(4),
-        backend: LoadBackend::EventLoop,
         fault_profile: NetFaultProfile::lossy(BASE_SEED + 2),
         resolve_retransmit: Some(250_000),
         crash: None,

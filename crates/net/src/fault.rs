@@ -36,14 +36,7 @@
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
-/// Splitmix64 step — same generator the rest of the workspace uses for
-/// deterministic chaos streams.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use quorumcc_sim::splitmix64;
 
 /// Knobs for socket-level fault injection, mirroring the DES
 /// `NetworkConfig` shape (probabilities per I/O call, not per byte).

@@ -14,6 +14,8 @@
 //! * [`load`] — the `exp_load` harness: a worker pool driving tens to
 //!   hundreds of thousands of client drivers against a real-socket
 //!   repository cluster, reporting throughput and latency SLO percentiles.
+//!   Both sides run `quorumcc_replication::host::run`; this crate supplies
+//!   only the two socket transports under it.
 //! * [`fault`] — deterministic socket-level fault injection
 //!   ([`fault::FaultShim`]) plus connection supervision knobs, so the
 //!   chaos envelope covers the real wire path too.

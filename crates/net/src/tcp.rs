@@ -14,10 +14,26 @@ use quorumcc_sim::ProcId;
 /// prefixes, far above anything the protocol ships.
 const MAX_FRAME: u32 = 16 << 20;
 
+/// One decoded frame: `(from, to, payload)`.
+pub type Frame = (ProcId, ProcId, Vec<u8>);
+
 /// Writes one frame. The caller batches frames behind a `BufWriter` and
 /// flushes once per event-loop turn.
+///
+/// # Errors
+/// `InvalidInput`, with nothing written, for a payload no reader would
+/// accept (frame length over `MAX_FRAME`, 16 MiB).
 pub fn write_frame(w: &mut impl Write, from: ProcId, to: ProcId, payload: &[u8]) -> io::Result<()> {
-    let len = 8 + payload.len() as u32;
+    let len = u32::try_from(payload.len())
+        .ok()
+        .and_then(|n| n.checked_add(8))
+        .filter(|len| *len <= MAX_FRAME)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("payload of {} bytes exceeds the frame limit", payload.len()),
+            )
+        })?;
     w.write_all(&len.to_le_bytes())?;
     w.write_all(&from.to_le_bytes())?;
     w.write_all(&to.to_le_bytes())?;
@@ -25,7 +41,7 @@ pub fn write_frame(w: &mut impl Write, from: ProcId, to: ProcId, payload: &[u8])
 }
 
 /// Reads one frame, blocking; `Err(UnexpectedEof)` on clean shutdown.
-pub fn read_frame(r: &mut impl Read) -> io::Result<(ProcId, ProcId, Vec<u8>)> {
+pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
     let mut word = [0u8; 4];
     r.read_exact(&mut word)?;
     let len = u32::from_le_bytes(word);
@@ -52,7 +68,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(ProcId, ProcId, Vec<u8>)> {
 /// # Errors
 /// `InvalidData` on a corrupt length prefix (the connection is beyond
 /// recovery: framing has lost sync).
-pub fn drain_frames(buf: &mut Vec<u8>) -> io::Result<Vec<(ProcId, ProcId, Vec<u8>)>> {
+pub fn drain_frames(buf: &mut Vec<u8>) -> io::Result<Vec<Frame>> {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while buf.len() - pos >= 4 {
@@ -128,6 +144,21 @@ mod tests {
                 "split {split}"
             );
         }
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_before_any_byte_is_written() {
+        let mut out = Vec::new();
+        let payload = vec![0u8; MAX_FRAME as usize - 7];
+        let err = write_frame(&mut out, 1, 2, &payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(out.is_empty());
+        // The largest legal frame still round-trips.
+        write_frame(&mut out, 1, 2, &payload[1..]).unwrap();
+        assert_eq!(
+            read_frame(&mut &out[..]).unwrap().2.len(),
+            payload.len() - 1
+        );
     }
 
     #[test]

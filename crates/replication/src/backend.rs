@@ -1,6 +1,6 @@
 //! Execution backends for the sans-I/O cluster.
 //!
-//! The protocol core ([`Driver`] implementations in
+//! The protocol core ([`Driver`](crate::driver::Driver) implementations in
 //! `client`, `repository`, and `reconfig`) never touches a clock, socket, or
 //! RNG directly — everything flows through the [`Io`](crate::driver::Io)
 //! surface. That makes the choice of *host* a swappable detail:
@@ -9,7 +9,8 @@
 //!   (`quorumcc_sim::Sim`), via [`DesAdapter`](crate::driver::DesAdapter).
 //!   Fully reproducible; supports fault plans, tracing, and chaos.
 //! * [`BackendKind::Channels`] — a real-concurrency host: one OS thread per
-//!   node, `std::sync::mpsc` channels as the transport, wall-clock timers.
+//!   node running [`host::run`] over an `std::sync::mpsc`
+//!   [`Transport`], wall-clock timers.
 //!   Messages race for real; scheduling is whatever the OS does. Supports
 //!   probabilistic loss/duplication and scripted crash windows (mapped
 //!   tick-for-tick onto the wall clock) but not scripted partitions or
@@ -20,17 +21,16 @@
 //! what makes the DES-vs-real equivalence suite (`tests/backends.rs`)
 //! meaningful.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
 
-use quorumcc_model::{Classified, Sequential};
-use quorumcc_sim::{FaultPlan, NetworkConfig, ProcId, SimStats, SimTime};
+use quorumcc_model::Classified;
+use quorumcc_sim::{splitmix64, FaultPlan, NetworkConfig, ProcId, SimStats, SimTime};
 
 use crate::cluster::Node;
-use crate::driver::{CollectIo, Driver, Input, Output};
+use crate::driver::CollectIo;
+use crate::host::{self, Clock as _, CrashScript, HostStats, Transport, WallClock};
 use crate::messages::Msg;
 
 /// Which host executes the sans-I/O drivers for a
@@ -54,26 +54,19 @@ pub enum BackendKind {
     Channels,
 }
 
-/// Wall-clock duration of one logical tick under the channels backend.
+/// Wall-clock microseconds per logical tick under the channels backend.
 ///
 /// Protocol timeouts are stated in simulator ticks; the real-time host maps
 /// them onto the wall clock at this rate. 50µs keeps a default 1M-tick run
 /// under a minute while leaving timer math in the same units everywhere.
-const TICK: Duration = Duration::from_micros(50);
+const TICK_US: u64 = 50;
 
 /// Hard wall-clock cap for a channels run, applied on top of the tick-scaled
 /// `max_time` deadline so a wedged cluster cannot hang the host forever.
 const WALL_CAP: Duration = Duration::from_secs(30);
 
-/// splitmix64 — the same cheap mixer [`CollectIo`] uses for its entropy
-/// stream, reused here to derive per-node chaos seeds.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// Idle wakeup cap: bounds how stale a node thread's stop check can get.
+const IDLE_POLL: Duration = Duration::from_millis(1);
 
 /// Bernoulli draw from a splitmix64 stream: advances `state` and returns
 /// whether a uniform `[0, 1)` sample fell below `p`.
@@ -92,38 +85,101 @@ struct Envelope<M> {
     msg: M,
 }
 
-/// The channel pair carrying a spec's message envelopes between nodes.
-type Mailbox<S> = Vec<Sender<Envelope<Msg<<S as Sequential>::Inv, <S as Sequential>::Res>>>>;
-type Inbox<S> = Vec<Receiver<Envelope<Msg<<S as Sequential>::Inv, <S as Sequential>::Res>>>>;
-
-/// Cross-thread run counters, assembled into [`SimStats`] at the end.
+/// Cross-thread send-side counters, assembled into [`SimStats`] at the
+/// end (each thread's host loop reports the receive side itself).
 #[derive(Default)]
 struct SharedStats {
     sent: AtomicUsize,
     payload_msgs: AtomicUsize,
-    delivered: AtomicUsize,
     dropped: AtomicUsize,
     duplicated: AtomicUsize,
-    timers: AtomicUsize,
+    /// Messages enqueued but not yet fully processed by their receiver. A
+    /// send increments *before* the envelope being handled is settled, so
+    /// this can only read zero when the cluster is truly quiescent.
+    in_flight: AtomicUsize,
 }
 
-/// Messages enqueued but not yet fully processed by their receiver. A send
-/// increments *before* the matching decrement of the envelope being handled,
-/// so the counter can only read zero when the cluster is truly quiescent.
-type InFlight = AtomicUsize;
+/// One node thread's end of the mesh: its inbox, every node's outbox, and
+/// the lossy-network draws ([`NetworkConfig`] drop/dup) on the send side.
+struct ChannelTransport<'a, M> {
+    me: ProcId,
+    rx: Receiver<Envelope<M>>,
+    txs: Vec<Sender<Envelope<M>>>,
+    net: NetworkConfig,
+    chaos: u64,
+    stats: &'a SharedStats,
+    /// The envelope `park` woke up on, owed to the next `poll`.
+    woke_on: Option<Envelope<M>>,
+    /// Whether the last polled envelope still counts as in flight.
+    handling: bool,
+}
+
+impl<M> ChannelTransport<'_, M> {
+    /// The previously polled envelope has been fully processed (its
+    /// handler's sends are already counted): retire it.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.handling) {
+            self.stats.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    fn enqueue(&self, to: ProcId, env: Envelope<M>) {
+        self.stats.in_flight.fetch_add(1, Ordering::SeqCst);
+        if self.txs[to as usize].send(env).is_err() {
+            self.stats.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+impl<M: Clone> Transport<M> for ChannelTransport<'_, M> {
+    fn poll(&mut self) -> Option<(ProcId, ProcId, M)> {
+        self.settle();
+        let env = self.woke_on.take().or_else(|| self.rx.try_recv().ok())?;
+        self.handling = true;
+        Some((self.me, env.from, env.msg))
+    }
+
+    fn send(&mut self, from: ProcId, to: ProcId, msg: M, weight: u64) {
+        let stats = self.stats;
+        stats.sent.fetch_add(1, Ordering::Relaxed);
+        stats
+            .payload_msgs
+            .fetch_add(weight as usize, Ordering::Relaxed);
+        if chance(&mut self.chaos, self.net.drop_prob) {
+            stats.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        if chance(&mut self.chaos, self.net.dup_prob) {
+            stats.duplicated.fetch_add(1, Ordering::Relaxed);
+            let copy = Envelope {
+                from,
+                msg: msg.clone(),
+            };
+            self.enqueue(to, copy);
+        }
+        self.enqueue(to, Envelope { from, msg });
+    }
+
+    /// Nothing is buffered, and the `poll` that ended the turn's backlog
+    /// already settled the last envelope.
+    fn flush(&mut self) {}
+
+    fn park(&mut self, max: Duration) {
+        // Every transport holds a sender to every inbox (its own included),
+        // so the only error here is the timeout.
+        self.woke_on = self.rx.recv_timeout(max.min(IDLE_POLL)).ok();
+    }
+}
 
 /// Runs the node set to quiescence under real concurrency and returns the
 /// finished drivers (in the same process-id order) plus transport stats.
 ///
-/// The run ends when every client reports [`Client::is_done`] and the
-/// network has drained, or when the tick-scaled `max_time` deadline (capped
-/// at [`WALL_CAP`]) expires — mirroring the DES engine's `run(max_time)`
-/// horizon.
-///
-/// Scripted crash windows in `faults` follow the DES engine's semantics:
-/// while a site is inside a window, every envelope it receives and every
-/// timer that comes due is dropped (counted in `SimStats::dropped`), and
-/// [`Input::Recover`] is delivered once when the window closes.
+/// One thread per node runs [`host::run`] over a [`ChannelTransport`]. The
+/// run ends when every client reports [`Client::is_done`] and the network
+/// has drained, or when the tick-scaled `max_time` deadline (capped at
+/// [`WALL_CAP`]) expires — mirroring the DES engine's `run(max_time)`
+/// horizon. Scripted crash windows in `faults` become each thread's
+/// [`CrashScript`]; what they swallow is counted in `SimStats::dropped`.
 ///
 /// [`Client::is_done`]: crate::client::Client::is_done
 pub(crate) fn run_channels<S>(
@@ -138,206 +194,63 @@ where
     Node<S>: Send,
 {
     let n = nodes.len();
-    let windows_by_proc: Vec<Vec<(SimTime, SimTime)>> = (0..n)
-        .map(|p| {
-            let mut w: Vec<(SimTime, SimTime)> = faults
-                .crashes()
-                .iter()
-                .filter(|c| c.proc as usize == p)
-                .map(|c| (c.from, c.until))
-                .collect();
-            w.sort_unstable();
-            w
-        })
-        .collect();
     let n_clients = nodes
         .iter()
         .filter(|node| matches!(node, Node::Client(_)))
         .count();
-    let mut txs: Mailbox<S> = Vec::with_capacity(n);
-    let mut rxs: Inbox<S> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = mpsc::channel();
-        txs.push(tx);
-        rxs.push(rx);
-    }
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n)
+        .map(|_| mpsc::channel::<Envelope<Msg<S::Inv, S::Res>>>())
+        .unzip();
 
     let stats = SharedStats::default();
-    let in_flight: InFlight = AtomicUsize::new(0);
     let done_clients = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let epoch = Instant::now();
-    let now_tick = |epoch: &Instant| -> SimTime {
-        (epoch.elapsed().as_micros() / TICK.as_micros()) as SimTime
-    };
+    let clock = WallClock::new(epoch, TICK_US);
+    let deadline = clock.span(max_time).min(WALL_CAP);
 
-    let deadline = TICK
-        .checked_mul(u32::try_from(max_time).unwrap_or(u32::MAX))
-        .map_or(WALL_CAP, |d| d.min(WALL_CAP));
-
-    let finished: Vec<Node<S>> = std::thread::scope(|scope| {
+    let (finished, ran): (Vec<Node<S>>, Vec<HostStats>) = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
-        for (i, ((mut node, rx), windows)) in
-            nodes.into_iter().zip(rxs).zip(windows_by_proc).enumerate()
-        {
-            let txs = txs.clone();
-            let stats = &stats;
-            let in_flight = &in_flight;
-            let done_clients = &done_clients;
-            let stop = &stop;
-            let epoch = &epoch;
+        for (i, (node, rx)) in nodes.into_iter().zip(rxs).enumerate() {
+            let me = i as ProcId;
+            let mut transport = ChannelTransport {
+                me,
+                rx,
+                txs: txs.clone(),
+                net,
+                chaos: splitmix64(seed ^ (0x517c_c1b7_2722_0a95 ^ u64::from(me))),
+                stats: &stats,
+                woke_on: None,
+                handling: false,
+            };
+            let script = CrashScript::new(
+                faults
+                    .crashes()
+                    .iter()
+                    .filter(|c| c.proc == me)
+                    .map(|c| (0, c.from, c.until)),
+            );
+            let (done_clients, stop, clock) = (&done_clients, &stop, &clock);
             handles.push(scope.spawn(move || {
-                let me = i as ProcId;
-                let mut io = CollectIo::new(me, seed ^ splitmix64(u64::from(me) + 1));
-                let mut chaos = splitmix64(seed ^ (0x517c_c1b7_2722_0a95 ^ u64::from(me)));
-                let mut timers: BinaryHeap<Reverse<(SimTime, u64, u64)>> = BinaryHeap::new();
-                let mut timer_seq = 0u64;
+                let io = CollectIo::new(me, seed ^ splitmix64(u64::from(me) + 1));
+                let mut hosted = [(node, io)];
                 let mut done_flagged = false;
-                let mut crash_idx = 0usize;
-                let mut crashed = false;
-
-                let dispatch = |io: &mut CollectIo<Msg<S::Inv, S::Res>>,
-                                timers: &mut BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-                                timer_seq: &mut u64,
-                                chaos: &mut u64,
-                                now: SimTime| {
-                    for out in io.take_outputs() {
-                        match out {
-                            Output::Send { to, msg, weight } => {
-                                stats.sent.fetch_add(1, Ordering::Relaxed);
-                                stats
-                                    .payload_msgs
-                                    .fetch_add(weight as usize, Ordering::Relaxed);
-                                if chance(chaos, net.drop_prob) {
-                                    stats.dropped.fetch_add(1, Ordering::Relaxed);
-                                    continue;
-                                }
-                                let dup = chance(chaos, net.dup_prob);
-                                in_flight.fetch_add(1, Ordering::SeqCst);
-                                let second = dup.then(|| Envelope {
-                                    from: me,
-                                    msg: msg.clone(),
-                                });
-                                if txs[to as usize].send(Envelope { from: me, msg }).is_err() {
-                                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                                    continue;
-                                }
-                                if let Some(copy) = second {
-                                    stats.duplicated.fetch_add(1, Ordering::Relaxed);
-                                    in_flight.fetch_add(1, Ordering::SeqCst);
-                                    if txs[to as usize].send(copy).is_err() {
-                                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                                    }
-                                }
-                            }
-                            Output::SetTimer { delay, token } => {
-                                timers.push(Reverse((now + delay, *timer_seq, token)));
-                                *timer_seq += 1;
-                            }
+                let ran = host::run(
+                    &mut hosted,
+                    &mut transport,
+                    clock,
+                    script,
+                    |_| 0,
+                    |done, _| {
+                        if done == 1 && !done_flagged {
+                            done_flagged = true;
+                            done_clients.fetch_add(1, Ordering::SeqCst);
                         }
-                    }
-                };
-
-                let t0 = now_tick(epoch);
-                io.set_now(t0);
-                node.handle(&mut io, Input::Start);
-                dispatch(&mut io, &mut timers, &mut timer_seq, &mut chaos, t0);
-
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let now = now_tick(epoch);
-                    io.set_now(now);
-                    // Scripted crash windows, mirroring the DES engine:
-                    // everything due or delivered while the site is dark is
-                    // dropped, and `Input::Recover` fires at the window end.
-                    if let Some(&(from, until)) = windows.get(crash_idx) {
-                        if !crashed && now >= from && now < until {
-                            crashed = true;
-                        }
-                        if crashed {
-                            if now < until {
-                                while let Some(&Reverse((due, _, _))) = timers.peek() {
-                                    if due > now {
-                                        break;
-                                    }
-                                    timers.pop();
-                                    stats.dropped.fetch_add(1, Ordering::Relaxed);
-                                }
-                                match rx.recv_timeout(Duration::from_millis(1)) {
-                                    Ok(_) => {
-                                        stats.dropped.fetch_add(1, Ordering::Relaxed);
-                                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                                    }
-                                    Err(RecvTimeoutError::Timeout) => {}
-                                    Err(RecvTimeoutError::Disconnected) => break,
-                                }
-                                continue;
-                            }
-                            crashed = false;
-                            crash_idx += 1;
-                            node.handle(&mut io, Input::Recover);
-                            dispatch(&mut io, &mut timers, &mut timer_seq, &mut chaos, now);
-                        } else if now >= until {
-                            // The thread slept across the whole window: drop
-                            // what would have come due inside it, then run
-                            // the recovery it owes.
-                            let before = timers.len();
-                            timers = timers
-                                .drain()
-                                .filter(|&Reverse((due, _, _))| due < from || due >= until)
-                                .collect();
-                            stats
-                                .dropped
-                                .fetch_add(before - timers.len(), Ordering::Relaxed);
-                            crash_idx += 1;
-                            node.handle(&mut io, Input::Recover);
-                            dispatch(&mut io, &mut timers, &mut timer_seq, &mut chaos, now);
-                        }
-                    }
-                    while let Some(&Reverse((due, _, token))) = timers.peek() {
-                        if due > now {
-                            break;
-                        }
-                        timers.pop();
-                        stats.timers.fetch_add(1, Ordering::Relaxed);
-                        node.handle(&mut io, Input::Timer { token });
-                        dispatch(&mut io, &mut timers, &mut timer_seq, &mut chaos, now);
-                    }
-                    let wait = timers
-                        .peek()
-                        .map(|&Reverse((due, _, _))| TICK * due.saturating_sub(now) as u32)
-                        .unwrap_or(Duration::from_millis(1))
-                        .min(Duration::from_millis(1));
-                    match rx.recv_timeout(wait) {
-                        Ok(env) => {
-                            let now = now_tick(epoch);
-                            io.set_now(now);
-                            node.handle(
-                                &mut io,
-                                Input::Deliver {
-                                    from: env.from,
-                                    msg: env.msg,
-                                },
-                            );
-                            dispatch(&mut io, &mut timers, &mut timer_seq, &mut chaos, now);
-                            stats.delivered.fetch_add(1, Ordering::Relaxed);
-                            in_flight.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                    if !done_flagged {
-                        if let Node::Client(c) = &node {
-                            if c.is_done() {
-                                done_flagged = true;
-                                done_clients.fetch_add(1, Ordering::SeqCst);
-                            }
-                        }
-                    }
-                }
-                node
+                        stop.load(Ordering::Relaxed)
+                    },
+                );
+                let [(node, _)] = hosted;
+                (node, ran)
             }));
         }
         drop(txs);
@@ -353,7 +266,7 @@ where
                 let drain_cap = Instant::now() + Duration::from_secs(2);
                 let mut calm = 0;
                 while Instant::now() < drain_cap && calm < 2 {
-                    if in_flight.load(Ordering::SeqCst) == 0 {
+                    if stats.in_flight.load(Ordering::SeqCst) == 0 {
                         calm += 1;
                     } else {
                         calm = 0;
@@ -364,18 +277,22 @@ where
             }
         }
         stop.store(true, Ordering::SeqCst);
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("node thread panicked"))
+            .unzip()
     });
 
     let sim_stats = SimStats {
         sent: stats.sent.load(Ordering::Relaxed),
         payload_msgs: stats.payload_msgs.load(Ordering::Relaxed),
-        delivered: stats.delivered.load(Ordering::Relaxed),
-        dropped: stats.dropped.load(Ordering::Relaxed),
+        delivered: ran.iter().map(|r| r.delivered).sum(),
+        dropped: stats.dropped.load(Ordering::Relaxed)
+            + ran.iter().map(|r| r.dropped).sum::<usize>(),
         duplicated: stats.duplicated.load(Ordering::Relaxed),
         reordered: 0,
-        timers: stats.timers.load(Ordering::Relaxed),
-        end_time: now_tick(&epoch),
+        timers: ran.iter().map(|r| r.timers).sum(),
+        end_time: clock.now(),
     };
     (finished, sim_stats)
 }

@@ -41,11 +41,16 @@ pub enum Node<S: Classified> {
 }
 
 /// A whole node is one sans-I/O [`Driver`]: every backend — the
-/// deterministic simulator (via [`DesAdapter`]) and the real-concurrency
-/// hosts in [`crate::backend`] — feeds it the same [`Input`] alphabet and
+/// deterministic simulator (via [`DesAdapter`]) and the real-time host
+/// loop ([`crate::host::run`]) — feeds it the same [`Input`] alphabet and
 /// receives effects through the same [`Io`] surface.
 impl<S: Classified> Driver<Msg<S::Inv, S::Res>> for Node<S> {
-    fn handle(&mut self, io: &mut dyn Io<Msg<S::Inv, S::Res>>, input: Input<Msg<S::Inv, S::Res>>) {
+    #[inline]
+    fn handle<IO: Io<Msg<S::Inv, S::Res>> + ?Sized>(
+        &mut self,
+        io: &mut IO,
+        input: Input<Msg<S::Inv, S::Res>>,
+    ) {
         match input {
             Input::Start => match self {
                 Node::Client(c) => c.start(io),
@@ -71,6 +76,10 @@ impl<S: Classified> Driver<Msg<S::Inv, S::Res>> for Node<S> {
                 }
             }
         }
+    }
+
+    fn is_done(&self) -> bool {
+        matches!(self, Node::Client(c) if c.is_done())
     }
 }
 

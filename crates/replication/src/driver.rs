@@ -19,11 +19,11 @@
 //!   its transport. This is the pure `handle(Input) -> Vec<Output>` form.
 //!
 //! [`DesAdapter`] is the thin shim welding a [`Driver`] back onto the
-//! simulator's [`Process`] trait; `replication::backend` hosts the same
-//! drivers on real threads.
+//! simulator's [`Process`] trait; [`crate::host::run`] steps the same
+//! drivers over any real-time [`Transport`](crate::host::Transport).
 
 use quorumcc_sim::trace::TraceAction;
-use quorumcc_sim::{Ctx, ProcId, Process, SimTime};
+use quorumcc_sim::{splitmix64, Ctx, ProcId, Process, SimTime, SPLITMIX64_GAMMA};
 use rand::Rng as _;
 
 /// Everything a protocol state machine may observe or effect. The only
@@ -156,10 +156,19 @@ pub enum Output<M> {
 /// A transport-agnostic protocol node: a state machine whose entire
 /// interaction with the world is `handle(io, input)`. The same driver
 /// value runs unmodified under the deterministic simulator (via
-/// [`DesAdapter`]) and under real concurrency (`replication::backend`).
+/// [`DesAdapter`]) and under real concurrency ([`crate::host::run`]).
 pub trait Driver<M> {
-    /// Feeds one input, applying effects through `io`.
-    fn handle(&mut self, io: &mut dyn Io<M>, input: Input<M>);
+    /// Feeds one input, applying effects through `io`. Generic, not
+    /// `dyn`: each host's `Io` is known statically, so a disabled
+    /// `io.tracing()` check costs nothing on the hot paths.
+    fn handle<IO: Io<M> + ?Sized>(&mut self, io: &mut IO, input: Input<M>);
+
+    /// Whether the node has finished its scripted work. Real-time hosts
+    /// count these to detect quiescence (the DES runs until its event
+    /// queue drains instead); servers never finish.
+    fn is_done(&self) -> bool {
+        false
+    }
 }
 
 /// Welds a [`Driver`] onto the simulator: implements [`Process`] by
@@ -236,7 +245,7 @@ impl<M> CollectIo<M> {
             now: 0,
             me,
             // Avoid the all-zeros fixed point.
-            entropy: seed ^ 0x9e37_79b9_7f4a_7c15,
+            entropy: seed ^ SPLITMIX64_GAMMA,
             outputs: Vec::new(),
         }
     }
@@ -257,12 +266,10 @@ impl<M> CollectIo<M> {
     }
 
     fn next_entropy(&mut self) -> u64 {
-        // splitmix64: tiny, statistically fine for jitter, no deps.
-        self.entropy = self.entropy.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.entropy;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        // The splitmix64 stream: tiny, statistically fine for jitter.
+        let out = splitmix64(self.entropy);
+        self.entropy = self.entropy.wrapping_add(SPLITMIX64_GAMMA);
+        out
     }
 }
 
@@ -317,7 +324,7 @@ mod tests {
     }
 
     impl Driver<u32> for Echo {
-        fn handle(&mut self, io: &mut dyn Io<u32>, input: Input<u32>) {
+        fn handle<IO: Io<u32> + ?Sized>(&mut self, io: &mut IO, input: Input<u32>) {
             match input {
                 Input::Start => {
                     if let Some(to) = self.kick {
@@ -398,6 +405,20 @@ mod tests {
         assert_eq!(draws(7), draws(7));
         assert_ne!(draws(7), draws(8));
         assert!(draws(7).iter().all(|v| *v < 1000));
+        // The stream itself is pinned: the benchmark's replay seeds its
+        // clients' collectors by hand and must draw the same jitter.
+        let mut io: CollectIo<u32> = CollectIo::new(0, 42);
+        let raw: Vec<u64> = (0..3)
+            .map(|_| Io::<u32>::rand_below(&mut io, u64::MAX))
+            .collect();
+        assert_eq!(
+            raw,
+            [
+                0x28ef_e333_b266_f103,
+                0x4752_6757_130f_9f52,
+                0x581c_e1ff_0e4a_e394
+            ]
+        );
     }
 
     #[test]

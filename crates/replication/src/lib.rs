@@ -46,6 +46,7 @@ pub mod driver;
 pub mod error;
 pub mod explore;
 pub mod history;
+pub mod host;
 pub mod messages;
 pub mod metrics;
 pub mod oracle;

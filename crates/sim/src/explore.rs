@@ -74,6 +74,7 @@
 
 use crate::engine::{Ctx, Process};
 use crate::fault::{ProcId, SimTime};
+use crate::splitmix64;
 use crate::trace::{TraceConfig, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -248,13 +249,6 @@ struct SleepEnt<M> {
 }
 
 type SleepKey = (ProcId, ProcId, u64);
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Per-event randomness: a pure function of `(seed, process, the
 /// process's executed-event count)`, so it commutes across processes.

@@ -22,6 +22,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
   -p quorumcc-quorum -p quorumcc-sim -p quorumcc-replication \
   -p quorumcc-net -p quorumcc-bench
 
+echo "==> quorumcc-perf: the benchmark package builds and passes against this tree"
+# perf/ is a workspace of its own that restates private seed derivations
+# of net::load by hand; it must compile and replay untouched, and building
+# it must not rewrite its lock file.
+cargo test -q --release --offline --manifest-path perf/Cargo.toml
+git diff --quiet -- perf BENCHMARK.json || {
+  echo "building quorumcc-perf changed files under perf/ (or BENCHMARK.json):" >&2
+  git status --short -- perf BENCHMARK.json >&2
+  exit 1
+}
+
 echo "==> sans-I/O backend equivalence suite (DES vs channel threads)"
 cargo test -q --release -p quorumcc-replication --test backends > /dev/null
 
@@ -160,11 +171,15 @@ echo "==> exp_load quick smoke: real-socket fleet, bounded shape"
 # Wall-clock SLOs — BENCH_exp_load.json is the one bench artifact that
 # is *not* byte-stable (DESIGN.md §3.14), so the gate is the binary's
 # internal asserts (zero unfinished, >=90% commits) plus JSON presence.
-cargo run -q --release -p quorumcc-bench --bin exp_load -- --quick > /dev/null
-test -f BENCH_exp_load.json || {
+# Quick mode is a smaller shape than the committed artifact, so run from
+# a scratch dir instead of clobbering the repo-root json.
+load_scratch="$(mktemp -d)"
+(cd "$load_scratch" && "$OLDPWD/target/release/exp_load" --quick > /dev/null)
+test -f "$load_scratch/BENCH_exp_load.json" || {
   echo "exp_load wrote no BENCH_exp_load.json" >&2
   exit 1
 }
+rm -rf "$load_scratch"
 
 echo "==> explore smoke: sound 2x1 shape is exhaustively clean"
 explore_out="$(cargo run -q --release --bin qcc -- explore queue --sites 2 --clients 1 --depth 12)"
@@ -225,23 +240,23 @@ echo "$load_out" | grep -q '"unfinished": 0' || {
   exit 1
 }
 
-echo "==> qcc load smoke: event-loop backend with scoped shipping + status GC"
+echo "==> qcc load smoke: scoped shipping + status GC"
 evl_out="$(cargo run -q --release --bin qcc -- load --clients 40 --cells 2 --objects 16 \
-  --ramp-ms 100 --backend eventloop --scoped true --gc 8)"
+  --ramp-ms 100 --scoped true --gc 8)"
 echo "$evl_out" | grep -q '"unfinished": 0' || {
-  echo "qcc load --backend eventloop left clients unfinished:" >&2
+  echo "qcc load --scoped true --gc 8 left clients unfinished:" >&2
   echo "$evl_out" >&2
   exit 1
 }
 echo "$evl_out" | grep -q '"backend": "eventloop"' || {
-  echo "qcc load --backend eventloop did not label the backend:" >&2
+  echo "qcc load did not label the host in its json:" >&2
   echo "$evl_out" >&2
   exit 1
 }
 
 echo "==> qcc load smoke: lossy fault shims + frontier repair + scripted crash"
 lossy_out="$(cargo run -q --release --bin qcc -- load --clients 24 --cells 1 --objects 256 \
-  --txns 40 --backend eventloop --scoped true --gc 4 --narrow false --deq 0.0 \
+  --txns 40 --scoped true --gc 4 --narrow false --deq 0.0 \
   --fault-profile lossy --retransmit-ms 250 --crash 2:200:200)"
 echo "$lossy_out" | grep -q '"unfinished": 0' || {
   echo "qcc load under lossy shims + crash left clients unfinished:" >&2

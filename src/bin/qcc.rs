@@ -754,12 +754,6 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
         other => return Err(format!("unknown mode: {other}")),
     };
     let relation = relation_for::<quorumcc_adts::Queue>(&mode_s)?;
-    let backend_s = opts.str("backend", "threads");
-    let backend = match backend_s.as_str() {
-        "threads" => quorumcc::net::LoadBackend::Threads,
-        "eventloop" => quorumcc::net::LoadBackend::EventLoop,
-        other => return Err(format!("unknown backend: {other} (threads|eventloop)")),
-    };
     let gc_batch = opts.get("gc", 0u64)?;
     let fault_profile = quorumcc::net::NetFaultProfile::parse(&opts.str("fault-profile", "none"))?;
     let crash = match opts.str("crash", "").as_str() {
@@ -786,19 +780,16 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
         deadline: std::time::Duration::from_secs(opts.get("deadline", 120u64)?),
         scoped_statuses: opts.get("scoped", false)?,
         status_gc: (gc_batch > 0).then_some(gc_batch),
-        backend,
         fault_profile,
-        poll_min_us: opts.get("poll-min-us", 50u64)?,
-        poll_max_us: opts.get("poll-max-us", 3_200u64)?,
-        idle_poll_ms: opts.get("idle-poll-ms", 25u64)?,
         // Ticks are microseconds, like --timeout-ms.
         resolve_retransmit: (retransmit_ms > 0).then(|| retransmit_ms.saturating_mul(1_000)),
         crash,
+        ..quorumcc::net::LoadConfig::default()
     };
     let report = quorumcc::net::run_load(&cfg);
     println!(
-        "{} clients x {} txns over {} cells ({} sites each, {} mode, {} backend)",
-        cfg.clients, cfg.txns_per_client, cfg.clusters, cfg.n_repos, report.mode, report.backend
+        "{} clients x {} txns over {} cells ({} sites each, {} mode)",
+        cfg.clients, cfg.txns_per_client, cfg.clusters, cfg.n_repos, report.mode
     );
     println!(
         "  committed {}  aborted(attempts) {}  unfinished {}",
@@ -921,15 +912,11 @@ fn allowed_opts(cmd: &str) -> &'static [&'static str] {
         "deq",
         "ramp-ms",
         "deadline",
-        "backend",
         "scoped",
         "gc",
         "fault-profile",
         "crash",
         "retransmit-ms",
-        "poll-min-us",
-        "poll-max-us",
-        "idle-poll-ms",
     ];
     match cmd {
         "relations" => &[],
@@ -954,13 +941,13 @@ fn usage() -> String {
      \x20    qcc reconfig prom --sites 5 --lost 4 --relation hybrid --priority Read,Write\n\
      \x20    qcc chaos queue --seed 7 --runs 200 | qcc chaos queue --replay 's=7;...'\n\
      \x20    qcc explore queue --sites 2 --clients 2 --depth 14 | qcc explore queue --replay 'mode=...'\n\
-     \x20    qcc load --mode static --clients 2000 --cells 8 | qcc load --backend eventloop --scoped true --gc 64\n\
+     \x20    qcc load --mode static --clients 2000 --cells 8 | qcc load --scoped true --gc 64\n\
      trace filters: --obj N --site N --action k1,k2 --from T --until T --limit N --save FILE\n\
      load (real TCP sockets, queue workload): --cells N --sites N --clients N --txns N --ops N\n\
      \x20    --objects N --workers N --seed N --timeout-ms N --narrow BOOL --deq FRAC --ramp-ms N --deadline SECS\n\
-     \x20    --backend threads|eventloop --scoped BOOL --gc BATCH (status GC sweep batch, 0 = off)\n\
-     \x20    --fault-profile none|lossy|stormy[:seed] (socket fault injection) --crash REPO:AT_MS:DOWN_MS (eventloop)\n\
-     \x20    --retransmit-ms N (ResolveAck frontier repair, 0 = off) --poll-min-us N --poll-max-us N --idle-poll-ms N"
+     \x20    --scoped BOOL --gc BATCH (status GC sweep batch, 0 = off)\n\
+     \x20    --fault-profile none|lossy|stormy[:seed] (socket fault injection) --crash REPO:AT_MS:DOWN_MS\n\
+     \x20    --retransmit-ms N (ResolveAck frontier repair, 0 = off)"
         .to_string()
 }
 

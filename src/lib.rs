@@ -66,7 +66,7 @@ pub use quorumcc_sim as sim;
 pub mod prelude {
     pub use crate::error::Error;
     pub use quorumcc_model::spec::ExploreBounds;
-    pub use quorumcc_net::{run_load, LoadBackend, LoadConfig, LoadReport, Wire};
+    pub use quorumcc_net::{run_load, LoadConfig, LoadReport, Wire};
     pub use quorumcc_quorum::ThresholdAssignment;
     pub use quorumcc_replication::{
         BackendKind, ClientMetrics, ClientStats, CollectIo, Config, ConfigState, DesAdapter,
