@@ -1,30 +1,19 @@
-//! Criterion benches for the throughput engine: what op batching saves
-//! on a full quorum round, and what zero-copy delta-reply serialization
-//! saves on the `ReadLog` hot path.
+//! Criterion bench for the throughput engine: what op batching saves on
+//! a full quorum round.
 //!
-//! Two groups:
-//!
-//! * `quorum_round` — a whole seeded cluster run, per-message
-//!   (`batch = 1`) vs batched + pipelined (`batch = 8` over 8 shards):
-//!   the end-to-end cost of delivering the same committed workload, so
-//!   the measured difference is exactly the envelope coalescing and the
-//!   read/write overlap;
-//! * `delta_serialize` — producing one wire-ready `LogReply` from a
-//!   1024-entry journal, cloned (`delta_since` materializes owned
-//!   entries, then encodes) vs zero-copy (`delta_since_ref` borrows
-//!   slices into the journal and encodes straight from them). Both paths
-//!   share `encode_delta_wire`, so the byte output is identical — the
-//!   delta is the clone.
+//! `quorum_round` is a whole seeded cluster run, per-message
+//! (`batch = 1`) vs batched + pipelined (`batch = 8` over 8 shards): the
+//! end-to-end cost of delivering the same committed workload, so the
+//! measured difference is exactly the envelope coalescing and the
+//! read/write overlap.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quorumcc_adts::Queue;
 use quorumcc_core::DependencyRelation;
-use quorumcc_model::{ActionId, Enumerable as _, Event, Sequential};
+use quorumcc_model::{Enumerable as _, Sequential};
 use quorumcc_replication::cluster::{ProtocolConfig, RunBuilder, TuningConfig};
 use quorumcc_replication::protocol::{Mode, Protocol};
-use quorumcc_replication::types::{ActionOutcome, LogEntry, VersionedLog};
 use quorumcc_replication::{ObjId, Transaction};
-use quorumcc_sim::Timestamp;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
@@ -78,56 +67,5 @@ fn bench_quorum_round(c: &mut Criterion) {
     g.finish();
 }
 
-type Log = VersionedLog<u64, u64>;
-
-fn ts(c: u64, n: u32) -> Timestamp {
-    Timestamp {
-        counter: c,
-        node: n,
-    }
-}
-
-/// A journal-resident log of `n` committed entries.
-fn filled(n: usize) -> Log {
-    let mut log = Log::new();
-    for i in 0..n {
-        let i64 = i as u64;
-        log.insert(LogEntry {
-            ts: ts(i64 + 1, 0),
-            action: ActionId(i as u32),
-            begin_ts: ts(i64 + 1, 0),
-            event: Event::new(i64, i64),
-        });
-        log.resolve(ActionId(i as u32), ActionOutcome::Committed(ts(i64 + 2, 0)));
-    }
-    log
-}
-
-fn bench_delta_serialize(c: &mut Criterion) {
-    let n = 1024;
-    let src = filled(n);
-    // A frontier low enough that the reply carries most of the journal.
-    let frontier = 16;
-    // Sanity: both paths frame the same bytes.
-    assert_eq!(
-        src.delta_since(frontier).encode_wire(),
-        src.delta_since_ref(frontier).encode_wire()
-    );
-    let mut g = c.benchmark_group(format!("delta_serialize/{n}"));
-    g.bench_function("cloned", |b| {
-        b.iter(|| {
-            let d = src.delta_since(frontier);
-            d.encode_wire().len()
-        })
-    });
-    g.bench_function("zero_copy", |b| {
-        b.iter(|| {
-            let d = src.delta_since_ref(frontier);
-            d.encode_wire().len()
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_quorum_round, bench_delta_serialize);
+criterion_group!(benches, bench_quorum_round);
 criterion_main!(benches);

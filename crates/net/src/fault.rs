@@ -36,7 +36,7 @@
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
-use quorumcc_sim::splitmix64;
+use quorumcc_sim::{chance, splitmix64};
 
 /// Knobs for socket-level fault injection, mirroring the DES
 /// `NetworkConfig` shape (probabilities per I/O call, not per byte).
@@ -192,14 +192,6 @@ impl<S> FaultShim<S> {
         &mut self.inner
     }
 
-    fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        self.rng = splitmix64(self.rng);
-        ((self.rng >> 11) as f64) / ((1u64 << 53) as f64) < p
-    }
-
     fn dead_err(&self) -> io::Error {
         io::Error::new(io::ErrorKind::BrokenPipe, "faultshim: link dead")
     }
@@ -232,12 +224,12 @@ impl<S: Read> Read for FaultShim<S> {
             LinkState::Blackhole(_) => {} // reads still flow until death
             LinkState::Alive => {}
         }
-        if self.chance(self.profile.reset_prob) {
+        if chance(&mut self.rng, self.profile.reset_prob) {
             self.state = LinkState::Dead;
             self.counters.resets += 1;
             return Err(self.reset_err());
         }
-        if self.chance(self.profile.stall_prob) {
+        if chance(&mut self.rng, self.profile.stall_prob) {
             if let Some(e) = self.stall() {
                 return Err(e);
             }
@@ -245,7 +237,7 @@ impl<S: Read> Read for FaultShim<S> {
         // Short read: hand back at most half the buffer. Framing-safe —
         // both `read_exact` and the event loop's growing buffer tolerate
         // arbitrary read splits.
-        if buf.len() > 1 && self.chance(self.profile.split_prob) {
+        if buf.len() > 1 && chance(&mut self.rng, self.profile.split_prob) {
             self.counters.splits += 1;
             let half = buf.len() / 2;
             return self.inner.read(&mut buf[..half]);
@@ -273,22 +265,22 @@ impl<S: Write> Write for FaultShim<S> {
             }
             LinkState::Alive => {}
         }
-        if self.chance(self.profile.reset_prob) {
+        if chance(&mut self.rng, self.profile.reset_prob) {
             self.state = LinkState::Dead;
             self.counters.resets += 1;
             return Err(self.reset_err());
         }
-        if self.chance(self.profile.drop_prob) {
+        if chance(&mut self.rng, self.profile.drop_prob) {
             self.state = LinkState::Blackhole(BLACKHOLE_WRITES);
             self.counters.drops += 1;
             return Ok(buf.len());
         }
-        if self.chance(self.profile.stall_prob) {
+        if chance(&mut self.rng, self.profile.stall_prob) {
             if let Some(e) = self.stall() {
                 return Err(e);
             }
         }
-        if buf.len() > 1 && self.chance(self.profile.split_prob) {
+        if buf.len() > 1 && chance(&mut self.rng, self.profile.split_prob) {
             self.counters.splits += 1;
             return self.inner.write(&buf[..buf.len() / 2]);
         }

@@ -1,9 +1,12 @@
 //! What a load run is told ([`LoadConfig`], [`CrashSpec`]) and what it
 //! reports ([`LoadReport`]).
 
+use std::sync::Arc;
 use std::time::Duration;
 
+use quorumcc_adts::Queue;
 use quorumcc_replication::protocol::Mode;
+use quorumcc_replication::{RunReport, RunTelemetry};
 use quorumcc_sim::SimTime;
 
 use crate::fault::NetFaultProfile;
@@ -153,8 +156,9 @@ impl Default for LoadConfig {
     }
 }
 
-/// Throughput/latency summary of one load run.
-#[derive(Debug, Clone)]
+/// Throughput/latency summary of one load run, derived from its cells'
+/// harvested [`RunReport`]s plus the socket links' counters.
+#[derive(Debug, Clone, Default)]
 pub struct LoadReport {
     /// Mode name (`static-ts` / `hybrid` / `dynamic-2pl`).
     pub mode: &'static str,
@@ -201,9 +205,25 @@ pub struct LoadReport {
     /// transaction, sorted — the raw series `exp_recovery` buckets into
     /// pre-crash vs post-rejoin goodput. Not serialized.
     pub commit_ticks: Vec<SimTime>,
+    /// Each cell's harvested run, in cell order: client records, final
+    /// repository state and telemetry — what the safety oracle audits
+    /// ([`RunReport::safety`]). Shared so the report stays cheap to clone.
+    /// Not serialized.
+    pub cells: Vec<Arc<RunReport<Queue>>>,
 }
 
 impl LoadReport {
+    /// The run's telemetry: the cells' records merged, with the links'
+    /// reconnect count (which no driver sees) filled in.
+    pub fn telemetry(&self) -> RunTelemetry {
+        let mut out = RunTelemetry::default();
+        for cell in &self.cells {
+            out.merge(cell.telemetry());
+        }
+        out.reconnects = self.reconnects;
+        out
+    }
+
     /// Renders the report as a JSON object (hand-rolled, like the rest of
     /// the `BENCH_*.json` emitters).
     pub fn to_json(&self) -> String {

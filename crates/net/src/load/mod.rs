@@ -1,18 +1,25 @@
 //! The `exp_load` harness: many lightweight sans-I/O clients against a
 //! real-socket cluster.
 //!
-//! Topology: each cell's repositories are [`Repository`] drivers behind
+//! Topology: each cell's repositories are
+//! [`Repository`](quorumcc_replication::Repository) drivers behind
 //! TCP listeners on loopback, all hosted by one event-loop thread. Clients
 //! are *not* threads — a small worker pool multiplexes tens to hundreds of
-//! thousands of [`Client`] drivers, each a few hundred bytes of protocol
+//! thousands of [`Client`](quorumcc_replication::Client) drivers, each a
+//! few hundred bytes of protocol
 //! state plus a [`CollectIo`]. Every worker opens one connection per
 //! repository and tags frames with the issuing client's process id, so a
 //! repository routes replies by id over the connection they arrived on.
 //!
-//! Hosting: both sides are the one generic loop,
+//! Hosting: the cluster comes from the same
+//! [`RunBuilder::assemble`](quorumcc_replication::RunBuilder::assemble)
+//! every host uses, both sides step it with the one generic loop,
 //! [`quorumcc_replication::host::run`], over the two socket transports in
-//! `sockets` — this module only builds the drivers, derives their seeds
-//! and harvests the report.
+//! `sockets`, and [`Assembly::harvest`] reads each cell back as a
+//! [`RunReport`] — so a socket run carries the same telemetry, and answers
+//! to the same safety oracle, as a simulated one. This module only maps
+//! [`LoadConfig`] onto the builder, derives the seeds and lends slices of
+//! the nodes to the threads.
 //!
 //! Time: one logical tick = 1µs of wall clock, so client-recorded
 //! begin→commit spans *are* latencies in microseconds. Protocol timeouts
@@ -24,21 +31,21 @@
 mod config;
 mod sockets;
 
+use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use quorumcc_adts::queue::{QueueInv, QueueRes};
 use quorumcc_adts::Queue;
-use quorumcc_model::Classified;
-use quorumcc_quorum::ThresholdAssignment;
 use quorumcc_replication::client::Record;
-use quorumcc_replication::host::{self, Clock as _, CrashScript, WallClock};
+use quorumcc_replication::cluster::{Assembly, ProtocolConfig, RunBuilder, TuningConfig};
+use quorumcc_replication::host::{self, Clock as _, CrashScript, HostStats, WallClock};
 use quorumcc_replication::protocol::Protocol;
 use quorumcc_replication::types::ObjId;
 use quorumcc_replication::{
-    Client, ClientConfig, CollectIo, Config, ConfigState, Durability, Fanout, LogicalHistogram,
-    Msg, Node, Repository, Transaction,
+    CollectIo, Durability, Fanout, LogicalHistogram, Msg, Node, RunReport, Transaction,
 };
 use quorumcc_sim::{splitmix64, ProcId, SimTime};
 
@@ -49,20 +56,6 @@ type QMsg = Msg<QueueInv, QueueRes>;
 
 /// One hosted driver with its collector, as [`host::run`] takes them.
 type Hosted = (Node<Queue>, CollectIo<QMsg>);
-
-/// Majority thresholds for the Queue alphabet — the same default
-/// `RunBuilder` applies.
-fn majority_thresholds(n: u32) -> ThresholdAssignment {
-    let maj = n / 2 + 1;
-    let mut ta = ThresholdAssignment::new(n);
-    for op in Queue::op_classes() {
-        ta.set_initial(op, maj);
-    }
-    for ev in Queue::event_classes() {
-        ta.set_final(ev, maj);
-    }
-    ta
-}
 
 /// The scripted transactions for one client: seeded Enq/Deq ops over
 /// pseudorandomly assigned objects.
@@ -90,74 +83,35 @@ fn client_txns(cfg: &LoadConfig, client_idx: usize) -> Vec<Transaction<QueueInv>
         .collect()
 }
 
-fn client_config(cfg: &LoadConfig, repos: Vec<ProcId>) -> ClientConfig {
-    ClientConfig {
-        protocol: Protocol::new(cfg.mode, cfg.relation.clone()),
-        thresholds: majority_thresholds(cfg.n_repos),
-        repos,
-        op_timeout: cfg.op_timeout_ticks,
-        max_phase_retries: 2,
-        think_time: 1000,
-        commit_delay: 0,
-        txn_retries: 2,
-        propagate_views: true,
-        fanout: if cfg.narrow {
-            Fanout::Narrow
-        } else {
-            Fanout::Broadcast
-        },
-        delta_shipping: true,
-        compact_logs: false,
-        weaken_read_quorum: false,
-        skip_final_ack: false,
-        shards: 1,
-        batch: 1,
-        batch_window: 0,
-        shard_thresholds: Vec::new(),
-        status_gc: cfg.status_gc.is_some(),
-        resolve_retransmit: cfg.resolve_retransmit,
-    }
-}
-
-/// What one worker hands back when its clients are done (or abandoned).
-struct WorkerResult {
-    committed: usize,
-    aborted: usize,
-    ops_committed: usize,
-    unfinished: usize,
-    latency: LogicalHistogram,
-    reconnects: u64,
-    retransmit_frames: u64,
-    resolve_retransmits: u64,
-    frontier_stalls: u64,
-    commit_ticks: Vec<SimTime>,
-}
-
-/// Repository-side counters a cell reports once its hosts stop.
-#[derive(Debug, Clone, Copy, Default)]
-struct RepoSideStats {
-    statuses_gcd: u64,
-    recoveries: u64,
-}
-
 /// The seed cell `cell` of a run seeded `seed` derives everything from.
 fn cell_seed(seed: u64, cell: usize) -> u64 {
     seed ^ splitmix64(cell as u64 + 0x5eed)
 }
 
+/// One cell's outcome: the harvested run plus what only the socket layer
+/// knows.
+struct CellRun {
+    report: RunReport<Queue>,
+    unfinished: usize,
+    reconnects: u64,
+    retransmit_frames: u64,
+}
+
 /// Runs one load configuration end to end and reports SLO percentiles.
 ///
 /// # Panics
-/// Panics when a loopback listener cannot be bound or configured — a
-/// harness failure, not a protocol outcome. Bytes read off a socket never
-/// panic: a bad frame costs the connection it arrived on.
+/// Panics when the configuration is not a runnable cluster (no
+/// transactions, or a relation that majority quorums do not satisfy) or a
+/// loopback listener cannot be bound or configured — harness failures, not
+/// protocol outcomes. Bytes read off a socket never panic: a bad frame
+/// costs the connection it arrived on.
 pub fn run_load(cfg: &LoadConfig) -> LoadReport {
     assert!(cfg.n_repos >= 1 && cfg.clients >= 1 && cfg.workers >= 1);
     let cells = cfg.clusters.max(1).min(cfg.clients);
     let epoch = Instant::now();
     let per = cfg.clients / cells;
     let extra = cfg.clients % cells;
-    let results: Vec<(Vec<WorkerResult>, RepoSideStats)> = std::thread::scope(|scope| {
+    let results: Vec<CellRun> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cells)
             .map(|cell| {
                 let mut sub = cfg.clone();
@@ -171,67 +125,121 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
             .map(|h| h.join().expect("cell panicked"))
             .collect()
     });
-    let wall = epoch.elapsed();
-    let mut latency = LogicalHistogram::default();
-    let (mut committed, mut aborted, mut ops_committed, mut unfinished) = (0, 0, 0, 0);
-    let (mut reconnects, mut retransmit_frames) = (0u64, 0u64);
-    let (mut resolve_ack_retransmits, mut frontier_stalls) = (0u64, 0u64);
-    let mut repo_side = RepoSideStats::default();
-    let mut commit_ticks: Vec<SimTime> = Vec::new();
-    for (workers, repo) in &results {
-        repo_side.statuses_gcd += repo.statuses_gcd;
-        repo_side.recoveries += repo.recoveries;
-        for r in workers {
-            committed += r.committed;
-            aborted += r.aborted;
-            ops_committed += r.ops_committed;
-            unfinished += r.unfinished;
-            latency.merge(&r.latency);
-            reconnects += r.reconnects;
-            retransmit_frames += r.retransmit_frames;
-            resolve_ack_retransmits += r.resolve_retransmits;
-            frontier_stalls += r.frontier_stalls;
-            commit_ticks.extend_from_slice(&r.commit_ticks);
-        }
-    }
-    commit_ticks.sort_unstable();
-    let secs = wall.as_secs_f64().max(1e-9);
-    LoadReport {
+    let mut report = LoadReport {
         mode: cfg.mode.name(),
         backend: "eventloop",
         clients: cfg.clients,
-        committed,
-        aborted,
-        ops_committed,
-        unfinished,
-        wall,
-        txns_per_sec: committed as f64 / secs,
-        ops_per_sec: ops_committed as f64 / secs,
-        p50_us: latency.percentile(50.0).unwrap_or(0),
-        p90_us: latency.percentile(90.0).unwrap_or(0),
-        p99_us: latency.percentile(99.0).unwrap_or(0),
-        mean_us: latency.mean().unwrap_or(0.0),
-        reconnects,
-        retransmit_frames,
-        resolve_ack_retransmits,
-        frontier_stalls,
-        statuses_gcd: repo_side.statuses_gcd,
-        recoveries: repo_side.recoveries,
-        commit_ticks,
+        wall: epoch.elapsed(),
+        ..LoadReport::default()
+    };
+    let mut latency = LogicalHistogram::default();
+    for cell in results {
+        let t = cell.report.telemetry();
+        report.committed += t.committed as usize;
+        report.aborted += (t.aborted_conflict + t.aborted_unavailable) as usize;
+        report.ops_committed += t.ops_completed as usize;
+        report.unfinished += cell.unfinished;
+        report.reconnects += cell.reconnects;
+        report.retransmit_frames += cell.retransmit_frames;
+        report.resolve_ack_retransmits += t.resolve_ack_retransmits;
+        report.frontier_stalls += t.frontier_stalls;
+        report.statuses_gcd += t.statuses_gcd;
+        report.recoveries += t.recoveries;
+        // Begin→commit latencies and commit times, from client records.
+        for (_, records, _) in cell.report.clients() {
+            let mut begins: HashMap<u32, SimTime> = HashMap::new();
+            for rec in records {
+                match rec {
+                    Record::Begin { t, action } => {
+                        begins.insert(action.0, *t);
+                    }
+                    Record::Commit { t, action } => {
+                        if let Some(b) = begins.get(&action.0) {
+                            latency.record(t.saturating_sub(*b));
+                        }
+                        report.commit_ticks.push(*t);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        report.cells.push(Arc::new(cell.report));
     }
+    report.commit_ticks.sort_unstable();
+    let secs = report.wall.as_secs_f64().max(1e-9);
+    report.txns_per_sec = report.committed as f64 / secs;
+    report.ops_per_sec = report.ops_committed as f64 / secs;
+    report.p50_us = latency.percentile(50.0).unwrap_or(0);
+    report.p90_us = latency.percentile(90.0).unwrap_or(0);
+    report.p99_us = latency.percentile(99.0).unwrap_or(0);
+    report.mean_us = latency.mean().unwrap_or(0.0);
+    report
+}
+
+/// Maps a cell's [`LoadConfig`] onto the builder every host assembles
+/// from: majority quorums, two phase retries and two transaction retries,
+/// 1 ms of think time. A scripted crash makes storage volatile without a
+/// write-ahead mirror, so the victim restarts amnesiac and must catch up
+/// from its peers (durability is only consulted on recovery; the other
+/// repositories never notice).
+fn assemble(cfg: &LoadConfig) -> Assembly<Queue> {
+    let tuning = TuningConfig {
+        think_time: 1000,
+        max_phase_retries: 2,
+        fanout: if cfg.narrow {
+            Fanout::Narrow
+        } else {
+            Fanout::Broadcast
+        },
+        durability: if cfg.crash.is_some() {
+            Durability::Volatile { wal: false }
+        } else {
+            Durability::Stable
+        },
+        scoped_statuses: cfg.scoped_statuses,
+        status_gc: cfg.status_gc,
+        resolve_retransmit: cfg.resolve_retransmit,
+        ..TuningConfig::default()
+    };
+    RunBuilder::<Queue>::new(cfg.n_repos)
+        .protocol(
+            ProtocolConfig::new(Protocol::new(cfg.mode, cfg.relation.clone()))
+                .op_timeout(cfg.op_timeout_ticks)
+                .txn_retries(2),
+        )
+        .tuning(tuning)
+        .workload((0..cfg.clients).map(|k| client_txns(cfg, k)).collect())
+        .assemble()
+        .expect("load configuration is a runnable cluster")
 }
 
 /// One cell: an `n_repos` cluster plus its worker pool, run to quiescence
-/// or the deadline.
-fn run_cluster(cfg: &LoadConfig) -> (Vec<WorkerResult>, RepoSideStats) {
-    let repos: Vec<ProcId> = (0..cfg.n_repos).collect();
+/// or the deadline. The nodes stay here; the cell thread and the workers
+/// each step a disjoint slice of them.
+fn run_cluster(cfg: &LoadConfig) -> CellRun {
+    let mut assembly = assemble(cfg);
+    let mut repos: Vec<Hosted> = (0..)
+        .zip(assembly.take_nodes())
+        .map(|(id, node): (ProcId, _)| {
+            let seed = if id < cfg.n_repos {
+                u64::from(id) + 1
+            } else {
+                cfg.seed ^ splitmix64(u64::from(id))
+            };
+            (node, CollectIo::new(id, seed))
+        })
+        .collect();
+    // The clients get a block of their own: with both sides' nodes in one
+    // allocation the cell thread and the worker contend for it (measured on
+    // the benchmark's 8192-object workload: 4.5% less throughput and as
+    // much more CPU per transaction).
+    let mut clients = repos.split_off(cfg.n_repos as usize);
     let stop = AtomicBool::new(false);
     let clock = WallClock::new(Instant::now(), 1);
 
     // Bind every repository listener up front so workers can connect
     // immediately.
-    let listeners: Vec<TcpListener> = repos
-        .iter()
+    let listeners: Vec<TcpListener> = (0..cfg.n_repos)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
         .collect();
     let ports: Vec<u16> = listeners
@@ -240,97 +248,81 @@ fn run_cluster(cfg: &LoadConfig) -> (Vec<WorkerResult>, RepoSideStats) {
         .collect();
 
     let chunk = cfg.clients.div_ceil(cfg.workers);
+    let (mut ran, mut reconnects, mut retransmit_frames) = (Vec::new(), 0, 0);
     std::thread::scope(|scope| {
-        let (stop, clock, repos, ports) = (&stop, &clock, &repos, &ports);
-        let cell = scope.spawn(move || cell_main(cfg, listeners, repos, stop, clock));
-        let workers: Vec<_> = (0..cfg.workers)
-            .map(|w| w * chunk)
-            .take_while(|first| *first < cfg.clients)
-            .map(|first| {
-                let count = chunk.min(cfg.clients - first);
-                scope.spawn(move || worker_main(cfg, first, count, ports, repos, clock))
-            })
+        let (stop, clock, ports, repos) = (&stop, &clock, &ports, &mut repos[..]);
+        let cell = scope.spawn(move || cell_main(cfg, repos, listeners, stop, clock));
+        let workers: Vec<_> = clients
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(w, slice)| scope.spawn(move || worker_main(cfg, w * chunk, slice, ports, clock)))
             .collect();
-        let results: Vec<WorkerResult> = workers
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect();
+        for h in workers {
+            let (stats, links) = h.join().expect("worker panicked");
+            ran.push(stats);
+            reconnects += links.0;
+            retransmit_frames += links.1;
+        }
         stop.store(true, Ordering::SeqCst);
-        (results, cell.join().expect("cell host panicked"))
-    })
+        ran.push(cell.join().expect("cell host panicked"));
+    });
+    CellRun {
+        unfinished: cfg.clients - ran.iter().map(|r| r.done).sum::<usize>(),
+        report: assembly.harvest(
+            repos.iter().chain(&clients).map(|(node, _)| node),
+            HostStats::sim_stats(&ran, clock.now()),
+            None,
+        ),
+        reconnects,
+        retransmit_frames,
+    }
 }
 
 /// A cell's repository side: every repository driver on one thread, over
 /// [`CellSockets`].
 ///
 /// A scripted [`LoadConfig::crash`] kills one co-hosted repository for a
-/// wall-clock window; since the victim is built with volatile storage the
-/// restart comes back amnesiac and catches up through `SyncReq` state
-/// transfer over the cell's local queue before serving quorums again.
+/// wall-clock window; it restarts amnesiac and catches up through
+/// `SyncReq` state transfer over the cell's local queue before serving
+/// quorums again.
 fn cell_main(
     cfg: &LoadConfig,
+    repos: &mut [Hosted],
     listeners: Vec<TcpListener>,
-    peers: &[ProcId],
     stop: &AtomicBool,
     clock: &WallClock,
-) -> RepoSideStats {
-    let victim = cfg.crash.map(|c| (c, c.repo.min(peers.len() - 1)));
-    let mut repos: Vec<Hosted> = peers
-        .iter()
-        .map(|&r| {
-            let bootstrap = Config::new(0, peers.iter().copied(), majority_thresholds(cfg.n_repos));
-            let mut repo: Repository<Queue> = Repository::new(cfg.mode, cfg.relation.clone())
-                .with_config(ConfigState::Stable(bootstrap))
-                .with_peers(peers.to_vec())
-                .with_gossip(cfg.scoped_statuses, cfg.status_gc);
-            if victim.is_some_and(|(_, v)| v == r as usize) {
-                // The scripted victim loses everything at the crash —
-                // recovery must rebuild from peers, not from a WAL.
-                repo = repo.with_durability(Durability::Volatile { wal: false });
-            }
-            (Node::Repo(repo), CollectIo::new(r, u64::from(r) + 1))
-        })
-        .collect();
-    let script = CrashScript::new(victim.map(|(spec, v)| {
+) -> HostStats {
+    let script = CrashScript::new(cfg.crash.map(|spec| {
         let from = spec.at_ms.saturating_mul(1000);
         (
-            v,
+            spec.repo.min(repos.len() - 1),
             from,
             from.saturating_add(spec.down_ms.saturating_mul(1000)),
         )
     }));
     let mut sockets = CellSockets::new(listeners, cfg.fault_profile, cfg.seed);
     host::run(
-        &mut repos,
+        repos,
         &mut sockets,
         clock,
         script,
         |_| 0,
         |_, _| stop.load(Ordering::Relaxed),
-    );
-
-    let mut side = RepoSideStats::default();
-    for (node, _) in &repos {
-        if let Node::Repo(repo) = node {
-            let counters = repo.counters();
-            side.statuses_gcd += counters.statuses_gcd;
-            side.recoveries += counters.recoveries;
-        }
-    }
-    side
+    )
 }
 
-/// One worker: hosts `count` client drivers (global ids starting at
-/// `n_repos + first`) over [`WorkerLinks`], one supervised TCP connection
-/// per repository.
+/// One worker: hosts the client drivers in `clients` (the cell's clients
+/// from index `first` on) over [`WorkerLinks`], one supervised TCP
+/// connection per repository. Returns the loop's counters and the links'
+/// `(reconnects, retransmit_frames)`.
 fn worker_main(
     cfg: &LoadConfig,
     first: usize,
-    count: usize,
+    clients: &mut [Hosted],
     ports: &[u16],
-    repos: &[ProcId],
     clock: &WallClock,
-) -> WorkerResult {
+) -> (HostStats, (u64, u64)) {
+    let count = clients.len();
     let base_id = cfg.n_repos + first as ProcId;
     let mut links = WorkerLinks::connect(
         ports,
@@ -338,76 +330,20 @@ fn worker_main(
         cfg.seed ^ ((first as u64) << 32),
         cfg.fault_profile,
     );
-    let mut clients: Vec<Hosted> = (0..count)
-        .map(|k| {
-            let id = base_id + k as ProcId;
-            let c = Client::new(
-                client_config(cfg, repos.to_vec()),
-                client_txns(cfg, first + k),
-            );
-            let io = CollectIo::new(id, cfg.seed ^ splitmix64(u64::from(id)));
-            (Node::Client(c), io)
-        })
-        .collect();
-
     // Client k starts `k/count` of the way through the ramp window (all
     // at once when the ramp is zero).
     let t0 = clock.now();
     let ramp_us = cfg.ramp.as_micros() as u64;
     let deadline = SimTime::try_from(cfg.deadline.as_micros()).unwrap_or(SimTime::MAX);
     let ran = host::run(
-        &mut clients,
+        clients,
         &mut links,
         clock,
         CrashScript::none(),
         |k| t0 + ramp_us * k as u64 / count as u64,
         |done, now| done == count || now >= deadline,
     );
-    let (reconnects, retransmit_frames) = links.shutdown();
-
-    // Harvest: stats, begin→commit latencies, and commit times from
-    // client records.
-    let mut latency = LogicalHistogram::default();
-    let (mut committed, mut aborted, mut ops_committed) = (0, 0, 0);
-    let (mut resolve_retransmits, mut frontier_stalls) = (0u64, 0u64);
-    let mut commit_ticks: Vec<SimTime> = Vec::new();
-    for (node, _) in &clients {
-        let Node::Client(c) = node else { continue };
-        let stats = c.stats();
-        committed += stats.committed;
-        aborted += stats.aborted_conflict + stats.aborted_unavailable;
-        ops_committed += stats.ops_completed;
-        let metrics = c.metrics();
-        resolve_retransmits += metrics.resolve_retransmits;
-        frontier_stalls += metrics.frontier_stalls;
-        let mut begins: std::collections::HashMap<u32, SimTime> = std::collections::HashMap::new();
-        for rec in c.records() {
-            match rec {
-                Record::Begin { t, action } => {
-                    begins.insert(action.0, *t);
-                }
-                Record::Commit { t, action } => {
-                    if let Some(b) = begins.get(&action.0) {
-                        latency.record(t.saturating_sub(*b));
-                    }
-                    commit_ticks.push(*t);
-                }
-                _ => {}
-            }
-        }
-    }
-    WorkerResult {
-        committed,
-        aborted,
-        ops_committed,
-        unfinished: count - ran.done,
-        latency,
-        reconnects,
-        retransmit_frames,
-        resolve_retransmits,
-        frontier_stalls,
-        commit_ticks,
-    }
+    (ran, links.shutdown())
 }
 
 #[cfg(test)]

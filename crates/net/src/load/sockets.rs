@@ -216,7 +216,7 @@ impl Transport<QMsg> for CellSockets {
         }
     }
 
-    fn send(&mut self, from: ProcId, to: ProcId, msg: QMsg, _weight: u64) {
+    fn send(&mut self, from: ProcId, to: ProcId, msg: QMsg) {
         self.progress = true;
         if (to as usize) < self.listeners.len() {
             if !self.dark[to as usize] {
@@ -530,7 +530,7 @@ impl Transport<QMsg> for WorkerLinks {
         }
     }
 
-    fn send(&mut self, from: ProcId, to: ProcId, msg: QMsg, _weight: u64) {
+    fn send(&mut self, from: ProcId, to: ProcId, msg: QMsg) {
         let payload = wire::encode(&msg);
         let mut frame = Vec::with_capacity(payload.len() + 12);
         // A payload too large to frame is dropped, like a lossy link would.
@@ -633,7 +633,7 @@ mod tests {
         });
 
         let mut links = WorkerLinks::connect(&[port], 5..6, 77, NetFaultProfile::none());
-        links.send(5, 0, ack(1), 1);
+        links.send(5, 0, ack(1));
         links.flush();
         let (to, from, msg) = next_delivery(&mut links);
         assert_eq!((to, from), (5, 0));

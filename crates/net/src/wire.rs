@@ -1,11 +1,9 @@
 //! Wire codec for protocol messages.
 //!
-//! The replicated-log delta framing (`LogDelta::encode_wire` in
-//! `quorumcc_replication::types`) measures payload bytes but is one-way; a
-//! real-socket backend needs a *round-trip* codec for the whole
-//! [`Msg`] alphabet. This module provides one: a little-endian,
-//! length-delimited encoding with a one-byte tag per enum variant, built
-//! from composable [`Wire`] impls on every payload component.
+//! A real-socket backend needs a *round-trip* codec for the whole [`Msg`]
+//! alphabet. This module provides one: a little-endian, length-delimited
+//! encoding with a one-byte tag per enum variant, built from composable
+//! [`Wire`] impls on every payload component.
 //!
 //! Two deliberate gates keep the codec total on the load-harness path:
 //!

@@ -9,6 +9,7 @@ use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation};
 use quorumcc_model::spec::ExploreBounds;
 use quorumcc_net::{run_load, LoadBackend, LoadConfig, NetFaultProfile};
 use quorumcc_replication::protocol::Mode;
+use quorumcc_replication::{RunTelemetry, SafetyViolation};
 
 fn bounds() -> ExploreBounds {
     ExploreBounds {
@@ -87,4 +88,91 @@ fn lossy_sockets_with_repair_commit_everything() {
         report.statuses_gcd > 0,
         "durable-GC frontier never advanced"
     );
+    // The harvested run agrees: no committed write is missing from the
+    // repositories, and the telemetry reconciles with the report.
+    let lost: Vec<_> = report.cells[0]
+        .safety(bounds())
+        .violations()
+        .iter()
+        .filter(|v| matches!(v, SafetyViolation::LostWrite { .. }))
+        .cloned()
+        .collect();
+    assert!(lost.is_empty(), "{lost:?}");
+    let t = report.telemetry();
+    assert_eq!(t.committed as usize, report.committed);
+    assert_eq!(t.ops_completed as usize, report.ops_committed);
+    assert_eq!(t.resolve_ack_retransmits, report.resolve_ack_retransmits);
+    assert_eq!(t.statuses_gcd, report.statuses_gcd);
+    assert_eq!(t.reconnects, report.reconnects);
+}
+
+/// The first audited socket run: a contended hybrid workload (30% `Deq`)
+/// served over loopback TCP answers to the whole safety oracle — atomic
+/// histories, no lost committed write, monotone versions, nested
+/// checkpoints — exactly as a simulated run does.
+#[test]
+fn contended_socket_run_passes_the_safety_oracle() {
+    use quorumcc_adts::Queue;
+    let report = run_load(&LoadConfig {
+        mode: Mode::Hybrid,
+        relation: minimal_static_relation::<Queue>(bounds()).relation,
+        clients: 8,
+        txns_per_client: 12,
+        ops_per_txn: 2,
+        objects: 8,
+        workers: 1,
+        seed: 5,
+        narrow: true,
+        deq_fraction: 0.3,
+        deadline: Duration::from_secs(30),
+        scoped_statuses: true,
+        status_gc: Some(8),
+        ..LoadConfig::default()
+    });
+    assert_eq!(report.unfinished, 0, "{report:?}");
+    assert!(report.committed > 0, "nothing committed");
+    let [cell] = report.cells.as_slice() else {
+        panic!("one cell expected, got {}", report.cells.len());
+    };
+    let safety = cell.safety(bounds());
+    assert!(safety.is_ok(), "{safety}");
+}
+
+/// A run split over cells reports the sum of its cells: every additive
+/// telemetry counter, and the `LoadReport` totals derived from them.
+#[test]
+fn multi_cell_telemetry_is_the_sum_of_its_cells() {
+    use quorumcc_adts::Queue;
+    let report = run_load(&LoadConfig {
+        mode: Mode::Hybrid,
+        relation: minimal_static_relation::<Queue>(bounds()).relation,
+        clusters: 3,
+        clients: 30,
+        txns_per_client: 2,
+        ops_per_txn: 2,
+        objects: 64,
+        workers: 2,
+        seed: 17,
+        deadline: Duration::from_secs(30),
+        ..LoadConfig::default()
+    });
+    assert_eq!(report.unfinished, 0, "{report:?}");
+    assert_eq!(report.cells.len(), 3);
+    let merged = report.telemetry();
+    let sum = |f: fn(&RunTelemetry) -> u64| -> u64 {
+        report.cells.iter().map(|c| f(c.telemetry())).sum()
+    };
+    assert_eq!(merged.runs, 3);
+    assert_eq!(merged.committed, sum(|t| t.committed));
+    assert_eq!(merged.ops_completed, sum(|t| t.ops_completed));
+    assert_eq!(merged.msgs_sent, sum(|t| t.msgs_sent));
+    assert_eq!(merged.msgs_delivered, sum(|t| t.msgs_delivered));
+    assert_eq!(merged.timers, sum(|t| t.timers));
+    assert_eq!(merged.log_entries_shipped, sum(|t| t.log_entries_shipped));
+    assert_eq!(
+        merged.op_latency.count() as u64,
+        sum(|t| t.op_latency.count() as u64)
+    );
+    assert_eq!(merged.committed as usize, report.committed);
+    assert!(merged.msgs_sent > 0 && merged.msgs_delivered > 0);
 }

@@ -26,7 +26,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use quorumcc_model::Classified;
-use quorumcc_sim::{splitmix64, FaultPlan, NetworkConfig, ProcId, SimStats, SimTime};
+use quorumcc_sim::{chance, splitmix64, FaultPlan, NetworkConfig, ProcId, SimStats, SimTime};
 
 use crate::cluster::Node;
 use crate::driver::CollectIo;
@@ -68,29 +68,16 @@ const WALL_CAP: Duration = Duration::from_secs(30);
 /// Idle wakeup cap: bounds how stale a node thread's stop check can get.
 const IDLE_POLL: Duration = Duration::from_millis(1);
 
-/// Bernoulli draw from a splitmix64 stream: advances `state` and returns
-/// whether a uniform `[0, 1)` sample fell below `p`.
-fn chance(state: &mut u64, p: f64) -> bool {
-    if p <= 0.0 {
-        return false;
-    }
-    *state = splitmix64(*state);
-    let unit = (*state >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    unit < p
-}
-
 /// A message in flight between two node threads.
 struct Envelope<M> {
     from: ProcId,
     msg: M,
 }
 
-/// Cross-thread send-side counters, assembled into [`SimStats`] at the
-/// end (each thread's host loop reports the receive side itself).
+/// Cross-thread network counters, added to [`SimStats`] at the end (each
+/// thread's host loop counts its own sends, deliveries and timers).
 #[derive(Default)]
 struct SharedStats {
-    sent: AtomicUsize,
-    payload_msgs: AtomicUsize,
     dropped: AtomicUsize,
     duplicated: AtomicUsize,
     /// Messages enqueued but not yet fully processed by their receiver. A
@@ -139,12 +126,8 @@ impl<M: Clone> Transport<M> for ChannelTransport<'_, M> {
         Some((self.me, env.from, env.msg))
     }
 
-    fn send(&mut self, from: ProcId, to: ProcId, msg: M, weight: u64) {
+    fn send(&mut self, from: ProcId, to: ProcId, msg: M) {
         let stats = self.stats;
-        stats.sent.fetch_add(1, Ordering::Relaxed);
-        stats
-            .payload_msgs
-            .fetch_add(weight as usize, Ordering::Relaxed);
         if chance(&mut self.chaos, self.net.drop_prob) {
             stats.dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -185,7 +168,7 @@ impl<M: Clone> Transport<M> for ChannelTransport<'_, M> {
 pub(crate) fn run_channels<S>(
     nodes: Vec<Node<S>>,
     net: NetworkConfig,
-    faults: FaultPlan,
+    faults: &FaultPlan,
     seed: u64,
     max_time: SimTime,
 ) -> (Vec<Node<S>>, SimStats)
@@ -283,16 +266,8 @@ where
             .unzip()
     });
 
-    let sim_stats = SimStats {
-        sent: stats.sent.load(Ordering::Relaxed),
-        payload_msgs: stats.payload_msgs.load(Ordering::Relaxed),
-        delivered: ran.iter().map(|r| r.delivered).sum(),
-        dropped: stats.dropped.load(Ordering::Relaxed)
-            + ran.iter().map(|r| r.dropped).sum::<usize>(),
-        duplicated: stats.duplicated.load(Ordering::Relaxed),
-        reordered: 0,
-        timers: ran.iter().map(|r| r.timers).sum(),
-        end_time: clock.now(),
-    };
+    let mut sim_stats = HostStats::sim_stats(&ran, clock.now());
+    sim_stats.dropped += stats.dropped.load(Ordering::Relaxed);
+    sim_stats.duplicated = stats.duplicated.load(Ordering::Relaxed);
     (finished, sim_stats)
 }

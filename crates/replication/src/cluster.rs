@@ -25,6 +25,7 @@ use quorumcc_quorum::{planner, SiteSet, ThresholdAssignment};
 use quorumcc_sim::{
     FaultPlan, NetworkConfig, ProcId, Sim, SimStats, SimTime, TraceBuffer, TraceConfig,
 };
+use std::collections::BTreeSet;
 
 /// A node in the cluster: repository, client, or the reconfiguration
 /// coordinator.
@@ -497,15 +498,9 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
     ///
     /// # Errors
     ///
-    /// [`ReplicationError::MissingProtocol`] when no protocol was set,
-    /// [`ReplicationError::EmptyWorkload`] when there are no transactions
-    /// to run, [`ReplicationError::InvalidNetwork`] when
-    /// `min_delay > max_delay`, and
-    /// [`ReplicationError::InvalidThresholds`] when the quorum
-    /// thresholds violate the protocol's dependency relation — an invalid
-    /// assignment would silently produce non-atomic histories, which is
-    /// precisely what the paper's constraints exist to prevent. (The
-    /// negative tests bypass that check via [`RunBuilder::run_unchecked`].)
+    /// Everything [`RunBuilder::assemble`] refuses, plus
+    /// [`ReplicationError::Unsupported`] when the channels backend is asked
+    /// for scripted partitions or a trace.
     pub fn run(self) -> Result<RunReport<S>, ReplicationError> {
         self.run_with(true)
     }
@@ -518,6 +513,41 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
     }
 
     fn run_with(self, validate: bool) -> Result<RunReport<S>, ReplicationError> {
+        let backend = self.backend;
+        let assembly = self.assemble_with(validate)?;
+        match backend {
+            BackendKind::Des => Ok(assembly.run_des()),
+            BackendKind::Channels => assembly.run_channels(),
+        }
+    }
+
+    /// Validates the configuration and builds the cluster without running
+    /// it — the one way any host gets its drivers. The built-in hosts
+    /// ([`RunBuilder::run`] on the DES or channels backend, the
+    /// interleaving explorer) and external ones (`quorumcc_net`'s socket
+    /// harness) all take [`Assembly::take_nodes`], step them, and read the
+    /// result back with [`Assembly::harvest`].
+    ///
+    /// # Errors
+    ///
+    /// [`ReplicationError::MissingProtocol`] when no protocol was set,
+    /// [`ReplicationError::EmptyWorkload`] when there are no transactions
+    /// to run, [`ReplicationError::InvalidNetwork`] when
+    /// `min_delay > max_delay`,
+    /// [`ReplicationError::InvalidChaosProfile`] when a network
+    /// probability is outside `[0, 1]`,
+    /// [`ReplicationError::InvalidReconfig`] for a malformed manual
+    /// schedule, and [`ReplicationError::InvalidThresholds`] when the
+    /// quorum thresholds violate the protocol's dependency relation — an
+    /// invalid assignment would silently produce non-atomic histories,
+    /// which is precisely what the paper's constraints exist to prevent.
+    /// (The negative tests bypass that last check via
+    /// [`RunBuilder::run_unchecked`].)
+    pub fn assemble(self) -> Result<Assembly<S>, ReplicationError> {
+        self.assemble_with(true)
+    }
+
+    fn assemble_with(self, validate: bool) -> Result<Assembly<S>, ReplicationError> {
         if self.net.min_delay > self.net.max_delay {
             return Err(ReplicationError::InvalidNetwork {
                 min_delay: self.net.min_delay,
@@ -538,106 +568,94 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
             return Err(ReplicationError::EmptyWorkload);
         }
         let thresholds = self.default_thresholds();
+        let shards = self.tuning.shards.max(1);
+        if !self.shard_thresholds.is_empty() && self.shard_thresholds.len() != shards as usize {
+            return Err(ReplicationError::InvalidThresholds(format!(
+                "shard_thresholds carries {} assignments for {shards} shards",
+                self.shard_thresholds.len()
+            )));
+        }
         if validate {
-            thresholds
-                .validate(&cc.protocol.rel)
-                .map_err(|e| ReplicationError::InvalidThresholds(e.to_string()))?;
-        }
-        if !self.shard_thresholds.is_empty() {
-            let shards = self.tuning.shards.max(1) as usize;
-            if self.shard_thresholds.len() != shards {
-                return Err(ReplicationError::InvalidThresholds(format!(
-                    "shard_thresholds carries {} assignments for {shards} shards",
-                    self.shard_thresholds.len()
-                )));
-            }
-            if validate {
-                for ta in &self.shard_thresholds {
-                    ta.validate(&cc.protocol.rel)
-                        .map_err(|e| ReplicationError::InvalidThresholds(e.to_string()))?;
-                }
+            for ta in std::iter::once(&thresholds).chain(&self.shard_thresholds) {
+                ta.validate(&cc.protocol.rel)
+                    .map_err(|e| ReplicationError::InvalidThresholds(e.to_string()))?;
             }
         }
         self.validate_reconfig(&cc)?;
-        match self.backend {
-            BackendKind::Des => Ok(self.run_inner(cc, thresholds)),
-            BackendKind::Channels => {
-                if !self.faults.partitions().is_empty() {
-                    return Err(ReplicationError::Unsupported(
-                        "the channels backend cannot schedule scripted partitions \
-                         (link cuts are tied to simulated time); use NetworkConfig \
-                         drop/dup probabilities instead. Scripted crash windows are \
-                         supported: they map tick-for-tick onto the host's wall-clock \
-                         tick."
-                            .into(),
-                    ));
+
+        let repos: Vec<ProcId> = (0..self.n_repos).collect();
+        let bootstrap = Config::new(0, repos.iter().copied(), thresholds.clone());
+        let schedule = self.reconfig_schedule(&cc);
+        let tuning = self.tuning;
+        let mut nodes: Vec<Node<S>> = repos
+            .iter()
+            .map(|_| {
+                let mut r = Repository::new(cc.protocol.mode, cc.protocol.rel.clone())
+                    .with_config(ConfigState::Stable(bootstrap.clone()))
+                    .with_durability(tuning.durability)
+                    .with_peers(repos.clone())
+                    .with_batch(tuning.batch)
+                    .with_gossip(tuning.scoped_statuses, tuning.status_gc);
+                if let Some(iv) = tuning.anti_entropy {
+                    r = r.with_anti_entropy(repos.clone(), iv);
                 }
-                if self.trace_cfg != TraceConfig::disabled() {
-                    return Err(ReplicationError::Unsupported(
-                        "trace capture requires the deterministic DES backend".into(),
-                    ));
+                if let Some(cc) = tuning.compaction {
+                    r = r.with_compaction(cc);
                 }
-                Ok(self.run_channels_inner(cc, thresholds))
-            }
+                Node::Repo(r)
+            })
+            .collect();
+        let mut objects: Vec<ObjId> = self
+            .workload
+            .iter()
+            .flatten()
+            .flat_map(|t| t.ops.iter().map(|(o, _)| *o))
+            .collect();
+        objects.sort_unstable();
+        objects.dedup();
+        for txns in self.workload {
+            let cfg = ClientConfig {
+                protocol: cc.protocol.clone(),
+                thresholds: thresholds.clone(),
+                repos: repos.clone(),
+                op_timeout: cc.op_timeout,
+                max_phase_retries: tuning.max_phase_retries,
+                think_time: tuning.think_time,
+                commit_delay: cc.commit_delay,
+                txn_retries: cc.txn_retries,
+                propagate_views: tuning.propagate_views,
+                fanout: tuning.fanout,
+                delta_shipping: tuning.delta_shipping,
+                compact_logs: tuning.compaction.is_some(),
+                weaken_read_quorum: tuning.weaken_read_quorum,
+                skip_final_ack: tuning.skip_final_ack,
+                shards,
+                batch: tuning.batch.max(1),
+                batch_window: tuning.batch_window,
+                shard_thresholds: self.shard_thresholds.clone(),
+                status_gc: tuning.status_gc.is_some(),
+                resolve_retransmit: tuning.resolve_retransmit,
+            };
+            nodes.push(Node::Client(Client::new(cfg, txns)));
         }
-    }
-
-    /// Validation half of [`RunBuilder::run`], for callers that execute
-    /// the drivers themselves (the interleaving explorer): performs every
-    /// configuration check `run` would, then hands the builder back with
-    /// the resolved protocol and thresholds instead of running.
-    pub(crate) fn validated(
-        self,
-    ) -> Result<(Self, ProtocolConfig, ThresholdAssignment), ReplicationError> {
-        if self.net.min_delay > self.net.max_delay {
-            return Err(ReplicationError::InvalidNetwork {
-                min_delay: self.net.min_delay,
-                max_delay: self.net.max_delay,
-            });
+        if !schedule.is_empty() {
+            nodes.push(Node::Reconfig(Reconfigurer::new(
+                bootstrap,
+                schedule,
+                cc.op_timeout,
+            )));
         }
-        let cc = self
-            .protocol
-            .clone()
-            .ok_or(ReplicationError::MissingProtocol)?;
-        if self.workload.iter().all(Vec::is_empty) {
-            return Err(ReplicationError::EmptyWorkload);
-        }
-        let thresholds = self.default_thresholds();
-        thresholds
-            .validate(&cc.protocol.rel)
-            .map_err(|e| ReplicationError::InvalidThresholds(e.to_string()))?;
-        self.validate_reconfig(&cc)?;
-        Ok((self, cc, thresholds))
-    }
-
-    /// The repository count (explorer plumbing).
-    pub(crate) fn n_repos(&self) -> u32 {
-        self.n_repos
-    }
-
-    /// The client count (explorer plumbing).
-    pub(crate) fn n_clients(&self) -> u32 {
-        self.workload.len() as u32
-    }
-
-    /// Runs the cluster on the real-concurrency channels backend and
-    /// harvests the same [`RunReport`] shape as the DES path (minus trace).
-    fn run_channels_inner(
-        self,
-        cc: ProtocolConfig,
-        thresholds: ThresholdAssignment,
-    ) -> RunReport<S> {
-        let protocol = cc.protocol.clone();
-        let (nodes, has_reconfigurer) = self.build_nodes(&cc, &thresholds);
-        let (finished, sim_stats) = crate::backend::run_channels(
+        Ok(Assembly {
             nodes,
-            self.net,
-            self.faults.clone(),
-            self.seed,
-            self.max_time,
-        );
-        let refs: Vec<&Node<S>> = finished.iter().collect();
-        self.harvest(protocol, &refs, has_reconfigurer, sim_stats, None)
+            protocol: cc.protocol,
+            objects,
+            batch: tuning.batch.max(1),
+            net: self.net,
+            faults: self.faults,
+            trace_cfg: self.trace_cfg,
+            seed: self.seed,
+            max_time: self.max_time,
+        })
     }
 
     /// Structural checks on a manual reconfiguration schedule. (Reactive
@@ -836,157 +854,120 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
             ta
         })
     }
+}
 
-    /// Builds the cluster's driver set — repositories, clients, and the
-    /// optional reconfiguration coordinator — in process-id order. Both
-    /// backends (the DES adapter and the real-concurrency channels host)
-    /// run exactly these nodes.
-    pub(crate) fn build_nodes(
-        &self,
-        cc: &ProtocolConfig,
-        thresholds: &ThresholdAssignment,
-    ) -> (Vec<Node<S>>, bool) {
-        let protocol = cc.protocol.clone();
-        let repos: Vec<ProcId> = (0..self.n_repos).collect();
-        let bootstrap = Config::new(0, repos.iter().copied(), thresholds.clone());
-        let schedule = self.reconfig_schedule(cc);
-        let mut nodes: Vec<Node<S>> = repos
-            .iter()
-            .map(|_| {
-                let mut r = Repository::new(protocol.mode, protocol.rel.clone())
-                    .with_config(ConfigState::Stable(bootstrap.clone()))
-                    .with_durability(self.tuning.durability)
-                    .with_peers(repos.clone());
-                if let Some(iv) = self.tuning.anti_entropy {
-                    r = r.with_anti_entropy(repos.clone(), iv);
-                }
-                if let Some(cc) = self.tuning.compaction {
-                    r = r.with_compaction(cc);
-                }
-                r = r.with_batch(self.tuning.batch);
-                r = r.with_gossip(self.tuning.scoped_statuses, self.tuning.status_gc);
-                Node::Repo(r)
-            })
-            .collect();
-        for txns in &self.workload {
-            let cfg = ClientConfig {
-                protocol: protocol.clone(),
-                thresholds: thresholds.clone(),
-                repos: repos.clone(),
-                op_timeout: cc.op_timeout,
-                max_phase_retries: self.tuning.max_phase_retries,
-                think_time: self.tuning.think_time,
-                commit_delay: cc.commit_delay,
-                txn_retries: cc.txn_retries,
-                propagate_views: self.tuning.propagate_views,
-                fanout: self.tuning.fanout,
-                delta_shipping: self.tuning.delta_shipping,
-                compact_logs: self.tuning.compaction.is_some(),
-                weaken_read_quorum: self.tuning.weaken_read_quorum,
-                skip_final_ack: self.tuning.skip_final_ack,
-                shards: self.tuning.shards.max(1),
-                batch: self.tuning.batch.max(1),
-                batch_window: self.tuning.batch_window,
-                shard_thresholds: self.shard_thresholds.clone(),
-                status_gc: self.tuning.status_gc.is_some(),
-                resolve_retransmit: self.tuning.resolve_retransmit,
-            };
-            nodes.push(Node::Client(Client::new(cfg, txns.clone())));
-        }
-        let has_reconfigurer = !schedule.is_empty();
-        if has_reconfigurer {
-            nodes.push(Node::Reconfig(Reconfigurer::new(
-                bootstrap,
-                schedule,
-                cc.op_timeout,
-            )));
-        }
-        (nodes, has_reconfigurer)
+/// A validated, built cluster: the drivers a host steps, and the recipe
+/// for reading them back into a [`RunReport`]. Made by
+/// [`RunBuilder::assemble`]; every host — DES, channels, explorer, sockets
+/// — goes through it, so they share one validation and one harvest.
+#[derive(Debug)]
+pub struct Assembly<S: Classified> {
+    nodes: Vec<Node<S>>,
+    protocol: Protocol,
+    objects: Vec<ObjId>,
+    batch: u32,
+    net: NetworkConfig,
+    faults: FaultPlan,
+    trace_cfg: TraceConfig,
+    seed: u64,
+    max_time: SimTime,
+}
+
+impl<S: Classified + Enumerable> Assembly<S> {
+    /// Hands out the drivers in process-id order — repositories `0..n`,
+    /// then one client per workload entry, then the reconfiguration
+    /// coordinator when the policy schedules anything. Empty on a second
+    /// call.
+    pub fn take_nodes(&mut self) -> Vec<Node<S>> {
+        std::mem::take(&mut self.nodes)
     }
 
-    fn run_inner(mut self, cc: ProtocolConfig, thresholds: ThresholdAssignment) -> RunReport<S> {
-        let protocol = cc.protocol.clone();
-        let (plain, has_reconfigurer) = self.build_nodes(&cc, &thresholds);
-        let nodes: Vec<DesAdapter<Node<S>>> = plain.into_iter().map(DesAdapter::new).collect();
+    /// Runs the drivers under the deterministic simulator.
+    fn run_des(mut self) -> RunReport<S> {
+        let procs = self.take_nodes().into_iter().map(DesAdapter::new).collect();
         let faults = std::mem::replace(&mut self.faults, FaultPlan::none());
-        let trace_cfg = std::mem::replace(&mut self.trace_cfg, TraceConfig::disabled());
-        let mut sim = Sim::with_trace(nodes, self.net, faults, self.seed, trace_cfg);
+        let mut sim = Sim::with_trace(procs, self.net, faults, self.seed, self.trace_cfg);
         let sim_stats = sim.run(self.max_time);
         let trace = sim.take_trace();
-        let node_refs: Vec<&Node<S>> = sim.processes().iter().map(DesAdapter::driver).collect();
-        self.harvest(protocol, &node_refs, has_reconfigurer, sim_stats, trace)
+        self.harvest(
+            sim.processes().iter().map(DesAdapter::driver),
+            sim_stats,
+            trace,
+        )
     }
 
-    /// Assembles a [`RunReport`] from the finished drivers (in process-id
-    /// order: repositories, then clients, then the optional
-    /// reconfigurer), identically for every backend.
-    pub(crate) fn harvest(
+    /// Runs the drivers on the real-concurrency channels backend.
+    fn run_channels(mut self) -> Result<RunReport<S>, ReplicationError> {
+        if !self.faults.partitions().is_empty() {
+            return Err(ReplicationError::Unsupported(
+                "the channels backend cannot schedule scripted partitions \
+                 (link cuts are tied to simulated time); use NetworkConfig \
+                 drop/dup probabilities instead. Scripted crash windows are \
+                 supported: they map tick-for-tick onto the host's wall-clock \
+                 tick."
+                    .into(),
+            ));
+        }
+        if self.trace_cfg != TraceConfig::disabled() {
+            return Err(ReplicationError::Unsupported(
+                "trace capture requires the deterministic DES backend".into(),
+            ));
+        }
+        let (finished, sim_stats) = crate::backend::run_channels(
+            self.take_nodes(),
+            self.net,
+            &self.faults,
+            self.seed,
+            self.max_time,
+        );
+        Ok(self.harvest(&finished, sim_stats, None))
+    }
+
+    /// Reads a [`RunReport`] back from the drivers (all of them, in the
+    /// order [`Assembly::take_nodes`] handed them out), identically for
+    /// every host. `stats` are the host's message and timer counters.
+    pub fn harvest<'a>(
         &self,
-        protocol: Protocol,
-        nodes: &[&Node<S>],
-        has_reconfigurer: bool,
-        sim_stats: SimStats,
+        nodes: impl IntoIterator<Item = &'a Node<S>>,
+        stats: SimStats,
         trace: Option<TraceBuffer>,
-    ) -> RunReport<S> {
-        let n_clients = self.workload.len() as u32;
+    ) -> RunReport<S>
+    where
+        S: 'a,
+    {
         let mut clients = Vec::new();
         let mut client_metrics = Vec::new();
-        for id in self.n_repos..self.n_repos + n_clients {
-            let Node::Client(c) = nodes[id as usize] else {
-                unreachable!("client id range");
-            };
-            clients.push((id, c.records().to_vec(), c.stats()));
-            client_metrics.push(c.metrics().clone());
-        }
-        let reconfigs = if has_reconfigurer {
-            let Node::Reconfig(r) = nodes[(self.n_repos + n_clients) as usize] else {
-                unreachable!("reconfigurer id range");
-            };
-            r.records().to_vec()
-        } else {
-            Vec::new()
-        };
-        // Objects touched by the workload.
-        let mut objs: Vec<ObjId> = self
-            .workload
-            .iter()
-            .flatten()
-            .flat_map(|t| t.ops.iter().map(|(o, _)| *o))
-            .collect();
-        objs.sort();
-        objs.dedup();
-
+        let mut reconfigs = Vec::new();
         let mut repo_logs = Vec::new();
         let mut repo_state = Vec::new();
-        let mut repo_counters = Vec::new();
+        let mut repo_counters: Vec<RepoCounters> = Vec::new();
         let mut repo_batch_fills = Vec::new();
-        for id in 0..self.n_repos {
-            let Node::Repo(r) = nodes[id as usize] else {
-                unreachable!("repo id range");
-            };
-            let state: Vec<_> = objs.iter().map(|o| (*o, r.log(*o))).collect();
-            repo_logs.push(state.iter().map(|(o, l)| (*o, l.len())).collect());
-            repo_state.push(state);
-            repo_counters.push(r.counters());
-            repo_batch_fills.extend_from_slice(r.batch_fills());
+        for (id, node) in nodes.into_iter().enumerate() {
+            match node {
+                Node::Repo(r) => {
+                    let state: Vec<_> = self.objects.iter().map(|o| (*o, r.log(*o))).collect();
+                    repo_logs.push(state.iter().map(|(o, l)| (*o, l.len())).collect::<Vec<_>>());
+                    repo_state.push(state);
+                    repo_counters.push(r.counters());
+                    repo_batch_fills.extend_from_slice(r.batch_fills());
+                }
+                Node::Client(c) => {
+                    clients.push((id as ProcId, c.records().to_vec(), c.stats()));
+                    client_metrics.push(c.metrics().clone());
+                }
+                Node::Reconfig(r) => reconfigs = r.records().to_vec(),
+            }
         }
 
-        let stats: Vec<ClientStats> = clients.iter().map(|(_, _, s)| *s).collect();
+        let client_stats: Vec<ClientStats> = clients.iter().map(|(_, _, s)| *s).collect();
         let mut telemetry = RunTelemetry::from_run(
-            protocol.mode.name(),
-            &stats,
+            self.protocol.mode.name(),
+            &client_stats,
             &client_metrics,
-            sim_stats,
-            repo_logs
-                .iter()
-                .flatten()
-                .map(|(_, len): &(ObjId, usize)| *len as u64)
-                .collect::<Vec<_>>(),
+            stats,
+            repo_logs.iter().flatten().map(|(_, len)| *len as u64),
         );
-        telemetry.full_log_fallbacks = repo_counters
-            .iter()
-            .map(|c: &RepoCounters| c.full_log_fallbacks)
-            .sum();
+        telemetry.full_log_fallbacks = repo_counters.iter().map(|c| c.full_log_fallbacks).sum();
         telemetry.recoveries = repo_counters.iter().map(|c| c.recoveries).sum();
         telemetry.statuses_shipped = repo_counters.iter().map(|c| c.statuses_shipped).sum();
         telemetry.statuses_gcd = repo_counters.iter().map(|c| c.statuses_gcd).sum();
@@ -995,7 +976,7 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
             .map(|c| c.status_table_peak)
             .max()
             .unwrap_or(0);
-        telemetry.batch_size = u64::from(self.tuning.batch.max(1));
+        telemetry.batch_size = u64::from(self.batch);
         telemetry.batches_flushed += repo_counters.iter().map(|c| c.batches_flushed).sum::<u64>();
         for f in repo_batch_fills {
             telemetry.batch_fill.record(f);
@@ -1003,21 +984,21 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
         // Rejoins: members a committed install added relative to its
         // predecessor (bootstrap = the full cluster, so the count is 0
         // for pure-shrink schedules and for runs without reconfiguration).
-        let mut prev: std::collections::BTreeSet<ProcId> = (0..self.n_repos).collect();
+        let mut prev: BTreeSet<ProcId> = (0..repo_state.len() as ProcId).collect();
         for rec in &reconfigs {
-            let cur: std::collections::BTreeSet<ProcId> = rec.members.iter().copied().collect();
+            let cur: BTreeSet<ProcId> = rec.members.iter().copied().collect();
             telemetry.rejoins += cur.difference(&prev).count() as u64;
             prev = cur;
         }
 
         RunReport {
-            protocol,
+            protocol: self.protocol.clone(),
             clients,
-            objects: objs,
+            objects: self.objects.clone(),
             repo_logs,
             repo_state,
             repo_counters,
-            sim_stats,
+            sim_stats: stats,
             telemetry,
             trace,
             reconfigs,
@@ -1213,6 +1194,41 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ReplicationError::InvalidThresholds(_)));
         assert!(err.to_string().contains("violate the dependency relation"));
+    }
+
+    /// `assemble` is the explorer's (and the socket harness's) way in, and
+    /// it refuses what `run` refuses. The explorer's old private
+    /// validation skipped both of these checks.
+    #[test]
+    fn assemble_refuses_bad_probabilities_and_shard_threshold_counts() {
+        let base = || {
+            RunBuilder::<TestQueue>::new(3)
+                .protocol(ProtocolConfig::new(queue_protocol()))
+                .workload(workload())
+        };
+        let err = base()
+            .network(NetworkConfig {
+                drop_prob: 1.5,
+                ..NetworkConfig::default()
+            })
+            .assemble()
+            .unwrap_err();
+        assert!(matches!(err, ReplicationError::InvalidChaosProfile(_)));
+        let majorities = base().default_thresholds();
+        let err = base()
+            .tuning(TuningConfig::default().shards(2))
+            .shard_thresholds(vec![majorities.clone()])
+            .assemble()
+            .unwrap_err();
+        assert!(matches!(err, ReplicationError::InvalidThresholds(_)));
+        assert!(err.to_string().contains("1 assignments for 2 shards"));
+        // The matching count assembles: 3 repositories + 2 clients.
+        let mut ok = base()
+            .tuning(TuningConfig::default().shards(2))
+            .shard_thresholds(vec![majorities.clone(), majorities])
+            .assemble()
+            .unwrap();
+        assert_eq!(ok.take_nodes().len(), 5);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! * the deterministic simulator's [`Ctx`] — drivers running under the
 //!   DES make **exactly** the same calls in the same order as the
 //!   pre-extraction code, so traces, RNG streams, and bench outputs stay
-//!   byte-identical (verified by the golden gates in `verify.sh`);
-//! * [`CollectIo`] — a buffered implementation for real-time backends
+//!   byte-identical (verified by the golden gates in `verify.sh`). `Ctx`
+//!   buffers sends and timers (`outbox`, `timers`) and the engine applies
+//!   them when the handler returns;
+//! * [`CollectIo`] — the same buffering for real-time backends
 //!   (threads + channels, TCP): the host stamps in the current time and
 //!   entropy, lets the driver run, and drains the emitted [`Output`]s to
 //!   its transport. This is the pure `handle(Input) -> Vec<Output>` form.
@@ -130,8 +132,9 @@ pub enum Input<M> {
 
 /// One effect a [`Driver`] requested, as buffered by [`CollectIo`]: the
 /// complete output alphabet of a node. Real-time backends drain these
-/// into their transport; the DES skips the buffer entirely and applies
-/// effects live through [`Ctx`].
+/// into their transport; the DES's [`Ctx`] buffers the same two effect
+/// kinds (its `outbox` and `timers`) and the engine applies them when the
+/// handler returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Output<M> {
     /// Deliver `msg` to `to`.
@@ -174,8 +177,9 @@ pub trait Driver<M> {
 /// Welds a [`Driver`] onto the simulator: implements [`Process`] by
 /// translating engine callbacks into [`Input`]s and handing the engine's
 /// [`Ctx`] straight through as the driver's [`Io`]. Zero translation on
-/// the effect side — no buffering, no replay — which is what makes the
-/// refactor byte-invisible to seeded runs.
+/// the effect side — the driver's calls land in the engine's own `Ctx`
+/// buffers in call order — which is what makes the refactor
+/// byte-invisible to seeded runs.
 #[derive(Debug, Clone)]
 pub struct DesAdapter<D>(pub D);
 
@@ -188,16 +192,6 @@ impl<D> DesAdapter<D> {
     /// The hosted driver.
     pub fn driver(&self) -> &D {
         &self.0
-    }
-
-    /// The hosted driver, mutably.
-    pub fn driver_mut(&mut self) -> &mut D {
-        &mut self.0
-    }
-
-    /// Unwraps the hosted driver.
-    pub fn into_driver(self) -> D {
-        self.0
     }
 }
 

@@ -38,8 +38,8 @@
 //! no such arithmetic — committing ahead of unacknowledged writes is
 //! already a lost write at two sites, a handful of events deep.
 
-use crate::client::Transaction;
-use crate::cluster::{Node, ProtocolConfig, RunBuilder, TuningConfig};
+use crate::client::{Client, Transaction};
+use crate::cluster::{Assembly, Node, ProtocolConfig, RunBuilder, TuningConfig};
 use crate::driver::DesAdapter;
 use crate::error::ReplicationError;
 use crate::messages::Msg;
@@ -257,34 +257,24 @@ pub struct ExploreReplay {
 
 /// The safety-oracle hooks over a cluster's drivers.
 struct Hooks<S: Classified + Enumerable + Clone + fmt::Debug> {
-    builder: RunBuilder<S>,
-    protocol: Protocol,
+    assembly: Assembly<S>,
+    sites: ProcId,
     total_txns: u64,
     bounds: ExploreBounds,
 }
 
-impl<S: Classified + Enumerable + Clone + fmt::Debug> Hooks<S> {
-    fn clients<'a>(&self, procs: &'a [DesAdapter<Node<S>>]) -> Vec<&'a crate::client::Client<S>> {
-        let (r, c) = (
-            self.builder.n_repos() as usize,
-            self.builder.n_clients() as usize,
-        );
-        procs[r..r + c]
-            .iter()
-            .map(|p| match p.driver() {
-                Node::Client(c) => c,
-                _ => unreachable!("client id range"),
-            })
-            .collect()
-    }
+fn clients<S: Classified>(procs: &[DesAdapter<Node<S>>]) -> impl Iterator<Item = &Client<S>> {
+    procs.iter().filter_map(|p| match p.driver() {
+        Node::Client(c) => Some(c),
+        _ => None,
+    })
 }
 
 impl<S: Classified + Enumerable + Clone + fmt::Debug>
     ExploreHooks<Msg<S::Inv, S::Res>, DesAdapter<Node<S>>> for Hooks<S>
 {
     fn decided(&self, procs: &[DesAdapter<Node<S>>]) -> u64 {
-        self.clients(procs)
-            .iter()
+        clients(procs)
             .map(|c| {
                 let s = c.stats();
                 (s.committed + s.aborted_conflict + s.aborted_unavailable) as u64
@@ -293,11 +283,8 @@ impl<S: Classified + Enumerable + Clone + fmt::Debug>
     }
 
     fn check(&self, procs: &[DesAdapter<Node<S>>]) -> Option<String> {
-        let refs: Vec<&Node<S>> = procs.iter().map(DesAdapter::driver).collect();
-        let report = self.builder.harvest(
-            self.protocol.clone(),
-            &refs,
-            false,
+        let report = self.assembly.harvest(
+            procs.iter().map(DesAdapter::driver),
             SimStats::default(),
             None,
         );
@@ -323,17 +310,16 @@ impl<S: Classified + Enumerable + Clone + fmt::Debug>
     }
 
     fn done(&self, procs: &[DesAdapter<Node<S>>]) -> bool {
-        self.clients(procs).iter().all(|c| c.is_done())
+        clients(procs).all(Client::is_done)
     }
 
     fn can_crash(&self, p: ProcId) -> bool {
-        p < self.builder.n_repos()
+        p < self.sites
     }
 }
 
-/// Builds the cluster for a shape: the same [`RunBuilder`] validation and
-/// node construction a DES run uses, handed to the explorer instead of
-/// the engine.
+/// Builds the cluster for a shape: the [`RunBuilder::assemble`] every host
+/// goes through, its drivers handed to the explorer instead of an engine.
 #[allow(clippy::type_complexity)]
 fn build_cluster<S: Classified + Enumerable + Clone + fmt::Debug>(
     protocol: &Protocol,
@@ -350,18 +336,21 @@ fn build_cluster<S: Classified + Enumerable + Clone + fmt::Debug>(
         Knob::SkipFinalAck => tuning = tuning.unsound_skip_final_ack(),
     }
     let total_txns = workload.iter().map(|t| t.len() as u64).sum();
-    let builder = RunBuilder::<S>::new(setup.sites)
+    let mut assembly = RunBuilder::<S>::new(setup.sites)
         .protocol(ProtocolConfig::new(protocol.clone()))
         .tuning(tuning)
         .seed(setup.seed)
-        .workload(workload);
-    let (builder, cc, thresholds) = builder.validated()?;
-    let (nodes, _has_reconfigurer) = builder.build_nodes(&cc, &thresholds);
-    let procs = nodes.into_iter().map(DesAdapter::new).collect();
+        .workload(workload)
+        .assemble()?;
+    let procs = assembly
+        .take_nodes()
+        .into_iter()
+        .map(DesAdapter::new)
+        .collect();
     Ok((
         Hooks {
-            builder,
-            protocol: cc.protocol,
+            assembly,
+            sites: setup.sites,
             total_txns,
             bounds: setup.bounds,
         },

@@ -16,7 +16,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-use quorumcc_sim::{ProcId, SimTime};
+use quorumcc_sim::{ProcId, SimStats, SimTime};
 
 use crate::driver::{CollectIo, Driver, Input, Io as _, Output};
 
@@ -29,10 +29,9 @@ pub trait Transport<M> {
     /// `to` must be the id of a hosted node.
     fn poll(&mut self) -> Option<(ProcId, ProcId, M)>;
 
-    /// Carries `msg` (standing for `weight` logical payloads) from hosted
-    /// node `from` towards `to`. Undeliverable messages are dropped, as a
-    /// lossy link would.
-    fn send(&mut self, from: ProcId, to: ProcId, msg: M, weight: u64);
+    /// Carries `msg` from hosted node `from` towards `to`. Undeliverable
+    /// messages are dropped, as a lossy link would.
+    fn send(&mut self, from: ProcId, to: ProcId, msg: M);
 
     /// Pushes out everything `send` buffered this turn.
     fn flush(&mut self);
@@ -194,12 +193,40 @@ impl CrashScript {
 pub struct HostStats {
     /// Nodes that reported [`Driver::is_done`].
     pub done: usize,
+    /// Messages handed to the transport.
+    pub sent: usize,
+    /// Logical payloads those messages stood for (a batch envelope counts
+    /// at its full weight).
+    pub payload_msgs: usize,
     /// Deliveries handed to a node.
     pub delivered: usize,
     /// Timers fired.
     pub timers: usize,
     /// Deliveries and timers swallowed by a crash window.
     pub dropped: usize,
+}
+
+impl HostStats {
+    /// Folds the loops of one run (one per thread) into the counters a
+    /// [`RunReport`](crate::cluster::RunReport) carries. Loss and
+    /// duplication inside a transport are the transport's to add.
+    pub fn sim_stats<'a>(
+        ran: impl IntoIterator<Item = &'a HostStats>,
+        end_time: SimTime,
+    ) -> SimStats {
+        let mut out = SimStats {
+            end_time,
+            ..SimStats::default()
+        };
+        for r in ran {
+            out.sent += r.sent;
+            out.payload_msgs += r.payload_msgs;
+            out.delivered += r.delivered;
+            out.dropped += r.dropped;
+            out.timers += r.timers;
+        }
+        out
+    }
 }
 
 /// The nodes being stepped plus everything a step touches.
@@ -224,7 +251,11 @@ impl<M, N: Driver<M>, T: Transport<M>> Stepper<'_, M, N, T> {
         let me = io.me();
         for out in io.take_outputs() {
             match out {
-                Output::Send { to, msg, weight } => self.transport.send(me, to, msg, weight),
+                Output::Send { to, msg, weight } => {
+                    self.stats.sent += 1;
+                    self.stats.payload_msgs += weight as usize;
+                    self.transport.send(me, to, msg);
+                }
                 Output::SetTimer { delay, token } => {
                     self.timers.arm(now.saturating_add(delay), k, token);
                 }
@@ -397,7 +428,7 @@ mod tests {
             }
             self.queue.pop_front()
         }
-        fn send(&mut self, from: ProcId, to: ProcId, msg: u32, _weight: u64) {
+        fn send(&mut self, from: ProcId, to: ProcId, msg: u32) {
             self.calls.push(Call::Send);
             self.queue.push_back((to, from, msg));
         }
@@ -610,6 +641,10 @@ mod tests {
         // Start → send to self → delivered in the same turn → done.
         assert_eq!(stats.done, 1);
         assert_eq!(mem.calls, [Call::Send, Call::Flush]);
+        // The loop, not the transport, counts what was sent.
+        assert_eq!((stats.sent, stats.payload_msgs, stats.delivered), (1, 1, 1));
+        let sim = HostStats::sim_stats([&stats, &stats], 9);
+        assert_eq!((sim.sent, sim.delivered, sim.end_time), (2, 2, 9));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod workload;
 pub use backend::BackendKind;
 pub use chaos::{ChaosConfig, ChaosOutcome, ChaosPlan, ChaosProfile, ProfileStats};
 pub use client::{Client, ClientConfig, ClientStats, Fanout, Transaction};
-pub use cluster::{Node, ProtocolConfig, RunBuilder, RunReport, TuningConfig};
+pub use cluster::{Assembly, Node, ProtocolConfig, RunBuilder, RunReport, TuningConfig};
 pub use driver::{CollectIo, DesAdapter, Driver, Input, Io, Output};
 pub use error::ReplicationError;
 pub use explore::{ExploreReplay, ExploreSetup, ExploreSpec, Knob};

@@ -33,7 +33,7 @@
 use crate::driver::Io;
 use crate::error::ReplicationError;
 use crate::messages::Msg;
-use crate::types::{ObjId, ShardId, ShardMap};
+use crate::types::{ObjId, ShardMap};
 use quorumcc_core::DependencyRelation;
 use quorumcc_model::{Classified, EventClass};
 use quorumcc_quorum::{QuorumSet, SiteSet, ThresholdAssignment};
@@ -371,11 +371,6 @@ impl ShardedConfig {
     /// The quorum map governing `obj`'s shard.
     pub fn state(&self, obj: ObjId) -> &ConfigState {
         &self.states[self.map.of(obj).0 as usize]
-    }
-
-    /// The quorum map of shard `s`.
-    pub fn shard_state(&self, s: ShardId) -> &ConfigState {
-        &self.states[s.0 as usize]
     }
 
     /// Adopts an installed state into every shard it is newer than,

@@ -623,15 +623,9 @@ impl<S: Classified> Repository<S> {
                         action: u64::from(action.0),
                     });
                 }
-                // Zero-copy delta assembly: compute the reply as borrowed
-                // slices into the versioned log's journal, and clone once,
-                // at the last moment, to materialize the wire message.
-                let vlog = self.vlog(obj);
-                let delta_ref = vlog.delta_since_ref(since);
-                let full = delta_ref.full;
-                let delta = delta_ref.to_delta();
+                let delta = self.vlog(obj).delta_since(since);
                 self.counters.statuses_shipped += delta.statuses.len() as u64;
-                if full && since > 0 {
+                if delta.full && since > 0 {
                     // The reader's frontier fell off the change journal —
                     // correct but a bandwidth cliff; warn and count it.
                     self.counters.full_log_fallbacks += 1;

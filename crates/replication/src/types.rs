@@ -602,121 +602,6 @@ impl<I: Clone, R: Clone> LogDelta<I, R> {
         }
         log
     }
-
-    /// Encodes the delta's wire framing (headers, timestamps, action ids,
-    /// statuses, checkpoint summary) into a flat byte buffer.
-    pub fn encode_wire(&self) -> Vec<u8> {
-        encode_delta_wire(
-            self.base,
-            self.head,
-            self.full,
-            self.entries.iter(),
-            &self.statuses,
-            self.checkpoint.as_ref(),
-        )
-    }
-}
-
-/// A borrowed view of [`LogDelta`]: the same reply payload, but with
-/// entries and checkpoint borrowed straight out of the serving
-/// [`VersionedLog`] instead of cloned. This is the zero-copy half of the
-/// reply hot path: a repository can account for (and serialize) a reply
-/// without ever cloning entry payloads, materializing an owned
-/// [`LogDelta`] at most once — when the reply is actually enqueued.
-#[derive(Debug)]
-pub struct LogDeltaRef<'a, I, R> {
-    /// The frontier this delta starts from.
-    pub base: u64,
-    /// The repository's log version after these changes.
-    pub head: u64,
-    /// Whether this is a full transfer.
-    pub full: bool,
-    /// Borrowed entries (new, or all when `full`).
-    pub entries: Vec<&'a LogEntry<I, R>>,
-    /// Changed (or all) recorded statuses.
-    pub statuses: Vec<(ActionId, ActionOutcome)>,
-    /// Borrowed checkpoint, when it changed since `base` (or on full).
-    pub checkpoint: Option<&'a Checkpoint>,
-}
-
-impl<I: Clone, R: Clone> LogDeltaRef<'_, I, R> {
-    /// Entry-equivalents shipped: raw entries plus one for a checkpoint.
-    pub fn payload_entries(&self) -> u64 {
-        self.entries.len() as u64 + u64::from(self.checkpoint.is_some())
-    }
-
-    /// Materializes the owned delta (the single clone on the reply path).
-    pub fn to_delta(&self) -> LogDelta<I, R> {
-        LogDelta {
-            base: self.base,
-            head: self.head,
-            full: self.full,
-            entries: self.entries.iter().map(|e| (*e).clone()).collect(),
-            statuses: self.statuses.clone(),
-            checkpoint: self.checkpoint.cloned(),
-        }
-    }
-
-    /// Encodes the wire framing directly from the borrowed entries — no
-    /// intermediate owned delta, no entry clones.
-    pub fn encode_wire(&self) -> Vec<u8> {
-        encode_delta_wire(
-            self.base,
-            self.head,
-            self.full,
-            self.entries.iter().copied(),
-            &self.statuses,
-            self.checkpoint,
-        )
-    }
-}
-
-/// Shared wire framing for owned and borrowed deltas: a fixed header, one
-/// fixed-width record per entry (timestamps + action ids), one per status,
-/// and the checkpoint summary (horizon + covered set). Byte-identical for
-/// a delta and its borrowed view, which the tests assert.
-fn encode_delta_wire<'a, I: 'a, R: 'a>(
-    base: u64,
-    head: u64,
-    full: bool,
-    entries: impl Iterator<Item = &'a LogEntry<I, R>>,
-    statuses: &[(ActionId, ActionOutcome)],
-    checkpoint: Option<&Checkpoint>,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&base.to_le_bytes());
-    out.extend_from_slice(&head.to_le_bytes());
-    out.push(u8::from(full));
-    for e in entries {
-        out.extend_from_slice(&e.ts.counter.to_le_bytes());
-        out.extend_from_slice(&e.ts.node.to_le_bytes());
-        out.extend_from_slice(&e.action.0.to_le_bytes());
-        out.extend_from_slice(&e.begin_ts.counter.to_le_bytes());
-        out.extend_from_slice(&e.begin_ts.node.to_le_bytes());
-    }
-    for (a, o) in statuses {
-        out.extend_from_slice(&a.0.to_le_bytes());
-        out.push(match o {
-            ActionOutcome::Active => 0,
-            ActionOutcome::Committed(_) => 1,
-            ActionOutcome::Aborted => 2,
-        });
-        if let ActionOutcome::Committed(ts) = o {
-            out.extend_from_slice(&ts.counter.to_le_bytes());
-            out.extend_from_slice(&ts.node.to_le_bytes());
-        }
-    }
-    if let Some(cp) = checkpoint {
-        out.extend_from_slice(&cp.horizon.counter.to_le_bytes());
-        out.extend_from_slice(&cp.horizon.node.to_le_bytes());
-        out.extend_from_slice(&cp.folded.to_le_bytes());
-        for (a, ts) in &cp.covered {
-            out.extend_from_slice(&a.0.to_le_bytes());
-            out.extend_from_slice(&ts.counter.to_le_bytes());
-            out.extend_from_slice(&ts.node.to_le_bytes());
-        }
-    }
-    out
 }
 
 /// One journaled change to a [`VersionedLog`].
@@ -933,74 +818,6 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
             statuses,
             checkpoint: if saw_checkpoint {
                 self.log.checkpoint().cloned()
-            } else {
-                None
-            },
-        }
-    }
-
-    /// The borrowed twin of [`Self::delta_since`]: identical selection
-    /// logic, but entries and checkpoint are borrowed from this log rather
-    /// than cloned. The reply hot path uses this for accounting and wire
-    /// encoding, materializing an owned [`LogDelta`] at most once.
-    pub fn delta_since_ref(&self, since: u64) -> LogDeltaRef<'_, I, R> {
-        if since >= self.version {
-            return LogDeltaRef {
-                base: self.version,
-                head: self.version,
-                full: false,
-                entries: Vec::new(),
-                statuses: Vec::new(),
-                checkpoint: None,
-            };
-        }
-        let contiguous = self
-            .journal
-            .front()
-            .is_some_and(|(v, _)| *v <= since.saturating_add(1));
-        if !contiguous {
-            return LogDeltaRef {
-                base: 0,
-                head: self.version,
-                full: true,
-                entries: self.log.entries().collect(),
-                statuses: self.log.statuses().collect(),
-                checkpoint: self.log.checkpoint(),
-            };
-        }
-        let mut entry_ts: BTreeSet<Timestamp> = BTreeSet::new();
-        let mut actions: BTreeSet<ActionId> = BTreeSet::new();
-        let mut saw_checkpoint = false;
-        for (v, item) in &self.journal {
-            if *v <= since {
-                continue;
-            }
-            match item {
-                JournalItem::Entry(ts) => {
-                    entry_ts.insert(*ts);
-                }
-                JournalItem::Status(a) => {
-                    actions.insert(*a);
-                }
-                JournalItem::Checkpoint => saw_checkpoint = true,
-            }
-        }
-        let entries = entry_ts
-            .into_iter()
-            .filter_map(|ts| self.log.get(ts))
-            .collect();
-        let statuses = actions
-            .into_iter()
-            .filter_map(|a| self.log.status_entry(a).map(|o| (a, o)))
-            .collect();
-        LogDeltaRef {
-            base: since,
-            head: self.version,
-            full: false,
-            entries,
-            statuses,
-            checkpoint: if saw_checkpoint {
-                self.log.checkpoint()
             } else {
                 None
             },
@@ -1332,52 +1149,5 @@ mod tests {
         fresh.apply_delta(&d);
         assert_eq!(fresh.log(), repo.log());
         assert_eq!(fresh.version(), repo.version());
-    }
-
-    /// The zero-copy reply path must be indistinguishable from the owned
-    /// one: same framing bytes, same payload accounting, and the
-    /// materialized `to_delta` round-trips to identical wire bytes — at
-    /// every frontier, including the full-transfer fallback past the
-    /// journal horizon.
-    #[test]
-    fn delta_since_ref_is_byte_identical_to_the_owned_delta() {
-        let mut repo: VersionedLog<&str, &str> = VersionedLog::new();
-        for i in 0..20u64 {
-            repo.insert(entry(i + 1, 0, i as u32));
-        }
-        for i in 0..10u32 {
-            repo.resolve(
-                ActionId(i),
-                ActionOutcome::Committed(ts(u64::from(i) + 30, 0)),
-            );
-        }
-        repo.install_checkpoint(checkpoint_over(&[(0, 30)], 1));
-        for since in [0, 1, 5, repo.version().saturating_sub(3), repo.version()] {
-            let owned = repo.delta_since(since);
-            let borrowed = repo.delta_since_ref(since);
-            assert_eq!(owned.full, borrowed.full, "since {since}");
-            assert_eq!(
-                owned.payload_entries(),
-                borrowed.payload_entries(),
-                "since {since}"
-            );
-            assert_eq!(owned.encode_wire(), borrowed.encode_wire(), "since {since}");
-            assert_eq!(
-                borrowed.to_delta().encode_wire(),
-                owned.encode_wire(),
-                "since {since}: to_delta drifted"
-            );
-        }
-
-        // Past the journal horizon both paths fall back to a full
-        // transfer, still byte-equal.
-        let mut big: VersionedLog<&str, &str> = VersionedLog::new();
-        for i in 0..(JOURNAL_CAP as u64 + 8) {
-            big.insert(entry(i + 1, 0, i as u32));
-        }
-        let owned = big.delta_since(1);
-        let borrowed = big.delta_since_ref(1);
-        assert!(owned.full && borrowed.full);
-        assert_eq!(owned.encode_wire(), borrowed.encode_wire());
     }
 }

@@ -323,11 +323,6 @@ impl<M: Clone, P: Process<M>> Sim<M, P> {
         &self.procs[id as usize]
     }
 
-    /// Mutable access to a process between runs.
-    pub fn process_mut(&mut self, id: ProcId) -> &mut P {
-        &mut self.procs[id as usize]
-    }
-
     /// All processes.
     pub fn processes(&self) -> &[P] {
         &self.procs

@@ -48,6 +48,17 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Bernoulli draw from a splitmix64 stream: advances `state` and returns
+/// whether a uniform `[0, 1)` sample fell below `p`. A non-positive `p`
+/// draws nothing, so a zero-probability fault leaves the stream untouched.
+pub fn chance(state: &mut u64, p: f64) -> bool {
+    if p <= 0.0 {
+        return false;
+    }
+    *state = splitmix64(*state);
+    ((*state >> 11) as f64) / ((1u64 << 53) as f64) < p
+}
+
 #[cfg(test)]
 mod tests {
     use super::splitmix64;

@@ -1,6 +1,12 @@
 #!/usr/bin/env bash
-# Regenerate every byte-stable golden artifact (the committed
-# BENCH_*.json files) and stamp their md5s into scripts/goldens.md5.
+# Regenerate every deterministic artifact (the committed BENCH_*.json
+# files) and stamp the md5s of the byte-stable ones into
+# scripts/goldens.md5, which verify.sh checks with `md5sum -c`.
+#
+# Only four artifacts are byte-stable: exp_scale, exp_chaos, exp_explore
+# and exp_gossip record logical quantities alone. The other ten embed
+# wall-clock `phases_ms`, so their bytes change on every run; they are
+# regenerated here but not stamped.
 #
 # Protocol changes that alter message bytes (e.g. scoped status
 # shipping + status GC, DESIGN.md §3.16) legitimately change these
@@ -25,6 +31,7 @@ cargo build -q --release --workspace
 # Every deterministic artifact, in dependency-free order. Each binary
 # rewrites its own BENCH_<id>.json in the repo root and asserts its
 # internal gates (including --threads byte-identity where applicable).
+stamped=(exp_scale exp_chaos exp_explore exp_gossip)
 deterministic=(
   fig_1_1
   fig_1_2
@@ -36,10 +43,7 @@ deterministic=(
   exp_availability
   exp_concurrency
   exp_reconfig
-  exp_scale
-  exp_chaos
-  exp_explore
-  exp_gossip
+  "${stamped[@]}"
 )
 
 for bin in "${deterministic[@]}"; do
@@ -49,12 +53,12 @@ done
 
 echo "==> stamping scripts/goldens.md5"
 {
-  echo "# md5s of the byte-stable golden artifacts."
+  echo "# md5s of the byte-stable golden artifacts (no wall-clock fields)."
   echo "# Regenerate with scripts/regen_goldens.sh; do not hand-edit."
-  for bin in "${deterministic[@]}"; do
+  for bin in "${stamped[@]}"; do
     md5sum "BENCH_${bin}.json"
   done
 } > scripts/goldens.md5
 
-echo "regen_goldens.sh: regenerated ${#deterministic[@]} artifacts"
+echo "regen_goldens.sh: regenerated ${#deterministic[@]} artifacts, stamped ${#stamped[@]}"
 git --no-pager diff --stat -- 'BENCH_*.json' scripts/goldens.md5 || true

@@ -63,7 +63,11 @@ impl Opts {
             let Some(v) = it.next() else {
                 return Err(format!("--{key} needs a value"));
             };
-            map.insert(key.to_string(), v.clone());
+            // Keeping the last of a repeated option would report numbers
+            // for a configuration the user did not ask for.
+            if map.insert(key.to_string(), v.clone()).is_some() {
+                return Err(format!("--{key} given more than once"));
+            }
         }
         Ok(Opts(map))
     }
@@ -292,16 +296,7 @@ fn cmd_reconfig<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
 /// Builds the `RunBuilder` shared by `simulate` and `trace` from the
 /// common command-line options.
 fn builder_from_opts<S: Enumerable + Classified>(opts: &Opts) -> Result<RunBuilder<S>, String> {
-    let mode = match opts.str("mode", "hybrid").as_str() {
-        "static" => Mode::StaticTs,
-        "hybrid" => Mode::Hybrid,
-        "dynamic" => Mode::Dynamic2pl,
-        other => return Err(format!("unknown mode: {other}")),
-    };
-    let rel = relation_for::<S>(match mode {
-        Mode::Dynamic2pl => "dynamic",
-        _ => "static",
-    })?;
+    let protocol = protocol_from_opts::<S>(opts)?;
     let spec = WorkloadSpec {
         clients: opts.get("clients", 3usize)?,
         txns_per_client: opts.get("txns", 4usize)?,
@@ -339,9 +334,7 @@ fn builder_from_opts<S: Enumerable + Classified>(opts: &Opts) -> Result<RunBuild
         .batch(batch)
         .batch_window(opts.get("batch-window", 0)?);
     Ok(RunBuilder::<S>::new(opts.get("sites", 3u32)?)
-        .protocol(
-            ProtocolConfig::new(Protocol::new(mode, rel)).txn_retries(opts.get("retries", 3u32)?),
-        )
+        .protocol(ProtocolConfig::new(protocol).txn_retries(opts.get("retries", 3u32)?))
         .tuning(tuning)
         .seed(spec.seed)
         .workload(workload))
@@ -461,9 +454,8 @@ fn cmd_trace<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves a mode name into the protocol used by `chaos` and `explore`
-/// (the relation is the minimal one the mode needs, exactly as in
-/// `builder_from_opts`).
+/// Resolves a mode name into the protocol every run-shaped subcommand
+/// uses (the relation is the minimal one the mode needs).
 fn protocol_from_mode<S: Enumerable + Classified>(mode_s: &str) -> Result<Protocol, String> {
     let mode = match mode_s {
         "static" => Mode::StaticTs,
@@ -746,14 +738,7 @@ fn cmd_explore<S: Enumerable + Classified + Clone + std::fmt::Debug>(
 /// generates `Enq`/`Deq` workloads (`--deq 0` is the conflict-free
 /// Enq-only shape the `exp_load` bench uses).
 fn cmd_load(opts: &Opts) -> Result<(), String> {
-    let mode_s = opts.str("mode", "hybrid");
-    let mode = match mode_s.as_str() {
-        "static" => Mode::StaticTs,
-        "hybrid" => Mode::Hybrid,
-        "dynamic" => Mode::Dynamic2pl,
-        other => return Err(format!("unknown mode: {other}")),
-    };
-    let relation = relation_for::<quorumcc_adts::Queue>(&mode_s)?;
+    let protocol = protocol_from_opts::<quorumcc_adts::Queue>(opts)?;
     let gc_batch = opts.get("gc", 0u64)?;
     let fault_profile = quorumcc::net::NetFaultProfile::parse(&opts.str("fault-profile", "none"))?;
     let crash = match opts.str("crash", "").as_str() {
@@ -762,8 +747,8 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
     };
     let retransmit_ms = opts.get("retransmit-ms", 0u64)?;
     let cfg = quorumcc::net::LoadConfig {
-        mode,
-        relation,
+        mode: protocol.mode,
+        relation: protocol.rel,
         clusters: opts.get("cells", 1usize)?.max(1),
         n_repos: opts.get("sites", 3u32)?,
         clients: opts.get("clients", 300usize)?,
@@ -812,6 +797,25 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
             report.recoveries
         );
     }
+    // The same telemetry a simulated run carries, harvested from the
+    // drivers that served the sockets.
+    let tel = report.telemetry();
+    println!(
+        "  messages sent {} delivered {} ({:.2}/op)   log entries shipped {} ({:.2}/op)",
+        tel.msgs_sent,
+        tel.msgs_delivered,
+        tel.messages_per_op(),
+        tel.log_entries_shipped,
+        tel.entries_shipped_per_op()
+    );
+    println!(
+        "  phase retries {}  txn reruns {}  statuses shipped {}  gc'd {}  table peak {}",
+        tel.phase_retries,
+        tel.txn_reruns,
+        tel.statuses_shipped,
+        tel.statuses_gcd,
+        tel.status_table_peak
+    );
     println!("{}", report.to_json());
     if report.unfinished > 0 {
         return Err(format!(

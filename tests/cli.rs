@@ -225,3 +225,12 @@ fn load_rejects_unknown_flags() {
         assert!(stderr.contains("unknown option"), "{bogus}: {stderr}");
     }
 }
+
+/// A repeated option is refused, not resolved to its last value: `load`
+/// would otherwise report numbers for a seed the user did not ask for.
+#[test]
+fn repeated_option_is_rejected() {
+    let (ok, _, stderr) = qcc(&["load", "--seed", "1", "--seed", "2", "--clients", "4"]);
+    assert!(!ok, "repeated --seed accepted");
+    assert!(stderr.contains("--seed given more than once"), "{stderr}");
+}
