@@ -13,10 +13,22 @@
 //!   still receives and re-merges the entire log on every reply;
 //! * `delta_reply`      — steady state with deltas: the repository
 //!   serves only the journal suffix past the client's frontier.
+//!
+//! A second group, `repository_resolve/{8,256,8192}_logs`, is the perf
+//! ledger's row for `Repository::handle(Msg::Resolve)`: what committing an
+//! action that touched one log costs a scoped, status-collecting
+//! repository that holds 8 / 256 / 8192 one-entry logs (the shapes of
+//! `sock_mixed`, `sock_shallow` and `sock_wide`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use quorumcc_core::DependencyRelation;
+use quorumcc_model::testtypes::{QInv, QRes, TestQueue};
 use quorumcc_model::{ActionId, Event};
-use quorumcc_replication::types::{ActionOutcome, Checkpoint, LogEntry, VersionedLog};
+use quorumcc_replication::protocol::Mode;
+use quorumcc_replication::types::{
+    action_id, entry_of, ActionOutcome, Checkpoint, LogEntry, ObjId, ObjectLog, VersionedLog,
+};
+use quorumcc_replication::{CollectIo, Msg, Repository};
 use quorumcc_sim::Timestamp;
 use std::collections::BTreeMap;
 
@@ -110,5 +122,62 @@ fn bench_log_shipping(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_log_shipping);
+/// Resolutions held back for the timed loop: more than the harness ever
+/// samples, so every timed `Resolve` is the first for its action and
+/// plants a status rather than re-reading one (the 8-log shape has only 8
+/// to give and repeats them).
+const PENDING: u32 = 64;
+
+fn bench_repository_resolve(c: &mut Criterion) {
+    const CLIENT: u32 = 10;
+    let mut g = c.benchmark_group("repository_resolve");
+    for logs in [8u32, 256, 8192] {
+        let mut repo: Repository<TestQueue> =
+            Repository::new(Mode::Hybrid, DependencyRelation::full::<TestQueue>())
+                .with_gossip(true, Some(64));
+        let mut io: CollectIo<Msg<QInv, QRes>> = CollectIo::new(0, 7);
+        // One entry per log, each of its own action.
+        for i in 0..logs {
+            let at = ts(u64::from(i) + 1, CLIENT);
+            repo.handle(
+                &mut io,
+                CLIENT,
+                Msg::WriteLog {
+                    obj: ObjId(i as u16),
+                    req: 0,
+                    log: ObjectLog::new(),
+                    entry: Some(entry_of::<TestQueue>(
+                        at,
+                        action_id(CLIENT, i),
+                        at,
+                        QInv::Enq(1),
+                        QRes::Ok,
+                    )),
+                    cfg: 0,
+                },
+            );
+        }
+        io.take_outputs();
+        let mut next = 0u32;
+        g.bench_function(format!("{logs}_logs"), |b| {
+            b.iter(|| {
+                let seq = next % PENDING.min(logs);
+                next += 1;
+                repo.handle(
+                    &mut io,
+                    CLIENT,
+                    Msg::Resolve {
+                        action: action_id(CLIENT, seq),
+                        outcome: ActionOutcome::Committed(ts(100_000 + u64::from(seq), CLIENT)),
+                        entries: vec![(ObjId(seq as u16), 1)],
+                    },
+                );
+                io.take_outputs().len()
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_log_shipping, bench_repository_resolve);
 criterion_main!(benches);

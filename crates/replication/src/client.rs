@@ -19,7 +19,9 @@ use crate::messages::{Batcher, Msg};
 use crate::metrics::ClientMetrics;
 use crate::protocol::{ConflictReason, Protocol};
 use crate::reconfig::{ConfigState, ShardedConfig};
-use crate::types::{ActionOutcome, LogEntry, ObjId, ObjectLog, VersionedLog};
+use crate::types::{
+    action_id, action_parts, ActionOutcome, LogEntry, ObjId, ObjectLog, VersionedLog,
+};
 use quorumcc_model::{ActionId, Classified, Event};
 use quorumcc_quorum::ThresholdAssignment;
 use quorumcc_sim::trace::{AbortCause, ConflictKind, PhaseKind, TraceAction};
@@ -488,7 +490,7 @@ impl<S: Classified> Client<S> {
         if self.cursor >= self.txns.len() {
             return; // workload done; going quiet drains the simulation
         }
-        let action = ActionId(ctx.me() * 100_000 + self.action_seq);
+        let action = action_id(ctx.me(), self.action_seq);
         self.action_seq += 1;
         let begin_ts = self.fresh_ts(ctx);
         self.records.push(Record::Begin {
@@ -820,7 +822,7 @@ impl<S: Classified> Client<S> {
             return;
         }
         self.pending_resolves
-            .insert(action.0 % 100_000, (action, outcome, entries));
+            .insert(action_parts(action).1, (action, outcome, entries));
         if !self.retransmit_armed {
             ctx.set_timer(period.max(1), TOKEN_RETRANSMIT);
             self.retransmit_armed = true;
@@ -1060,10 +1062,10 @@ impl<S: Classified> Client<S> {
                 // frontier and drop its resolutions from the gossip
                 // backup (no reservation can still depend on them — the
                 // ack proves each repository ran `drop_reservations`).
-                if !self.cfg.status_gc || action.0 / 100_000 != ctx.me() {
+                let (owner, seq) = action_parts(action);
+                if !self.cfg.status_gc || owner != ctx.me() {
                     return;
                 }
-                let seq = action.0 % 100_000;
                 if seq < self.durable_next {
                     return; // already durable
                 }
@@ -1078,7 +1080,7 @@ impl<S: Classified> Client<S> {
                     self.durable_next += 1;
                 }
                 let floor = self.durable_next;
-                self.known.retain(|a, _| a.0 % 100_000 >= floor);
+                self.known.retain(|a, _| action_parts(*a).1 >= floor);
                 self.pending_resolves.retain(|s, _| *s >= floor);
             }
             // Clients ignore repository- and reconfigurer-bound messages.
@@ -1121,7 +1123,7 @@ impl<S: Classified> Client<S> {
             if self.current.is_none() {
                 if let Some(left) = self.retry_pending.take() {
                     // Restart the current (aborted) transaction.
-                    let action = ActionId(ctx.me() * 100_000 + self.action_seq);
+                    let action = action_id(ctx.me(), self.action_seq);
                     self.action_seq += 1;
                     let begin_ts = self.fresh_ts(ctx);
                     self.records.push(Record::Begin {

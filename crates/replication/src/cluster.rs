@@ -18,7 +18,7 @@ use crate::metrics::RunTelemetry;
 use crate::protocol::Protocol;
 use crate::reconfig::{Config, ConfigState, ReconfigPolicy, ReconfigRecord, Reconfigurer};
 use crate::repository::{Durability, RepoCounters, Repository};
-use crate::types::{CompactionConfig, ObjId, ObjectLog};
+use crate::types::{CompactionConfig, ObjId, ObjectLog, ACTION_SPAN};
 use quorumcc_model::spec::ExploreBounds;
 use quorumcc_model::{BHistory, Classified, Enumerable};
 use quorumcc_quorum::{planner, SiteSet, ThresholdAssignment};
@@ -532,7 +532,9 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
     ///
     /// [`ReplicationError::MissingProtocol`] when no protocol was set,
     /// [`ReplicationError::EmptyWorkload`] when there are no transactions
-    /// to run, [`ReplicationError::InvalidNetwork`] when
+    /// to run, [`ReplicationError::ActionSpaceExhausted`] when a client's
+    /// worst-case action count or process id does not fit the action-id
+    /// encoding, [`ReplicationError::InvalidNetwork`] when
     /// `min_delay > max_delay`,
     /// [`ReplicationError::InvalidChaosProfile`] when a network
     /// probability is outside `[0, 1]`,
@@ -566,6 +568,19 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
             .ok_or(ReplicationError::MissingProtocol)?;
         if self.workload.iter().all(Vec::is_empty) {
             return Err(ReplicationError::EmptyWorkload);
+        }
+        // Status GC frontiers read the client back out of an action id, so
+        // ids may neither spill into the next client's span nor wrap.
+        for (i, txns) in self.workload.iter().enumerate() {
+            let client = u64::from(self.n_repos) + i as u64;
+            let actions = txns.len() as u64 * (1 + u64::from(cc.txn_retries));
+            let span = u64::from(ACTION_SPAN);
+            if actions > span || client * span + actions > u64::from(u32::MAX) + 1 {
+                return Err(ReplicationError::ActionSpaceExhausted {
+                    client: client.min(u64::from(u32::MAX)) as u32,
+                    actions,
+                });
+            }
         }
         let thresholds = self.default_thresholds();
         let shards = self.tuning.shards.max(1);
@@ -1229,6 +1244,54 @@ mod tests {
             .assemble()
             .unwrap();
         assert_eq!(ok.take_nodes().len(), 5);
+    }
+
+    /// Action ids are `client × ACTION_SPAN + seq`: a client that could
+    /// issue more than one span's worth (every retry takes a fresh id)
+    /// would alias its neighbour's ids, and a high enough process id wraps
+    /// `u32`. Both used to assemble and run.
+    #[test]
+    fn assemble_refuses_workloads_that_overflow_the_action_id_space() {
+        let txn = || Transaction {
+            ops: vec![(ObjId(0), QInv::Enq(1))],
+        };
+        let base = |n_repos: u32, txns: usize, retries: u32| {
+            RunBuilder::<TestQueue>::new(n_repos)
+                .protocol(ProtocolConfig::new(queue_protocol()).txn_retries(retries))
+                .workload(vec![vec![txn()], (0..txns).map(|_| txn()).collect()])
+                .assemble()
+        };
+        let span = ACTION_SPAN as usize;
+        // One span exactly fits, with or without retries.
+        assert!(base(3, span, 0).is_ok());
+        assert!(base(3, span / 2, 1).is_ok());
+        // One more does not; the error names the second client (process 4).
+        let err = base(3, span + 1, 0).unwrap_err();
+        assert_eq!(
+            err,
+            ReplicationError::ActionSpaceExhausted {
+                client: 4,
+                actions: span as u64 + 1,
+            }
+        );
+        assert!(err
+            .to_string()
+            .starts_with("client 4 may issue up to 100001 actions"));
+        let err = base(3, span / 2 + 1, 1).unwrap_err();
+        assert!(matches!(
+            err,
+            ReplicationError::ActionSpaceExhausted { client: 4, actions } if actions == span as u64 + 2
+        ));
+        // Process ids from 42 950 up wrap u32 whatever the workload.
+        let first_wrapping = u32::MAX / ACTION_SPAN + 1;
+        let err = base(first_wrapping - 1, 1, 0).unwrap_err();
+        assert_eq!(
+            err,
+            ReplicationError::ActionSpaceExhausted {
+                client: first_wrapping,
+                actions: 1,
+            }
+        );
     }
 
     #[test]

@@ -27,6 +27,18 @@ pub enum ReplicationError {
     InvalidChaosProfile(String),
     /// The workload is empty — there is nothing to run.
     EmptyWorkload,
+    /// A client's action ids would not fit the `client * ACTION_SPAN + seq`
+    /// encoding ([`ACTION_SPAN`](crate::types::ACTION_SPAN)): its worst
+    /// case issues more actions than one client's span holds (they would
+    /// alias the next client's ids), or its process id is high enough for
+    /// the product to wrap `u32`.
+    ActionSpaceExhausted {
+        /// The offending client's process id.
+        client: u32,
+        /// The most actions its workload can issue:
+        /// `txns × (1 + txn_retries)`.
+        actions: u64,
+    },
     /// An operation carried a configuration version older than the
     /// current one — the transaction must abort and retry under the
     /// adopted configuration (§ reconfiguration).
@@ -67,6 +79,12 @@ impl fmt::Display for ReplicationError {
                 write!(f, "invalid chaos profile: {detail}")
             }
             ReplicationError::EmptyWorkload => write!(f, "workload is empty"),
+            ReplicationError::ActionSpaceExhausted { client, actions } => write!(
+                f,
+                "client {client} may issue up to {actions} actions, which do not fit the \
+                 action-id space ({span} ids per client, client × {span} + seq within u32)",
+                span = crate::types::ACTION_SPAN
+            ),
             ReplicationError::StaleEpoch { seen, current } => write!(
                 f,
                 "stale configuration: operation saw version {seen}, current is {current}"

@@ -15,7 +15,10 @@ use crate::driver::Io;
 use crate::messages::{Batcher, Msg};
 use crate::protocol::{Mode, Protocol};
 use crate::reconfig::ConfigState;
-use crate::types::{ActionOutcome, Checkpoint, CompactionConfig, ObjId, ObjectLog, VersionedLog};
+use crate::types::{
+    action_parts, ActionOutcome, Checkpoint, CompactionConfig, LogEntry, ObjId, ObjectLog,
+    VersionedLog,
+};
 use quorumcc_core::DependencyRelation;
 use quorumcc_model::{ActionId, Classified};
 use quorumcc_sim::trace::{ConflictKind, TraceAction};
@@ -53,7 +56,12 @@ pub struct RepoCounters {
     pub full_log_fallbacks: u64,
     /// Crash recoveries performed (volatile sites only).
     pub recoveries: u64,
-    /// Times an object's version counter fell below its all-time high.
+    /// Times an object's version counter was recorded below its all-time
+    /// high. A diagnostic, not a measure: a regressed log is counted again
+    /// each time its version is next recorded (a `WriteLog` on it, or a
+    /// resolution, GC sweep or fold that moves it), so on a run that
+    /// already fails the oracle the count depends on how often that
+    /// happens — only zero versus non-zero carries meaning.
     pub version_regressions: u64,
     /// Times the configuration version fell below its all-time high.
     pub config_regressions: u64,
@@ -102,6 +110,19 @@ pub struct Repository<S: Classified> {
     /// every status they know, so the resolved-action sweep in `WriteLog`
     /// would otherwise cost O(statuses x objects) per message.
     reserved_index: BTreeSet<(ActionId, ObjId)>,
+    /// Reverse index over the logs' touch scopes, keyed `(action, obj)` —
+    /// the shape of `reserved_index`. Kept only under scoped planting,
+    /// where it holds exactly the pairs some stored log (live or WAL
+    /// mirror) has in [`ObjectLog::touched`]: a resolution then visits the
+    /// logs a range scan names instead of every log the repository holds.
+    /// Filled where entries enter a log, pruned where a touch scope is
+    /// (status GC, checkpoint install), rebuilt at recovery.
+    touch_index: BTreeSet<(ActionId, ObjId)>,
+    /// Running Σ `status_count()` over `logs`, adjusted by the
+    /// before/after difference of every mutation ([`Self::with_log`]; a GC
+    /// sweep subtracts what it dropped) — what `status_table_peak` samples
+    /// without summing every log.
+    status_total: usize,
     peers: Vec<ProcId>,
     anti_entropy: Option<SimTime>,
     /// Storage durability class (chaos layer).
@@ -155,8 +176,9 @@ pub struct Repository<S: Classified> {
     /// resolution was acked by every member — its tombstones are
     /// collectable.
     frontiers: BTreeMap<ProcId, u64>,
-    /// Frontier values at the last GC sweep (hysteresis accounting).
-    swept: BTreeMap<ProcId, u64>,
+    /// Total frontier advance since the last GC sweep (hysteresis
+    /// accounting).
+    pending_advance: u64,
 }
 
 impl<S: Classified> Repository<S> {
@@ -168,6 +190,8 @@ impl<S: Classified> Repository<S> {
             logs: BTreeMap::new(),
             reservations: BTreeMap::new(),
             reserved_index: BTreeSet::new(),
+            touch_index: BTreeSet::new(),
+            status_total: 0,
             peers: Vec::new(),
             anti_entropy: None,
             durability: Durability::Stable,
@@ -185,7 +209,7 @@ impl<S: Classified> Repository<S> {
             gc_batch: None,
             resolutions: BTreeMap::new(),
             frontiers: BTreeMap::new(),
-            swept: BTreeMap::new(),
+            pending_advance: 0,
         }
     }
 
@@ -226,6 +250,14 @@ impl<S: Classified> Repository<S> {
 
     /// Health counters for telemetry and the safety oracle.
     pub fn counters(&self) -> RepoCounters {
+        debug_assert_eq!(
+            self.status_total,
+            self.logs
+                .values()
+                .map(|v| v.log().status_count())
+                .sum::<usize>(),
+            "running status total drifted from the logs"
+        );
         self.counters
     }
 
@@ -381,20 +413,67 @@ impl<S: Classified> Repository<S> {
         })
     }
 
-    /// Splits an action id into its issuing client and per-client
-    /// sequence number (the front-end encoding: `client * 100_000 + seq`,
-    /// with sequences issued from 0 in strict order).
-    fn action_parts(action: ActionId) -> (ProcId, u64) {
-        (action.0 / 100_000, u64::from(action.0 % 100_000))
+    /// Applies `f` to `obj`'s live log (created on first touch), keeping
+    /// the running status total in step. Every mutation of one live log
+    /// goes through here.
+    fn with_log<T>(
+        &mut self,
+        obj: ObjId,
+        f: impl FnOnce(&mut VersionedLog<S::Inv, S::Res>) -> T,
+    ) -> T {
+        let vlog = self.vlog(obj);
+        let before = vlog.log().status_count();
+        let out = f(vlog);
+        let after = vlog.log().status_count();
+        self.status_total = self.status_total + after - before;
+        out
     }
 
-    /// Whether `action` lies below its client's durable resolution
-    /// frontier — resolved, globally acknowledged, tombstones collectable.
-    /// Frontiers are counts (`seq < f` is durable), so a frontier of 0
-    /// means "nothing collectable" and sequence 0 itself is reachable.
+    /// The write-ahead mirror of `obj`, created on first use with the same
+    /// planting scope as the live log.
+    fn mirror(&mut self, obj: ObjId) -> &mut VersionedLog<S::Inv, S::Res> {
+        let scoped = self.scoped_statuses;
+        self.wal.entry(obj).or_insert_with(|| {
+            let mut v = VersionedLog::default();
+            v.set_scoped(scoped);
+            v
+        })
+    }
+
+    /// The objects whose stored logs `action` touched (scoped planting
+    /// only — the index is not kept otherwise).
+    fn touched_by(&self, action: ActionId) -> Vec<ObjId> {
+        self.touch_index
+            .range((action, ObjId(0))..=(action, ObjId(u16::MAX)))
+            .map(|&(_, obj)| obj)
+            .collect()
+    }
+
+    /// Drops the index rows among `rows` that no stored log backs any
+    /// more — call after anything that prunes a touch scope.
+    fn prune_touches(&mut self, rows: impl IntoIterator<Item = (ActionId, ObjId)>) {
+        for (a, obj) in rows {
+            let live = self.logs.get(&obj).is_some_and(|v| v.log().is_touched(a));
+            let mirrored = self.wal.get(&obj).is_some_and(|w| w.log().is_touched(a));
+            if !live && !mirrored {
+                self.touch_index.remove(&(a, obj));
+            }
+        }
+    }
+
+    /// Whether `action` lies below the durable resolution frontier in
+    /// `frontiers` — resolved, globally acknowledged, tombstones
+    /// collectable. Frontiers are counts (`seq < f` is durable), so a
+    /// frontier of 0 means "nothing collectable" and sequence 0 itself is
+    /// reachable.
+    fn below_frontier(frontiers: &BTreeMap<ProcId, u64>, action: ActionId) -> bool {
+        let (client, seq) = action_parts(action);
+        frontiers.get(&client).is_some_and(|f| u64::from(seq) < *f)
+    }
+
+    /// [`Self::below_frontier`] against this repository's frontiers.
     fn is_stale(&self, action: ActionId) -> bool {
-        let (client, seq) = Self::action_parts(action);
-        self.frontiers.get(&client).is_some_and(|f| seq < *f)
+        Self::below_frontier(&self.frontiers, action)
     }
 
     /// Records a client's advertised durable frontier and runs a GC sweep
@@ -405,14 +484,10 @@ impl<S: Classified> Repository<S> {
         if durable <= *cur {
             return;
         }
+        self.pending_advance += durable - *cur;
         *cur = durable;
-        let pending: u64 = self
-            .frontiers
-            .iter()
-            .map(|(c, f)| f.saturating_sub(*self.swept.get(c).unwrap_or(&0)))
-            .sum();
-        if pending >= batch {
-            self.swept.clone_from(&self.frontiers);
+        if self.pending_advance >= batch {
+            self.pending_advance = 0;
             self.sweep_gc();
         }
     }
@@ -421,25 +496,39 @@ impl<S: Classified> Repository<S> {
     /// per-object logs and the scoped resolution table. Logs that lost
     /// anything fence their readers into one full transfer (see
     /// [`VersionedLog::gc_below`]).
+    ///
+    /// This stays a walk over every log. The touch index could name the
+    /// candidates, but its rows for committed actions stay (their entries
+    /// pin them) and outnumber the logs as soon as logs hold a few entries
+    /// each — scanning them measured dearer than the walk on all five
+    /// benchmark workloads.
     fn sweep_gc(&mut self) {
         let frontiers = &self.frontiers;
-        let stale = |a: ActionId| {
-            let (client, seq) = Self::action_parts(a);
-            frontiers.get(&client).is_some_and(|f| seq < *f)
-        };
-        let mut dropped = 0;
-        for vlog in self.logs.values_mut() {
-            dropped += vlog.gc_below(stale);
+        let stale = |a: ActionId| Self::below_frontier(frontiers, a);
+        let mut gone: Vec<(ActionId, ObjId)> = Vec::new();
+        for (obj, vlog) in &mut self.logs {
+            gone.extend(vlog.gc_below(stale).into_iter().map(|a| (a, *obj)));
         }
+        let live = gone.len();
         if self.wal_active() {
-            for w in self.wal.values_mut() {
-                w.gc_below(stale);
+            for (obj, w) in &mut self.wal {
+                gone.extend(w.gc_below(stale).into_iter().map(|a| (a, *obj)));
             }
         }
-        let before = self.resolutions.len();
+        let table = self.resolutions.len();
         self.resolutions.retain(|a, _| !stale(*a));
-        dropped += (before - self.resolutions.len()) as u64;
-        self.counters.statuses_gcd += dropped;
+        self.counters.statuses_gcd += (live + table - self.resolutions.len()) as u64;
+        self.status_total -= live;
+        // A purge moves the version (the reader fence); record it like any
+        // other move, so a crash right after the sweep recovers past it.
+        let mut moved: Vec<ObjId> = gone[..live].iter().map(|&(_, obj)| obj).collect();
+        moved.dedup();
+        for obj in moved {
+            self.note_version(obj);
+        }
+        if self.scoped_statuses {
+            self.prune_touches(gone);
+        }
     }
 
     /// Strips below-frontier content from an incoming view (and its fresh
@@ -544,6 +633,17 @@ impl<S: Classified> Repository<S> {
             self.reserved_index.clear();
             self.manifests.clear();
         }
+        // Both are functions of the stored logs, and the live logs now
+        // equal the mirrors (or nothing at all, for an amnesiac).
+        self.status_total = self.logs.values().map(|v| v.log().status_count()).sum();
+        self.touch_index = if self.scoped_statuses {
+            self.logs
+                .iter()
+                .flat_map(|(obj, v)| v.log().touched().map(move |a| (a, *obj)))
+                .collect()
+        } else {
+            BTreeSet::new()
+        };
         let objs: Vec<ObjId> = self.shadow_versions.keys().copied().collect();
         for obj in objs {
             self.note_version(obj);
@@ -667,21 +767,18 @@ impl<S: Classified> Repository<S> {
                 // write-ahead mirror must retain — including the merged
                 // view, whose transitive entries PROM-mode reads rely on.
                 // Entry-less gossip merges stay volatile.
+                let mut touches = Vec::new();
+                let mut adopted = false;
                 if entry.is_some() && self.wal_active() {
-                    let scoped = self.scoped_statuses;
-                    let w = self.wal.entry(obj).or_insert_with(|| {
-                        let mut v = VersionedLog::default();
-                        v.set_scoped(scoped);
-                        v
-                    });
-                    w.merge(&log);
-                    if let Some(e) = entry.clone() {
-                        w.insert(e);
-                    }
+                    adopted |= absorb(self.mirror(obj), &log, entry.clone(), &mut touches);
                 }
-                self.vlog(obj).merge(&log);
-                if let Some(e) = entry {
-                    self.vlog(obj).insert(e);
+                adopted |= self.with_log(obj, |v| absorb(v, &log, entry, &mut touches));
+                if self.scoped_statuses {
+                    self.touch_index
+                        .extend(touches.into_iter().map(|a| (a, obj)));
+                    if let Some(cp) = log.checkpoint().filter(|_| adopted) {
+                        self.prune_touches(cp.covered().keys().map(|a| (*a, obj)));
+                    }
                 }
                 // Scoped planting: a just-merged entry of an action that
                 // resolved before it arrived finds its status in the
@@ -699,9 +796,11 @@ impl<S: Classified> Repository<S> {
                         .into_iter()
                         .filter_map(|a| self.resolutions.get(&a).map(|o| (a, *o)))
                         .collect();
-                    for (a, o) in late {
-                        self.vlog(obj).resolve(a, o);
-                    }
+                    self.with_log(obj, |v| {
+                        for (a, o) in late {
+                            v.resolve(a, o);
+                        }
+                    });
                 }
                 // Resolutions gossip through merged views; a lost Resolve
                 // broadcast must not leave reservations stuck forever.
@@ -723,38 +822,45 @@ impl<S: Classified> Repository<S> {
                 if matches!(outcome, ActionOutcome::Committed(_)) && !entries.is_empty() {
                     self.manifests.insert(action, entries);
                 }
-                // Under scoped shipping the per-log plants below self-filter
-                // to touched logs; the table serves entries arriving later.
+                // Under scoped planting the status lands only in logs the
+                // action touched — the ones the index names; the table
+                // serves entries arriving later. Full planting means every
+                // log, so there the walk is the point.
                 if self.scoped_statuses && outcome.is_resolved() {
                     self.resolutions.insert(action, outcome);
                 }
-                for vlog in self.logs.values_mut() {
-                    vlog.resolve(action, outcome);
-                }
-                if self.wal_active() {
-                    for w in self.wal.values_mut() {
+                let targets: Vec<ObjId> = if self.scoped_statuses {
+                    self.touched_by(action)
+                } else {
+                    self.logs.keys().copied().collect()
+                };
+                for obj in targets {
+                    if self.with_log(obj, |v| v.resolve(action, outcome)) {
+                        self.note_version(obj);
+                    }
+                    // Mirrors exist only while a write-ahead log is kept.
+                    if let Some(w) = self.wal.get_mut(&obj) {
                         w.resolve(action, outcome);
                     }
                 }
                 if self.gc_batch.is_some() && outcome.is_resolved() {
                     self.send_msg(ctx, from, Msg::ResolveAck { action });
                 }
-                let total = self.resolutions.len()
-                    + self
-                        .logs
-                        .values()
-                        .map(|v| v.log().status_count())
-                        .sum::<usize>();
+                let total = self.resolutions.len() + self.status_total;
                 self.counters.status_table_peak = self.counters.status_table_peak.max(total as u64);
-                let objs: Vec<ObjId> = self.logs.keys().copied().collect();
                 if outcome.is_resolved() {
                     self.drop_reservations(action);
-                    for obj in objs.iter().copied() {
-                        self.maybe_compact(obj, ctx.now());
+                    // A fold's `now − lag` bound moves with the clock, not
+                    // with this action, so any log may have become
+                    // foldable: with compaction on this stays a full pass.
+                    if self.compaction.is_some() {
+                        let objs: Vec<ObjId> = self.logs.keys().copied().collect();
+                        for obj in objs {
+                            if self.maybe_compact(obj, ctx.now()) {
+                                self.note_version(obj);
+                            }
+                        }
                     }
-                }
-                for obj in objs {
-                    self.note_version(obj);
                 }
             }
             Msg::Install { req, state } => {
@@ -906,17 +1012,21 @@ impl<S: Classified> Repository<S> {
     /// Static mode never folds: it serializes by Begin timestamps, so a
     /// late-beginning reader may still need to order itself *before*
     /// arbitrarily old committed entries (`TooLate` detection needs them).
-    fn maybe_compact(&mut self, obj: ObjId, now: SimTime) {
-        let Some(cc) = self.compaction else { return };
+    ///
+    /// Returns whether a checkpoint was installed (the log's version moved).
+    fn maybe_compact(&mut self, obj: ObjId, now: SimTime) -> bool {
+        let Some(cc) = self.compaction else {
+            return false;
+        };
         if self.mode == Mode::StaticTs {
-            return;
+            return false;
         }
         let Some(vlog) = self.logs.get(&obj) else {
-            return;
+            return false;
         };
         let log = vlog.log();
         if log.len() < cc.min_entries {
-            return;
+            return false;
         }
 
         let mut bound = Timestamp {
@@ -952,7 +1062,7 @@ impl<S: Classified> Repository<S> {
         }
         candidates.retain(|(cts, _)| *cts < bound);
         if candidates.is_empty() {
-            return;
+            return false;
         }
         candidates.sort();
 
@@ -996,16 +1106,17 @@ impl<S: Classified> Repository<S> {
         folded += replay.len() as u64;
         covered.extend(fold_set.iter().map(|(a, cts)| (*a, *cts)));
 
+        let pruned: Vec<(ActionId, ObjId)> = covered.keys().map(|a| (*a, obj)).collect();
         let cp = Checkpoint::new(states, covered, folded);
         if self.wal_active() {
             // Checkpoints subsume acked entries, so they must be at least
             // as durable as what they fold.
-            self.wal
-                .entry(obj)
-                .or_default()
-                .install_checkpoint(cp.clone());
+            self.mirror(obj).install_checkpoint(cp.clone());
         }
-        self.vlog(obj).install_checkpoint(cp);
+        self.with_log(obj, |v| v.install_checkpoint(cp));
+        if self.scoped_statuses {
+            self.prune_touches(pruned);
+        }
 
         // Drop manifests that every listed object has now folded.
         let fully_folded: Vec<ActionId> = fold_set
@@ -1026,13 +1137,44 @@ impl<S: Classified> Repository<S> {
         for a in fully_folded {
             self.manifests.remove(&a);
         }
+        true
     }
+}
+
+/// Merges an arriving view, then its fresh entry, into one stored log.
+/// Pushes the action of every entry newly stored — exactly the touches the
+/// log gained: a refused insert touches nothing new, because what refuses
+/// it (a covering checkpoint, an aborted tombstone, the entry already being
+/// there) scopes the action already or never will. Returns whether the
+/// view's checkpoint was adopted, which prunes touches.
+fn absorb<I: Clone, R: Clone>(
+    stored: &mut VersionedLog<I, R>,
+    view: &ObjectLog<I, R>,
+    entry: Option<LogEntry<I, R>>,
+    touches: &mut Vec<ActionId>,
+) -> bool {
+    let effect = stored.merge(view);
+    touches.extend(
+        effect
+            .entries
+            .iter()
+            .filter_map(|ts| view.get(*ts))
+            .map(|e| e.action),
+    );
+    if let Some(e) = entry {
+        let action = e.action;
+        if stored.insert(e) {
+            touches.push(action);
+        }
+    }
+    effect.checkpoint
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{entry_of, ActionOutcome};
+    use crate::driver::{CollectIo, Output};
+    use crate::types::{action_id, entry_of, ActionOutcome};
     use quorumcc_core::minimal_static_relation;
     use quorumcc_model::spec::ExploreBounds;
     use quorumcc_model::testtypes::{QInv, QRes, TestQueue};
@@ -1399,5 +1541,365 @@ mod tests {
             repo.conflicting_reader(ObjId(0), &e_early),
             Some(ActionId(9))
         );
+    }
+
+    // ---- the touch index (DESIGN §3.16, "the walk follows the bytes") ----
+
+    type TestIo = CollectIo<Msg<QInv, QRes>>;
+
+    /// A scoped, status-collecting repository — the configuration the
+    /// index exists for.
+    fn scoped_repo(rel: &DependencyRelation, durability: Durability) -> Repository<TestQueue> {
+        Repository::new(Mode::Hybrid, rel.clone())
+            .with_gossip(true, Some(4))
+            .with_durability(durability)
+    }
+
+    fn enq(action: ActionId, obj_ts: u64) -> LogEntry<QInv, QRes> {
+        let (client, _) = action_parts(action);
+        entry_of::<TestQueue>(
+            ts(obj_ts, client),
+            action,
+            ts(obj_ts, client),
+            QInv::Enq(1),
+            QRes::Ok,
+        )
+    }
+
+    fn write(obj: ObjId, entry: LogEntry<QInv, QRes>) -> Msg<QInv, QRes> {
+        Msg::WriteLog {
+            obj,
+            req: 0,
+            log: ObjectLog::new(),
+            entry: Some(entry),
+            cfg: 0,
+        }
+    }
+
+    fn read(obj: ObjId, action: ActionId, since: u64, durable: u64) -> Msg<QInv, QRes> {
+        Msg::ReadLog {
+            obj,
+            req: 0,
+            action,
+            begin_ts: ts(1, 0),
+            op: "Enq",
+            cfg: 0,
+            since,
+            durable,
+        }
+    }
+
+    /// The derived state against the stored logs it is derived from: the
+    /// index holds exactly the touch scopes, no status sits outside its
+    /// log's scope (so an insert an aborted tombstone refuses touches
+    /// nothing new — see `absorb`), and the running status total is the
+    /// sum.
+    fn audit(repo: &Repository<TestQueue>, at: &str) {
+        let mut touches = BTreeSet::new();
+        for (obj, v) in repo.logs.iter().chain(repo.wal.iter()) {
+            touches.extend(v.log().touched().map(|a| (a, *obj)));
+            for (a, _) in v.log().statuses() {
+                assert!(v.log().is_touched(a), "{at}: {obj} holds unscoped {a:?}");
+            }
+        }
+        assert_eq!(repo.touch_index, touches, "{at}: index");
+        let statuses: usize = repo.logs.values().map(|v| v.log().status_count()).sum();
+        assert_eq!(repo.status_total, statuses, "{at}: status total");
+    }
+
+    /// One scripted action: its entries are fixed when it opens, delivered
+    /// (to either repository, any number of times, in any order) whenever
+    /// the script says, and its outcome is fixed when first resolved.
+    struct Planned {
+        action: ActionId,
+        entries: Vec<(ObjId, LogEntry<QInv, QRes>)>,
+        outcome: Option<ActionOutcome>,
+    }
+
+    impl Planned {
+        fn manifest(&self) -> Vec<(ObjId, u32)> {
+            let mut counts: BTreeMap<ObjId, u32> = BTreeMap::new();
+            for (obj, _) in &self.entries {
+                *counts.entry(*obj).or_default() += 1;
+            }
+            counts.into_iter().collect()
+        }
+    }
+
+    /// Random scripts against a pair of scoped, status-collecting
+    /// repositories (so checkpoints and views cross between them):
+    /// interleaved reads, quorum writes and gossip, duplicated and
+    /// reordered resolutions, entries arriving after their resolution,
+    /// frontier advances that trigger sweeps, folds, crashes with and
+    /// without a write-ahead mirror. The derived state is audited after
+    /// every message.
+    #[test]
+    fn index_and_status_total_stay_exact_under_random_scripts() {
+        use rand::rngs::StdRng;
+        use rand::{Rng as _, SeedableRng as _};
+
+        const CLIENTS: u32 = 3;
+        let rel = queue_rel();
+        // What the scripts reached, summed over seeds: a property that
+        // never sweeps, folds, adopts or recovers proves little.
+        let (mut gcd, mut folds, mut recoveries, mut late) = (0, 0, 0, 0);
+        for seed in 0..120u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let objects: u16 = rng.gen_range(1..=64);
+            let durability = match seed % 3 {
+                0 => Durability::Stable,
+                1 => Durability::Volatile { wal: true },
+                _ => Durability::Volatile { wal: false },
+            };
+            let compaction = (seed % 2 == 0).then_some(CompactionConfig {
+                lag: 20,
+                min_entries: 2,
+            });
+            let mut repos: Vec<Repository<TestQueue>> = (0..2)
+                .map(|_| {
+                    let r = scoped_repo(&rel, durability).with_peers(vec![0, 1]);
+                    match compaction {
+                        Some(cc) => r.with_compaction(cc),
+                        None => r,
+                    }
+                })
+                .collect();
+            let mut ios: Vec<TestIo> = (0..2).map(|me| CollectIo::new(me, seed)).collect();
+            let mut plans: Vec<Vec<Planned>> = (0..CLIENTS).map(|_| Vec::new()).collect();
+            // Per repository and client: the sequences whose resolution it
+            // processed, which bounds the frontier a client may advertise.
+            let mut acked: Vec<Vec<BTreeSet<u32>>> =
+                vec![vec![BTreeSet::new(); CLIENTS as usize]; 2];
+            let mut clock = 1u64;
+
+            for step in 0..400 {
+                let at = format!("seed {seed} step {step}");
+                clock += rng.gen_range(0..8u64);
+                for io in &mut ios {
+                    io.set_now(clock);
+                }
+                let c = rng.gen_range(0..CLIENTS);
+                let pid = 10 + c;
+                let plan = &mut plans[c as usize];
+                let kind = rng.gen_range(0..100u32);
+                let mut to_resolve = None;
+                let msg = if kind < 40 {
+                    // Deliver one entry of an action — usually the newest,
+                    // sometimes an old (perhaps long-resolved) one.
+                    if plan.is_empty() || rng.gen_bool(0.4) {
+                        let action = action_id(pid, plan.len() as u32);
+                        let entries = (0..rng.gen_range(1..=3u32))
+                            .map(|_| {
+                                clock += 1;
+                                (ObjId(rng.gen_range(0..objects)), enq(action, clock))
+                            })
+                            .collect();
+                        plan.push(Planned {
+                            action,
+                            entries,
+                            outcome: None,
+                        });
+                    }
+                    let newest = plan.len() - 1;
+                    let i = if rng.gen_bool(0.7) {
+                        newest
+                    } else {
+                        rng.gen_range(0..=newest)
+                    };
+                    let p = &plan[i];
+                    let (obj, e) = p.entries[rng.gen_range(0..p.entries.len())].clone();
+                    // The view: other entries of this object the client
+                    // may have read, some with their resolutions.
+                    let mut view = ObjectLog::new();
+                    for other in plans.iter().flatten() {
+                        for (o, e) in &other.entries {
+                            if *o == obj && rng.gen_bool(0.2) {
+                                view.insert(e.clone());
+                                if let Some(out) = other.outcome.filter(|_| rng.gen_bool(0.5)) {
+                                    view.resolve(other.action, out);
+                                }
+                            }
+                        }
+                    }
+                    let entry = if rng.gen_bool(0.6) {
+                        Some(e)
+                    } else {
+                        view.insert(e);
+                        None
+                    };
+                    Msg::WriteLog {
+                        obj,
+                        req: 0,
+                        log: view,
+                        entry,
+                        cfg: 0,
+                    }
+                } else if kind < 65 && !plan.is_empty() {
+                    // Resolve any action, again if it already was.
+                    let i = rng.gen_range(0..plan.len());
+                    let p = &mut plan[i];
+                    let outcome = *p.outcome.get_or_insert_with(|| {
+                        clock += 1;
+                        if rng.gen_bool(0.7) {
+                            ActionOutcome::Committed(ts(clock, pid))
+                        } else {
+                            ActionOutcome::Aborted
+                        }
+                    });
+                    to_resolve = Some((p.action, outcome));
+                    Msg::Resolve {
+                        action: p.action,
+                        outcome,
+                        entries: match outcome {
+                            ActionOutcome::Committed(_) => p.manifest(),
+                            _ => Vec::new(),
+                        },
+                    }
+                } else if kind < 90 {
+                    // A read advertising the longest prefix every
+                    // repository has acknowledged.
+                    let durable = (0u32..)
+                        .take_while(|seq| acked.iter().all(|r| r[c as usize].contains(seq)))
+                        .count() as u64;
+                    let action = action_id(pid, plan.len().saturating_sub(1) as u32);
+                    let obj = ObjId(rng.gen_range(0..objects));
+                    read(obj, action, rng.gen_range(0..4u64), durable)
+                } else if kind < 95 {
+                    // Anti-entropy: one repository's log, pushed to the other.
+                    let src = rng.gen_range(0..2usize);
+                    let obj = ObjId(rng.gen_range(0..objects));
+                    let push = Msg::WriteLog {
+                        obj,
+                        req: 0,
+                        log: repos[src].log(obj),
+                        entry: None,
+                        cfg: 0,
+                    };
+                    repos[1 - src].handle(&mut ios[1 - src], src as ProcId, push);
+                    audit(&repos[1 - src], &at);
+                    continue;
+                } else {
+                    let r = rng.gen_range(0..2usize);
+                    repos[r].on_recover(&mut ios[r]);
+                    audit(&repos[r], &at);
+                    if durability == (Durability::Volatile { wal: false }) {
+                        assert!(repos[r].touch_index.is_empty(), "{at}: amnesiac index");
+                    }
+                    continue;
+                };
+                for (r, repo) in repos.iter_mut().enumerate() {
+                    if !rng.gen_bool(0.8) {
+                        continue; // lost on the way to this repository
+                    }
+                    repo.handle(&mut ios[r], pid, msg.clone());
+                    ios[r].take_outputs();
+                    audit(repo, &at);
+                    if let Some((action, outcome)) = to_resolve {
+                        // Every stored log the action touched now holds it.
+                        acked[r][c as usize].insert(action_parts(action).1);
+                        for v in repo.logs.values().chain(repo.wal.values()) {
+                            if v.log().is_touched(action) {
+                                assert_eq!(v.log().status(action), outcome, "{at}: plant");
+                            }
+                        }
+                    } else if let Msg::WriteLog { obj, .. } = &msg {
+                        // Entries that arrived after their resolution found
+                        // it in the table.
+                        let log = repo.log(*obj);
+                        for e in log.entries() {
+                            if let Some(out) = repo.resolutions.get(&e.action) {
+                                assert_eq!(log.status(e.action), *out, "{at}: late plant");
+                                late += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            for repo in &repos {
+                let c = repo.counters();
+                gcd += c.statuses_gcd;
+                recoveries += c.recoveries;
+                folds += repo
+                    .logs
+                    .values()
+                    .filter(|v| v.log().checkpoint().is_some())
+                    .count();
+            }
+        }
+        assert!(
+            gcd > 0 && folds > 0 && recoveries > 0 && late > 0,
+            "scripts too tame: gcd {gcd} folds {folds} recoveries {recoveries} late {late}"
+        );
+    }
+
+    /// A resolution arriving after a WAL recovery lands in the restored
+    /// log and in the mirror: recovery rebuilds the index from what it
+    /// restored.
+    #[test]
+    fn resolve_after_wal_recovery_lands_in_the_restored_logs() {
+        let mut repo = scoped_repo(&queue_rel(), Durability::Volatile { wal: true });
+        let mut io: TestIo = CollectIo::new(0, 1);
+        let action = action_id(7, 0);
+        repo.handle(&mut io, 7, write(ObjId(3), enq(action, 5)));
+        repo.on_recover(&mut io);
+        audit(&repo, "after the first recovery");
+        let committed = ActionOutcome::Committed(ts(9, 7));
+        repo.handle(
+            &mut io,
+            7,
+            Msg::Resolve {
+                action,
+                outcome: committed,
+                entries: vec![(ObjId(3), 1)],
+            },
+        );
+        assert_eq!(repo.log(ObjId(3)).status(action), committed);
+        // And in the mirror: a second crash restores it from there.
+        repo.on_recover(&mut io);
+        assert_eq!(repo.log(ObjId(3)).status(action), committed);
+        audit(&repo, "after the second recovery");
+    }
+
+    /// A thousand resolutions of actions that never touched an object
+    /// leave its log at its version: a reader at that version is served
+    /// an empty delta.
+    #[test]
+    fn resolve_leaves_untouched_logs_at_their_version() {
+        let mut repo = scoped_repo(&queue_rel(), Durability::Stable);
+        let mut io: TestIo = CollectIo::new(0, 1);
+        repo.handle(&mut io, 7, write(ObjId(0), enq(action_id(7, 0), 1)));
+        let version = repo.logs[&ObjId(0)].version();
+        for seq in 0..1_000 {
+            let foreign = action_id(8, seq);
+            repo.handle(
+                &mut io,
+                8,
+                write(ObjId(1), enq(foreign, 10 + u64::from(seq))),
+            );
+            repo.handle(
+                &mut io,
+                8,
+                Msg::Resolve {
+                    action: foreign,
+                    outcome: ActionOutcome::Committed(ts(5_000 + u64::from(seq), 8)),
+                    entries: vec![(ObjId(1), 1)],
+                },
+            );
+        }
+        assert_eq!(repo.logs[&ObjId(0)].version(), version);
+        io.take_outputs();
+        repo.handle(&mut io, 9, read(ObjId(0), action_id(9, 0), version, 0));
+        let replies = io.take_outputs();
+        assert!(
+            matches!(
+                replies.as_slice(),
+                [Output::Send {
+                    msg: Msg::LogReply { delta, .. },
+                    ..
+                }] if !delta.full && delta.payload_entries() == 0 && delta.statuses.is_empty()
+            ),
+            "{replies:?}"
+        );
+        audit(&repo, "after the foreign resolutions");
     }
 }

@@ -19,7 +19,7 @@
 //!   log into every reply.
 
 use quorumcc_model::{ActionId, Event, Sequential};
-use quorumcc_sim::Timestamp;
+use quorumcc_sim::{ProcId, Timestamp};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -32,6 +32,26 @@ impl std::fmt::Display for ObjId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "obj{}", self.0)
     }
+}
+
+/// Action ids each front-end owns: client `c` issues `ActionId(c *
+/// ACTION_SPAN + seq)` with `seq` counting its actions (every transaction
+/// attempt takes a fresh one) from 0. Status GC frontiers read the client
+/// and sequence back out of an id, so a client may never issue more than
+/// this many actions —
+/// [`RunBuilder::assemble`](crate::cluster::RunBuilder::assemble) refuses
+/// workloads that could.
+pub const ACTION_SPAN: u32 = 100_000;
+
+/// The id of `client`'s `seq`-th action.
+pub fn action_id(client: ProcId, seq: u32) -> ActionId {
+    ActionId(client * ACTION_SPAN + seq)
+}
+
+/// Splits an action id into its issuing client and per-client sequence
+/// number (the inverse of [`action_id`]).
+pub fn action_parts(action: ActionId) -> (ProcId, u32) {
+    (action.0 / ACTION_SPAN, action.0 % ACTION_SPAN)
 }
 
 /// Identifier of a shard: a static partition block of the object space.
@@ -365,6 +385,11 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
         self.touched.contains(&action)
     }
 
+    /// The touch scope: every action [`Self::is_touched`] holds for.
+    pub fn touched(&self) -> impl Iterator<Item = ActionId> + '_ {
+        self.touched.iter().copied()
+    }
+
     /// Recorded statuses (the per-log gossip weight the scoped/GC
     /// machinery bounds).
     pub fn status_count(&self) -> usize {
@@ -486,8 +511,8 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
     /// committed actions lose their status only when no entry of theirs
     /// remains here (entry-bearing commit statuses are still needed to
     /// read the entries, and are pruned by checkpoint folding instead).
-    /// Returns the number of statuses dropped.
-    pub fn gc_below(&mut self, stale: impl Fn(ActionId) -> bool) -> u64 {
+    /// Returns the actions whose status (and touch scope) was dropped.
+    pub fn gc_below(&mut self, stale: impl Fn(ActionId) -> bool) -> Vec<ActionId> {
         let doomed: Vec<(ActionId, ActionOutcome)> = self
             .statuses
             .iter()
@@ -507,7 +532,7 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
                 self.entries.retain(|_, e| e.action != *a);
             }
         }
-        doomed.len() as u64
+        doomed.into_iter().map(|(a, _)| a).collect()
     }
 
     /// Merges another log into this one (entry union + status upgrade +
@@ -671,9 +696,9 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
     /// non-contiguous. That full transfer is what flushes a reader's
     /// stale pre-GC entries (an aborted action's entry with no tombstone
     /// would otherwise linger in a mirror as a phantom lock).
-    pub fn gc_below(&mut self, stale: impl Fn(ActionId) -> bool) -> u64 {
+    pub fn gc_below(&mut self, stale: impl Fn(ActionId) -> bool) -> Vec<ActionId> {
         let dropped = self.log.gc_below(stale);
-        if dropped > 0 {
+        if !dropped.is_empty() {
             self.version += 1;
             self.journal.clear();
         }
@@ -903,6 +928,20 @@ mod tests {
     }
 
     #[test]
+    fn action_ids_split_back_into_client_and_sequence() {
+        assert_eq!(action_parts(action_id(7, 42)), (7, 42));
+        assert_eq!(
+            action_parts(action_id(7, ACTION_SPAN - 1)),
+            (7, ACTION_SPAN - 1)
+        );
+        assert_eq!(
+            action_id(7, ACTION_SPAN),
+            action_id(8, 0),
+            "hence the assemble check"
+        );
+    }
+
+    #[test]
     fn merge_is_idempotent_commutative_union() {
         let mut a = ObjectLog::new();
         a.insert(entry(1, 0, 0));
@@ -1015,7 +1054,11 @@ mod tests {
         log.resolve(ActionId(2), ActionOutcome::Aborted);
         log.resolve(ActionId(3), ActionOutcome::Committed(ts(10, 0))); // no entries
         let dropped = log.gc_below(|_| true);
-        assert_eq!(dropped, 2, "tombstone + entry-less commit dropped");
+        assert_eq!(
+            dropped,
+            vec![ActionId(2), ActionId(3)],
+            "tombstone + entry-less commit dropped"
+        );
         // Entry-bearing commit status survives (readers still need it).
         assert_eq!(log.status(ActionId(1)), ActionOutcome::Committed(ts(9, 0)));
         // Aborted entries go with their tombstone.
@@ -1034,7 +1077,7 @@ mod tests {
         // The repo resolves action 2 aborted and GCs the tombstone; the
         // mirror still holds the entry with no status (a phantom lock).
         repo.resolve(ActionId(2), ActionOutcome::Aborted);
-        assert_eq!(repo.gc_below(|a| a == ActionId(2)), 1);
+        assert_eq!(repo.gc_below(|a| a == ActionId(2)), vec![ActionId(2)]);
         let d = repo.delta_since(mirror.version());
         assert!(d.full, "GC fences the reader into a full transfer");
         mirror.apply_delta(&d);
@@ -1042,7 +1085,7 @@ mod tests {
         assert_eq!(mirror.log().len(), 1, "stale aborted entry flushed");
         // A no-op GC does not fence.
         let v = repo.version();
-        assert_eq!(repo.gc_below(|_| true), 0);
+        assert!(repo.gc_below(|_| true).is_empty());
         assert_eq!(repo.version(), v);
     }
 

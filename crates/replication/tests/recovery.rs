@@ -25,11 +25,12 @@ use quorumcc_adts::queue::{QueueInv, QueueRes};
 use quorumcc_adts::{FlagSet, Prom, Queue};
 use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation, DependencyRelation};
 use quorumcc_model::spec::ExploreBounds;
-use quorumcc_model::{ActionId, Classified, Enumerable};
+use quorumcc_model::{Classified, Enumerable};
 use quorumcc_quorum::ThresholdAssignment;
 use quorumcc_replication::client::Record;
 use quorumcc_replication::cluster::{ProtocolConfig, RunBuilder, RunReport};
 use quorumcc_replication::protocol::{Mode, Protocol};
+use quorumcc_replication::types::action_id;
 use quorumcc_replication::{
     BackendKind, Client, ClientConfig, CollectIo, Fanout, Msg, ObjId, Transaction, TuningConfig,
 };
@@ -79,11 +80,6 @@ fn repair_client(me: u32, repos: u32) -> (Client<Queue>, CollectIo<Msg<QueueInv,
     (Client::new(cfg, Vec::new()), CollectIo::new(me, 1))
 }
 
-/// Client action ids encode `client * 100_000 + seq`.
-fn action(me: u32, seq: u32) -> ActionId {
-    ActionId(me * 100_000 + seq)
-}
-
 /// Duplicated, reordered, and stale `ResolveAck`s: the durable frontier
 /// is monotone throughout and lands exactly where a single clean pass
 /// would put it.
@@ -109,7 +105,7 @@ fn frontier_never_regresses_under_duplicated_reordered_acks() {
                     &mut io,
                     repo,
                     Msg::ResolveAck {
-                        action: action(ME, seq),
+                        action: action_id(ME, seq),
                     },
                 );
                 check(&client, &mut floor);
@@ -129,7 +125,7 @@ fn frontier_never_regresses_under_duplicated_reordered_acks() {
                 &mut io,
                 repo,
                 Msg::ResolveAck {
-                    action: action(ME, seq),
+                    action: action_id(ME, seq),
                 },
             );
             check(&client, &mut floor);
@@ -141,7 +137,7 @@ fn frontier_never_regresses_under_duplicated_reordered_acks() {
         &mut io,
         0,
         Msg::ResolveAck {
-            action: action(ME + 1, SEQS + 3),
+            action: action_id(ME + 1, SEQS + 3),
         },
     );
     assert_eq!(client.durable_frontier_seq(), SEQS);
@@ -160,7 +156,7 @@ fn frontier_waits_for_every_repository_then_jumps() {
                 &mut io,
                 repo,
                 Msg::ResolveAck {
-                    action: action(ME, seq),
+                    action: action_id(ME, seq),
                 },
             );
         }
@@ -171,7 +167,7 @@ fn frontier_waits_for_every_repository_then_jumps() {
             &mut io,
             1,
             Msg::ResolveAck {
-                action: action(ME, seq),
+                action: action_id(ME, seq),
             },
         );
         assert_eq!(client.durable_frontier_seq(), seq + 1);
