@@ -19,6 +19,13 @@
 //! action that touched one log costs a scoped, status-collecting
 //! repository that holds 8 / 256 / 8192 one-entry logs (the shapes of
 //! `sock_mixed`, `sock_shallow` and `sock_wide`).
+//!
+//! A third, `repository_writelog/{25,800}_entries/{full_view,delta}`, is the
+//! row for `Repository::handle(Msg::WriteLog)`: what one final-quorum write
+//! of one fresh entry costs the same kind of repository when its log already
+//! holds 25 / 800 committed entries (the depths of `sock_shallow` and
+//! `sock_deep`) — arriving as the whole view, or as the view cut against a
+//! mirror of the log (`ObjectLog::minus`, `base` > 0).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quorumcc_core::DependencyRelation;
@@ -28,7 +35,7 @@ use quorumcc_replication::protocol::Mode;
 use quorumcc_replication::types::{
     action_id, entry_of, ActionOutcome, Checkpoint, LogEntry, ObjId, ObjectLog, VersionedLog,
 };
-use quorumcc_replication::{CollectIo, Msg, Repository};
+use quorumcc_replication::{CollectIo, Msg, Output, Repository};
 use quorumcc_sim::Timestamp;
 use std::collections::BTreeMap;
 
@@ -154,6 +161,7 @@ fn bench_repository_resolve(c: &mut Criterion) {
                         QRes::Ok,
                     )),
                     cfg: 0,
+                    base: 0,
                 },
             );
         }
@@ -179,5 +187,117 @@ fn bench_repository_resolve(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_log_shipping, bench_repository_resolve);
+fn bench_repository_writelog(c: &mut Criterion) {
+    const WRITER: u32 = 10;
+    const READER: u32 = 11;
+    /// Timed calls per arm (the harness makes one more to warm up).
+    const SAMPLES: usize = 30;
+    let obj = ObjId(0);
+    let mut g = c.benchmark_group("repository_writelog");
+    for entries in [25u32, 800] {
+        let mut repo: Repository<TestQueue> =
+            Repository::new(Mode::Hybrid, DependencyRelation::full::<TestQueue>())
+                .with_gossip(true, Some(64));
+        let mut io: CollectIo<Msg<QInv, QRes>> = CollectIo::new(0, 7);
+        let write = |log, seq: u32, base| {
+            let at = ts(u64::from(seq) + 1, WRITER);
+            let entry =
+                entry_of::<TestQueue>(at, action_id(WRITER, seq), at, QInv::Enq(1), QRes::Ok);
+            Msg::WriteLog {
+                obj,
+                req: 0,
+                log,
+                entry: Some(entry),
+                cfg: 0,
+                base,
+            }
+        };
+        for seq in 0..entries {
+            repo.handle(&mut io, WRITER, write(ObjectLog::new(), seq, 0));
+            let commit = Msg::Resolve {
+                action: action_id(WRITER, seq),
+                outcome: ActionOutcome::Committed(ts(100_000 + u64::from(seq), WRITER)),
+                entries: vec![(obj, 1)],
+            };
+            repo.handle(&mut io, WRITER, commit);
+        }
+        io.take_outputs();
+        // The writer's mirror of the log: one read from scratch.
+        let read = Msg::ReadLog {
+            obj,
+            req: 0,
+            action: action_id(READER, 0),
+            begin_ts: ts(1, READER),
+            op: "Enq",
+            cfg: 0,
+            since: 0,
+            durable: 0,
+        };
+        repo.handle(&mut io, READER, read);
+        let mut mirror: VersionedLog<QInv, QRes> = VersionedLog::new();
+        for out in io.take_outputs() {
+            if let Output::Send {
+                msg: Msg::LogReply { delta, .. },
+                ..
+            } = out
+            {
+                mirror.apply_delta(&delta);
+            }
+        }
+        assert_eq!(mirror.log().len(), entries as usize);
+        // The read reserved; resolve the reader so the writes are not in
+        // conflict with it.
+        let release = Msg::Resolve {
+            action: action_id(READER, 0),
+            outcome: ActionOutcome::Aborted,
+            entries: Vec::new(),
+        };
+        repo.handle(&mut io, READER, release);
+        io.take_outputs();
+        let view = mirror.log().clone();
+        let arms = [
+            ("full_view", write(view.clone(), entries, 0)),
+            (
+                "delta",
+                write(view.minus(mirror.log()), entries, mirror.version()),
+            ),
+        ];
+        for (arm, msg) in arms {
+            // Each sample writes into a copy of its own, so the log keeps
+            // its length; the copies are made before the timed calls and
+            // dropped after them.
+            let mut fresh: Vec<_> = (0..=SAMPLES).map(|_| (repo.clone(), msg.clone())).collect();
+            let mut written = Vec::with_capacity(fresh.len());
+            g.sample_size(SAMPLES);
+            g.bench_function(format!("{entries}_entries/{arm}"), |b| {
+                b.iter(|| {
+                    let (mut repo, msg) = fresh.pop().expect("one copy per sample");
+                    repo.handle(&mut io, WRITER, msg);
+                    written.push(repo);
+                })
+            });
+            let acked = io.take_outputs().into_iter().all(|out| {
+                matches!(
+                    out,
+                    Output::Send {
+                        msg: Msg::WriteAck { conflict: None, .. },
+                        ..
+                    }
+                )
+            });
+            assert!(
+                acked,
+                "{entries}_entries/{arm}: a write was not acknowledged"
+            );
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_log_shipping,
+    bench_repository_resolve,
+    bench_repository_writelog
+);
 criterion_main!(benches);

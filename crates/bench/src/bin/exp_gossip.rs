@@ -1,19 +1,28 @@
 //! **Experiment G1** — the gossip wall, measured: shipped statuses per
-//! action as the action count doubles, full shipping vs scoped shipping
-//! + status GC (DESIGN §3.16).
+//! action and resident statuses per site as the action count doubles,
+//! under full planting, scoped planting, and scoped planting + status GC
+//! (DESIGN §3.16).
 //!
 //! The wall has two faces, and `statuses_shipped` counts both sides of
 //! the wire. Repo→client: every `Resolve` plants a tombstone in every
 //! object log, full-transfer `ReadLog` replies haul the whole table, and
 //! the table only grows (DESIGN §3.14, the reason `exp_load` splits its
 //! fleet into cells). Client→repo: a client folds its entire `known`
-//! resolution map into **every pushed `WriteLog` view** — the map is the
+//! resolution map into **every `WriteLog` view** — the map is the
 //! crash-safety net that re-plants outcomes a lost `Resolve` never
 //! delivered, and without a durability frontier nothing may ever leave
-//! it, so action *k* re-ships *k−1* old statuses and the per-action bill
-//! grows linearly in client lifetime. Delta shipping (PR 4) already
-//! amortizes the steady-state repo→client bill, which is exactly why the
-//! client→repo face dominates here.
+//! it. Delta shipping amortizes the wire side of both faces: reads ship
+//! the suffix past the reader's frontier (PR 4), and since PR 15 a write
+//! ships only what the view holds beyond the writer's mirror of the site
+//! — so under `full` planting, where every site holds every status, a
+//! status crosses each link about once and the per-action bill is flat.
+//! What deltas cannot do is *forget*. Under `scoped` planting a site
+//! refuses statuses of actions that never touched the log, so no mirror
+//! ever shows them held and every write offers the client's whole `known`
+//! map again: action *k* re-ships *k−1* old statuses, and the per-action
+//! bill grows linearly in client lifetime. And under `full` planting the
+//! bill is flat only because every log keeps every status: the resident
+//! table is what grows linearly.
 //!
 //! Status GC is what breaks both: the full-final-quorum ack frontier
 //! lets the client prune `known` down to its unacked window (bounded by
@@ -50,25 +59,27 @@
 //! * **decision identity** — at every scale and mode, all three arms
 //!   decide exactly the same (committed, conflict, unavailable) triple:
 //!   scoping and GC change what travels, never what commits;
-//! * **the wall** — under full shipping, statuses shipped per action at
-//!   the largest scale are ≥ 3× the smallest scale (the linear growth);
+//! * **the wall** — where nothing licenses forgetting it still stands:
+//!   the `scoped` arm's statuses shipped per action at the largest scale
+//!   are ≥ 3× the smallest scale's and grow ≥ 2.5× over the final two
+//!   doublings, and the `full` arm's peak resident table grows ≥ 8× over
+//!   the 16× sweep;
+//! * **the write half** — under `full` planting the per-action bill grows
+//!   ≤ 1.15× over the final two doublings: a write ships what the site
+//!   lacks, not everything the client knows (it grew over 3× there when
+//!   writes carried whole views);
 //! * **the fix** — under scoped+GC the per-action bill converges: over
-//!   the final two doublings (a 4× action sweep) it grows ≤ 1.15× while
-//!   full shipping grows ≥ 2.5× over the same span. The tail is the
-//!   honest window: the GC'd table takes a few doublings of warm-up to
-//!   fill to its (bounded) asymptote, and measuring from a half-empty
-//!   table would flatter *any* arm. Flatness is gated for the
-//!   *compacting* modes (hybrid, dynamic 2PL) only: static-timestamp
-//!   mode never folds committed prefixes (PR 4 leaves its full history
-//!   in place), and `gc_below` deliberately keeps a committed status as
-//!   long as any live entry references it — so under static mode GC
-//!   bounds the aborted statuses and the resolution table but committed
-//!   tombstones stay pinned to their entries. The static gate is the
-//!   weaker true claim: scoped+GC still at least halves the bill and the
-//!   peak table vs full shipping;
+//!   the final two doublings (a 4× action sweep) it grows ≤ 1.15×, in
+//!   every mode. The tail is the honest window: the GC'd table takes a
+//!   few doublings of warm-up to fill to its (bounded) asymptote, and
+//!   measuring from a half-empty table would flatter *any* arm;
 //! * **bounded tables** — with GC on, the peak resident status count at
-//!   the largest scale stays below half of full shipping's, and the GC
-//!   actually collected something (`statuses_gcd > 0`).
+//!   the largest scale stays below half of full planting's, and the GC
+//!   actually collected something (`statuses_gcd > 0`). (Static-timestamp
+//!   mode never folds committed prefixes, and `gc_below` keeps a
+//!   committed status as long as a live entry references it, so there GC
+//!   bounds the aborted statuses and the resolution table while committed
+//!   tombstones stay pinned to their entries — half, not flat.)
 //!
 //! `--quick` runs the hybrid mode only; the default sweeps all three
 //! concurrency-control modes.
@@ -319,52 +330,56 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let last = SCALES[SCALES.len() - 1];
         // Tail of the sweep: the final two doublings, past GC warm-up.
         let tail = SCALES[SCALES.len() - 3];
-        // The wall: full shipping's per-action bill grows linearly.
-        let full_growth =
-            per(Arm::Full, last).shipped_per_action() / per(Arm::Full, first).shipped_per_action();
-        let full_tail =
-            per(Arm::Full, last).shipped_per_action() / per(Arm::Full, tail).shipped_per_action();
+        let bill = |arm: Arm, scale: usize| per(arm, scale).shipped_per_action();
+        // The wall: with nothing licensing it to forget, the scoped arm's
+        // per-action bill grows linearly — and so does the table full
+        // planting keeps.
+        let wall_growth = bill(Arm::Scoped, last) / bill(Arm::Scoped, first);
+        let wall_tail = bill(Arm::Scoped, last) / bill(Arm::Scoped, tail);
+        let table_growth = per(Arm::Full, last).status_table_peak as f64
+            / per(Arm::Full, first).status_table_peak as f64;
+        // The write half: under full planting a status crosses a link once.
+        let full_tail = bill(Arm::Full, last) / bill(Arm::Full, tail);
         // The fix: scoped+GC converges — flat over the tail.
-        let gc_tail = per(Arm::ScopedGc, last).shipped_per_action()
-            / per(Arm::ScopedGc, tail).shipped_per_action();
+        let gc_tail = bill(Arm::ScopedGc, last) / bill(Arm::ScopedGc, tail);
         println!(
-            "  per-action growth: full x{:.1} over the {}x sweep; tail ({}->{} txns) \
-             full x{:.2} vs scoped+gc x{:.3}",
-            full_growth,
+            "  per-action growth over the {}x sweep: scoped x{:.1}, full table x{:.1}; \
+             tail ({}->{} txns): scoped x{:.2}, full x{:.3}, scoped+gc x{:.3}",
             last / first,
+            wall_growth,
+            table_growth,
             tail,
             last,
+            wall_tail,
             full_tail,
             gc_tail
         );
         assert!(
-            full_growth >= 3.0,
-            "{}: full shipping grew only x{full_growth:.2} — no wall to break?",
+            wall_growth >= 3.0,
+            "{}: scoped shipping grew only x{wall_growth:.2} — no wall to break?",
             mode.name()
         );
         assert!(
-            full_tail >= 2.5,
-            "{}: full shipping tail grew only x{full_tail:.2} — wall already bent?",
+            wall_tail >= 2.5,
+            "{}: scoped shipping tail grew only x{wall_tail:.2} — wall already bent?",
             mode.name()
         );
-        if mode == Mode::StaticTs {
-            // No entry compaction under static mode, so committed
-            // statuses stay pinned (module docs) — gate the weaker
-            // claim: GC still at least halves the total bill.
-            assert!(
-                per(Arm::ScopedGc, last).statuses_shipped * 2
-                    <= per(Arm::Full, last).statuses_shipped,
-                "static: scoped+gc bill {} not well below full {}",
-                per(Arm::ScopedGc, last).statuses_shipped,
-                per(Arm::Full, last).statuses_shipped
-            );
-        } else {
-            assert!(
-                gc_tail <= 1.15,
-                "{}: scoped+gc per-action shipping grew x{gc_tail:.3} over the tail — not flat",
-                mode.name()
-            );
-        }
+        assert!(
+            table_growth >= 8.0,
+            "{}: full planting's table grew only x{table_growth:.2}",
+            mode.name()
+        );
+        assert!(
+            full_tail <= 1.15,
+            "{}: full planting's per-action shipping grew x{full_tail:.3} over the tail — \
+             are writes carrying whole views again?",
+            mode.name()
+        );
+        assert!(
+            gc_tail <= 1.15,
+            "{}: scoped+gc per-action shipping grew x{gc_tail:.3} over the tail — not flat",
+            mode.name()
+        );
         // Bounded tables: GC keeps the peak resident status count below
         // half of full shipping's at the largest scale, and collects.
         let gc_last = per(Arm::ScopedGc, last);

@@ -325,6 +325,7 @@ impl<I: Wire + Clone, R: Wire + Clone> Wire for Msg<I, R> {
                 log,
                 entry,
                 cfg,
+                base,
             } => {
                 out.push(2);
                 obj.put(out);
@@ -332,6 +333,7 @@ impl<I: Wire + Clone, R: Wire + Clone> Wire for Msg<I, R> {
                 log.put(out);
                 entry.put(out);
                 cfg.put(out);
+                base.put(out);
             }
             Msg::WriteAck { obj, req, conflict } => {
                 out.push(3);
@@ -356,6 +358,11 @@ impl<I: Wire + Clone, R: Wire + Clone> Wire for Msg<I, R> {
             Msg::ResolveAck { action } => {
                 out.push(6);
                 action.put(out);
+            }
+            Msg::WriteRefused { obj, req } => {
+                out.push(7);
+                obj.put(out);
+                req.put(out);
             }
             Msg::Install { .. }
             | Msg::InstallAck { .. }
@@ -391,6 +398,7 @@ impl<I: Wire + Clone, R: Wire + Clone> Wire for Msg<I, R> {
                 log: ObjectLog::take(inp)?,
                 entry: <Option<LogEntry<I, R>> as Wire>::take(inp)?,
                 cfg: u64::take(inp)?,
+                base: u64::take(inp)?,
             },
             3 => Msg::WriteAck {
                 obj: ObjId::take(inp)?,
@@ -405,6 +413,10 @@ impl<I: Wire + Clone, R: Wire + Clone> Wire for Msg<I, R> {
             5 => Msg::Batch(Vec::take(inp)?),
             6 => Msg::ResolveAck {
                 action: ActionId::take(inp)?,
+            },
+            7 => Msg::WriteRefused {
+                obj: ObjId::take(inp)?,
+                req: u64::take(inp)?,
             },
             _ => return None,
         })
@@ -571,8 +583,23 @@ mod tests {
                 obj: ObjId(1),
                 req: 43,
                 log: log.clone(),
-                entry: Some(entry),
+                entry: Some(entry.clone()),
                 cfg: 0,
+                base: 0,
+            },
+            // A delta write: an empty cut against version 2^40 + 9 (a
+            // base wider than 32 bits survives the trip).
+            Msg::WriteLog {
+                obj: ObjId(1),
+                req: 44,
+                log: ObjectLog::new(),
+                entry: Some(entry),
+                cfg: 3,
+                base: (1 << 40) + 9,
+            },
+            Msg::WriteRefused {
+                obj: ObjId(1),
+                req: 44,
             },
             Msg::WriteAck {
                 obj: ObjId(1),
@@ -590,6 +617,19 @@ mod tests {
         ];
         for m in &msgs {
             roundtrip_dbg(m.clone());
+        }
+        // No message survives losing its tail — `base` is the last field
+        // of a `WriteLog`, so a frame cut inside it must not decode as a
+        // whole view (`base` 0).
+        for m in &msgs {
+            let buf = encode(m);
+            for cut in 0..buf.len() {
+                assert!(
+                    decode::<Msg<QueueInv, QueueRes>>(&buf[..cut]).is_none(),
+                    "{m:?} decoded from {cut} of {} bytes",
+                    buf.len()
+                );
+            }
         }
         roundtrip_dbg(Msg::Batch(msgs));
     }

@@ -119,10 +119,12 @@ pub struct ClientConfig {
     pub propagate_views: bool,
     /// Quorum fan-out policy.
     pub fanout: Fanout,
-    /// Delta log shipping: piggyback per-site known frontiers on
-    /// `ReadLog` so repositories ship only the missing suffix, mirrored
-    /// locally per (object, site). Disabling reverts to full-log replies
-    /// (the shipping ablation/baseline).
+    /// Delta log shipping, both ways: piggyback per-site known frontiers
+    /// on `ReadLog` so repositories ship only the missing suffix, mirrored
+    /// locally per (object, site) — and cut each final-quorum `WriteLog`
+    /// against that mirror, so it carries only what the site lacks.
+    /// Disabling reverts to full-log replies and whole-view writes (the
+    /// shipping ablation/baseline).
     pub delta_shipping: bool,
     /// Whether the cluster runs committed-prefix compaction (mirrors then
     /// garbage-collect aborted entries the same way repositories do).
@@ -437,6 +439,26 @@ impl<S: Classified> Client<S> {
             .map_or(0, VersionedLog::version)
     }
 
+    /// What a final-quorum write of `view` to `site` carries, and the
+    /// `base` it names: the part of the view beyond the mirror of that
+    /// site's log, at the mirror's version — or the whole view (`base` 0)
+    /// when there is no mirror to cut against. The mirror itself stays as
+    /// the last `LogReply` left it: an ack says the site merged the delta,
+    /// not what else its log holds by now, so only a read may advance it.
+    fn shipment(
+        &self,
+        obj: ObjId,
+        site: ProcId,
+        view: &ObjectLog<S::Inv, S::Res>,
+    ) -> (ObjectLog<S::Inv, S::Res>, u64) {
+        match self.mirrors.get(&(obj, site)) {
+            Some(m) if self.cfg.delta_shipping && m.version() > 0 => {
+                (view.minus(m.log()), m.version())
+            }
+            _ => (view.clone(), 0),
+        }
+    }
+
     /// The records captured so far (for history assembly).
     pub fn records(&self) -> &[Record<S::Inv, S::Res>] {
         &self.records
@@ -688,14 +710,34 @@ impl<S: Classified> Client<S> {
                 self.metrics.view_sizes.push(view.len() as u64);
                 self.req_counter += 1;
                 let req = self.req_counter;
+                let cfg = self.config.state(obj).version();
+                let writes: Vec<_> = (self.targets(obj, req, need.max(1), false).into_iter())
+                    .map(|r| {
+                        let (log, base) = self.shipment(obj, r, &view);
+                        let entry = Some(entry.clone());
+                        (
+                            r,
+                            Msg::WriteLog {
+                                obj,
+                                req,
+                                log,
+                                entry,
+                                cfg,
+                                base,
+                            },
+                        )
+                    })
+                    .collect();
+                // The phase keeps the whole view: refusals and timer
+                // retries resend it.
                 let txn = self.current.as_mut().expect("txn in progress");
                 txn.phases.insert(
                     req,
                     Phase::Writing {
                         obj,
                         event,
-                        view: view.clone(),
-                        entry: entry.clone(),
+                        view,
+                        entry,
                         acks: BTreeSet::new(),
                         retries: 0,
                         since: ctx.now(),
@@ -707,19 +749,8 @@ impl<S: Classified> Client<S> {
                     req,
                     phase: PhaseKind::Write,
                 });
-                let cfg = self.config.state(obj).version();
-                for r in self.targets(obj, req, need.max(1), false) {
-                    self.send_msg(
-                        ctx,
-                        r,
-                        Msg::WriteLog {
-                            obj,
-                            req,
-                            log: view.clone(),
-                            entry: Some(entry.clone()),
-                            cfg,
-                        },
-                    );
+                for (r, msg) in writes {
+                    self.send_msg(ctx, r, msg);
                 }
                 ctx.set_timer(self.cfg.op_timeout, req);
                 if need == 0 || self.cfg.skip_final_ack {
@@ -922,10 +953,15 @@ impl<S: Classified> Client<S> {
                 // and dropping it would desynchronize the frontier.
                 if self.cfg.delta_shipping {
                     let gc = self.cfg.compact_logs;
-                    self.mirrors
+                    let mirror = self
+                        .mirrors
                         .entry((obj, from))
-                        .or_insert_with(|| VersionedLog::with_gc(gc))
-                        .apply_delta(&delta);
+                        .or_insert_with(|| VersionedLog::with_gc(gc));
+                    if !mirror.apply_delta(&delta) {
+                        // Cut against a mirror since forgotten: nothing
+                        // here can interpret it, so it is no reply at all.
+                        return;
+                    }
                 }
                 let assembled = {
                     let Some(txn) = &mut self.current else { return };
@@ -1033,6 +1069,29 @@ impl<S: Classified> Client<S> {
                     }
                     None => {}
                 }
+            }
+            Msg::WriteRefused { obj, req } => {
+                // The site's log no longer extends the mirror the delta
+                // was cut against. Send the view whole, and forget the
+                // mirror: the next read then starts from a full transfer
+                // instead of a frontier the site cannot serve (one a
+                // recovered site fell back below would be refused on every
+                // write until its log outgrew it).
+                let Some(Phase::Writing { view, entry, .. }) =
+                    self.current.as_ref().and_then(|t| t.phases.get(&req))
+                else {
+                    return; // stale refusal
+                };
+                let whole = Msg::WriteLog {
+                    obj,
+                    req,
+                    log: view.clone(),
+                    entry: Some(entry.clone()),
+                    cfg: self.config.state(obj).version(),
+                    base: 0,
+                };
+                self.mirrors.remove(&(obj, from));
+                self.send_msg(ctx, from, whole);
             }
             Msg::StaleConfig { req, state } => {
                 // A repository refused a request because our configuration
@@ -1299,6 +1358,7 @@ impl<S: Classified> Client<S> {
                             log: view.clone(),
                             entry: Some(entry.clone()),
                             cfg,
+                            base: 0,
                         },
                     );
                 }
@@ -1328,16 +1388,28 @@ enum AbortKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{CollectIo, Output};
+    use crate::types::LogDelta;
     use quorumcc_core::DependencyRelation;
-    use quorumcc_model::testtypes::TestQueue;
+    use quorumcc_model::testtypes::{QInv, QRes, TestQueue};
 
     fn client(fanout: Fanout, repos: u32) -> Client<TestQueue> {
+        let thresholds = quorumcc_quorum::ThresholdAssignment::new(repos);
+        client_with(fanout, thresholds, Vec::new())
+    }
+
+    fn client_with(
+        fanout: Fanout,
+        thresholds: quorumcc_quorum::ThresholdAssignment,
+        txns: Vec<Transaction<QInv>>,
+    ) -> Client<TestQueue> {
+        let repos = thresholds.sites();
         let cfg = ClientConfig {
             protocol: crate::protocol::Protocol::new(
                 crate::protocol::Mode::Hybrid,
                 DependencyRelation::new(),
             ),
-            thresholds: quorumcc_quorum::ThresholdAssignment::new(repos),
+            thresholds,
             repos: (0..repos).collect(),
             op_timeout: 100,
             max_phase_retries: 1,
@@ -1357,7 +1429,7 @@ mod tests {
             status_gc: false,
             resolve_retransmit: None,
         };
-        Client::new(cfg, Vec::new())
+        Client::new(cfg, txns)
     }
 
     #[test]
@@ -1383,5 +1455,125 @@ mod tests {
         let c = client(Fanout::Broadcast, 3);
         assert!(c.records().is_empty());
         assert_eq!(c.stats(), ClientStats::default());
+    }
+
+    type TestIo = CollectIo<Msg<QInv, QRes>>;
+
+    /// Everything `c` sent since the last call.
+    fn sent(io: &mut TestIo) -> Vec<Msg<QInv, QRes>> {
+        (io.take_outputs().into_iter())
+            .filter_map(|out| match out {
+                Output::Send { msg, .. } => Some(msg),
+                Output::SetTimer { .. } => None,
+            })
+            .collect()
+    }
+
+    /// A one-site client with two `Enq`s to run, brought to the point
+    /// where its first write — cut against a mirror of one foreign entry
+    /// at version 5 — has just left. Returns the write's request id.
+    fn client_awaiting_its_first_ack() -> (Client<TestQueue>, TestIo, u64) {
+        let mut thresholds = quorumcc_quorum::ThresholdAssignment::new(1);
+        for ev in TestQueue::event_classes() {
+            thresholds.set_final(ev, 1);
+        }
+        let enq = |x| Transaction {
+            ops: vec![(ObjId(0), QInv::Enq(x))],
+        };
+        let mut c = client_with(Fanout::Broadcast, thresholds, vec![enq(1), enq(2)]);
+        let mut io: TestIo = CollectIo::new(7, 1);
+        io.set_now(10);
+        c.tick(&mut io, TOKEN_KICK);
+        let [Msg::ReadLog { req, since: 0, .. }] = sent(&mut io)[..] else {
+            panic!("expected the first read, from scratch");
+        };
+        let at = Timestamp {
+            counter: 3,
+            node: 9,
+        };
+        let foreign = LogEntry {
+            ts: at,
+            action: ActionId(900_000),
+            begin_ts: at,
+            event: Event::new(QInv::Enq(9), QRes::Ok),
+        };
+        let delta = LogDelta {
+            base: 0,
+            head: 5,
+            full: true,
+            entries: vec![foreign],
+            statuses: Vec::new(),
+            checkpoint: None,
+        };
+        c.handle(
+            &mut io,
+            0,
+            Msg::LogReply {
+                obj: ObjId(0),
+                req,
+                delta,
+            },
+        );
+        let writes = sent(&mut io);
+        let [Msg::WriteLog {
+            req, log, base: 5, ..
+        }] = &writes[..]
+        else {
+            panic!("expected one write cut against version 5, got {writes:?}");
+        };
+        assert_eq!(
+            log.len(),
+            1,
+            "the fresh entry alone; the mirrored one stays home"
+        );
+        (c, io, *req)
+    }
+
+    #[test]
+    fn a_refused_delta_is_answered_with_the_whole_view_and_the_mirror_forgotten() {
+        let (mut c, mut io, req) = client_awaiting_its_first_ack();
+        let obj = ObjId(0);
+        c.handle(&mut io, 0, Msg::WriteRefused { obj, req });
+        let resent = sent(&mut io);
+        let [Msg::WriteLog {
+            req: again,
+            log,
+            entry: Some(_),
+            base: 0,
+            ..
+        }] = &resent[..]
+        else {
+            panic!("expected the whole view, got {resent:?}");
+        };
+        assert_eq!((*again, log.len()), (req, 2), "same request, whole view");
+        // A second refusal of the same request gets the same answer — a
+        // delta never goes out twice.
+        c.handle(&mut io, 0, Msg::WriteRefused { obj, req });
+        assert!(matches!(sent(&mut io)[..], [Msg::WriteLog { base: 0, .. }]));
+        // The mirror is gone: the next read asks for everything.
+        c.handle(
+            &mut io,
+            0,
+            Msg::WriteAck {
+                obj,
+                req,
+                conflict: None,
+            },
+        );
+        sent(&mut io);
+        io.set_now(2_000);
+        c.tick(&mut io, TOKEN_KICK);
+        assert!(matches!(sent(&mut io)[..], [Msg::ReadLog { since: 0, .. }]));
+    }
+
+    #[test]
+    fn a_timed_out_write_is_retried_with_the_whole_view() {
+        let (mut c, mut io, req) = client_awaiting_its_first_ack();
+        c.tick(&mut io, req);
+        let retried = sent(&mut io);
+        let [Msg::WriteLog { log, base: 0, .. }] = &retried[..] else {
+            panic!("expected the whole view, got {retried:?}");
+        };
+        assert_eq!(log.len(), 2);
     }
 }

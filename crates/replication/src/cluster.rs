@@ -985,6 +985,7 @@ impl<S: Classified + Enumerable> Assembly<S> {
         telemetry.full_log_fallbacks = repo_counters.iter().map(|c| c.full_log_fallbacks).sum();
         telemetry.recoveries = repo_counters.iter().map(|c| c.recoveries).sum();
         telemetry.statuses_shipped = repo_counters.iter().map(|c| c.statuses_shipped).sum();
+        telemetry.write_delta_refusals = repo_counters.iter().map(|c| c.write_delta_refusals).sum();
         telemetry.statuses_gcd = repo_counters.iter().map(|c| c.statuses_gcd).sum();
         telemetry.status_table_peak = repo_counters
             .iter()

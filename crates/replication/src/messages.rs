@@ -61,21 +61,32 @@ pub enum Msg<I, R> {
         /// The missing changes.
         delta: LogDelta<I, R>,
     },
-    /// Front-end → repository: merge this view (the §3.2 "send the updated
-    /// view to a final quorum"). The freshly appended entry rides
-    /// separately so the repository can validate it against reservations.
+    /// Front-end → repository: merge this into your log. With `base` = 0,
+    /// `log` is a whole view (the §3.2 "send the updated view to a final
+    /// quorum", and what anti-entropy, state transfer and every resend
+    /// carry); with `base` > 0 it is only what the view holds beyond the
+    /// sender's mirror of *this site's* log at version `base`
+    /// ([`ObjectLog::minus`]), and the site merges it only while its log
+    /// still extends that version
+    /// ([`VersionedLog::extends`](crate::types::VersionedLog::extends)) —
+    /// otherwise it answers [`Msg::WriteRefused`] and merges nothing. The
+    /// freshly appended entry rides separately so the repository can
+    /// validate it against reservations.
     WriteLog {
         /// Target object.
         obj: ObjId,
         /// Request id for matching acks.
         req: u64,
-        /// The updated view.
+        /// The updated view, or its part beyond version `base`.
         log: ObjectLog<I, R>,
         /// The new entry to validate (`None` for pure propagation).
         entry: Option<LogEntry<I, R>>,
         /// The sender's configuration version (only enforced when `entry`
         /// is present — pure propagation is a CRDT-safe merge).
         cfg: u64,
+        /// The version of the receiver's log that `log` is cut against;
+        /// `0` when `log` is whole.
+        base: u64,
     },
     /// Repository → front-end: view merged durably; `conflict` reports a
     /// reservation by another action that depends on the new entry's
@@ -87,6 +98,16 @@ pub enum Msg<I, R> {
         req: u64,
         /// A conflicting reader, if any.
         conflict: Option<ActionId>,
+    },
+    /// Repository → front-end: your [`Msg::WriteLog`] was cut against a
+    /// version my log no longer extends (a status-GC fence, a crash
+    /// recovery or more changes than the journal keeps lie between);
+    /// nothing was merged — send the whole view.
+    WriteRefused {
+        /// Target object.
+        obj: ObjId,
+        /// Request id echoed.
+        req: u64,
     },
     /// Coordinator → repositories: an action resolved (commit/abort).
     /// Fire-and-forget; resolutions also gossip through merged views.

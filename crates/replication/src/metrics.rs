@@ -213,10 +213,15 @@ pub struct RunTelemetry {
     /// envelope counted at its full weight. Equal to `msgs_sent` when
     /// nothing batches.
     pub payload_msgs: u64,
-    /// Status records shipped in `LogReply` payloads across all
-    /// repositories — the quantity scoped status shipping exists to
-    /// shrink.
+    /// Status records shipped across all repositories, both ways: in the
+    /// `LogReply` deltas they served and in the `WriteLog`s (views or
+    /// deltas) they received — the quantity scoped status shipping
+    /// exists to shrink.
     pub statuses_shipped: u64,
+    /// Delta `WriteLog`s repositories refused because their log no longer
+    /// extended the delta's base; each cost one more round trip carrying
+    /// the whole view.
+    pub write_delta_refusals: u64,
     /// Status tombstones dropped by status GC (0 when GC is off).
     pub statuses_gcd: u64,
     /// Largest per-repository status-table population observed at any
@@ -366,6 +371,7 @@ impl RunTelemetry {
         self.batch_fill.merge(&other.batch_fill);
         self.payload_msgs += other.payload_msgs;
         self.statuses_shipped += other.statuses_shipped;
+        self.write_delta_refusals += other.write_delta_refusals;
         self.statuses_gcd += other.statuses_gcd;
         self.status_table_peak = self.status_table_peak.max(other.status_table_peak);
         self.resolve_ack_retransmits += other.resolve_ack_retransmits;
@@ -471,6 +477,10 @@ impl RunTelemetry {
         s.push_str(&format!(
             "      \"statuses_shipped\": {},\n",
             self.statuses_shipped
+        ));
+        s.push_str(&format!(
+            "      \"write_delta_refusals\": {},\n",
+            self.write_delta_refusals
         ));
         s.push_str(&format!("      \"statuses_gcd\": {},\n", self.statuses_gcd));
         s.push_str(&format!(

@@ -16,8 +16,8 @@ use crate::messages::{Batcher, Msg};
 use crate::protocol::{Mode, Protocol};
 use crate::reconfig::ConfigState;
 use crate::types::{
-    action_parts, ActionOutcome, Checkpoint, CompactionConfig, LogEntry, ObjId, ObjectLog,
-    VersionedLog,
+    action_id, action_parts, ActionOutcome, Checkpoint, CompactionConfig, LogEntry, MergeEffect,
+    ObjId, ObjectLog, VersionedLog,
 };
 use quorumcc_core::DependencyRelation;
 use quorumcc_model::{ActionId, Classified};
@@ -36,10 +36,11 @@ pub enum Durability {
     #[default]
     Stable,
     /// In-memory state is lost on crash. With `wal: true` the repository
-    /// mirrors every *acked* mutation (quorum-counted writes, resolutions,
-    /// checkpoints) to a write-ahead log and recovers by replaying it;
-    /// with `wal: false` it comes back amnesiac and relies on peers alone
-    /// — deliberately unsafe, for exercising the safety oracle.
+    /// brings a write-ahead mirror level with the live log before it
+    /// acknowledges anything (quorum-counted writes, resolutions,
+    /// checkpoints) and recovers by restoring it; with `wal: false` it
+    /// comes back amnesiac and relies on peers alone — deliberately
+    /// unsafe, for exercising the safety oracle.
     Volatile {
         /// Whether a write-ahead mirror is kept.
         wal: bool,
@@ -69,10 +70,13 @@ pub struct RepoCounters {
     pub batches_flushed: u64,
     /// Status records crossing the wire in either direction — `LogReply`
     /// deltas served to readers plus the statuses carried by arriving
-    /// `WriteLog` views (clients push their whole `known` map with every
-    /// view). This is the gossip weight scoped shipping and status GC
-    /// exist to bound: without GC a client's `known` map grows with its
-    /// lifetime, so every pushed view re-ships its entire history.
+    /// `WriteLog`s, whole views and deltas alike, merged or refused. A
+    /// whole view carries every status its sender knows (its `known` map
+    /// included); a delta carries those the sender's mirror of this site
+    /// lacks, plus the status of each action it ships an entry of. This
+    /// is the gossip weight scoped shipping and status GC exist to bound:
+    /// without GC a client's `known` map grows with its lifetime, so
+    /// every whole view re-ships its entire history.
     pub statuses_shipped: u64,
     /// Status records dropped by status GC (tombstones below a durable
     /// resolution frontier).
@@ -80,6 +84,11 @@ pub struct RepoCounters {
     /// High-water of the repository's total status footprint (per-log
     /// statuses plus the scoped resolution table), sampled at resolves.
     pub status_table_peak: u64,
+    /// Delta `WriteLog`s refused because this site's log no longer
+    /// extended their `base` (a GC fence, a recovery or a journal overflow
+    /// in between). Each costs its sender one more round trip with the
+    /// whole view; a run of them means mirrors and logs keep parting.
+    pub write_delta_refusals: u64,
 }
 
 /// One read reservation.
@@ -105,18 +114,17 @@ pub struct Repository<S: Classified> {
     logs: BTreeMap<ObjId, VersionedLog<S::Inv, S::Res>>,
     reservations: BTreeMap<ObjId, BTreeMap<ActionId, Reservation>>,
     /// Reverse index over `reservations`, keyed `(action, obj)`: dropping
-    /// a resolved action's reservations is a prefix range scan instead of
-    /// a walk over every object's map. Pure speed — shipped logs carry
-    /// every status they know, so the resolved-action sweep in `WriteLog`
-    /// would otherwise cost O(statuses x objects) per message.
+    /// what a client reserved up to a resolved action is a short range
+    /// scan instead of a walk over every object's map.
     reserved_index: BTreeSet<(ActionId, ObjId)>,
-    /// Reverse index over the logs' touch scopes, keyed `(action, obj)` —
-    /// the shape of `reserved_index`. Kept only under scoped planting,
-    /// where it holds exactly the pairs some stored log (live or WAL
-    /// mirror) has in [`ObjectLog::touched`]: a resolution then visits the
-    /// logs a range scan names instead of every log the repository holds.
-    /// Filled where entries enter a log, pruned where a touch scope is
-    /// (status GC, checkpoint install), rebuilt at recovery.
+    /// Reverse index over the live logs' touch scopes, keyed `(action,
+    /// obj)` — the shape of `reserved_index`. Kept only under scoped
+    /// planting, where it holds exactly the pairs some live log has in
+    /// [`ObjectLog::touched`]: a resolution then visits the logs a range
+    /// scan names instead of every log the repository holds. Filled where
+    /// entries enter a log, pruned where a touch scope is (status GC,
+    /// checkpoint install), rebuilt at recovery. (Write-ahead mirrors need
+    /// no rows: they are copied from the live logs, never planted in.)
     touch_index: BTreeSet<(ActionId, ObjId)>,
     /// Running Σ `status_count()` over `logs`, adjusted by the
     /// before/after difference of every mutation ([`Self::with_log`]; a GC
@@ -179,6 +187,13 @@ pub struct Repository<S: Classified> {
     /// Total frontier advance since the last GC sweep (hysteresis
     /// accounting).
     pending_advance: u64,
+    /// Per client, one past the highest action sequence this site has
+    /// learned the resolution of — from a `Resolve`, or from a status a
+    /// merge changed. A front-end runs one action at a time, so every
+    /// lower sequence of that client is resolved too. It keeps
+    /// reservations honest without leaning on views re-shipping every
+    /// status they know: see [`Self::note_resolved`].
+    resolved_upto: BTreeMap<ProcId, u32>,
 }
 
 impl<S: Classified> Repository<S> {
@@ -210,6 +225,7 @@ impl<S: Classified> Repository<S> {
             resolutions: BTreeMap::new(),
             frontiers: BTreeMap::new(),
             pending_advance: 0,
+            resolved_upto: BTreeMap::new(),
         }
     }
 
@@ -382,6 +398,7 @@ impl<S: Classified> Repository<S> {
                     log: vlog.log().clone(),
                     entry: None,
                     cfg,
+                    base: 0,
                 })
                 .collect();
             for m in msgs {
@@ -429,15 +446,27 @@ impl<S: Classified> Repository<S> {
         out
     }
 
-    /// The write-ahead mirror of `obj`, created on first use with the same
-    /// planting scope as the live log.
-    fn mirror(&mut self, obj: ObjId) -> &mut VersionedLog<S::Inv, S::Res> {
-        let scoped = self.scoped_statuses;
-        self.wal.entry(obj).or_insert_with(|| {
-            let mut v = VersionedLog::default();
-            v.set_scoped(scoped);
-            v
-        })
+    /// Brings `obj`'s write-ahead mirror level with its live log (when a
+    /// mirror is kept): the reader's half of delta shipping pointed at
+    /// stable storage, so the cost is what changed since the last call —
+    /// or one full copy across a GC fence. Everything acknowledged goes
+    /// through here first, which is what lets an acked delta promise
+    /// *base + delta*: the base may have come in as gossip, and gossip is
+    /// volatile until the next acknowledgment. The mirror is unscoped — it
+    /// copies, it does not plant; recovery scopes what it restores.
+    fn sync_wal(&mut self, obj: ObjId) {
+        if !self.wal_active() {
+            return;
+        }
+        let Some(live) = self.logs.get(&obj) else {
+            return;
+        };
+        let gc = live.log().gc_aborted();
+        let mirror = self
+            .wal
+            .entry(obj)
+            .or_insert_with(|| VersionedLog::with_gc(gc));
+        mirror.apply_delta(&live.delta_since(mirror.version()));
     }
 
     /// The objects whose stored logs `action` touched (scoped planting
@@ -449,13 +478,11 @@ impl<S: Classified> Repository<S> {
             .collect()
     }
 
-    /// Drops the index rows among `rows` that no stored log backs any
-    /// more — call after anything that prunes a touch scope.
+    /// Drops the index rows among `rows` that their log backs no more —
+    /// call after anything that prunes a touch scope.
     fn prune_touches(&mut self, rows: impl IntoIterator<Item = (ActionId, ObjId)>) {
         for (a, obj) in rows {
-            let live = self.logs.get(&obj).is_some_and(|v| v.log().is_touched(a));
-            let mirrored = self.wal.get(&obj).is_some_and(|w| w.log().is_touched(a));
-            if !live && !mirrored {
+            if !self.logs.get(&obj).is_some_and(|v| v.log().is_touched(a)) {
                 self.touch_index.remove(&(a, obj));
             }
         }
@@ -509,22 +536,21 @@ impl<S: Classified> Repository<S> {
         for (obj, vlog) in &mut self.logs {
             gone.extend(vlog.gc_below(stale).into_iter().map(|a| (a, *obj)));
         }
-        let live = gone.len();
-        if self.wal_active() {
-            for (obj, w) in &mut self.wal {
-                gone.extend(w.gc_below(stale).into_iter().map(|a| (a, *obj)));
-            }
-        }
         let table = self.resolutions.len();
         self.resolutions.retain(|a, _| !stale(*a));
-        self.counters.statuses_gcd += (live + table - self.resolutions.len()) as u64;
-        self.status_total -= live;
+        self.counters.statuses_gcd += (gone.len() + table - self.resolutions.len()) as u64;
+        self.status_total -= gone.len();
         // A purge moves the version (the reader fence); record it like any
         // other move, so a crash right after the sweep recovers past it.
-        let mut moved: Vec<ObjId> = gone[..live].iter().map(|&(_, obj)| obj).collect();
+        // The fence holds for the write-ahead mirror too: it is a reader,
+        // and takes the purged log whole.
+        let mut moved: Vec<ObjId> = gone.iter().map(|&(_, obj)| obj).collect();
         moved.dedup();
         for obj in moved {
             self.note_version(obj);
+            if self.wal.contains_key(&obj) {
+                self.sync_wal(obj);
+            }
         }
         if self.scoped_statuses {
             self.prune_touches(gone);
@@ -624,8 +650,15 @@ impl<S: Classified> Repository<S> {
             for v in self.logs.values_mut() {
                 v.set_scoped(scoped);
             }
-            for (obj, v) in self.durable_versions.clone() {
-                self.vlog(obj).advance_version(v);
+            // A mirror below the high-water missed changes (gossip merged
+            // after the last acknowledgment). Step *past* the high-water:
+            // a reader exactly at it holds those changes, and a delta
+            // write cut against it must be refused, not merged into a log
+            // that lost its base.
+            for (obj, hw) in self.durable_versions.clone() {
+                if self.vlog(obj).version() < hw {
+                    self.vlog(obj).advance_version(hw + 1);
+                }
             }
         } else {
             self.logs.clear();
@@ -704,7 +737,11 @@ impl<S: Classified> Repository<S> {
                 // frontier is a duplicated frame: the action resolved long
                 // ago and nothing will ever clear a reservation recorded
                 // for it now (the tombstone it relied on is collectable).
-                if !self.is_stale(action) {
+                // Likewise a straggler of an action this site already knows
+                // resolved (the third copy of a broadcast read, overtaken by
+                // the `Resolve`): views no longer re-ship the statuses a
+                // site holds, so nothing would come by to clear it.
+                if !self.is_stale(action) && !self.knows_resolved(action) {
                     let slot = self
                         .reservations
                         .entry(obj)
@@ -742,6 +779,7 @@ impl<S: Classified> Repository<S> {
                 mut log,
                 mut entry,
                 cfg,
+                base,
             } => {
                 // Entry-carrying writes are quorum-counted and must be
                 // current; entry-less propagation is a CRDT-safe merge and
@@ -750,6 +788,13 @@ impl<S: Classified> Repository<S> {
                     return;
                 }
                 self.counters.statuses_shipped += log.status_count() as u64;
+                // A delta is `view ∖ mirror`: it merges to what the view
+                // would only while this log still contains the mirror.
+                if base > 0 && !self.logs.get(&obj).is_some_and(|v| v.extends(base)) {
+                    self.counters.write_delta_refusals += 1;
+                    self.send_msg(ctx, from, Msg::WriteRefused { obj, req });
+                    return;
+                }
                 if self.gc_batch.is_some() {
                     self.sanitize_intake(obj, &mut log, &mut entry);
                 }
@@ -763,53 +808,50 @@ impl<S: Classified> Repository<S> {
                     });
                 }
                 // Acked (entry-carrying) writes are what front-ends count
-                // toward final quorums, so they are exactly what the
-                // write-ahead mirror must retain — including the merged
-                // view, whose transitive entries PROM-mode reads rely on.
-                // Entry-less gossip merges stay volatile.
-                let mut touches = Vec::new();
-                let mut adopted = false;
-                if entry.is_some() && self.wal_active() {
-                    adopted |= absorb(self.mirror(obj), &log, entry.clone(), &mut touches);
-                }
-                adopted |= self.with_log(obj, |v| absorb(v, &log, entry, &mut touches));
+                // toward final quorums, so they are what must be durable
+                // before the ack leaves. Entry-less gossip merges stay
+                // volatile until the next acknowledgment.
+                let acked = entry.is_some();
+                let (effect, planted) = self.with_log(obj, |v| absorb(v, &log, entry));
                 if self.scoped_statuses {
-                    self.touch_index
-                        .extend(touches.into_iter().map(|a| (a, obj)));
-                    if let Some(cp) = log.checkpoint().filter(|_| adopted) {
+                    self.touch_index.extend(planted.iter().map(|a| (*a, obj)));
+                    if let Some(cp) = log.checkpoint().filter(|_| effect.checkpoint) {
                         self.prune_touches(cp.covered().keys().map(|a| (*a, obj)));
                     }
-                }
-                // Scoped planting: a just-merged entry of an action that
-                // resolved before it arrived finds its status in the
-                // resolution table (the per-log plant was skipped because
-                // the log was untouched back then).
-                if self.scoped_statuses && !self.resolutions.is_empty() {
-                    let candidates: Vec<ActionId> = {
-                        let l = self.vlog(obj).log();
-                        l.entries()
-                            .map(|e| e.action)
-                            .filter(|a| l.status(*a) == ActionOutcome::Active)
-                            .collect()
-                    };
-                    let late: Vec<(ActionId, ActionOutcome)> = candidates
-                        .into_iter()
-                        .filter_map(|a| self.resolutions.get(&a).map(|o| (a, *o)))
+                    // Scoped planting: an entry of an action that resolved
+                    // before it arrived finds its status in the resolution
+                    // table (the per-log plant was skipped because the log
+                    // was untouched back then). Only the entries this
+                    // merge stored can be such: every earlier one was
+                    // served here, or by the `Resolve` itself.
+                    let late: Vec<(ActionId, ActionOutcome)> = (planted.iter())
+                        .filter_map(|a| self.resolutions.get(a).map(|o| (*a, *o)))
                         .collect();
-                    self.with_log(obj, |v| {
-                        for (a, o) in late {
-                            v.resolve(a, o);
-                        }
-                    });
+                    if !late.is_empty() {
+                        self.with_log(obj, |v| {
+                            for (a, o) in late {
+                                v.resolve(a, o);
+                            }
+                        });
+                    }
                 }
                 // Resolutions gossip through merged views; a lost Resolve
                 // broadcast must not leave reservations stuck forever.
-                let resolved: Vec<ActionId> = log.resolved_actions().collect();
-                for a in resolved {
-                    self.drop_reservations(a);
+                let stored = self.logs[&obj].log();
+                let mut learned: Vec<ActionId> = (effect.statuses.iter().copied())
+                    .filter(|a| stored.status(*a).is_resolved())
+                    .collect();
+                if let Some(cp) = stored.checkpoint().filter(|_| effect.checkpoint) {
+                    learned.extend(cp.covered().keys().copied());
+                }
+                for a in learned {
+                    self.note_resolved(a);
                 }
                 self.maybe_compact(obj, ctx.now());
                 self.note_version(obj);
+                if acked {
+                    self.sync_wal(obj);
+                }
                 self.send_msg(ctx, from, Msg::WriteAck { obj, req, conflict });
             }
             Msg::Resolve {
@@ -838,9 +880,9 @@ impl<S: Classified> Repository<S> {
                     if self.with_log(obj, |v| v.resolve(action, outcome)) {
                         self.note_version(obj);
                     }
-                    // Mirrors exist only while a write-ahead log is kept.
-                    if let Some(w) = self.wal.get_mut(&obj) {
-                        w.resolve(action, outcome);
+                    // A mirror exists once an acknowledged write made one.
+                    if self.wal.contains_key(&obj) {
+                        self.sync_wal(obj);
                     }
                 }
                 if self.gc_batch.is_some() && outcome.is_resolved() {
@@ -849,7 +891,7 @@ impl<S: Classified> Repository<S> {
                 let total = self.resolutions.len() + self.status_total;
                 self.counters.status_table_peak = self.counters.status_table_peak.max(total as u64);
                 if outcome.is_resolved() {
-                    self.drop_reservations(action);
+                    self.note_resolved(action);
                     // A fold's `now − lag` bound moves with the clock, not
                     // with this action, so any log may have become
                     // foldable: with compaction on this stays a full pass.
@@ -901,6 +943,7 @@ impl<S: Classified> Repository<S> {
                                             log: log.clone(),
                                             entry: None,
                                             cfg,
+                                            base: 0,
                                         },
                                     );
                                 }
@@ -932,6 +975,7 @@ impl<S: Classified> Repository<S> {
                         log: vlog.log().clone(),
                         entry: None,
                         cfg,
+                        base: 0,
                     })
                     .collect();
                 for m in msgs {
@@ -941,6 +985,7 @@ impl<S: Classified> Repository<S> {
             // Repositories ignore front-end-bound messages.
             Msg::LogReply { .. }
             | Msg::WriteAck { .. }
+            | Msg::WriteRefused { .. }
             | Msg::InstallAck { .. }
             | Msg::ResolveAck { .. }
             | Msg::StaleConfig { .. } => {}
@@ -975,19 +1020,35 @@ impl<S: Classified> Repository<S> {
         None
     }
 
-    /// Removes every reservation held by `action`, via the reverse index
-    /// (a no-op for the common case of an action that reserved nothing
-    /// here, or whose reservations were already dropped).
-    fn drop_reservations(&mut self, action: ActionId) {
-        let held: Vec<ObjId> = self
+    /// Whether this site has learned that `action` resolved.
+    fn knows_resolved(&self, action: ActionId) -> bool {
+        let (client, seq) = action_parts(action);
+        self.resolved_upto.get(&client).is_some_and(|n| seq < *n)
+    }
+
+    /// Records that `action` resolved and removes every reservation its
+    /// client holds up to it, via the reverse index (a short range scan; a
+    /// no-op for the common case of a client that reserved nothing here, or
+    /// whose reservations were already dropped).
+    ///
+    /// Together with the straggler check in `ReadLog` this keeps the site
+    /// from ever holding a reservation for an action it knows resolved —
+    /// by what it learned itself, not by what the next view happens to
+    /// carry: a delta `WriteLog` omits every status its sender's mirror
+    /// shows this site to hold already.
+    fn note_resolved(&mut self, action: ActionId) {
+        let (client, seq) = action_parts(action);
+        let upto = self.resolved_upto.entry(client).or_insert(0);
+        *upto = (*upto).max(seq + 1);
+        let held: Vec<(ActionId, ObjId)> = self
             .reserved_index
-            .range((action, ObjId(0))..=(action, ObjId(u16::MAX)))
-            .map(|&(_, obj)| obj)
+            .range((action_id(client, 0), ObjId(0))..=(action, ObjId(u16::MAX)))
+            .copied()
             .collect();
-        for obj in held {
-            self.reserved_index.remove(&(action, obj));
+        for (a, obj) in held {
+            self.reserved_index.remove(&(a, obj));
             if let Some(res) = self.reservations.get_mut(&obj) {
-                res.remove(&action);
+                res.remove(&a);
             }
         }
     }
@@ -1108,12 +1169,10 @@ impl<S: Classified> Repository<S> {
 
         let pruned: Vec<(ActionId, ObjId)> = covered.keys().map(|a| (*a, obj)).collect();
         let cp = Checkpoint::new(states, covered, folded);
-        if self.wal_active() {
-            // Checkpoints subsume acked entries, so they must be at least
-            // as durable as what they fold.
-            self.mirror(obj).install_checkpoint(cp.clone());
-        }
         self.with_log(obj, |v| v.install_checkpoint(cp));
+        // Checkpoints subsume acked entries, so they must be at least as
+        // durable as what they fold.
+        self.sync_wal(obj);
         if self.scoped_statuses {
             self.prune_touches(pruned);
         }
@@ -1141,33 +1200,29 @@ impl<S: Classified> Repository<S> {
     }
 }
 
-/// Merges an arriving view, then its fresh entry, into one stored log.
-/// Pushes the action of every entry newly stored — exactly the touches the
-/// log gained: a refused insert touches nothing new, because what refuses
-/// it (a covering checkpoint, an aborted tombstone, the entry already being
-/// there) scopes the action already or never will. Returns whether the
-/// view's checkpoint was adopted, which prunes touches.
+/// Merges an arriving view (or delta), then its fresh entry, into the
+/// stored log. Returns what the merge changed and the action of every entry
+/// newly stored — exactly the touches the log gained: a refused insert
+/// touches nothing new, because what refuses it (a covering checkpoint, an
+/// aborted tombstone, the entry already being there) scopes the action
+/// already or never will.
 fn absorb<I: Clone, R: Clone>(
     stored: &mut VersionedLog<I, R>,
     view: &ObjectLog<I, R>,
     entry: Option<LogEntry<I, R>>,
-    touches: &mut Vec<ActionId>,
-) -> bool {
+) -> (MergeEffect, Vec<ActionId>) {
     let effect = stored.merge(view);
-    touches.extend(
-        effect
-            .entries
-            .iter()
-            .filter_map(|ts| view.get(*ts))
-            .map(|e| e.action),
-    );
+    let mut planted: Vec<ActionId> = (effect.entries.iter())
+        .filter_map(|ts| view.get(*ts))
+        .map(|e| e.action)
+        .collect();
     if let Some(e) = entry {
         let action = e.action;
         if stored.insert(e) {
-            touches.push(action);
+            planted.push(action);
         }
     }
-    effect.checkpoint
+    (effect, planted)
 }
 
 #[cfg(test)]
@@ -1274,6 +1329,7 @@ mod tests {
                 log: view,
                 entry: None,
                 cfg: 0,
+                base: 0,
             },
             Msg::ReadLog {
                 obj: ObjId(0),
@@ -1315,6 +1371,7 @@ mod tests {
                 log: ObjectLog::new(),
                 entry: Some(entry),
                 cfg: 0,
+                base: 0,
             },
         ]);
         assert!(
@@ -1351,6 +1408,7 @@ mod tests {
                 log: ObjectLog::new(),
                 entry: Some(entry),
                 cfg: 0,
+                base: 0,
             },
         ]);
         assert!(replies
@@ -1384,6 +1442,7 @@ mod tests {
                 log: ObjectLog::new(),
                 entry: Some(entry),
                 cfg: 0,
+                base: 0,
             },
         ]);
         assert!(
@@ -1414,6 +1473,7 @@ mod tests {
                 log: ObjectLog::new(),
                 entry: Some(entry),
                 cfg: 0,
+                base: 0,
             },
         ]);
         assert!(replies
@@ -1475,6 +1535,7 @@ mod tests {
                     log: view,
                     entry: None,
                     cfg: 0,
+                    base: 0,
                 },
                 Msg::ReadLog {
                     obj: ObjId(0),
@@ -1573,6 +1634,7 @@ mod tests {
             log: ObjectLog::new(),
             entry: Some(entry),
             cfg: 0,
+            base: 0,
         }
     }
 
@@ -1590,21 +1652,31 @@ mod tests {
     }
 
     /// The derived state against the stored logs it is derived from: the
-    /// index holds exactly the touch scopes, no status sits outside its
-    /// log's scope (so an insert an aborted tombstone refuses touches
-    /// nothing new — see `absorb`), and the running status total is the
-    /// sum.
+    /// index holds exactly the live touch scopes, no status sits outside
+    /// its log's scope (so an insert an aborted tombstone refuses touches
+    /// nothing new — see `absorb`), the running status total is the sum,
+    /// and a write-ahead mirror is its live log as of some earlier
+    /// version (the log itself when the versions agree).
     fn audit(repo: &Repository<TestQueue>, at: &str) {
         let mut touches = BTreeSet::new();
-        for (obj, v) in repo.logs.iter().chain(repo.wal.iter()) {
+        for (obj, v) in &repo.logs {
             touches.extend(v.log().touched().map(|a| (a, *obj)));
+        }
+        assert_eq!(repo.touch_index, touches, "{at}: index");
+        for (obj, v) in repo.logs.iter().chain(repo.wal.iter()) {
             for (a, _) in v.log().statuses() {
                 assert!(v.log().is_touched(a), "{at}: {obj} holds unscoped {a:?}");
             }
         }
-        assert_eq!(repo.touch_index, touches, "{at}: index");
         let statuses: usize = repo.logs.values().map(|v| v.log().status_count()).sum();
         assert_eq!(repo.status_total, statuses, "{at}: status total");
+        for (obj, w) in &repo.wal {
+            let live = &repo.logs[obj];
+            assert!(w.version() <= live.version(), "{at}: {obj} mirror ahead");
+            if w.version() == live.version() {
+                assert_eq!(w.log(), live.log(), "{at}: {obj} mirror differs");
+            }
+        }
     }
 
     /// One scripted action: its entries are fixed when it opens, delivered
@@ -1733,6 +1805,7 @@ mod tests {
                         log: view,
                         entry,
                         cfg: 0,
+                        base: 0,
                     }
                 } else if kind < 65 && !plan.is_empty() {
                     // Resolve any action, again if it already was.
@@ -1774,6 +1847,7 @@ mod tests {
                         log: repos[src].log(obj),
                         entry: None,
                         cfg: 0,
+                        base: 0,
                     };
                     repos[1 - src].handle(&mut ios[1 - src], src as ProcId, push);
                     audit(&repos[1 - src], &at);
@@ -1830,6 +1904,527 @@ mod tests {
             gcd > 0 && folds > 0 && recoveries > 0 && late > 0,
             "scripts too tame: gcd {gcd} folds {folds} recoveries {recoveries} late {late}"
         );
+    }
+
+    // ---- delta writes (DESIGN §3.11, "the write half") ----
+
+    /// Hands `msg` to `repo` and returns what it sent back.
+    fn exchange(
+        repo: &mut Repository<TestQueue>,
+        io: &mut TestIo,
+        from: ProcId,
+        msg: Msg<QInv, QRes>,
+    ) -> Vec<Msg<QInv, QRes>> {
+        repo.handle(io, from, msg);
+        (io.take_outputs().into_iter())
+            .filter_map(|out| match out {
+                Output::Send { msg, .. } => Some(msg),
+                Output::SetTimer { .. } => None,
+            })
+            .collect()
+    }
+
+    fn refused(replies: &[Msg<QInv, QRes>]) -> bool {
+        replies
+            .iter()
+            .any(|m| matches!(m, Msg::WriteRefused { .. }))
+    }
+
+    /// One final-quorum write as both repositories of the pair see it: the
+    /// whole view, and the view cut against the writer's mirror.
+    #[derive(Clone)]
+    struct Write {
+        from: ProcId,
+        obj: ObjId,
+        view: ObjectLog<QInv, QRes>,
+        entry: LogEntry<QInv, QRes>,
+        cut: ObjectLog<QInv, QRes>,
+        base: u64,
+    }
+
+    impl Write {
+        fn msg(&self, log: &ObjectLog<QInv, QRes>, base: u64) -> Msg<QInv, QRes> {
+            Msg::WriteLog {
+                obj: self.obj,
+                req: 0,
+                log: log.clone(),
+                entry: Some(self.entry.clone()),
+                cfg: 0,
+                base,
+            }
+        }
+    }
+
+    /// Random scripts against a *pair* of repositories fed the same
+    /// traffic, except that `whole` receives every final-quorum write as a
+    /// whole view and `cut` receives `view ∖ mirror` with the mirror's
+    /// version as `base` — the mirrors being the ones the script's clients
+    /// keep of `cut`, advanced only by its `LogReply`s. Interleaved: reads,
+    /// gossip merges, resolutions, duplicated and reordered write frames,
+    /// frontier advances that sweep (and fence), folds, and crashes of all
+    /// three durability classes. After every message the two logs are
+    /// equal; a refused delta is followed by the whole view, which restores
+    /// equality; and what a write-ahead site acknowledged survives its
+    /// crashes, base included.
+    #[test]
+    fn delta_writes_leave_the_log_a_whole_view_would() {
+        use rand::rngs::StdRng;
+        use rand::{Rng as _, SeedableRng as _};
+
+        const CLIENTS: u32 = 3;
+        let rel = queue_rel();
+        // What the scripts reached, summed over seeds.
+        let (mut deltas, mut slimmer, mut refusals) = (0u64, 0u64, 0u64);
+        let (mut fences, mut wal_recoveries, mut folds) = (0u64, 0u64, 0usize);
+        for seed in 0..120u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let objects: u16 = rng.gen_range(1..=4);
+            let durability = match seed % 3 {
+                0 => Durability::Stable,
+                1 => Durability::Volatile { wal: true },
+                _ => Durability::Volatile { wal: false },
+            };
+            let compaction = (seed % 2 == 0).then_some(CompactionConfig {
+                lag: 20,
+                min_entries: 2,
+            });
+            let build = || {
+                let r = scoped_repo(&rel, durability);
+                match compaction {
+                    Some(cc) => r.with_compaction(cc),
+                    None => r,
+                }
+            };
+            let (mut whole, mut cut) = (build(), build());
+            let mut ios: [TestIo; 2] = [CollectIo::new(0, seed), CollectIo::new(0, seed)];
+            let mut plans: Vec<Vec<Planned>> = (0..CLIENTS).map(|_| Vec::new()).collect();
+            let mut mirrors: BTreeMap<(u32, ObjId), VersionedLog<QInv, QRes>> = BTreeMap::new();
+            let mut resolved: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); CLIENTS as usize];
+            let mut sent: Vec<Write> = Vec::new();
+            // Entries a write-ahead site acknowledged, each with the view
+            // it came in.
+            let mut acked: Vec<Write> = Vec::new();
+            let mut clock = 1u64;
+
+            for step in 0..400 {
+                let at = format!("seed {seed} step {step}");
+                clock += rng.gen_range(0..8u64);
+                for io in &mut ios {
+                    io.set_now(clock);
+                }
+                let c = rng.gen_range(0..CLIENTS);
+                let pid = 10 + c;
+                let kind = rng.gen_range(0..100u32);
+                let mut touched = None;
+                if kind < 45 {
+                    // A final-quorum write — now and then a frame sent
+                    // before, arriving again or late.
+                    let write = if !sent.is_empty() && rng.gen_bool(0.15) {
+                        sent[rng.gen_range(0..sent.len())].clone()
+                    } else {
+                        let plan = &mut plans[c as usize];
+                        if plan.last().is_none_or(|p| p.outcome.is_some()) {
+                            let action = action_id(pid, plan.len() as u32);
+                            let entries = (0..rng.gen_range(1..=3u32))
+                                .map(|_| {
+                                    clock += 1;
+                                    (ObjId(rng.gen_range(0..objects)), enq(action, clock))
+                                })
+                                .collect();
+                            plan.push(Planned {
+                                action,
+                                entries,
+                                outcome: None,
+                            });
+                        }
+                        let p = plans[c as usize].last().expect("an open action");
+                        let (obj, entry) = p.entries[rng.gen_range(0..p.entries.len())].clone();
+                        // The view: usually what the client last read from
+                        // this site, plus entries (some with their
+                        // resolutions) it read elsewhere, plus its own
+                        // earlier entries and outcomes.
+                        let mirror = mirrors.get(&(c, obj));
+                        let mut view = match mirror {
+                            Some(m) if rng.gen_bool(0.8) => m.log().clone(),
+                            _ => ObjectLog::new(),
+                        };
+                        for other in plans.iter().flatten() {
+                            let own = other.action == p.action;
+                            for (o, e) in &other.entries {
+                                if *o == obj && e.ts < entry.ts && (own || rng.gen_bool(0.2)) {
+                                    view.insert(e.clone());
+                                    if let Some(out) = other.outcome.filter(|_| rng.gen_bool(0.5)) {
+                                        view.resolve(other.action, out);
+                                    }
+                                }
+                            }
+                        }
+                        for known in plans[c as usize].iter().rev().take(4) {
+                            if let Some(out) = known.outcome {
+                                view.resolve(known.action, out);
+                            }
+                        }
+                        let (cut, base) = match mirror {
+                            Some(m) if m.version() > 0 => (view.minus(m.log()), m.version()),
+                            _ => (view.clone(), 0),
+                        };
+                        let write = Write {
+                            from: pid,
+                            obj,
+                            view,
+                            entry,
+                            cut,
+                            base,
+                        };
+                        sent.push(write.clone());
+                        write
+                    };
+                    let w = &write;
+                    let replies = exchange(&mut whole, &mut ios[0], w.from, w.msg(&w.view, 0));
+                    assert!(!refused(&replies), "{at}: a whole view refused");
+                    let replies = exchange(&mut cut, &mut ios[1], w.from, w.msg(&w.cut, w.base));
+                    if refused(&replies) {
+                        assert!(w.base > 0, "{at}: a whole view refused");
+                        refusals += 1;
+                        // The client's answer: the whole view, and the
+                        // mirror forgotten.
+                        mirrors.remove(&(w.from - 10, w.obj));
+                        let replies = exchange(&mut cut, &mut ios[1], w.from, w.msg(&w.view, 0));
+                        assert!(!refused(&replies), "{at}: the whole resend refused");
+                    } else if w.base > 0 {
+                        deltas += 1;
+                        slimmer += u64::from(w.cut.len() < w.view.len());
+                    }
+                    if durability == (Durability::Volatile { wal: true }) {
+                        acked.push(write.clone());
+                    }
+                    touched = Some(write.obj);
+                } else if kind < 65 && !plans[c as usize].is_empty() {
+                    // Resolve any action, again if it already was.
+                    let plan = &mut plans[c as usize];
+                    let i = rng.gen_range(0..plan.len());
+                    let p = &mut plan[i];
+                    let outcome = *p.outcome.get_or_insert_with(|| {
+                        clock += 1;
+                        if rng.gen_bool(0.7) {
+                            ActionOutcome::Committed(ts(clock, pid))
+                        } else {
+                            ActionOutcome::Aborted
+                        }
+                    });
+                    let msg = Msg::Resolve {
+                        action: p.action,
+                        outcome,
+                        entries: match outcome {
+                            ActionOutcome::Committed(_) => p.manifest(),
+                            _ => Vec::new(),
+                        },
+                    };
+                    exchange(&mut whole, &mut ios[0], pid, msg.clone());
+                    exchange(&mut cut, &mut ios[1], pid, msg);
+                    resolved[c as usize].insert(action_parts(p.action).1);
+                } else if kind < 88 {
+                    // A read at the mirror's version, advertising the
+                    // longest resolved prefix; its reply advances the
+                    // mirror. Both sites serve the same bytes.
+                    let obj = ObjId(rng.gen_range(0..objects));
+                    let durable = (0u32..)
+                        .take_while(|seq| resolved[c as usize].contains(seq))
+                        .count() as u64;
+                    let since = mirrors.get(&(c, obj)).map_or(0, VersionedLog::version);
+                    let action = action_id(pid, plans[c as usize].len() as u32);
+                    let msg = read(obj, action, since, durable);
+                    let a = exchange(&mut whole, &mut ios[0], pid, msg.clone());
+                    let b = exchange(&mut cut, &mut ios[1], pid, msg);
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{at}: replies differ");
+                    let [Msg::LogReply { delta, .. }] = b.as_slice() else {
+                        panic!("{at}: expected one reply, got {b:?}");
+                    };
+                    mirrors
+                        .entry((c, obj))
+                        .or_insert_with(|| VersionedLog::with_gc(compaction.is_some()))
+                        .apply_delta(delta);
+                    touched = Some(obj);
+                } else if kind < 95 {
+                    // Gossip: a view nobody waits for an ack of.
+                    let obj = ObjId(rng.gen_range(0..objects));
+                    let mut view = ObjectLog::new();
+                    for other in plans.iter().flatten() {
+                        for (o, e) in &other.entries {
+                            if *o == obj && rng.gen_bool(0.3) {
+                                view.insert(e.clone());
+                            }
+                        }
+                    }
+                    let msg = Msg::WriteLog {
+                        obj,
+                        req: 0,
+                        log: view,
+                        entry: None,
+                        cfg: 0,
+                        base: 0,
+                    };
+                    exchange(&mut whole, &mut ios[0], 1, msg.clone());
+                    exchange(&mut cut, &mut ios[1], 1, msg);
+                    touched = Some(obj);
+                } else {
+                    whole.on_recover(&mut ios[0]);
+                    cut.on_recover(&mut ios[1]);
+                    for io in &mut ios {
+                        io.take_outputs();
+                    }
+                    match durability {
+                        Durability::Stable => {}
+                        Durability::Volatile { wal: true } => {
+                            wal_recoveries += 1;
+                            // Every acknowledged entry is still there —
+                            // stored, folded, or dropped as aborted — and
+                            // so is the base its delta was cut against.
+                            for w in &acked {
+                                let log = cut.log(w.obj);
+                                let held = |e: &LogEntry<QInv, QRes>| {
+                                    log.get(e.ts).is_some()
+                                        || log.status(e.action).is_resolved()
+                                        || cut.is_stale(e.action)
+                                };
+                                assert!(held(&w.entry), "{at}: lost acked {:?}", w.entry);
+                                for e in w.view.entries() {
+                                    assert!(held(e), "{at}: lost the acked base {e:?}");
+                                }
+                            }
+                        }
+                        Durability::Volatile { wal: false } => {
+                            // An amnesiac site restarts its versions, so a
+                            // mirror of its previous life is detectably
+                            // stale only while it is ahead. The script's
+                            // clients find out at once: each writes, is
+                            // refused, and forgets the mirror; and no frame
+                            // of the previous life is still in flight.
+                            // (What happens otherwise is the class's
+                            // standing hazard: DESIGN §3.11.)
+                            sent.clear();
+                            for ((client, obj), m) in std::mem::take(&mut mirrors) {
+                                if m.version() == 0 {
+                                    continue;
+                                }
+                                let msg = Msg::WriteLog {
+                                    obj,
+                                    req: 0,
+                                    log: ObjectLog::new(),
+                                    entry: None,
+                                    cfg: 0,
+                                    base: m.version(),
+                                };
+                                let replies = exchange(&mut cut, &mut ios[1], 10 + client, msg);
+                                assert!(refused(&replies), "{at}: amnesiac took a stale base");
+                                refusals += 1;
+                            }
+                        }
+                    }
+                    for obj in (0..objects).map(ObjId) {
+                        assert_eq!(whole.log(obj), cut.log(obj), "{at}: {obj} after recovery");
+                    }
+                }
+                if let Some(obj) = touched {
+                    assert_eq!(whole.log(obj), cut.log(obj), "{at}: {obj} differs");
+                }
+                audit(&cut, &at);
+            }
+            for obj in (0..objects).map(ObjId) {
+                assert_eq!(
+                    whole.log(obj),
+                    cut.log(obj),
+                    "seed {seed}: {obj} at the end"
+                );
+            }
+            let c = cut.counters();
+            assert_eq!(whole.counters().write_delta_refusals, 0);
+            fences += c.statuses_gcd;
+            folds += (cut.logs.values())
+                .filter(|v| v.log().checkpoint().is_some())
+                .count();
+        }
+        assert!(
+            deltas > 0
+                && slimmer > 0
+                && refusals > 0
+                && fences > 0
+                && wal_recoveries > 0
+                && folds > 0,
+            "scripts too tame: deltas {deltas} slimmer {slimmer} refusals {refusals} \
+             fences {fences} wal recoveries {wal_recoveries} folds {folds}"
+        );
+    }
+
+    /// Reads `obj` at `since` and applies the reply to `mirror`.
+    fn sync_mirror(
+        repo: &mut Repository<TestQueue>,
+        io: &mut TestIo,
+        obj: ObjId,
+        mirror: &mut VersionedLog<QInv, QRes>,
+    ) {
+        let replies = exchange(repo, io, 9, read(obj, action_id(9, 0), mirror.version(), 0));
+        let [Msg::LogReply { delta, .. }] = replies.as_slice() else {
+            panic!("expected one reply, got {replies:?}");
+        };
+        mirror.apply_delta(delta);
+    }
+
+    /// A delta write of `entry` by process 9: `view ∖ mirror`, against the
+    /// mirror's version.
+    fn cut_write(
+        obj: ObjId,
+        view: &ObjectLog<QInv, QRes>,
+        mirror: &VersionedLog<QInv, QRes>,
+        entry: LogEntry<QInv, QRes>,
+    ) -> Msg<QInv, QRes> {
+        Msg::WriteLog {
+            obj,
+            req: 0,
+            log: view.minus(mirror.log()),
+            entry: Some(entry),
+            cfg: 0,
+            base: mirror.version(),
+        }
+    }
+
+    /// An acked delta promises *base + delta*. Here the base reached the
+    /// site as gossip, which a write-ahead site keeps in memory only; the
+    /// delta's acknowledgment is what makes it durable.
+    #[test]
+    fn acked_delta_survives_a_wal_crash_with_the_gossip_received_base_intact() {
+        let obj = ObjId(0);
+        let mut repo = scoped_repo(&queue_rel(), Durability::Volatile { wal: true });
+        let mut io: TestIo = CollectIo::new(0, 1);
+        let gossiped = enq(action_id(8, 0), 5);
+        let mut view = ObjectLog::new();
+        view.insert(gossiped.clone());
+        let gossip = Msg::WriteLog {
+            obj,
+            req: 0,
+            log: view.clone(),
+            entry: None,
+            cfg: 0,
+            base: 0,
+        };
+        exchange(&mut repo, &mut io, 1, gossip);
+        let mut mirror = VersionedLog::new();
+        sync_mirror(&mut repo, &mut io, obj, &mut mirror);
+        assert_eq!(mirror.log().len(), 1, "the reader saw the gossip");
+        // The reader writes: its view holds the gossiped entry, its delta
+        // does not.
+        let fresh = enq(action_id(9, 0), 7);
+        let write = cut_write(obj, &view, &mirror, fresh.clone());
+        assert!(matches!(&write, Msg::WriteLog { log, .. } if log.is_empty()));
+        let replies = exchange(&mut repo, &mut io, 9, write);
+        assert!(matches!(
+            replies[..],
+            [Msg::WriteAck { conflict: None, .. }]
+        ));
+        repo.on_recover(&mut io);
+        let restored = repo.log(obj);
+        assert!(restored.get(fresh.ts).is_some(), "the acked entry");
+        assert!(restored.get(gossiped.ts).is_some(), "and its base");
+        audit(&repo, "after recovery");
+    }
+
+    /// A site that lost everything restarts its versions: a mirror of its
+    /// previous life names a base it has not reached, and is refused.
+    #[test]
+    fn amnesiac_site_refuses_base_ahead_of_its_version() {
+        let obj = ObjId(0);
+        let mut repo = scoped_repo(&queue_rel(), Durability::Volatile { wal: false });
+        let mut io: TestIo = CollectIo::new(0, 1);
+        let old = enq(action_id(8, 0), 5);
+        exchange(&mut repo, &mut io, 8, write(obj, old.clone()));
+        let mut mirror = VersionedLog::new();
+        sync_mirror(&mut repo, &mut io, obj, &mut mirror);
+        repo.on_recover(&mut io);
+        io.take_outputs();
+        let view = mirror.log().clone();
+        let fresh = enq(action_id(9, 0), 7);
+        let replies = exchange(
+            &mut repo,
+            &mut io,
+            9,
+            cut_write(obj, &view, &mirror, fresh.clone()),
+        );
+        assert!(refused(&replies), "{replies:?}");
+        assert!(repo.log(obj).is_empty(), "a refusal merges nothing");
+        assert_eq!(repo.counters().write_delta_refusals, 1);
+        // The whole view heals what the delta would have skipped.
+        let whole = Msg::WriteLog {
+            obj,
+            req: 0,
+            log: view,
+            entry: Some(fresh),
+            cfg: 0,
+            base: 0,
+        };
+        assert!(!refused(&exchange(&mut repo, &mut io, 9, whole)));
+        assert!(repo.log(obj).get(old.ts).is_some());
+    }
+
+    /// A status-GC sweep that drops anything fences the log: a delta cut
+    /// before it is refused, the whole view goes through, and a mirror
+    /// re-read past the fence cuts deltas that are accepted again.
+    #[test]
+    fn fenced_log_refuses_then_accepts_the_full_view() {
+        let obj = ObjId(0);
+        let mut repo = scoped_repo(&queue_rel(), Durability::Stable);
+        let mut io: TestIo = CollectIo::new(0, 1);
+        // Four aborted actions of client 8, each with an entry here.
+        for seq in 0..4 {
+            let a = action_id(8, seq);
+            exchange(
+                &mut repo,
+                &mut io,
+                8,
+                write(obj, enq(a, 5 + u64::from(seq))),
+            );
+            let abort = Msg::Resolve {
+                action: a,
+                outcome: ActionOutcome::Aborted,
+                entries: Vec::new(),
+            };
+            exchange(&mut repo, &mut io, 8, abort);
+        }
+        let mut mirror = VersionedLog::new();
+        sync_mirror(&mut repo, &mut io, obj, &mut mirror);
+        assert_eq!(mirror.log().len(), 4);
+        // Client 8 advertises all four durable: the sweep purges them.
+        exchange(&mut repo, &mut io, 8, read(ObjId(1), action_id(8, 4), 0, 4));
+        assert!(repo.counters().statuses_gcd > 0, "the sweep ran");
+        let view = mirror.log().clone();
+        let fresh = enq(action_id(9, 0), 20);
+        let replies = exchange(
+            &mut repo,
+            &mut io,
+            9,
+            cut_write(obj, &view, &mirror, fresh.clone()),
+        );
+        assert!(refused(&replies), "{replies:?}");
+        let whole = Msg::WriteLog {
+            obj,
+            req: 0,
+            log: view,
+            entry: Some(fresh.clone()),
+            cfg: 0,
+            base: 0,
+        };
+        assert!(!refused(&exchange(&mut repo, &mut io, 9, whole)));
+        let stored = repo.log(obj);
+        assert_eq!(stored.len(), 1, "the purged entries stay purged");
+        assert!(stored.get(fresh.ts).is_some());
+        // Past the fence the reader is served the log whole, and cuts
+        // against it are taken again.
+        sync_mirror(&mut repo, &mut io, obj, &mut mirror);
+        assert_eq!(mirror.log(), &stored);
+        let next = enq(action_id(9, 1), 30);
+        let view = mirror.log().clone();
+        let replies = exchange(&mut repo, &mut io, 9, cut_write(obj, &view, &mirror, next));
+        assert!(!refused(&replies), "{replies:?}");
+        assert_eq!(repo.counters().write_delta_refusals, 1);
     }
 
     /// A resolution arriving after a WAL recovery lands in the restored

@@ -299,11 +299,11 @@ pub struct ObjectLog<I, R> {
     statuses: BTreeMap<ActionId, ActionOutcome>,
     checkpoint: Option<Checkpoint>,
     gc_aborted: bool,
-    /// Actions that ever inserted (or tried to insert) an entry here —
-    /// the scope of statuses this log is obliged to carry. Survives
-    /// aborted-entry GC (the tombstone must keep shipping to readers
-    /// holding stale copies) and is pruned with the statuses it scopes:
-    /// on checkpoint install and on status GC.
+    /// Actions that ever inserted (or tried to insert) an entry here, or
+    /// whose status is recorded here — the scope of statuses this log is
+    /// obliged to carry. Survives aborted-entry GC (the tombstone must
+    /// keep shipping to readers holding stale copies) and is pruned with
+    /// the statuses it scopes: on checkpoint install and on status GC.
     touched: BTreeSet<ActionId>,
     /// Scoped status planting: when on, [`Self::resolve`] records only
     /// statuses of touched actions (everything else is irrelevant to
@@ -438,7 +438,7 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
         {
             return false; // implied Committed by the checkpoint
         }
-        if self.scoped && !self.touched.contains(&action) && !self.statuses.contains_key(&action) {
+        if self.scoped && !self.touched.contains(&action) {
             return false; // irrelevant here: no entries to interpret
         }
         let cur = self.statuses.get(&action).copied();
@@ -446,6 +446,13 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
         let changed = cur != Some(next);
         if changed {
             self.statuses.insert(action, next);
+            // A recorded status is in scope from here on, entry or not (a
+            // scoped log records nothing else): a copy rebuilt from
+            // shipped statuses alone — a tombstone whose entries were
+            // dropped — scopes what the original does.
+            if !self.scoped {
+                self.touched.insert(action);
+            }
             if self.gc_aborted && next == ActionOutcome::Aborted {
                 self.entries.retain(|_, e| e.action != action);
             }
@@ -513,24 +520,46 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
     /// read the entries, and are pruned by checkpoint folding instead).
     /// Returns the actions whose status (and touch scope) was dropped.
     pub fn gc_below(&mut self, stale: impl Fn(ActionId) -> bool) -> Vec<ActionId> {
+        // Whether a stale commit still has an entry here. A scan per
+        // commit is quadratic in a long log (800 entries under 800 stale
+        // commits, every sweep), so a long log answers from a sorted list
+        // built once per call; a short one scans, which is cheaper than
+        // building anything — and a repository holds thousands of those.
+        let entries = &self.entries;
+        let mut sorted: Option<Vec<ActionId>> = None;
+        let mut bears = |a: ActionId| {
+            if entries.len() <= SCAN_BELOW {
+                return entries.values().any(|e| e.action == a);
+            }
+            sorted
+                .get_or_insert_with(|| {
+                    let mut actions: Vec<ActionId> = entries.values().map(|e| e.action).collect();
+                    actions.sort_unstable();
+                    actions
+                })
+                .binary_search(&a)
+                .is_ok()
+        };
         let doomed: Vec<(ActionId, ActionOutcome)> = self
             .statuses
             .iter()
             .filter(|(a, o)| match o {
                 ActionOutcome::Aborted => stale(**a),
-                ActionOutcome::Committed(_) => {
-                    stale(**a) && !self.entries.values().any(|e| e.action == **a)
-                }
+                ActionOutcome::Committed(_) => stale(**a) && !bears(**a),
                 ActionOutcome::Active => false,
             })
             .map(|(a, o)| (*a, *o))
             .collect();
+        let mut aborted = BTreeSet::new();
         for (a, o) in &doomed {
             self.statuses.remove(a);
             self.touched.remove(a);
             if *o == ActionOutcome::Aborted {
-                self.entries.retain(|_, e| e.action != *a);
+                aborted.insert(*a);
             }
+        }
+        if !aborted.is_empty() {
+            self.entries.retain(|_, e| !aborted.contains(&e.action));
         }
         doomed.into_iter().map(|(a, _)| a).collect()
     }
@@ -538,22 +567,86 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
     /// Merges another log into this one (entry union + status upgrade +
     /// checkpoint adoption), reporting what changed.
     pub fn merge(&mut self, other: &ObjectLog<I, R>) -> MergeEffect {
+        if self.is_blank() && !self.scoped && !self.gc_aborted && other.checkpoint.is_none() {
+            // Nothing here to refuse, drop or upgrade anything of
+            // `other`'s: the join is a copy (a front-end's first
+            // `LogReply` of every operation).
+            self.entries = other.entries.clone();
+            self.statuses = other.statuses.clone();
+            self.touched = (other.entries.values().map(|e| e.action))
+                .chain(other.statuses.keys().copied())
+                .collect();
+            return MergeEffect {
+                entries: other.entries.keys().copied().collect(),
+                statuses: other.statuses.keys().copied().collect(),
+                checkpoint: false,
+            };
+        }
         let mut effect = MergeEffect::default();
         if let Some(cp) = &other.checkpoint {
             effect.checkpoint = self.adopt_checkpoint(cp);
         }
-        for e in other.entries.values() {
-            let ts = e.ts;
+        // What is already held identically would be refused one tree
+        // operation at a time; skip it (a stored entry is touched, not
+        // covered and not an aborted action's under GC; a recorded status
+        // is not covered), and hand the rest to the usual checks.
+        for (_, e) in not_held(&self.entries, &other.entries, |_, _| true) {
             if self.insert(e.clone()) {
-                effect.entries.push(ts);
+                effect.entries.push(e.ts);
             }
         }
-        for (a, o) in &other.statuses {
+        for (a, o) in not_held(&self.statuses, &other.statuses, |mine, theirs| {
+            mine == theirs
+        }) {
             if self.resolve(*a, *o) {
                 effect.statuses.push(*a);
             }
         }
         effect
+    }
+
+    /// Whether nothing was ever stored here.
+    fn is_blank(&self) -> bool {
+        self.entries.is_empty()
+            && self.statuses.is_empty()
+            && self.checkpoint.is_none()
+            && self.touched.is_empty()
+    }
+
+    /// What this log holds that `held` does not — the entries `held` has
+    /// neither stored nor folded, the statuses it records differently or
+    /// not at all, and the checkpoint if it differs — as a log of its
+    /// own. Merging the result into any log that contains `held` leaves
+    /// what merging `self` would. An entry never travels without the
+    /// status this log knows for its action, so the receiver judges the
+    /// entry exactly as it would have inside the whole log.
+    pub fn minus(&self, held: &ObjectLog<I, R>) -> ObjectLog<I, R> {
+        let folded = |a: ActionId| folds(&held.checkpoint, a);
+        let mut out = ObjectLog::new();
+        out.gc_aborted = self.gc_aborted;
+        if self.checkpoint != held.checkpoint {
+            out.checkpoint = self.checkpoint.clone();
+        }
+        out.entries = not_held(&held.entries, &self.entries, |_, _| true)
+            .into_iter()
+            .filter(|(_, e)| !folded(e.action))
+            .map(|(ts, e)| (*ts, e.clone()))
+            .collect();
+        out.touched = out.entries.values().map(|e| e.action).collect();
+        out.statuses = not_held(&held.statuses, &self.statuses, |theirs, mine| {
+            theirs == mine
+        })
+        .into_iter()
+        .filter(|(a, _)| !folded(**a))
+        .map(|(a, o)| (*a, *o))
+        .collect();
+        for a in &out.touched {
+            if let Some(o) = self.statuses.get(a) {
+                out.statuses.insert(*a, *o);
+            }
+        }
+        out.touched.extend(out.statuses.keys().copied());
+        out
     }
 
     /// Entries in timestamp order.
@@ -586,6 +679,49 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
     }
 }
 
+/// Log length up to which [`ObjectLog::gc_below`] looks for an action's
+/// entries by scanning (at 64 entries a scan per stale commit and one sort
+/// cost about the same).
+const SCAN_BELOW: usize = 64;
+
+/// Whether `checkpoint` (if any) covers `action`.
+fn folds(checkpoint: &Option<Checkpoint>, action: ActionId) -> bool {
+    checkpoint
+        .as_ref()
+        .is_some_and(|cp| cp.covers(action).is_some())
+}
+
+/// Below this many of `ours` per one of `theirs`, [`not_held`] walks both
+/// maps instead of looking each key up: a step of the walk costs about a
+/// tenth of a lookup in a map of a few hundred entries.
+const WALK_RATIO: usize = 8;
+
+/// The pairs of `theirs` that `ours` does not hold with a `same` value, in
+/// key order. A view written back to a site that already stores nearly all
+/// of it is the common merge, so the two maps are walked in step — no tree
+/// descent per duplicate — unless `theirs` is a sliver of `ours`, where a
+/// lookup per key is the shorter way.
+fn not_held<'a, K: Ord, V>(
+    ours: &BTreeMap<K, V>,
+    theirs: &'a BTreeMap<K, V>,
+    same: impl Fn(&V, &V) -> bool,
+) -> Vec<(&'a K, &'a V)> {
+    if theirs.len() * WALK_RATIO < ours.len() {
+        return theirs
+            .iter()
+            .filter(|(k, v)| !ours.get(*k).is_some_and(|o| same(o, v)))
+            .collect();
+    }
+    let mut mine = ours.iter().peekable();
+    theirs
+        .iter()
+        .filter(|(k, v)| {
+            while mine.next_if(|(m, _)| m < k).is_some() {}
+            !mine.peek().is_some_and(|(m, o)| m == k && same(o, v))
+        })
+        .collect()
+}
+
 /// One incremental reply payload: the changes between two versions of a
 /// repository's log, or a full (checkpoint-rooted) transfer when the
 /// requested frontier fell off the journal.
@@ -613,18 +749,23 @@ impl<I: Clone, R: Clone> LogDelta<I, R> {
     }
 
     /// Materializes the delta as a standalone log (meaningful for full
-    /// transfers and for full-shipping ablations where `base == 0`).
+    /// transfers and for full-shipping ablations where `base == 0`): what
+    /// installing the checkpoint, then inserting and resolving one by one
+    /// into a fresh log leaves, built in one pass.
     pub fn to_log(&self) -> ObjectLog<I, R> {
+        let folded = |a: ActionId| folds(&self.checkpoint, a);
         let mut log = ObjectLog::new();
-        if let Some(cp) = &self.checkpoint {
-            log.install_checkpoint(cp.clone());
-        }
-        for e in &self.entries {
-            log.insert(e.clone());
-        }
-        for (a, o) in &self.statuses {
-            log.resolve(*a, *o);
-        }
+        log.entries = (self.entries.iter())
+            .filter(|e| !folded(e.action))
+            .map(|e| (e.ts, e.clone()))
+            .collect();
+        log.statuses = (self.statuses.iter().copied())
+            .filter(|(a, _)| !folded(*a))
+            .collect();
+        log.touched = (log.entries.values().map(|e| e.action))
+            .chain(log.statuses.keys().copied())
+            .collect();
+        log.checkpoint = self.checkpoint.clone();
         log
     }
 }
@@ -780,6 +921,26 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
         }
     }
 
+    /// Whether the journal still holds every change made after version
+    /// `since` (status GC and [`Self::advance_version`] clear it, and it
+    /// keeps [`JOURNAL_CAP`] items).
+    fn journal_reaches(&self, since: u64) -> bool {
+        self.journal
+            .front()
+            .is_some_and(|(v, _)| *v <= since.saturating_add(1))
+    }
+
+    /// Whether this log still contains the copy a reader took of it at
+    /// version `base`: `base` is a version this log has reached, and every
+    /// change since is an addition the journal can name — no status-GC
+    /// fence, no recovery jump, no overflow. This is the condition under
+    /// which `view ∖ copy` merges to what `view` would
+    /// ([`ObjectLog::minus`]), and the complement of the one under which
+    /// [`Self::delta_since`] falls back to a full transfer.
+    pub fn extends(&self, base: u64) -> bool {
+        base == self.version || (base < self.version && self.journal_reaches(base))
+    }
+
     /// The changes a reader at version `since` is missing. Falls back to a
     /// full (checkpoint-rooted) transfer when `since` predates the journal.
     pub fn delta_since(&self, since: u64) -> LogDelta<I, R> {
@@ -793,11 +954,7 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
                 checkpoint: None,
             };
         }
-        let contiguous = self
-            .journal
-            .front()
-            .is_some_and(|(v, _)| *v <= since.saturating_add(1));
-        if !contiguous {
+        if !self.journal_reaches(since) {
             return LogDelta {
                 base: 0,
                 head: self.version,
@@ -810,10 +967,8 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
         let mut entry_ts: BTreeSet<Timestamp> = BTreeSet::new();
         let mut actions: BTreeSet<ActionId> = BTreeSet::new();
         let mut saw_checkpoint = false;
-        for (v, item) in &self.journal {
-            if *v <= since {
-                continue;
-            }
+        // Versions ascend along the journal: the suffix is its tail.
+        for (_, item) in self.journal.iter().rev().take_while(|(v, _)| *v > since) {
             match item {
                 JournalItem::Entry(ts) => {
                     entry_ts.insert(*ts);
@@ -851,9 +1006,11 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
 
     /// Applies a delta received from a peer serving this log's lineage —
     /// the mirror-side join. Idempotent and order-tolerant: stale deltas
-    /// (already-subsumed content) are no-ops. Returns `false` only for a
-    /// delta whose base is ahead of this mirror (cannot happen when every
-    /// request carried this mirror's own version as `since`).
+    /// (already-subsumed content) are no-ops. Returns `false`, applying
+    /// nothing, for a delta whose base is ahead of this mirror: it was cut
+    /// for a copy this one is not (a front-end forgets a mirror when a
+    /// delta write against it is refused, and a reply to a read sent
+    /// before that may still be on its way).
     pub fn apply_delta(&mut self, delta: &LogDelta<I, R>) -> bool {
         if delta.full {
             if delta.head >= self.version {
@@ -870,11 +1027,6 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
             return true;
         }
         if delta.base > self.version {
-            debug_assert!(
-                false,
-                "delta base {} ahead of mirror {}",
-                delta.base, self.version
-            );
             return false;
         }
         if let Some(cp) = &delta.checkpoint {
@@ -1067,6 +1219,36 @@ mod tests {
     }
 
     #[test]
+    fn gc_below_judges_long_logs_as_it_does_short_ones() {
+        // Past `SCAN_BELOW` entries the entry-bearing test changes method;
+        // the verdicts may not. Even actions keep an entry, odd ones are
+        // committed without one; every third is aborted instead.
+        for len in [SCAN_BELOW as u32 / 2, SCAN_BELOW as u32 * 3] {
+            let mut log = ObjectLog::new();
+            for a in 0..len {
+                if a % 2 == 0 || a % 3 == 0 {
+                    log.insert(entry(u64::from(a) + 1, 0, a));
+                }
+                let outcome = match a % 3 {
+                    0 => ActionOutcome::Aborted,
+                    _ => ActionOutcome::Committed(ts(1_000 + u64::from(a), 0)),
+                };
+                log.resolve(ActionId(a), outcome);
+            }
+            let expected: Vec<ActionId> = (0..len)
+                .filter(|a| a % 3 == 0 || a % 2 == 1)
+                .map(ActionId)
+                .collect();
+            assert_eq!(log.gc_below(|_| true), expected, "{len} actions");
+            assert!(
+                log.entries().all(|e| e.action.0 % 3 != 0),
+                "aborted entries go"
+            );
+            assert_eq!(log.status_count(), log.len(), "entry-bearing commits stay");
+        }
+    }
+
+    #[test]
     fn versioned_gc_fences_readers_into_a_full_transfer() {
         let mut repo: VersionedLog<&str, &str> = VersionedLog::new();
         let mut mirror: VersionedLog<&str, &str> = VersionedLog::new();
@@ -1087,6 +1269,187 @@ mod tests {
         let v = repo.version();
         assert!(repo.gc_below(|_| true).is_empty());
         assert_eq!(repo.version(), v);
+    }
+
+    /// The merge as it read before it learned to skip what is already
+    /// held: adopt, then insert and resolve one by one.
+    fn merge_one_by_one(
+        into: &mut ObjectLog<&'static str, &'static str>,
+        other: &ObjectLog<&'static str, &'static str>,
+    ) -> MergeEffect {
+        let mut effect = MergeEffect::default();
+        if let Some(cp) = other.checkpoint() {
+            effect.checkpoint = into.adopt_checkpoint(cp);
+        }
+        for e in other.entries() {
+            if into.insert(e.clone()) {
+                effect.entries.push(e.ts);
+            }
+        }
+        for (a, o) in other.statuses() {
+            if into.resolve(a, o) {
+                effect.statuses.push(a);
+            }
+        }
+        effect
+    }
+
+    /// A seeded log over a small universe of actions (action `a` commits
+    /// at `100 + a` or aborts, the same way in every log), optionally with
+    /// the lowest committed actions folded.
+    fn random_log(
+        rng: &mut impl rand::Rng,
+        size: u32,
+        gc: bool,
+        scoped: bool,
+    ) -> ObjectLog<&'static str, &'static str> {
+        let outcome = |a: u32| match a % 4 {
+            0 => ActionOutcome::Aborted,
+            _ => ActionOutcome::Committed(ts(100 + u64::from(a), 0)),
+        };
+        let mut log = ObjectLog::new();
+        log.set_gc_aborted(gc);
+        log.set_scoped(scoped);
+        if rng.gen_bool(0.3) {
+            let upto = rng.gen_range(1..4u32);
+            let covered: Vec<(u32, u64)> = (1..=upto).map(|a| (a, 100 + u64::from(a))).collect();
+            log.install_checkpoint(checkpoint_over(&covered, u64::from(upto)));
+        }
+        for _ in 0..size {
+            let a = rng.gen_range(0..24u32);
+            if rng.gen_bool(0.7) {
+                log.insert(entry(u64::from(a) * 2 + rng.gen_range(0..2u64), 0, a));
+            }
+            if rng.gen_bool(0.5) {
+                log.resolve(ActionId(a), outcome(a));
+            }
+        }
+        log
+    }
+
+    fn same_log(a: &ObjectLog<&str, &str>, b: &ObjectLog<&str, &str>) -> bool {
+        a == b && a.touched().eq(b.touched())
+    }
+
+    #[test]
+    fn merge_matches_the_one_by_one_join_on_random_logs() {
+        use rand::{Rng as _, SeedableRng as _};
+        let (mut copies, mut walks, mut lookups) = (0, 0, 0);
+        for seed in 0..400u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (gc, scoped) = (rng.gen_bool(0.3), rng.gen_bool(0.3));
+            // Every shape: into a blank log, a like-sized one, a far
+            // longer one, and one that already holds it all.
+            let mut into = match seed % 4 {
+                0 => random_log(&mut rng, 0, gc, scoped),
+                1 => random_log(&mut rng, 12, gc, scoped),
+                _ => random_log(&mut rng, 60, gc, scoped),
+            };
+            let other = random_log(&mut rng, if seed % 4 == 2 { 2 } else { 12 }, false, false);
+            if seed % 4 == 3 {
+                into.merge(&other);
+            }
+            if into.is_blank() {
+                copies += 1;
+            } else if other.len() * WALK_RATIO < into.len() {
+                lookups += 1;
+            } else {
+                walks += 1;
+            }
+            let mut reference = into.clone();
+            let expected = merge_one_by_one(&mut reference, &other);
+            let effect = into.merge(&other);
+            assert!(same_log(&into, &reference), "seed {seed}: logs differ");
+            assert_eq!(
+                (effect.entries, effect.statuses, effect.checkpoint),
+                (expected.entries, expected.statuses, expected.checkpoint),
+                "seed {seed}: effects differ"
+            );
+        }
+        assert!(copies > 0 && walks > 0 && lookups > 0);
+    }
+
+    #[test]
+    fn minus_ships_exactly_what_the_holder_lacks() {
+        use rand::{Rng as _, SeedableRng as _};
+        let mut slimmer = 0;
+        for seed in 0..400u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let held = random_log(&mut rng, 20, false, false);
+            // The view: sometimes built on the holder's log, as a view
+            // that merged its mirror is.
+            let mut view = random_log(&mut rng, 12, false, false);
+            if rng.gen_bool(0.7) {
+                view.merge(&held);
+            }
+            let cut = view.minus(&held);
+            slimmer += usize::from(cut.len() < view.len());
+            // Any log containing `held` ends the same either way.
+            let mut site = held.clone();
+            site.merge(&random_log(&mut rng, 6, false, false));
+            let (mut by_view, mut by_cut) = (site.clone(), site);
+            by_view.merge(&view);
+            by_cut.merge(&cut);
+            assert!(same_log(&by_view, &by_cut), "seed {seed}");
+            for e in cut.entries() {
+                assert!(
+                    held.get(e.ts).is_none(),
+                    "seed {seed}: shipped a held entry"
+                );
+                assert_eq!(
+                    cut.status_entry(e.action),
+                    view.status_entry(e.action),
+                    "seed {seed}: an entry travelled without its status"
+                );
+            }
+        }
+        assert!(slimmer > 0);
+    }
+
+    #[test]
+    fn minus_leaves_folded_history_and_an_equal_checkpoint_home() {
+        let mut held: ObjectLog<&str, &str> = ObjectLog::new();
+        held.install_checkpoint(checkpoint_over(&[(1, 10)], 1));
+        let mut view = held.clone();
+        view.insert(entry(20, 0, 2));
+        let cut = view.minus(&held);
+        assert!(cut.checkpoint().is_none(), "the holder has this checkpoint");
+        assert_eq!(cut.len(), 1);
+        // A view that still holds the raw prefix the holder folded ships
+        // none of it; a holder without the checkpoint is sent it.
+        let mut raw: ObjectLog<&str, &str> = ObjectLog::new();
+        raw.insert(entry(1, 0, 1));
+        raw.resolve(ActionId(1), ActionOutcome::Committed(ts(10, 0)));
+        let cut = raw.minus(&held);
+        assert_eq!((cut.len(), cut.status_count()), (0, 0));
+        assert!(view.minus(&raw).checkpoint().is_some());
+    }
+
+    #[test]
+    fn extends_holds_until_a_fence_a_jump_or_an_overflow() {
+        let mut log: VersionedLog<&str, &str> = VersionedLog::new();
+        log.insert(entry(1, 0, 1));
+        log.insert(entry(2, 0, 2));
+        let seen = log.version();
+        assert!(log.extends(seen) && log.extends(seen - 1));
+        assert!(!log.extends(seen + 1), "a base this log never reached");
+        log.insert(entry(3, 0, 3));
+        assert!(log.extends(seen), "additions keep every earlier copy");
+        // A purge is subtractive: the fence refuses everything before it.
+        log.resolve(ActionId(2), ActionOutcome::Aborted);
+        let before = log.version();
+        assert_eq!(log.gc_below(|a| a == ActionId(2)), vec![ActionId(2)]);
+        assert!(!log.extends(before) && !log.extends(seen));
+        assert!(log.extends(log.version()));
+        // So is a recovery's jump, and a copy older than the journal.
+        let before = log.version();
+        log.advance_version(before + 10);
+        assert!(!log.extends(before));
+        for i in 0..(JOURNAL_CAP as u64 + 8) {
+            log.insert(entry(100 + i, 0, 50 + i as u32));
+        }
+        assert!(!log.extends(before + 11), "fell off the journal");
+        assert!(log.extends(log.version() - 5));
     }
 
     fn checkpoint_over(pairs: &[(u32, u64)], folded: u64) -> Checkpoint {

@@ -275,6 +275,7 @@ impl Process<Msg<QInv, QRes>> for Node {
                             log: ObjectLog::new(),
                             entry: Some(e),
                             cfg: 0,
+                            base: 0,
                         },
                     );
                 }
@@ -432,7 +433,7 @@ fn stale_frontier_past_the_journal_is_served_full_and_counted() {
     // then read with an ancient (but nonzero) frontier: the repository
     // must serve a full transfer, count it, and trace it.
     struct Flood {
-        reply: Option<Msg<QInv, QRes>>,
+        reply: Option<Box<Msg<QInv, QRes>>>,
     }
     enum N {
         Repo(Box<Repository<TestQueue>>),
@@ -457,6 +458,7 @@ fn stale_frontier_past_the_journal_is_served_full_and_counted() {
                             log: ObjectLog::new(),
                             entry: Some(e),
                             cfg: 0,
+                            base: 0,
                         },
                     );
                 }
@@ -485,7 +487,7 @@ fn stale_frontier_past_the_journal_is_served_full_and_counted() {
                 N::Repo(r) => r.handle(ctx, from, msg),
                 N::Flood(f) => {
                     if matches!(msg, Msg::LogReply { .. }) {
-                        f.reply = Some(msg);
+                        f.reply = Some(Box::new(msg));
                     }
                 }
             }
@@ -524,7 +526,7 @@ fn stale_frontier_past_the_journal_is_served_full_and_counted() {
     let N::Flood(f) = sim.process(1) else {
         panic!("flood expected")
     };
-    let Some(Msg::LogReply { delta, .. }) = &f.reply else {
+    let Some(Msg::LogReply { delta, .. }) = f.reply.as_deref() else {
         panic!("no reply")
     };
     assert!(delta.full, "expected a full transfer");

@@ -326,12 +326,15 @@ echo "$bench_out" | grep -q "log_shipping/1024/delta_reply" || {
   echo "$bench_out" >&2
   exit 1
 }
-# The same binary carries the perf ledger's `Repository::handle(Resolve)` row.
-echo "$bench_out" | grep -q "repository_resolve/8192_logs" || {
-  echo "log_shipping bench produced no repository_resolve timing:" >&2
-  echo "$bench_out" >&2
-  exit 1
-}
+# The same binary carries the perf ledger's `Repository::handle(Resolve)`
+# and `handle(WriteLog)` rows.
+for row in repository_resolve/8192_logs repository_writelog/800_entries/delta; do
+  echo "$bench_out" | grep -q "$row" || {
+    echo "log_shipping bench produced no $row timing:" >&2
+    echo "$bench_out" >&2
+    exit 1
+  }
+done
 
 echo "==> non-test Rust lines under crates/*/src + src/ (ROADMAP aim 2: smaller is better)"
 find crates/*/src src -name '*.rs' -print0 \

@@ -809,12 +809,14 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
         tel.entries_shipped_per_op()
     );
     println!(
-        "  phase retries {}  txn reruns {}  statuses shipped {}  gc'd {}  table peak {}",
+        "  phase retries {}  txn reruns {}  statuses shipped {}  gc'd {}  table peak {}  \
+         delta writes refused {}",
         tel.phase_retries,
         tel.txn_reruns,
         tel.statuses_shipped,
         tel.statuses_gcd,
-        tel.status_table_peak
+        tel.status_table_peak,
+        tel.write_delta_refusals
     );
     println!("{}", report.to_json());
     if report.unfinished > 0 {
