@@ -71,6 +71,16 @@ impl Sequential for AppendLog {
             AppendLogInv::Scan => (AppendLogRes::Records(s.clone()), s.clone()),
         }
     }
+
+    fn step(s: &mut Vec<u32>, inv: &AppendLogInv) -> AppendLogRes {
+        match inv {
+            AppendLogInv::Append(x) => {
+                s.push(*x);
+                AppendLogRes::Ok
+            }
+            AppendLogInv::Scan => AppendLogRes::Records(s.clone()),
+        }
+    }
 }
 
 impl Enumerable for AppendLog {

@@ -112,6 +112,23 @@ impl Sequential for Directory {
             },
         }
     }
+
+    fn step(s: &mut BTreeMap<u32, u32>, inv: &DirectoryInv) -> DirectoryRes {
+        match inv {
+            DirectoryInv::Insert(k, _) if s.contains_key(k) => DirectoryRes::Exists,
+            DirectoryInv::Update(k, _) if !s.contains_key(k) => DirectoryRes::Missing,
+            DirectoryInv::Insert(k, v) | DirectoryInv::Update(k, v) => {
+                s.insert(*k, *v);
+                DirectoryRes::Ok
+            }
+            DirectoryInv::Delete(k) => s
+                .remove(k)
+                .map_or(DirectoryRes::Missing, |_| DirectoryRes::Ok),
+            DirectoryInv::Lookup(k) => s
+                .get(k)
+                .map_or(DirectoryRes::Missing, |v| DirectoryRes::Val(*v)),
+        }
+    }
 }
 
 impl Enumerable for Directory {

@@ -72,6 +72,16 @@ impl Sequential for GSet {
             GSetInv::Contains(x) => (GSetRes::Bool(s.contains(x)), s.clone()),
         }
     }
+
+    fn step(s: &mut BTreeSet<u32>, inv: &GSetInv) -> GSetRes {
+        match inv {
+            GSetInv::Insert(x) => {
+                s.insert(*x);
+                GSetRes::Ok
+            }
+            GSetInv::Contains(x) => GSetRes::Bool(s.contains(x)),
+        }
+    }
 }
 
 impl Enumerable for GSet {

@@ -56,3 +56,42 @@ pub use queue::Queue;
 pub use register::Register;
 
 pub use quorumcc_model::{Classified, Enumerable, Sequential};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every invocation sequence up to `depth`, `step` and `apply` side by
+    /// side: same response, same successor state, at every prefix.
+    fn step_is_apply<S: Enumerable>(depth: usize) {
+        let invs = S::invocations();
+        let mut frontier = vec![S::initial()];
+        for _ in 0..depth {
+            let mut next = Vec::new();
+            for state in &frontier {
+                for inv in &invs {
+                    let (res, after) = S::apply(state, inv);
+                    let mut stepped = state.clone();
+                    assert_eq!(S::step(&mut stepped, inv), res, "{}: {inv:?}", S::NAME);
+                    assert_eq!(stepped, after, "{}: {inv:?} from {state:?}", S::NAME);
+                    next.push(after);
+                }
+            }
+            frontier = next;
+        }
+    }
+
+    #[test]
+    fn step_matches_apply_on_every_adt() {
+        step_is_apply::<Queue>(4);
+        step_is_apply::<Prom>(4);
+        step_is_apply::<FlagSet>(4);
+        step_is_apply::<DoubleBuffer>(4);
+        step_is_apply::<Register>(4);
+        step_is_apply::<Counter>(4);
+        step_is_apply::<Account>(4);
+        step_is_apply::<GSet>(4);
+        step_is_apply::<Directory>(4);
+        step_is_apply::<AppendLog>(4);
+    }
+}

@@ -96,6 +96,17 @@ impl Sequential for Queue {
             }
         }
     }
+
+    fn step(s: &mut Vec<Item>, inv: &QueueInv) -> QueueRes {
+        match inv {
+            QueueInv::Enq(x) => {
+                s.push(*x);
+                QueueRes::Ok
+            }
+            QueueInv::Deq if s.is_empty() => QueueRes::Empty,
+            QueueInv::Deq => QueueRes::Item(s.remove(0)),
+        }
+    }
 }
 
 impl Enumerable for Queue {

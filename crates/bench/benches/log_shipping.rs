@@ -26,16 +26,23 @@
 //! holds 25 / 800 committed entries (the depths of `sock_shallow` and
 //! `sock_deep`) — arriving as the whole view, or as the view cut against a
 //! mirror of the log (`ObjectLog::minus`, `base` > 0).
+//!
+//! A fourth, `protocol_evaluate/{25,800}_entries/{replay,incremental}`, is the
+//! row for the front-end's evaluation of one `Deq` against a view of 25 / 800
+//! committed `Enq`s: from an empty cache (`Protocol::evaluate`, a replay of
+//! the whole view), and from a cache that has seen all but the last 16
+//! entries (`Protocol::evaluate_from`, the client's path).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use quorumcc_adts::queue::{Queue, QueueInv, QueueRes};
 use quorumcc_core::DependencyRelation;
 use quorumcc_model::testtypes::{QInv, QRes, TestQueue};
 use quorumcc_model::{ActionId, Event};
-use quorumcc_replication::protocol::Mode;
+use quorumcc_replication::protocol::{EvalCache, Mode};
 use quorumcc_replication::types::{
     action_id, entry_of, ActionOutcome, Checkpoint, LogEntry, ObjId, ObjectLog, VersionedLog,
 };
-use quorumcc_replication::{CollectIo, Msg, Output, Repository};
+use quorumcc_replication::{CollectIo, Msg, Output, Protocol, Repository};
 use quorumcc_sim::Timestamp;
 use std::collections::BTreeMap;
 
@@ -294,10 +301,60 @@ fn bench_repository_writelog(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_protocol_evaluate(c: &mut Criterion) {
+    /// Entries the warm cache has not seen (`sock_deep`'s mean is 15.6).
+    const SUFFIX: usize = 16;
+    const SAMPLES: usize = 30;
+    let protocol = Protocol::new(Mode::Hybrid, DependencyRelation::full::<Queue>());
+    let (reader, late) = (ActionId(u32::MAX), ts(u64::MAX, 0));
+    let mut g = c.benchmark_group("protocol_evaluate");
+    g.sample_size(SAMPLES);
+    for entries in [25usize, 800] {
+        // Entry i is stamped 2i + 1 and commits at 2i + 2.
+        let view = |n: usize| {
+            let mut log: ObjectLog<QueueInv, QueueRes> = ObjectLog::new();
+            for i in 0..n as u64 {
+                let (at, action) = (ts(2 * i + 1, 0), ActionId(i as u32));
+                log.insert(entry_of::<Queue>(
+                    at,
+                    action,
+                    at,
+                    QueueInv::Enq(i as u32),
+                    QueueRes::Ok,
+                ));
+                log.resolve(action, ActionOutcome::Committed(ts(2 * i + 2, 0)));
+            }
+            log
+        };
+        let (earlier, now) = (view(entries - SUFFIX), view(entries));
+        g.bench_function(format!("{entries}_entries/replay"), |b| {
+            b.iter(|| protocol.evaluate::<Queue>(&now, &[], reader, late, &QueueInv::Deq))
+        });
+        let mut warm = EvalCache::<Queue>::default();
+        let first = protocol.evaluate_from(&mut warm, &earlier, &[], reader, late, &QueueInv::Deq);
+        assert_eq!(first, Ok(QueueRes::Item(0)));
+        // Each sample advances a copy of the warm cache, made beforehand.
+        let mut caches: Vec<_> = (0..=SAMPLES).map(|_| warm.clone()).collect();
+        g.bench_function(format!("{entries}_entries/incremental"), |b| {
+            b.iter(|| {
+                let mut cache = caches.pop().expect("one copy per sample");
+                protocol.evaluate_from(&mut cache, &now, &[], reader, late, &QueueInv::Deq)
+            })
+        });
+        let (asked, rebuilt, replayed) = warm.counters();
+        assert_eq!(
+            (asked, rebuilt, replayed),
+            (1, 0, (entries - SUFFIX) as u64)
+        );
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_log_shipping,
     bench_repository_resolve,
-    bench_repository_writelog
+    bench_repository_writelog,
+    bench_protocol_evaluate
 );
 criterion_main!(benches);

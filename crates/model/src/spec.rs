@@ -57,6 +57,15 @@ pub trait Sequential {
     ///
     /// Must be total and deterministic.
     fn apply(state: &Self::State, inv: &Self::Inv) -> (Self::Res, Self::State);
+
+    /// Executes `inv` on `state` in place and returns the response — what
+    /// [`Sequential::apply`] computes, for replays that keep only the
+    /// latest state. Types whose `apply` clones a growing state override it.
+    fn step(state: &mut Self::State, inv: &Self::Inv) -> Self::Res {
+        let (res, next) = Self::apply(state, inv);
+        *state = next;
+        res
+    }
 }
 
 /// A sequential specification with a finite invocation alphabet.

@@ -17,7 +17,7 @@
 use crate::driver::Io;
 use crate::messages::{Batcher, Msg};
 use crate::metrics::ClientMetrics;
-use crate::protocol::{ConflictReason, Protocol};
+use crate::protocol::{ConflictReason, EvalCache, Protocol};
 use crate::reconfig::{ConfigState, ShardedConfig};
 use crate::types::{
     action_id, action_parts, ActionOutcome, LogEntry, ObjId, ObjectLog, VersionedLog,
@@ -325,6 +325,21 @@ pub struct Client<S: Classified> {
     frontier_at_last_fire: u32,
     /// Consecutive retransmit fires without frontier progress.
     stall_streak: u32,
+    /// One evaluation cache per (object, op class): an operation replays
+    /// what committed since this front-end last evaluated that class on
+    /// that object, not the history.
+    evals: EvalCaches<S>,
+}
+
+/// The evaluation caches, rendered as nothing: which ones exist depends on
+/// the path to a state (see [`EvalCache`]'s `Debug`).
+#[derive(Clone)]
+struct EvalCaches<S: Classified>(BTreeMap<(ObjId, &'static str), EvalCache<S>>);
+
+impl<S: Classified> std::fmt::Debug for EvalCaches<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("EvalCaches")
+    }
 }
 
 impl<S: Classified> Client<S> {
@@ -369,6 +384,7 @@ impl<S: Classified> Client<S> {
             retransmit_armed: false,
             frontier_at_last_fire: 0,
             stall_streak: 0,
+            evals: EvalCaches(BTreeMap::new()),
         }
     }
 
@@ -480,6 +496,13 @@ impl<S: Classified> Client<S> {
     /// Raw metric samples collected so far (latencies, retries, views).
     pub fn metrics(&self) -> &ClientMetrics {
         &self.metrics
+    }
+
+    /// Sums of [`EvalCache::counters`] over this client's caches:
+    /// `(evaluations, rebuilds, suffix entries folded)`.
+    pub fn eval_counters(&self) -> (u64, u64, u64) {
+        (self.evals.0.values().map(EvalCache::counters))
+            .fold((0, 0, 0), |t, c| (t.0 + c.0, t.1 + c.1, t.2 + c.2))
     }
 
     /// The repositories to contact for a phase on `obj` wanting `k`
@@ -647,11 +670,9 @@ impl<S: Classified> Client<S> {
             merged,
             started,
         } = ready;
-        let own = txn.own.get(&obj).cloned().unwrap_or_default();
-        match self
-            .cfg
-            .protocol
-            .evaluate::<S>(&merged, &own, txn.action, txn.begin_ts, &inv)
+        let own = txn.own.get(&obj).map_or(&[][..], Vec::as_slice);
+        let cache = self.evals.0.entry((obj, S::op_class(&inv))).or_default();
+        match (self.cfg.protocol).evaluate_from(cache, &merged, own, txn.action, txn.begin_ts, &inv)
         {
             Err(conflict) => {
                 ctx.trace(TraceAction::Conflict {
@@ -1388,7 +1409,7 @@ enum AbortKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{CollectIo, Output};
+    use crate::driver::{CollectIo, Input, Output};
     use crate::types::LogDelta;
     use quorumcc_core::DependencyRelation;
     use quorumcc_model::testtypes::{QInv, QRes, TestQueue};
@@ -1575,5 +1596,110 @@ mod tests {
             panic!("expected the whole view, got {retried:?}");
         };
         assert_eq!(log.len(), 2);
+    }
+
+    /// Two clients and three repositories under a small event queue, and a
+    /// twin of the first client fed exactly what the first is fed —
+    /// but with its evaluation caches emptied before every input, so each
+    /// of its evaluations starts from nothing.
+    #[test]
+    fn evaluation_caches_change_nothing_a_client_says_or_shows() {
+        use crate::cluster::Node;
+        use crate::driver::Driver as _;
+        use crate::protocol::Mode;
+        use crate::repository::Repository;
+        use quorumcc_model::spec::ExploreBounds;
+
+        let bounds = ExploreBounds {
+            depth: 4,
+            ..ExploreBounds::default()
+        };
+        let rel = quorumcc_core::minimal_static_relation::<TestQueue>(bounds).relation;
+        let mut thresholds = quorumcc_quorum::ThresholdAssignment::new(3);
+        for op in TestQueue::op_classes() {
+            thresholds.set_initial(op, 2);
+        }
+        for ev in TestQueue::event_classes() {
+            thresholds.set_final(ev, 2);
+        }
+        let script = |salt: u32| -> Vec<Transaction<QInv>> {
+            (0..30u32)
+                .map(|i| Transaction {
+                    ops: (0..2)
+                        .map(|k| match (i * 7 + k * 3 + salt) % 4 {
+                            0 => (ObjId((i % 2) as u16), QInv::Deq),
+                            x => (ObjId((x % 2) as u16), QInv::Enq((i * 4 + k) as u8)),
+                        })
+                        .collect(),
+                })
+                .collect()
+        };
+        let client = |me: u32| {
+            let mut c = client_with(Fanout::Broadcast, thresholds.clone(), script(me));
+            c.cfg.protocol = Protocol::new(Mode::Hybrid, rel.clone());
+            c.cfg.txn_retries = 3;
+            Node::Client(c)
+        };
+        let repo = || Node::Repo(Repository::new(Mode::Hybrid, rel.clone()));
+        let mut nodes = [repo(), repo(), repo(), client(3), client(4)];
+        let mut twin = client(3);
+        let mut ios: Vec<TestIo> = (0..5).map(|me| CollectIo::new(me, 11)).collect();
+        let mut twin_io: TestIo = CollectIo::new(3, 11);
+
+        // One event queue: a message takes one to three ticks, a timer its
+        // delay; ties go to whatever was scheduled first.
+        type Events = (
+            BTreeMap<(SimTime, u64), (ProcId, Input<Msg<QInv, QRes>>)>,
+            u64,
+        );
+        fn schedule((events, scheduled): &mut Events, now: SimTime, me: ProcId, io: &mut TestIo) {
+            for out in io.take_outputs() {
+                *scheduled += 1;
+                let (after, to, ev) = match out {
+                    Output::Send { to, msg, .. } => {
+                        (1 + (me + to) % 3, to, Input::Deliver { from: me, msg })
+                    }
+                    Output::SetTimer { delay, token } => {
+                        (delay.max(1) as u32, me, Input::Timer { token })
+                    }
+                };
+                events.insert((now + SimTime::from(after), *scheduled), (to, ev));
+            }
+        }
+        let mut events = Events::default();
+        events
+            .0
+            .extend((3..5).map(|me| ((0, me), (me as ProcId, Input::Start))));
+        while let Some(((now, _), (to, ev))) = events.0.pop_first() {
+            let io = &mut ios[to as usize];
+            io.set_now(now);
+            nodes[to as usize].handle(io, ev.clone());
+            if to == 3 {
+                let Node::Client(c) = &mut twin else {
+                    unreachable!()
+                };
+                c.evals.0.clear();
+                twin_io.set_now(now);
+                twin.handle(&mut twin_io, ev);
+                assert_eq!(format!("{io:?}"), format!("{twin_io:?}"));
+                assert_eq!(format!("{:?}", nodes[3]), format!("{twin:?}"));
+                twin_io.take_outputs();
+            }
+            schedule(&mut events, now, to, io);
+        }
+        assert!(nodes[3].is_done() && nodes[4].is_done());
+        let Node::Client(cached) = &nodes[3] else {
+            unreachable!()
+        };
+        let (asked, _, replayed) = cached.eval_counters();
+        let stats = cached.stats();
+        assert!(
+            stats.committed > 10 && stats.aborted_conflict > 0,
+            "{stats:?}"
+        );
+        assert!(
+            asked > 40 && replayed > 0,
+            "the cached client never evaluated"
+        );
     }
 }

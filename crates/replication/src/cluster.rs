@@ -592,7 +592,7 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
         }
         if validate {
             for ta in std::iter::once(&thresholds).chain(&self.shard_thresholds) {
-                ta.validate(&cc.protocol.rel)
+                ta.validate(cc.protocol.rel())
                     .map_err(|e| ReplicationError::InvalidThresholds(e.to_string()))?;
             }
         }
@@ -605,7 +605,7 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
         let mut nodes: Vec<Node<S>> = repos
             .iter()
             .map(|_| {
-                let mut r = Repository::new(cc.protocol.mode, cc.protocol.rel.clone())
+                let mut r = Repository::new(cc.protocol.mode(), cc.protocol.rel().clone())
                     .with_config(ConfigState::Stable(bootstrap.clone()))
                     .with_durability(tuning.durability)
                     .with_peers(repos.clone())
@@ -701,7 +701,7 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
                     c.epoch, self.n_repos
                 )));
             }
-            c.validate(&cc.protocol.rel)?;
+            c.validate(cc.protocol.rel())?;
         }
         Ok(())
     }
@@ -747,7 +747,7 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
                     }
                     let site_set = SiteSet::from_ids(alive.iter().map(|r| *r as u8));
                     let Ok(plan) =
-                        planner::plan(&cc.protocol.rel, site_set, &up, &ops, &evs, priority)
+                        planner::plan(cc.protocol.rel(), site_set, &up, &ops, &evs, priority)
                     else {
                         continue;
                     };
@@ -825,7 +825,7 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
                     }
                     let site_set = SiteSet::from_ids(next.iter().map(|r| *r as u8));
                     let Ok(plan) =
-                        planner::plan(&cc.protocol.rel, site_set, &up, &ops, &evs, priority)
+                        planner::plan(cc.protocol.rel(), site_set, &up, &ops, &evs, priority)
                     else {
                         continue;
                     };
@@ -957,6 +957,7 @@ impl<S: Classified + Enumerable> Assembly<S> {
         let mut repo_state = Vec::new();
         let mut repo_counters: Vec<RepoCounters> = Vec::new();
         let mut repo_batch_fills = Vec::new();
+        let mut evals = (0, 0, 0);
         for (id, node) in nodes.into_iter().enumerate() {
             match node {
                 Node::Repo(r) => {
@@ -969,6 +970,8 @@ impl<S: Classified + Enumerable> Assembly<S> {
                 Node::Client(c) => {
                     clients.push((id as ProcId, c.records().to_vec(), c.stats()));
                     client_metrics.push(c.metrics().clone());
+                    let (asked, rebuilt, replayed) = c.eval_counters();
+                    evals = (evals.0 + asked, evals.1 + rebuilt, evals.2 + replayed);
                 }
                 Node::Reconfig(r) => reconfigs = r.records().to_vec(),
             }
@@ -976,7 +979,7 @@ impl<S: Classified + Enumerable> Assembly<S> {
 
         let client_stats: Vec<ClientStats> = clients.iter().map(|(_, _, s)| *s).collect();
         let mut telemetry = RunTelemetry::from_run(
-            self.protocol.mode.name(),
+            self.protocol.mode().name(),
             &client_stats,
             &client_metrics,
             stats,
@@ -986,6 +989,11 @@ impl<S: Classified + Enumerable> Assembly<S> {
         telemetry.recoveries = repo_counters.iter().map(|c| c.recoveries).sum();
         telemetry.statuses_shipped = repo_counters.iter().map(|c| c.statuses_shipped).sum();
         telemetry.write_delta_refusals = repo_counters.iter().map(|c| c.write_delta_refusals).sum();
+        (
+            telemetry.evaluations,
+            telemetry.eval_rebuilds,
+            telemetry.eval_suffix_entries,
+        ) = evals;
         telemetry.statuses_gcd = repo_counters.iter().map(|c| c.statuses_gcd).sum();
         telemetry.status_table_peak = repo_counters
             .iter()
@@ -1128,7 +1136,7 @@ impl<S: Classified + Enumerable> RunReport<S> {
     pub fn check_atomicity(&self, bounds: ExploreBounds) -> Result<(), ObjId> {
         for obj in &self.objects {
             let h = self.history(*obj);
-            if !history::satisfies::<S>(self.protocol.mode, &h, bounds) {
+            if !history::satisfies::<S>(self.protocol.mode(), &h, bounds) {
                 return Err(*obj);
             }
         }

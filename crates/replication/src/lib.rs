@@ -67,7 +67,7 @@ pub use explore::{ExploreReplay, ExploreSetup, ExploreSpec, Knob};
 pub use messages::Msg;
 pub use metrics::{ClientMetrics, LogicalHistogram, RunTelemetry};
 pub use oracle::{SafetyReport, SafetyViolation};
-pub use protocol::{Conflict, ConflictReason, Mode, Protocol};
+pub use protocol::{Conflict, ConflictReason, EvalCache, Mode, Protocol};
 pub use reconfig::{Config, ConfigState, ReconfigPolicy, ReconfigRecord, Reconfigurer};
 pub use repository::{Durability, RepoCounters, Repository};
 pub use types::{

@@ -222,6 +222,14 @@ pub struct RunTelemetry {
     /// extended the delta's base; each cost one more round trip carrying
     /// the whole view.
     pub write_delta_refusals: u64,
+    /// Operations front-ends evaluated (one per read quorum assembled).
+    pub evaluations: u64,
+    /// Evaluations whose view contradicted the front-end's evaluation
+    /// cache, which then replayed the view whole.
+    pub eval_rebuilds: u64,
+    /// Entries replayed by all evaluations (÷ `evaluations`: the mean
+    /// suffix an operation pays for).
+    pub eval_suffix_entries: u64,
     /// Status tombstones dropped by status GC (0 when GC is off).
     pub statuses_gcd: u64,
     /// Largest per-repository status-table population observed at any
@@ -372,6 +380,9 @@ impl RunTelemetry {
         self.payload_msgs += other.payload_msgs;
         self.statuses_shipped += other.statuses_shipped;
         self.write_delta_refusals += other.write_delta_refusals;
+        self.evaluations += other.evaluations;
+        self.eval_rebuilds += other.eval_rebuilds;
+        self.eval_suffix_entries += other.eval_suffix_entries;
         self.statuses_gcd += other.statuses_gcd;
         self.status_table_peak = self.status_table_peak.max(other.status_table_peak);
         self.resolve_ack_retransmits += other.resolve_ack_retransmits;
@@ -482,6 +493,13 @@ impl RunTelemetry {
             "      \"write_delta_refusals\": {},\n",
             self.write_delta_refusals
         ));
+        for (name, count) in [
+            ("evaluations", self.evaluations),
+            ("eval_rebuilds", self.eval_rebuilds),
+            ("eval_suffix_entries", self.eval_suffix_entries),
+        ] {
+            s.push_str(&format!("      \"{name}\": {count},\n"));
+        }
         s.push_str(&format!("      \"statuses_gcd\": {},\n", self.statuses_gcd));
         s.push_str(&format!(
             "      \"status_table_peak\": {},\n",

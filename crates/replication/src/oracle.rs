@@ -173,7 +173,7 @@ impl<S: Classified + Enumerable> RunReport<S> {
         if check_atomicity {
             for obj in self.objects() {
                 let h = self.history(*obj);
-                if !history::satisfies::<S>(self.protocol().mode, &h, bounds) {
+                if !history::satisfies::<S>(self.protocol().mode(), &h, bounds) {
                     violations.push(SafetyViolation::NonAtomic { obj: *obj });
                 }
             }

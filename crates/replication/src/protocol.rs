@@ -36,12 +36,25 @@
 //! write against reservations and report conflicts. Pipelining moves
 //! message time around; the conflict arithmetic, and hence every
 //! decision, is unchanged.
+//!
+//! ## Evaluation from a frontier
+//!
+//! "Pure over the view" need not mean "replays the view": between one
+//! operation of a front-end and its next on the same object, the replay
+//! set almost always only grows at the tail. An [`EvalCache`] holds the
+//! state a replay reached and exactly which entries, under which outcomes,
+//! it folded to get there; [`Protocol::evaluate_from`] checks the view
+//! against that list and replays only what sorts after it, or — when a
+//! commit landed below the cached key, the view lacks a folded entry or its
+//! status, the checkpoint moved — empties the cache and rebuilds it in the
+//! same pass. [`Protocol::evaluate`] is that pass on an empty cache, so the
+//! cached answer is the replayed answer by construction (DESIGN §3.11).
 
-use crate::types::{ActionOutcome, LogEntry, ObjectLog};
+use crate::types::{ActionOutcome, Checkpoint, LogEntry, ObjectLog};
 use quorumcc_core::DependencyRelation;
-use quorumcc_model::{ActionId, Classified, EventClass};
+use quorumcc_model::{ActionId, Classified, EventClass, Sequential};
 use quorumcc_sim::Timestamp;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Which local atomicity property the protocol implements.
@@ -114,50 +127,85 @@ impl fmt::Display for Conflict {
 /// hybrid relation for hybrid).
 #[derive(Debug, Clone)]
 pub struct Protocol {
-    /// The atomicity property implemented.
-    pub mode: Mode,
-    /// The dependency/conflict relation.
-    pub rel: DependencyRelation,
+    mode: Mode,
+    rel: DependencyRelation,
+    /// Per invocation class, what the relation says about it — derived
+    /// from `rel` once, here, so it cannot go stale.
+    tables: BTreeMap<&'static str, OpTable>,
 }
+
+/// What one invocation class depends on.
+#[derive(Debug, Clone, Default)]
+struct OpTable {
+    /// The event classes it depends on directly (conflict candidates).
+    related: Vec<EventClass>,
+    /// Their transitive closure (what its replay must observe).
+    closure: BTreeSet<EventClass>,
+}
+
+static NO_DEPENDENCIES: OpTable = OpTable {
+    related: Vec::new(),
+    closure: BTreeSet::new(),
+};
 
 impl Protocol {
     /// Builds a protocol.
     pub fn new(mode: Mode, rel: DependencyRelation) -> Self {
-        Protocol { mode, rel }
+        let mut tables: BTreeMap<&'static str, OpTable> = BTreeMap::new();
+        for (op, class) in rel.iter() {
+            let table = tables.entry(op).or_default();
+            table.related.push(*class);
+            table.closure.insert(*class);
+        }
+        // Close under "what it observes, observes": until nothing grows.
+        loop {
+            let before = tables.clone();
+            for table in tables.values_mut() {
+                let reached: Vec<EventClass> = (table.closure.iter())
+                    .filter_map(|c| before.get(c.op))
+                    .flat_map(|t| t.closure.iter().copied())
+                    .collect();
+                table.closure.extend(reached);
+            }
+            let size = |t: &OpTable| t.closure.len();
+            if tables.values().map(size).eq(before.values().map(size)) {
+                return Protocol { mode, rel, tables };
+            }
+        }
+    }
+
+    /// The atomicity property implemented.
+    pub fn mode(&self) -> Mode {
+        self.mode
+    }
+
+    /// The dependency/conflict relation.
+    pub fn rel(&self) -> &DependencyRelation {
+        &self.rel
+    }
+
+    fn table(&self, op: &str) -> &OpTable {
+        self.tables.get(op).unwrap_or(&NO_DEPENDENCIES)
+    }
+
+    /// Whether an invocation of `op` depends on events of `class` — the
+    /// relation's `op ≥ class`.
+    pub fn related(&self, op: &str, class: EventClass) -> bool {
+        self.table(op).related.contains(&class)
     }
 
     /// The transitive closure of event classes an invocation of `op` must
     /// observe: its direct dependencies, their operations' dependencies,
     /// and so on. The §3.2 log-propagation argument guarantees these reach
     /// the view through quorum intersections.
-    pub fn closure_classes(&self, op: &'static str) -> BTreeSet<EventClass> {
-        let mut out: BTreeSet<EventClass> = self
-            .rel
-            .iter()
-            .filter(|(i, _)| *i == op)
-            .map(|(_, e)| *e)
-            .collect();
-        loop {
-            let next: Vec<EventClass> = out
-                .iter()
-                .flat_map(|c| {
-                    self.rel
-                        .iter()
-                        .filter(move |(i, _)| *i == c.op)
-                        .map(|(_, e)| *e)
-                })
-                .collect();
-            let before = out.len();
-            out.extend(next);
-            if out.len() == before {
-                return out;
-            }
-        }
+    pub fn closure_classes(&self, op: &str) -> &BTreeSet<EventClass> {
+        &self.table(op).closure
     }
 
     /// Evaluates invocation `inv` of `action` (begun at `begin_ts`)
     /// against the merged quorum view `log` plus the action's `own`
-    /// previous entries, returning the response the front-end should give.
+    /// previous entries (in program order), returning the response the
+    /// front-end should give: [`Self::evaluate_from`] on an empty cache.
     ///
     /// # Errors
     ///
@@ -171,97 +219,226 @@ impl Protocol {
         begin_ts: Timestamp,
         inv: &S::Inv,
     ) -> Result<S::Res, Conflict> {
+        self.evaluate_from::<S>(&mut EvalCache::default(), log, own, action, begin_ts, inv)
+    }
+
+    /// [`Self::evaluate`] from a frontier: `cache` holds the state after
+    /// the committed closure entries of earlier views of this object, for
+    /// invocations of `inv`'s class. The response is the one an empty
+    /// cache gives; a conflict leaves the cache as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::evaluate`].
+    pub fn evaluate_from<S: Classified>(
+        &self,
+        cache: &mut EvalCache<S>,
+        log: &ObjectLog<S::Inv, S::Res>,
+        own: &[LogEntry<S::Inv, S::Res>],
+        action: ActionId,
+        begin_ts: Timestamp,
+        inv: &S::Inv,
+    ) -> Result<S::Res, Conflict> {
+        debug_assert!(own.windows(2).all(|w| w[0].ts < w[1].ts));
         let op = S::op_class(inv);
-        let closure = self.closure_classes(op);
+        cache.evaluations += 1;
+        if !self.advance(cache, op, log, action, begin_ts)? {
+            cache.rebuilds += u64::from(!cache.folded.is_empty());
+            cache.restart(log.checkpoint(), op);
+            let rebuilt = self.advance(cache, op, log, action, begin_ts)?;
+            debug_assert!(rebuilt, "an empty cache has nothing to contradict");
+        }
+        // Own entries follow every foreign one: static serializes them at
+        // this action's Begin (whatever was replayed began earlier),
+        // hybrid/dynamic after everything committed in the view.
+        let mut state = cache.state.clone();
+        for e in own {
+            S::step(&mut state, &e.event.inv);
+        }
+        Ok(S::step(&mut state, inv))
+    }
 
-        // Replay set: (sort key, entry). Foreign committed entries are
-        // ordered by the mode's serialization timestamp; own entries are
-        // replayed at the position the mode serializes *this* action.
-        #[allow(clippy::type_complexity)]
-        let mut replay: Vec<((u8, Timestamp, Timestamp), &LogEntry<S::Inv, S::Res>)> = Vec::new();
-
+    /// One pass over the view: conflicts in log order, the check of the
+    /// view against the cache and — if it holds — the suffix folded in.
+    /// `Ok(false)`: the view contradicts the cache, which is untouched.
+    ///
+    /// They agree when the view has the same checkpoint, records every
+    /// action with a folded entry under the outcome it was folded at,
+    /// holds every folded entry, and nothing else in it serializes at or
+    /// below the cached key (static: and the evaluating action began after
+    /// everything folded). Entries never change and an entry's key is a
+    /// function of its action's outcome, so the view's replay set is then
+    /// the folded entries at their old keys followed by the suffix. A
+    /// folded entry costs one compare; only the others pay a status lookup.
+    fn advance<S: Classified>(
+        &self,
+        cache: &mut EvalCache<S>,
+        op: &'static str,
+        log: &ObjectLog<S::Inv, S::Res>,
+        action: ActionId,
+        begin_ts: Timestamp,
+    ) -> Result<bool, Conflict> {
+        if cache.checkpoint.as_ref() != log.checkpoint() {
+            return Ok(false); // another base state
+        }
+        if self.mode == Mode::StaticTs && cache.key.is_some_and(|k| k.0 > begin_ts) {
+            return Ok(false); // folded past this action's Begin
+        }
+        // Both lists run in action order: one walk.
+        let mut known = log.statuses();
+        let resolved_as_folded = (cache.committed.iter())
+            .all(|c| c.0 != action && known.find(|s| s.0 >= c.0) == Some(*c));
+        if !resolved_as_folded {
+            return Ok(false); // a status this view does not know
+        }
+        let table = self.table(op);
+        let conflict = |e: &LogEntry<S::Inv, S::Res>, on, reason| Conflict {
+            with: e.action,
+            on,
+            reason,
+        };
+        // Folded entries met so far, and the suffix: (serialization key,
+        // position in the folded list, entry, its action's outcome), in
+        // log order.
+        let mut met = 0;
+        let mut suffix = Vec::new();
         for e in log.entries() {
+            if cache.folded.get(met) == Some(&e.ts) {
+                met += 1;
+                continue;
+            }
             if e.action == action {
                 continue; // own entries come from `own` (authoritative)
             }
             let class = S::event_class(&e.event.inv, &e.event.res);
-            let related = self.rel.contains(op, class);
-            match (self.mode, log.status(e.action)) {
-                (_, ActionOutcome::Aborted) => {}
-                (Mode::StaticTs, status) => {
-                    if e.begin_ts > begin_ts {
-                        // Serialized after me: never in my replay; if
-                        // dependency-related, my insertion before it is the
-                        // Theorem-6 interference — refuse.
-                        if related {
-                            return Err(Conflict {
-                                with: e.action,
-                                on: class,
-                                reason: ConflictReason::TooLate,
-                            });
-                        }
-                    } else if status.is_resolved() {
-                        // Committed, serialized before me.
-                        if closure.contains(&class) {
-                            replay.push(((0, e.begin_ts, e.ts), e));
-                        }
-                    } else if related {
-                        // Uncommitted earlier dependency: Reed would block;
-                        // we abort (conservative, non-blocking).
-                        return Err(Conflict {
-                            with: e.action,
-                            on: class,
-                            reason: ConflictReason::DirtyPast,
-                        });
-                    }
-                }
-                (Mode::Hybrid | Mode::Dynamic2pl, ActionOutcome::Committed(cts)) => {
-                    if closure.contains(&class) {
-                        replay.push(((0, cts, e.ts), e));
-                    }
-                }
-                (Mode::Hybrid | Mode::Dynamic2pl, ActionOutcome::Active) => {
+            let related = table.related.contains(&class);
+            // The timestamp a committed entry serializes at, or out.
+            let status = log.status(e.action);
+            let at = match (self.mode, status) {
+                (_, ActionOutcome::Aborted) => continue,
+                (Mode::StaticTs, _) if e.begin_ts > begin_ts => {
+                    // Serialized after me: never in my replay; if
+                    // dependency-related, my insertion before it is the
+                    // Theorem-6 interference — refuse.
                     if related {
-                        // A dependency-related tentative entry is a held
-                        // lock.
-                        return Err(Conflict {
-                            with: e.action,
-                            on: class,
-                            reason: ConflictReason::Lock,
-                        });
+                        return Err(conflict(e, class, ConflictReason::TooLate));
                     }
+                    continue;
                 }
-            }
-        }
-
-        for e in own {
-            let key = match self.mode {
-                // Static: my events sit at my Begin position.
-                Mode::StaticTs => (0, begin_ts, e.ts),
-                // Hybrid/dynamic: I will commit after everything committed
-                // in my view.
-                Mode::Hybrid | Mode::Dynamic2pl => (1, e.ts, e.ts),
+                (Mode::StaticTs, ActionOutcome::Committed(_)) => e.begin_ts,
+                (Mode::StaticTs, ActionOutcome::Active) => {
+                    // Uncommitted earlier dependency: Reed would block;
+                    // we abort (conservative, non-blocking).
+                    if related {
+                        return Err(conflict(e, class, ConflictReason::DirtyPast));
+                    }
+                    continue;
+                }
+                (Mode::Hybrid | Mode::Dynamic2pl, ActionOutcome::Committed(cts)) => cts,
+                (Mode::Hybrid | Mode::Dynamic2pl, ActionOutcome::Active) => {
+                    // A dependency-related tentative entry is a held lock.
+                    if related {
+                        return Err(conflict(e, class, ConflictReason::Lock));
+                    }
+                    continue;
+                }
             };
-            replay.push((key, e));
+            if !table.closure.contains(&class) {
+                continue;
+            }
+            let key: EvalKey = (at, e.ts);
+            if Some(key) <= cache.key {
+                return Ok(false); // a commit landed below the frontier
+            }
+            suffix.push((key, met + suffix.len(), e, status));
         }
+        if met != cache.folded.len() {
+            return Ok(false); // a folded entry is gone from this view
+        }
+        if suffix.is_empty() {
+            return Ok(true); // nothing committed since
+        }
+        cache.suffix_entries += suffix.len() as u64;
+        for (_, pos, e, status) in &suffix {
+            cache.folded.insert(*pos, e.ts);
+            cache.committed.push((e.action, *status));
+        }
+        cache.committed.sort_by_key(|c| c.0);
+        cache.committed.dedup();
+        suffix.sort_unstable_by_key(|s| s.0);
+        for (key, _, e, _) in suffix {
+            S::step(&mut cache.state, &e.event.inv);
+            cache.key = Some(key);
+        }
+        Ok(true)
+    }
+}
 
-        replay.sort_by_key(|a| a.0);
-        // A compacted view replays from the checkpoint's state for this op
-        // class: the fold of the covered committed prefix restricted to
-        // `op`'s closure — exactly what the dropped entries would have
-        // contributed here. Folds only cover commit timestamps below every
-        // surviving entry's serialization position, so "checkpoint first,
-        // then the replay set" is the same order the raw log would sort.
-        let mut state = log
-            .checkpoint()
-            .and_then(|cp| cp.state_as::<std::collections::BTreeMap<&'static str, S::State>>())
+/// Where a committed entry serializes: the mode's timestamp for its action
+/// (Begin under static, commit otherwise), then its own.
+type EvalKey = (Timestamp, Timestamp);
+
+/// The state of one object at a frontier, for invocations of one class
+/// (see [`Protocol::evaluate_from`]): the checkpoint it started from, the
+/// state after every committed closure entry folded so far, the largest
+/// key folded, the folded entries' timestamps in log order and their
+/// actions, with the outcome each was folded under, in action order.
+#[derive(Clone)]
+pub struct EvalCache<S: Sequential> {
+    checkpoint: Option<Checkpoint>,
+    state: S::State,
+    key: Option<EvalKey>,
+    folded: Vec<Timestamp>,
+    committed: Vec<(ActionId, ActionOutcome)>,
+    evaluations: u64,
+    rebuilds: u64,
+    suffix_entries: u64,
+}
+
+impl<S: Sequential> Default for EvalCache<S> {
+    fn default() -> Self {
+        EvalCache {
+            checkpoint: None,
+            state: S::initial(),
+            key: None,
+            folded: Vec::new(),
+            committed: Vec::new(),
+            evaluations: 0,
+            rebuilds: 0,
+            suffix_entries: 0,
+        }
+    }
+}
+
+impl<S: Sequential> EvalCache<S> {
+    /// Empties the cache onto a view's checkpoint: its state for this op
+    /// class is the fold of the covered prefix restricted to `op`'s closure
+    /// — what the dropped entries would have contributed — and folds only
+    /// cover commit timestamps below every surviving entry's position, so
+    /// "checkpoint, then the entries" is the order the raw log would sort.
+    fn restart(&mut self, checkpoint: Option<&Checkpoint>, op: &str) {
+        self.checkpoint = checkpoint.cloned();
+        self.state = (self.checkpoint.as_ref())
+            .and_then(|cp| cp.state_as::<BTreeMap<&'static str, S::State>>())
             .and_then(|m| m.get(op).cloned())
             .unwrap_or_else(S::initial);
-        for (_, e) in &replay {
-            let (_res, next) = S::apply(&state, &e.event.inv);
-            state = next;
-        }
-        Ok(S::apply(&state, inv).0)
+        self.key = None;
+        self.folded.clear();
+        self.committed.clear();
+    }
+
+    /// `(evaluations, rebuilds, entries replayed)` so far; a rebuild is a
+    /// view that contradicted the cache and was replayed whole.
+    pub fn counters(&self) -> (u64, u64, u64) {
+        (self.evaluations, self.rebuilds, self.suffix_entries)
+    }
+}
+
+/// Renders nothing of the contents: `sim::explore` fingerprints process
+/// state through `Debug`, and a cache depends on the path to a state.
+impl<S: Sequential> fmt::Debug for EvalCache<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("EvalCache")
     }
 }
 
@@ -530,5 +707,309 @@ mod tests {
             .evaluate::<quorumcc_adts::Prom>(&log, &[], ActionId(1), ts(5, 1), &PromInv::Read)
             .unwrap();
         assert_eq!(res, PromRes::Item(9));
+    }
+
+    /// Three sites' logs of one object, foreign actions writing to and
+    /// resolving at some of them, and one front-end evaluating against the
+    /// union of two — the views a client builds, with everything that can
+    /// contradict a cache: commits below earlier ones, statuses and entries
+    /// at one site only, gossip, folds.
+    struct World<S: Classified> {
+        proto: Protocol,
+        sites: [ObjectLog<S::Inv, S::Res>; 3],
+        clock: u64,
+        next_action: u32,
+        /// Unresolved foreign actions: id, Begin, latest entry.
+        active: Vec<(ActionId, Timestamp, Timestamp)>,
+        /// Responses of generated events are read off this state.
+        scratch: S::State,
+        /// The evaluating front-end's action, and its entries so far.
+        me: (ActionId, Timestamp),
+        own: Vec<LogEntry<S::Inv, S::Res>>,
+    }
+
+    #[derive(Debug, Default)]
+    struct Tally {
+        answers: u64,
+        conflicts: u64,
+        advances: u64,
+        rebuilds: u64,
+    }
+
+    type TestRng = rand::rngs::StdRng;
+
+    impl<S: Classified + quorumcc_model::Enumerable> World<S> {
+        fn new(proto: Protocol) -> Self {
+            let mut w = World {
+                proto,
+                sites: [ObjectLog::new(), ObjectLog::new(), ObjectLog::new()],
+                clock: 0,
+                next_action: 0,
+                active: Vec::new(),
+                scratch: S::initial(),
+                me: (ActionId(0), ts(0, 0)),
+                own: Vec::new(),
+            };
+            w.begin_mine();
+            w
+        }
+
+        fn tick(&mut self, rng: &mut TestRng, node: u32) -> Timestamp {
+            use rand::Rng as _;
+            self.clock += rng.gen_range(1..4u64);
+            ts(self.clock, node)
+        }
+
+        fn fresh_action(&mut self) -> ActionId {
+            self.next_action += 1;
+            ActionId(self.next_action)
+        }
+
+        fn begin_mine(&mut self) {
+            self.clock += 1;
+            self.me = (self.fresh_action(), ts(self.clock, 0));
+            self.own.clear();
+        }
+
+        /// One, two (mostly) or all three sites.
+        fn some_sites(rng: &mut TestRng) -> Vec<usize> {
+            use rand::Rng as _;
+            let skip = rng.gen_range(0..3usize);
+            match rng.gen_range(0..10u32) {
+                0 => vec![skip],
+                1..=3 => vec![0, 1, 2],
+                _ => (0..3).filter(|s| *s != skip).collect(),
+            }
+        }
+
+        fn write(&mut self, rng: &mut TestRng, entry: &LogEntry<S::Inv, S::Res>) {
+            for s in Self::some_sites(rng) {
+                self.sites[s].insert(entry.clone());
+            }
+        }
+
+        fn resolve(&mut self, rng: &mut TestRng, action: ActionId, outcome: ActionOutcome) {
+            for s in Self::some_sites(rng) {
+                self.sites[s].resolve(action, outcome);
+            }
+        }
+
+        /// An event with a plausible response, so every class turns up.
+        fn event(&mut self, rng: &mut TestRng) -> (S::Inv, S::Res) {
+            use rand::Rng as _;
+            if rng.gen_bool(0.05) {
+                self.scratch = S::initial();
+            }
+            let invs = S::invocations();
+            let inv = invs[rng.gen_range(0..invs.len())].clone();
+            let res = S::step(&mut self.scratch, &inv);
+            (inv, res)
+        }
+
+        fn foreign_write(&mut self, rng: &mut TestRng) {
+            use rand::Rng as _;
+            if self.active.is_empty() || rng.gen_bool(0.4) {
+                let action = self.fresh_action();
+                let begin = self.tick(rng, action.0 % 5 + 1);
+                self.active.push((action, begin, begin));
+            }
+            let at = rng.gen_range(0..self.active.len());
+            let (action, begin, _) = self.active[at];
+            let ets = self.tick(rng, begin.node);
+            self.active[at].2 = ets;
+            let (inv, res) = self.event(rng);
+            self.write(rng, &entry_of::<S>(ets, action, begin, inv, res));
+        }
+
+        /// Commits — now, or at a timestamp just past the action's last
+        /// entry, below commits already seen — or aborts.
+        fn foreign_resolve(&mut self, rng: &mut TestRng) {
+            use rand::Rng as _;
+            if self.active.is_empty() {
+                return;
+            }
+            let (action, begin, last) =
+                self.active.swap_remove(rng.gen_range(0..self.active.len()));
+            let outcome = match rng.gen_range(0..10u32) {
+                0..=1 => ActionOutcome::Aborted,
+                2..=3 => ActionOutcome::Committed(ts(last.counter + 1, begin.node)),
+                _ => ActionOutcome::Committed(self.tick(rng, begin.node)),
+            };
+            self.resolve(rng, action, outcome);
+        }
+
+        /// Folds everything committed below the oldest undecided entry, the
+        /// way `Repository::maybe_compact` does, and installs the checkpoint
+        /// at some sites (the rest adopt it through merges).
+        fn fold(&mut self, rng: &mut TestRng) {
+            let mut all = ObjectLog::new();
+            for s in &self.sites {
+                all.merge(s);
+            }
+            let bound = (all.entries())
+                .filter(|e| !all.status(e.action).is_resolved())
+                .map(|e| e.ts)
+                .min()
+                .unwrap_or(ts(u64::MAX, 0));
+            let mut fold: Vec<_> = (all.entries())
+                .filter_map(|e| match all.status(e.action) {
+                    ActionOutcome::Committed(cts) if cts < bound => Some(((cts, e.ts), e)),
+                    _ => None,
+                })
+                .collect();
+            if fold.is_empty() {
+                return;
+            }
+            fold.sort_by_key(|f| f.0);
+            let previous = all.checkpoint();
+            let mut states: BTreeMap<&'static str, S::State> = previous
+                .and_then(|cp| cp.state_as::<BTreeMap<&'static str, S::State>>())
+                .cloned()
+                .unwrap_or_else(|| {
+                    S::op_classes()
+                        .iter()
+                        .map(|op| (*op, S::initial()))
+                        .collect()
+                });
+            for (op, state) in &mut states {
+                let closure = self.proto.closure_classes(op);
+                for (_, e) in &fold {
+                    if closure.contains(&S::event_class(&e.event.inv, &e.event.res)) {
+                        S::step(state, &e.event.inv);
+                    }
+                }
+            }
+            let mut covered = previous.map(|cp| cp.covered().clone()).unwrap_or_default();
+            covered.extend(fold.iter().map(|((cts, _), e)| (e.action, *cts)));
+            let folded = previous.map_or(0, Checkpoint::folded) + fold.len() as u64;
+            let cp = Checkpoint::new(states, covered, folded);
+            for s in Self::some_sites(rng) {
+                self.sites[s].install_checkpoint(cp.clone());
+            }
+        }
+
+        /// One evaluation on the union of two sites: the long-lived cache
+        /// for the op class against a cache made for the occasion. Now and
+        /// then the caches are lent to an evaluator no front-end would be:
+        /// some action that may have committed since, begun at any time.
+        fn evaluate(
+            &mut self,
+            rng: &mut TestRng,
+            caches: &mut BTreeMap<&'static str, EvalCache<S>>,
+            tally: &mut Tally,
+        ) {
+            use rand::Rng as _;
+            let skip = rng.gen_range(0..3usize);
+            let mut view = ObjectLog::new();
+            for s in (0..3).filter(|s| *s != skip) {
+                view.merge(&self.sites[s]);
+            }
+            let invs = S::invocations();
+            let inv = invs[rng.gen_range(0..invs.len())].clone();
+            let mine = rng.gen_bool(0.95);
+            let ((action, begin), own) = match mine {
+                true => (self.me, &self.own[..]),
+                false => {
+                    let action = ActionId(rng.gen_range(1..=self.next_action));
+                    ((action, ts(rng.gen_range(0..=self.clock), 9)), &[][..])
+                }
+            };
+            let cache = caches.entry(S::op_class(&inv)).or_default();
+            let (held, before) = (cache.folded.len(), cache.counters());
+            let got = (self.proto).evaluate_from(cache, &view, own, action, begin, &inv);
+            let mut fresh = EvalCache::<S>::default();
+            let want = (self.proto).evaluate_from(&mut fresh, &view, own, action, begin, &inv);
+            assert_eq!(got, want, "cached and fresh evaluation disagree");
+            let after = cache.counters();
+            tally.rebuilds += after.1 - before.1;
+            match got {
+                Ok(res) => {
+                    assert_eq!(
+                        (&cache.state, &cache.folded, &cache.committed, cache.key),
+                        (&fresh.state, &fresh.folded, &fresh.committed, fresh.key),
+                        "the cache is not where a replay of this view ends"
+                    );
+                    tally.answers += 1;
+                    tally.advances +=
+                        u64::from(held > 0 && after.1 == before.1 && after.2 > before.2);
+                    if mine && rng.gen_bool(0.6) {
+                        let ets = self.tick(rng, 0);
+                        let entry = entry_of::<S>(ets, action, begin, inv, res);
+                        self.write(rng, &entry);
+                        self.own.push(entry);
+                    }
+                }
+                Err(_) => {
+                    tally.conflicts += 1;
+                    if mine && rng.gen_bool(0.5) {
+                        self.resolve(rng, action, ActionOutcome::Aborted);
+                        self.begin_mine();
+                    }
+                }
+            }
+        }
+
+        fn run(proto: Protocol, seed: u64, tally: &mut Tally) {
+            use rand::{Rng as _, SeedableRng as _};
+            let mut rng = TestRng::seed_from_u64(seed);
+            let mut w = World::<S>::new(proto);
+            let mut caches = BTreeMap::new();
+            for _ in 0..160 {
+                match rng.gen_range(0..100u32) {
+                    0..=19 => w.foreign_write(&mut rng),
+                    20..=44 => w.foreign_resolve(&mut rng),
+                    45..=52 => {
+                        let (from, to) = (rng.gen_range(0..3usize), rng.gen_range(0..3usize));
+                        let other = w.sites[from].clone();
+                        w.sites[to].merge(&other);
+                    }
+                    // Static serializes by Begin and never folds.
+                    53..=56 if w.proto.mode() != Mode::StaticTs => w.fold(&mut rng),
+                    53..=61 => {
+                        let (action, _) = w.me;
+                        let cts = w.tick(&mut rng, 0);
+                        w.resolve(&mut rng, action, ActionOutcome::Committed(cts));
+                        w.begin_mine();
+                    }
+                    _ => w.evaluate(&mut rng, &mut caches, tally),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_evaluation_matches_fresh_on_random_view_sequences() {
+        use quorumcc_adts::{Prom, Queue};
+        use quorumcc_core::minimal_dynamic_relation;
+        let bounds = ExploreBounds {
+            depth: 4,
+            ..ExploreBounds::default()
+        };
+        let queue_s = minimal_static_relation::<Queue>(bounds).relation;
+        let queue_d = minimal_dynamic_relation::<Queue>(bounds).relation;
+        let prom_s = minimal_static_relation::<Prom>(bounds).relation;
+        let prom_d = minimal_dynamic_relation::<Prom>(bounds).relation;
+        let queue = [
+            Protocol::new(Mode::StaticTs, queue_s.clone()),
+            Protocol::new(Mode::Hybrid, queue_s),
+            Protocol::new(Mode::Dynamic2pl, queue_d),
+        ];
+        let prom = [
+            Protocol::new(Mode::StaticTs, prom_s),
+            Protocol::new(Mode::Hybrid, prom_hybrid_relation()),
+            Protocol::new(Mode::Dynamic2pl, prom_d),
+        ];
+        for (q, p) in queue.iter().zip(&prom) {
+            let (mut on_queue, mut on_prom) = (Tally::default(), Tally::default());
+            for seed in 0..200u64 {
+                World::<Queue>::run(q.clone(), seed, &mut on_queue);
+                World::<Prom>::run(p.clone(), seed, &mut on_prom);
+            }
+            for t in [on_queue, on_prom] {
+                let all_occurred =
+                    t.answers > 0 && t.conflicts > 0 && t.advances > 0 && t.rebuilds > 0;
+                assert!(all_occurred, "{}: {t:?}", q.mode());
+            }
+        }
     }
 }

@@ -109,8 +109,7 @@ struct Reservation {
 /// [`Self::on_recover`].
 #[derive(Debug, Clone)]
 pub struct Repository<S: Classified> {
-    mode: Mode,
-    rel: DependencyRelation,
+    proto: Protocol,
     logs: BTreeMap<ObjId, VersionedLog<S::Inv, S::Res>>,
     reservations: BTreeMap<ObjId, BTreeMap<ActionId, Reservation>>,
     /// Reverse index over `reservations`, keyed `(action, obj)`: dropping
@@ -200,8 +199,7 @@ impl<S: Classified> Repository<S> {
     /// An empty repository enforcing `rel` under `mode`.
     pub fn new(mode: Mode, rel: DependencyRelation) -> Self {
         Repository {
-            mode,
-            rel,
+            proto: Protocol::new(mode, rel),
             logs: BTreeMap::new(),
             reservations: BTreeMap::new(),
             reserved_index: BTreeSet::new(),
@@ -1010,10 +1008,10 @@ impl<S: Classified> Repository<S> {
             if *action == e.action {
                 continue;
             }
-            if self.mode == Mode::StaticTs && r.begin_ts < e.begin_ts {
+            if self.proto.mode() == Mode::StaticTs && r.begin_ts < e.begin_ts {
                 continue;
             }
-            if r.ops.iter().any(|op| self.rel.contains(op, class)) {
+            if r.ops.iter().any(|op| self.proto.related(op, class)) {
                 return Some(*action);
             }
         }
@@ -1079,7 +1077,7 @@ impl<S: Classified> Repository<S> {
         let Some(cc) = self.compaction else {
             return false;
         };
-        if self.mode == Mode::StaticTs {
+        if self.proto.mode() == Mode::StaticTs {
             return false;
         }
         let Some(vlog) = self.logs.get(&obj) else {
@@ -1132,7 +1130,6 @@ impl<S: Classified> Repository<S> {
         // per op class, each restricted to that class's dependency
         // closure (evaluation replays closure-filtered sub-histories, so
         // the fold must too).
-        let proto = Protocol::new(self.mode, self.rel.clone());
         let ops = S::op_classes();
         let mut states: BTreeMap<&'static str, S::State> = match log
             .checkpoint()
@@ -1155,12 +1152,11 @@ impl<S: Classified> Repository<S> {
             .collect();
         replay.sort_by_key(|(cts, ts, _)| (*cts, *ts));
         for op in &ops {
-            let closure = proto.closure_classes(op);
+            let closure = self.proto.closure_classes(op);
             let state = states.get_mut(op).expect("state per op class");
             for (_, _, e) in &replay {
                 if closure.contains(&S::event_class(&e.event.inv, &e.event.res)) {
-                    let (_res, next) = S::apply(state, &e.event.inv);
-                    *state = next;
+                    S::step(state, &e.event.inv);
                 }
             }
         }

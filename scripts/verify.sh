@@ -326,9 +326,10 @@ echo "$bench_out" | grep -q "log_shipping/1024/delta_reply" || {
   echo "$bench_out" >&2
   exit 1
 }
-# The same binary carries the perf ledger's `Repository::handle(Resolve)`
-# and `handle(WriteLog)` rows.
-for row in repository_resolve/8192_logs repository_writelog/800_entries/delta; do
+# The same binary carries the perf ledger's `Repository::handle(Resolve)`,
+# `handle(WriteLog)` and `Protocol::evaluate_from` rows.
+for row in repository_resolve/8192_logs repository_writelog/800_entries/delta \
+  protocol_evaluate/800_entries/incremental; do
   echo "$bench_out" | grep -q "$row" || {
     echo "log_shipping bench produced no $row timing:" >&2
     echo "$bench_out" >&2

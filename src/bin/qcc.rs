@@ -347,7 +347,7 @@ fn cmd_simulate<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
     let t = report.stats();
     println!(
         "mode {}: committed {} / conflict aborts {} / unavailable {} / ops {}",
-        report.protocol().mode,
+        report.protocol().mode(),
         t.committed,
         t.aborted_conflict,
         t.aborted_unavailable,
@@ -535,7 +535,7 @@ fn cmd_chaos<S: Enumerable + Classified>(ty: &str, opts: &Opts) -> Result<(), St
     println!(
         "chaos sweep: {} plans from seed {seed} ({} mode, {} sites)",
         outcomes.len(),
-        protocol.mode,
+        protocol.mode(),
         cfg.n_sites
     );
     println!(
@@ -747,8 +747,8 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
     };
     let retransmit_ms = opts.get("retransmit-ms", 0u64)?;
     let cfg = quorumcc::net::LoadConfig {
-        mode: protocol.mode,
-        relation: protocol.rel,
+        mode: protocol.mode(),
+        relation: protocol.rel().clone(),
         clusters: opts.get("cells", 1usize)?.max(1),
         n_repos: opts.get("sites", 3u32)?,
         clients: opts.get("clients", 300usize)?,
@@ -810,13 +810,16 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
     );
     println!(
         "  phase retries {}  txn reruns {}  statuses shipped {}  gc'd {}  table peak {}  \
-         delta writes refused {}",
+         delta writes refused {}  evaluations {} (rebuilt {}, {:.1} entries replayed each)",
         tel.phase_retries,
         tel.txn_reruns,
         tel.statuses_shipped,
         tel.statuses_gcd,
         tel.status_table_peak,
-        tel.write_delta_refusals
+        tel.write_delta_refusals,
+        tel.evaluations,
+        tel.eval_rebuilds,
+        tel.eval_suffix_entries as f64 / tel.evaluations.max(1) as f64
     );
     println!("{}", report.to_json());
     if report.unfinished > 0 {
