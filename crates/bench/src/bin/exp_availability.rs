@@ -161,7 +161,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             unavailable,
             100.0 * *committed as f64 / total.max(1) as f64
         );
-        rec.raw_json(&format!("telemetry_{name}"), merged.to_json());
+        rec.section(&format!("telemetry_{name}"), merged.to_json());
     }
     println!(
         "\n  Shape check: hybrid write availability dominates static at every\n\

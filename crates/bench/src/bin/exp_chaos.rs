@@ -21,11 +21,11 @@
 //!   wall-clock or pool sizes (those go to stdout).
 
 use quorumcc_adts::Queue;
-use quorumcc_bench::{experiment_bounds, section, threads_from_args};
+use quorumcc_bench::{experiment_bounds, section, threads_from_args, write_artifact};
 use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation};
 use quorumcc_replication::chaos::{self, ChaosConfig, ChaosPlan, ProfileStats};
 use quorumcc_replication::protocol::{Mode, Protocol};
-use std::fmt::Write as _;
+use quorumcc_sim::Json;
 
 const BASE_SEED: u64 = 2_026;
 const RUNS_PER_MODE: u64 = 60;
@@ -51,25 +51,20 @@ fn profile_row(p: &ProfileStats) -> String {
     )
 }
 
-fn profile_json(p: &ProfileStats) -> String {
-    format!(
-        "{{\"profile\": \"{}\", \"runs\": {}, \"committed\": {}, \"aborted_conflict\": {}, \
-         \"aborted_unavailable\": {}, \"abort_rate\": {:.4}, \"msgs_dropped\": {}, \
-         \"msgs_duplicated\": {}, \"msgs_reordered\": {}, \"recoveries\": {}, \
-         \"full_log_fallbacks\": {}, \"violations\": {}}}",
-        p.profile,
-        p.runs,
-        p.committed,
-        p.aborted_conflict,
-        p.aborted_unavailable,
-        p.abort_rate(),
-        p.msgs_dropped,
-        p.msgs_duplicated,
-        p.msgs_reordered,
-        p.recoveries,
-        p.full_log_fallbacks,
-        p.violations
-    )
+fn profile_record(p: &ProfileStats) -> Json {
+    Json::object()
+        .field("profile", p.profile.as_str())
+        .field("runs", p.runs)
+        .field("committed", p.committed)
+        .field("aborted_conflict", p.aborted_conflict)
+        .field("aborted_unavailable", p.aborted_unavailable)
+        .field("abort_rate", Json::Fixed(p.abort_rate(), 4))
+        .field("msgs_dropped", p.msgs_dropped)
+        .field("msgs_duplicated", p.msgs_duplicated)
+        .field("msgs_reordered", p.msgs_reordered)
+        .field("recoveries", p.recoveries)
+        .field("full_log_fallbacks", p.full_log_fallbacks)
+        .field("violations", p.violations)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -85,24 +80,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("dynamic", Protocol::new(Mode::Dynamic2pl, dynamic_rel)),
     ];
 
-    // The deterministic record this binary writes. Everything appended
-    // here is a pure function of (BASE_SEED, RUNS_PER_MODE, cfg) — no
-    // thread counts, no timings — so the file is byte-identical at every
-    // `--threads` count.
-    let mut json = String::new();
-    json.push_str("{\n  \"id\": \"exp_chaos\",\n");
-    let _ = writeln!(json, "  \"base_seed\": {BASE_SEED},");
-    let _ = writeln!(json, "  \"runs_per_mode\": {RUNS_PER_MODE},");
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"sites\": {}, \"clients\": {}, \"txns_per_client\": {}, \"ops_per_txn\": {}}},",
-        cfg.n_sites, cfg.clients, cfg.txns_per_client, cfg.ops_per_txn
-    );
-
     section("1. Sound sweep: every mode, every profile, oracle on every run");
     let mut total_violations = 0u64;
-    json.push_str("  \"modes\": {\n");
-    for (i, (name, protocol)) in modes.iter().enumerate() {
+    let mut by_mode = Json::object();
+    for (name, protocol) in &modes {
         let t0 = std::time::Instant::now();
         let outcomes = chaos::sweep::<Queue>(protocol, &cfg, BASE_SEED, RUNS_PER_MODE, threads);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -122,18 +103,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "violations"
         );
         let stats = chaos::aggregate(&outcomes);
-        let _ = writeln!(json, "    \"{name}\": [");
-        for (j, p) in stats.iter().enumerate() {
+        for p in &stats {
             println!("{}", profile_row(p));
             total_violations += p.violations;
-            let comma = if j + 1 < stats.len() { "," } else { "" };
-            let _ = writeln!(json, "      {}{comma}", profile_json(p));
         }
-        let comma = if i + 1 < modes.len() { "," } else { "" };
-        let _ = writeln!(json, "    ]{comma}");
+        by_mode = by_mode.field(name, Json::array(stats.iter().map(profile_record)));
     }
-    json.push_str("  },\n");
-    let _ = writeln!(json, "  \"total_violations\": {total_violations},");
     assert_eq!(
         total_violations, 0,
         "the sound sweep must pass the safety oracle in every mode"
@@ -182,23 +157,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the shrunk plan must still violate safety on replay"
     );
 
-    json.push_str("  \"selftest\": {\n");
-    let _ = writeln!(json, "    \"seed\": {SELFTEST_SEED},");
-    let _ = writeln!(json, "    \"flagged_at\": {idx},");
-    let _ = writeln!(json, "    \"flagged_plan\": \"{}\",", plan.encode());
-    let _ = writeln!(json, "    \"minimal_plan\": \"{}\",", minimal.encode());
-    let _ = writeln!(
-        json,
-        "    \"violations\": [{}]",
-        violations
-            .iter()
-            .map(|v| format!("\"{v}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    json.push_str("  }\n}\n");
-
-    std::fs::write("BENCH_exp_chaos.json", &json)?;
-    println!("\ntelemetry written to BENCH_exp_chaos.json");
+    // Everything in the record is a pure function of (BASE_SEED,
+    // RUNS_PER_MODE, cfg) — no thread counts, no timings — so the file is
+    // byte-identical at every `--threads` count.
+    let workload = Json::object()
+        .field("sites", cfg.n_sites)
+        .field("clients", cfg.clients)
+        .field("txns_per_client", cfg.txns_per_client)
+        .field("ops_per_txn", cfg.ops_per_txn);
+    let selftest = Json::object()
+        .field("seed", SELFTEST_SEED)
+        .field("flagged_at", idx)
+        .field("flagged_plan", plan.encode())
+        .field("minimal_plan", minimal.encode())
+        .field("violations", Json::array(violations));
+    let doc = Json::object()
+        .field("id", "exp_chaos")
+        .field("base_seed", BASE_SEED)
+        .field("runs_per_mode", RUNS_PER_MODE)
+        .field("workload", workload)
+        .field("modes", by_mode)
+        .field("total_violations", total_violations)
+        .field("selftest", selftest);
+    write_artifact("exp_chaos", &doc)?;
     Ok(())
 }

@@ -211,10 +211,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for (_, t) in &merged_delta {
-        rec.raw_json(&format!("telemetry_{}", t.mode), t.to_json());
+        rec.section(&format!("telemetry_{}", t.mode), t.to_json());
     }
     for (_, t) in &merged_full {
-        rec.raw_json(&format!("telemetry_{}_fullship", t.mode), t.to_json());
+        rec.section(&format!("telemetry_{}_fullship", t.mode), t.to_json());
     }
     println!(
         "\n  Shape check (Figure 1-1): hybrid always commits at least as much as\n\

@@ -25,14 +25,14 @@
 //! `--threads` count**.
 
 use quorumcc_adts::{FlagSet, Prom, Queue};
-use quorumcc_bench::{experiment_bounds, section, threads_from_args};
+use quorumcc_bench::{experiment_bounds, section, threads_from_args, write_artifact};
 use quorumcc_core::parallel::map_indexed;
 use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation};
 use quorumcc_model::{Classified, Enumerable};
 use quorumcc_replication::explore::{self, ExploreSetup, ExploreSpec, Knob};
 use quorumcc_replication::protocol::{Mode, Protocol};
 use quorumcc_sim::explore::{ExploreConfig, ExploreStats};
-use std::fmt::Write as _;
+use quorumcc_sim::Json;
 
 const SEED: u64 = 2_026;
 const ADTS: [&str; 3] = ["queue", "prom", "flagset"];
@@ -161,17 +161,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let depth = if quick { 15 } else { 16 };
     let adts: &[&str] = if quick { &ADTS[..1] } else { &ADTS };
 
-    let mut json = String::new();
-    json.push_str("{\n  \"id\": \"exp_explore\",\n");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"depth\": {depth},");
-    let s = sweep_setup();
-    let _ = writeln!(
-        json,
-        "  \"shape\": {{\"sites\": {}, \"clients\": {}, \"objects\": {}, \"txns_per_client\": {}, \"ops_per_txn\": {}}},",
-        s.sites, s.clients, s.objects, s.txns_per_client, s.ops_per_txn
-    );
-
     section("1. Sound sweep: POR on vs. off, every type x mode");
     // One job per (adt, mode, por); the pool sees all 18 at once so the
     // expensive POR-off halves overlap with everything else.
@@ -188,7 +177,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n  {:>8} | {:>8} | {:>9} | {:>9} | {:>9} | {:>9} | {:>5} | {:>9}",
         "type", "mode", "states+", "states-", "trans+", "trans-", "depth", "reduction"
     );
-    json.push_str("  \"cells\": [\n");
+    let mut cells = Vec::new();
     let mut min_reduction = f64::INFINITY;
     for (i, &(a, m, _)) in jobs.iter().enumerate().filter(|(_, j)| j.2) {
         let on = stats[i];
@@ -206,26 +195,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             on.max_depth_reached,
             reduction
         );
-        let comma = if i + 2 < jobs.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"adt\": \"{}\", \"mode\": \"{}\", \"states_por\": {}, \"transitions_por\": {}, \
-             \"schedules_por\": {}, \"states_full\": {}, \"transitions_full\": {}, \
-             \"schedules_full\": {}, \"max_depth\": {}, \"reduction\": {:.3}}}{comma}",
-            adts[a],
-            MODES[m],
-            on.states,
-            on.transitions,
-            on.schedules,
-            off.states,
-            off.transitions,
-            off.schedules,
-            on.max_depth_reached,
-            reduction
+        cells.push(
+            Json::object()
+                .field("adt", adts[a])
+                .field("mode", MODES[m])
+                .field("states_por", on.states)
+                .field("transitions_por", on.transitions)
+                .field("schedules_por", on.schedules)
+                .field("states_full", off.states)
+                .field("transitions_full", off.transitions)
+                .field("schedules_full", off.schedules)
+                .field("max_depth", on.max_depth_reached)
+                .field("reduction", Json::Fixed(reduction, 3)),
         );
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"min_reduction\": {min_reduction:.3},");
     println!(
         "\n  all {} cells clean; min reduction {min_reduction:.2}x ({ms:.1} ms wall)",
         jobs.len() / 2
@@ -236,29 +219,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     section("2. Calibration: both planted bugs produce minimal witnesses");
-    json.push_str("  \"witnesses\": {\n");
-    for (i, knob) in [Knob::SkipFinalAck, Knob::WeakenReadQuorum]
-        .iter()
-        .enumerate()
-    {
+    let mut witnesses = Json::object();
+    for knob in [Knob::SkipFinalAck, Knob::WeakenReadQuorum] {
         let t0 = std::time::Instant::now();
-        let (spec, d) = witness_spec(*knob);
+        let (spec, d) = witness_spec(knob);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         println!(
             "  {:>8}: witness at depth {d} ({ms:.1} ms wall)",
             knob.name()
         );
         println!("           {spec}");
-        let comma = if i == 0 { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    \"{}\": {{\"depth\": {d}, \"spec\": \"{spec}\"}}{comma}",
-            knob.name()
-        );
+        let witness = Json::object()
+            .field("depth", d)
+            .field("spec", spec.to_string());
+        witnesses = witnesses.field(knob.name(), witness);
     }
-    json.push_str("  }\n}\n");
 
-    std::fs::write("BENCH_exp_explore.json", &json)?;
-    println!("\ntelemetry written to BENCH_exp_explore.json");
+    let s = sweep_setup();
+    let shape = Json::object()
+        .field("sites", s.sites)
+        .field("clients", s.clients)
+        .field("objects", s.objects)
+        .field("txns_per_client", s.txns_per_client)
+        .field("ops_per_txn", s.ops_per_txn);
+    let doc = Json::object()
+        .field("id", "exp_explore")
+        .field("seed", SEED)
+        .field("depth", depth)
+        .field("shape", shape)
+        .field("cells", Json::Array(cells))
+        .field("min_reduction", Json::Fixed(min_reduction, 3))
+        .field("witnesses", witnesses);
+    write_artifact("exp_explore", &doc)?;
     Ok(())
 }

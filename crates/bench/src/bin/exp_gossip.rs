@@ -86,15 +86,15 @@
 
 use quorumcc_adts::queue::QueueInv;
 use quorumcc_adts::Queue;
-use quorumcc_bench::{experiment_bounds, section, threads_from_args};
+use quorumcc_bench::{experiment_bounds, section, threads_from_args, write_artifact};
 use quorumcc_core::{minimal_static_relation, parallel};
 
 use quorumcc_replication::cluster::{ProtocolConfig, RunBuilder, TuningConfig};
 use quorumcc_replication::protocol::{Mode, Protocol};
-use quorumcc_replication::{ObjId, Transaction};
+use quorumcc_replication::{ObjId, RunTelemetry, Transaction};
+use quorumcc_sim::Json;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
-use std::fmt::Write as _;
 
 const BASE_SEED: u64 = 9_191;
 /// Transactions per client at each scale: four doublings.
@@ -168,42 +168,30 @@ fn workload(txns: usize, seed: u64) -> Vec<Vec<Transaction<QueueInv>>> {
 struct Cell {
     arm: &'static str,
     txns_per_client: usize,
-    committed: usize,
-    aborted_conflict: usize,
-    aborted_unavailable: usize,
-    statuses_shipped: u64,
-    statuses_gcd: u64,
-    status_table_peak: u64,
-    msgs_sent: u64,
+    t: RunTelemetry,
 }
 
 impl Cell {
-    fn decided(&self) -> usize {
-        self.committed + self.aborted_conflict + self.aborted_unavailable
-    }
     /// Statuses shipped per decided transaction — the gossip bill a
     /// single action pays; linear growth here is the wall.
     fn shipped_per_action(&self) -> f64 {
-        self.statuses_shipped as f64 / self.decided().max(1) as f64
+        self.t.statuses_shipped as f64 / self.t.decided().max(1) as f64
     }
-    fn json(&self) -> String {
-        format!(
-            "{{\"arm\": \"{}\", \"txns_per_client\": {}, \"committed\": {}, \
-             \"aborted_conflict\": {}, \"aborted_unavailable\": {}, \
-             \"statuses_shipped\": {}, \"statuses_gcd\": {}, \
-             \"status_table_peak\": {}, \"msgs_sent\": {}, \
-             \"shipped_per_action\": {:.2}}}",
-            self.arm,
-            self.txns_per_client,
-            self.committed,
-            self.aborted_conflict,
-            self.aborted_unavailable,
-            self.statuses_shipped,
-            self.statuses_gcd,
-            self.status_table_peak,
-            self.msgs_sent,
-            self.shipped_per_action()
-        )
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("arm", self.arm)
+            .field("txns_per_client", self.txns_per_client)
+            .field("committed", self.t.committed)
+            .field("aborted_conflict", self.t.aborted_conflict)
+            .field("aborted_unavailable", self.t.aborted_unavailable)
+            .field("statuses_shipped", self.t.statuses_shipped)
+            .field("statuses_gcd", self.t.statuses_gcd)
+            .field("status_table_peak", self.t.status_table_peak)
+            .field("msgs_sent", self.t.msgs_sent)
+            .field(
+                "shipped_per_action",
+                Json::Fixed(self.shipped_per_action(), 2),
+            )
     }
 }
 
@@ -216,18 +204,10 @@ fn run_cell(mode: Mode, txns: usize, arm: Arm, protocol: &Protocol) -> Cell {
         .workload(workload(txns, seed))
         .run()
         .expect("gossip sweep cell");
-    let s = report.stats();
-    let t = report.telemetry();
     Cell {
         arm: arm.name(),
         txns_per_client: txns,
-        committed: s.committed,
-        aborted_conflict: s.aborted_conflict,
-        aborted_unavailable: s.aborted_unavailable,
-        statuses_shipped: t.statuses_shipped,
-        statuses_gcd: t.statuses_gcd,
-        status_table_peak: t.status_table_peak,
-        msgs_sent: t.msgs_sent,
+        t: report.telemetry().clone(),
     }
 }
 
@@ -260,17 +240,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     section("Gossip wall: shipped statuses per action vs action count");
     println!("  ({} cells, {wall_ms:.1} ms wall)", cells.len());
 
-    let mut json = String::new();
-    json.push_str("{\n  \"id\": \"exp_gossip\",\n");
-    let _ = writeln!(json, "  \"base_seed\": {BASE_SEED},");
-    let _ = writeln!(
-        json,
-        "  \"shape\": {{\"sites\": {SITES}, \"clients\": {CLIENTS}, \
-         \"ops_per_txn\": {OPS_PER_TXN}, \"gc_batch\": {GC_BATCH}}},"
-    );
-    json.push_str("  \"modes\": {\n");
-
-    for (mi, &mode) in modes.iter().enumerate() {
+    let mut by_mode = Json::object();
+    for &mode in modes {
         let rows: Vec<(&(Mode, usize, Arm), &Cell)> = cells
             .iter()
             .zip(&results)
@@ -294,24 +265,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     "  {:>5} | {:>9} | {:>14} | {:>12.2} | {:>10} | {:>8}",
                     scale,
                     c.arm,
-                    c.statuses_shipped,
+                    c.t.statuses_shipped,
                     c.shipped_per_action(),
-                    c.status_table_peak,
-                    c.statuses_gcd
+                    c.t.status_table_peak,
+                    c.t.statuses_gcd
                 );
                 assert_eq!(
-                    (c.committed, c.aborted_conflict, c.aborted_unavailable),
-                    (
-                        base.committed,
-                        base.aborted_conflict,
-                        base.aborted_unavailable
-                    ),
+                    c.t.verdicts(),
+                    base.t.verdicts(),
                     "{} txns={scale} arm={}: decision drift vs full shipping",
                     mode.name(),
                     c.arm
                 );
                 assert_eq!(
-                    c.aborted_conflict,
+                    c.t.aborted_conflict,
                     0,
                     "{} txns={scale} arm={}: conflicts in a commuting workload",
                     mode.name(),
@@ -336,8 +303,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // planting keeps.
         let wall_growth = bill(Arm::Scoped, last) / bill(Arm::Scoped, first);
         let wall_tail = bill(Arm::Scoped, last) / bill(Arm::Scoped, tail);
-        let table_growth = per(Arm::Full, last).status_table_peak as f64
-            / per(Arm::Full, first).status_table_peak as f64;
+        let table_growth = per(Arm::Full, last).t.status_table_peak as f64
+            / per(Arm::Full, first).t.status_table_peak as f64;
         // The write half: under full planting a status crosses a link once.
         let full_tail = bill(Arm::Full, last) / bill(Arm::Full, tail);
         // The fix: scoped+GC converges — flat over the tail.
@@ -385,31 +352,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let gc_last = per(Arm::ScopedGc, last);
         let full_last = per(Arm::Full, last);
         assert!(
-            gc_last.status_table_peak * 2 <= full_last.status_table_peak,
+            gc_last.t.status_table_peak * 2 <= full_last.t.status_table_peak,
             "{}: GC peak {} not well below full peak {}",
             mode.name(),
-            gc_last.status_table_peak,
-            full_last.status_table_peak
+            gc_last.t.status_table_peak,
+            full_last.t.status_table_peak
         );
         assert!(
-            gc_last.statuses_gcd > 0,
+            gc_last.t.statuses_gcd > 0,
             "{}: GC enabled but collected nothing",
             mode.name()
         );
 
-        let _ = writeln!(json, "    \"{}\": [", mode.name());
-        for (j, (_, c)) in rows.iter().enumerate() {
-            let comma = if j + 1 < rows.len() { "," } else { "" };
-            let _ = writeln!(json, "      {}{comma}", c.json());
-        }
-        let comma = if mi + 1 < modes.len() { "," } else { "" };
-        let _ = writeln!(json, "    ]{comma}");
+        by_mode = by_mode.field(
+            mode.name(),
+            Json::array(rows.iter().map(|(_, c)| c.to_json())),
+        );
     }
-    json.push_str("  }\n}\n");
 
     if !quick {
-        std::fs::write("BENCH_exp_gossip.json", &json)?;
-        println!("\ntelemetry written to BENCH_exp_gossip.json");
+        let shape = Json::object()
+            .field("sites", SITES)
+            .field("clients", CLIENTS)
+            .field("ops_per_txn", OPS_PER_TXN)
+            .field("gc_batch", GC_BATCH);
+        let doc = Json::object()
+            .field("id", "exp_gossip")
+            .field("base_seed", BASE_SEED)
+            .field("shape", shape)
+            .field("modes", by_mode);
+        write_artifact("exp_gossip", &doc)?;
     } else {
         println!("\n(quick mode: gates checked, BENCH_exp_gossip.json untouched)");
     }

@@ -27,14 +27,15 @@
 //! wall clock) for CI; the default shape is the full 100k-client fleet.
 
 use quorumcc_adts::Queue;
-use quorumcc_bench::{experiment_bounds, section};
+use quorumcc_bench::{experiment_bounds, section, write_artifact};
 use quorumcc_core::minimal_static_relation;
 use quorumcc_net::{run_load, LoadConfig, LoadReport};
 use quorumcc_replication::protocol::Mode;
-use std::fmt::Write as _;
+use quorumcc_sim::Json;
 use std::time::Duration;
 
 const BASE_SEED: u64 = 7_171;
+const N_REPOS: u32 = 3;
 
 struct Shape {
     clients: usize,
@@ -88,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             mode,
             relation: relation.clone(),
             clusters: sh.clusters,
-            n_repos: 3,
+            n_repos: N_REPOS,
             clients: sh.clients,
             txns_per_client: 1,
             ops_per_txn: 1,
@@ -129,19 +130,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reports.push(report);
     }
 
-    let mut json = String::from("{\n  \"experiment\": \"exp_load\",\n");
-    let _ = writeln!(
-        json,
-        "  \"shape\": {{\"clients\": {}, \"clusters\": {}, \"repos_per_cell\": 3, \"objects_per_cell\": {}}},",
-        sh.clients, sh.clusters, sh.objects
-    );
-    json.push_str("  \"modes\": [\n");
-    for (j, r) in reports.iter().enumerate() {
-        let comma = if j + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(json, "    {}{comma}", r.to_json());
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_exp_load.json", &json)?;
-    println!("\ntelemetry written to BENCH_exp_load.json");
+    let shape = Json::object()
+        .field("clients", sh.clients)
+        .field("clusters", sh.clusters)
+        .field("repos_per_cell", N_REPOS)
+        .field("objects_per_cell", sh.objects);
+    let doc = Json::object()
+        .field("experiment", "exp_load")
+        .field("shape", shape)
+        .field(
+            "modes",
+            Json::array(reports.iter().map(LoadReport::to_json)),
+        );
+    write_artifact("exp_load", &doc)?;
     Ok(())
 }

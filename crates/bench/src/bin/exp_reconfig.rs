@@ -199,7 +199,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if let Some(t) = reconfig_t {
             rec.metric(&format!("{name}_reconfig_committed_t"), t as f64);
         }
-        rec.raw_json(&format!("telemetry_{name}"), telemetry.to_json());
+        rec.section(&format!("telemetry_{name}"), telemetry.to_json());
     }
 
     // Availability comes back only through reconfiguration: with the

@@ -32,7 +32,7 @@
 
 use quorumcc_adts::queue::QueueInv;
 use quorumcc_adts::Queue;
-use quorumcc_bench::{experiment_bounds, section, threads_from_args};
+use quorumcc_bench::{experiment_bounds, section, threads_from_args, write_artifact};
 use quorumcc_core::parallel::map_indexed;
 use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation, DependencyRelation};
 use quorumcc_net::{run_load, CrashSpec, LoadConfig, LoadReport, NetFaultProfile};
@@ -41,8 +41,7 @@ use quorumcc_replication::protocol::{Mode, Protocol};
 use quorumcc_replication::{
     BackendKind, Durability, ObjId, ReconfigPolicy, Transaction, TuningConfig,
 };
-use quorumcc_sim::{FaultPlan, SimTime};
-use std::fmt::Write as _;
+use quorumcc_sim::{FaultPlan, Json, SimTime};
 use std::time::Duration;
 
 const BASE_SEED: u64 = 20_260;
@@ -80,7 +79,7 @@ fn workload(clients: u16, txns: usize) -> Vec<Vec<Transaction<QueueInv>>> {
         .collect()
 }
 
-fn des_phase(threads: usize, json: &mut String) {
+fn des_phase(threads: usize) -> Json {
     section("1. DES: crash + self-healing rejoin + frontier repair, all modes");
     let modes = [Mode::StaticTs, Mode::Hybrid, Mode::Dynamic2pl];
     let items: Vec<Mode> = modes.to_vec();
@@ -124,8 +123,8 @@ fn des_phase(threads: usize, json: &mut String) {
         "  {:>11} | {:>9} | {:>6} | {:>7} | {:>9} | {:>7} | {:>7}",
         "mode", "committed", "recov", "rejoins", "gc'd", "retrans", "stalls"
     );
-    json.push_str("  \"des\": {\n");
-    for (i, (mode, (total, committed, t))) in modes.iter().zip(&results).enumerate() {
+    let mut by_mode = Json::object();
+    for (mode, (total, committed, t)) in modes.iter().zip(&results) {
         println!(
             "  {:>11} | {:>5}/{:<3} | {:>6} | {:>7} | {:>9} | {:>7} | {:>7}",
             mode.name(),
@@ -156,14 +155,13 @@ fn des_phase(threads: usize, json: &mut String) {
             t.frontier_stalls >= 1,
             "{name}: crash never stalled the frontier (shape too easy)"
         );
-        let comma = if i + 1 < modes.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{name}\": {}{comma}", t.to_json().trim_end());
+        by_mode = by_mode.field(name, t.to_json());
     }
-    json.push_str("  },\n");
     println!("  safety oracle: OK in every mode; rejoin + frontier repair observed");
+    by_mode
 }
 
-fn channels_phase(json: &mut String) {
+fn channels_phase() -> Json {
     section("2. Channels: scripted crash window on real threads");
     // Ticks are microseconds of wall clock on this backend: the victim
     // is dark from 50 ms to 150 ms of a <=400 ms run.
@@ -206,10 +204,10 @@ fn channels_phase(json: &mut String) {
     // Wall-clock scheduling decides how many retransmit rounds and GC
     // sweeps land inside the window, so only the asserted booleans are
     // serialized.
-    json.push_str(
-        "  \"channels\": {\"atomicity_ok\": true, \"committed_nonzero\": true, \
-         \"recovered\": true},\n",
-    );
+    Json::object()
+        .field("atomicity_ok", true)
+        .field("committed_nonzero", true)
+        .field("recovered", true)
 }
 
 struct LoadShape {
@@ -256,11 +254,11 @@ fn rate(ticks: &[SimTime], from: SimTime, to: SimTime) -> f64 {
     n as f64 / (to - from) as f64
 }
 
-fn eventloop_phase(quick: bool, json: &mut String) {
+fn eventloop_phase(quick: bool) -> Json {
     section("3. Event loop: lossy sockets + kill/restart under load");
     let sh = load_shape(quick);
     let mode = Mode::Hybrid;
-    let report: LoadReport = run_load(&LoadConfig {
+    let cfg = LoadConfig {
         mode,
         relation: relation(mode),
         clusters: sh.clusters,
@@ -290,7 +288,8 @@ fn eventloop_phase(quick: bool, json: &mut String) {
             down_ms: sh.crash_down_ms,
         }),
         ..LoadConfig::default()
-    });
+    };
+    let report: LoadReport = run_load(&cfg);
     let total = sh.clients * sh.txns_per_client;
     println!(
         "  {} committed {}/{} ({} unfinished)  reconnects {}  replayed {}  \
@@ -337,29 +336,7 @@ fn eventloop_phase(quick: bool, json: &mut String) {
     // that drift with the crash; the control isolates the crash cost.
     // Draining the whole workload right after recovery is the stronger
     // outcome and also passes. Wall-clock rates go to stdout only.
-    let control: LoadReport = run_load(&LoadConfig {
-        mode,
-        relation: relation(mode),
-        clusters: sh.clusters,
-        n_repos: 3,
-        clients: sh.clients,
-        txns_per_client: sh.txns_per_client,
-        ops_per_txn: 1,
-        objects: sh.objects,
-        workers: 2,
-        seed: BASE_SEED + 2,
-        op_timeout_ticks: 2_000_000,
-        narrow: false,
-        deq_fraction: 0.0,
-        ramp: Duration::from_millis(0),
-        deadline: Duration::from_secs(if quick { 120 } else { 300 }),
-        scoped_statuses: true,
-        status_gc: Some(4),
-        fault_profile: NetFaultProfile::lossy(BASE_SEED + 2),
-        resolve_retransmit: Some(250_000),
-        crash: None,
-        ..LoadConfig::default()
-    });
+    let control: LoadReport = run_load(&LoadConfig { crash: None, ..cfg });
     assert_eq!(control.unfinished, 0, "control run abandoned clients");
     let crash_end = (sh.crash_at_ms + sh.crash_down_ms) * 1_000;
     let settle = crash_end + 150_000;
@@ -395,25 +372,27 @@ fn eventloop_phase(quick: bool, json: &mut String) {
         drained || ratio >= 0.8,
         "goodput after recovery fell to {ratio:.2} of the no-crash control"
     );
-    let _ = writeln!(
-        json,
-        "  \"eventloop\": {{\"shape\": {{\"clients\": {}, \"cells\": {}, \"txns_per_client\": {}}}, \
-         \"unfinished_zero\": true, \"recovered\": true, \"frontier_repaired\": true, \
-         \"goodput_recovered\": true}}",
-        sh.clients, sh.clusters, sh.txns_per_client
-    );
+    let shape = Json::object()
+        .field("clients", sh.clients)
+        .field("cells", sh.clusters)
+        .field("txns_per_client", sh.txns_per_client);
+    Json::object()
+        .field("shape", shape)
+        .field("unfinished_zero", true)
+        .field("recovered", true)
+        .field("frontier_repaired", true)
+        .field("goodput_recovered", true)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
     let threads = threads_from_args();
 
-    let mut json = String::from("{\n  \"experiment\": \"exp_recovery\",\n");
-    des_phase(threads, &mut json);
-    channels_phase(&mut json);
-    eventloop_phase(quick, &mut json);
-    json.push_str("}\n");
-    std::fs::write("BENCH_exp_recovery.json", &json)?;
-    println!("\ntelemetry written to BENCH_exp_recovery.json");
+    let doc = Json::object()
+        .field("experiment", "exp_recovery")
+        .field("des", des_phase(threads))
+        .field("channels", channels_phase())
+        .field("eventloop", eventloop_phase(quick));
+    write_artifact("exp_recovery", &doc)?;
     Ok(())
 }

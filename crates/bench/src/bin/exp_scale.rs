@@ -26,15 +26,15 @@
 //!   times only, never wall-clock or pool sizes.
 
 use quorumcc_adts::Queue;
-use quorumcc_bench::{experiment_bounds, section, threads_from_args};
+use quorumcc_bench::{experiment_bounds, section, threads_from_args, write_artifact};
 use quorumcc_core::{minimal_static_relation, parallel};
 use quorumcc_model::{Enumerable as _, Sequential};
 use quorumcc_replication::cluster::{ProtocolConfig, RunBuilder, TuningConfig};
 use quorumcc_replication::protocol::{Mode, Protocol};
-use quorumcc_replication::{ObjId, Transaction};
+use quorumcc_replication::{ObjId, RunTelemetry, Transaction};
+use quorumcc_sim::Json;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
-use std::fmt::Write as _;
 
 const BASE_SEED: u64 = 4_242;
 const BATCHES: &[u32] = &[1, 2, 4, 8];
@@ -123,47 +123,34 @@ fn workload(shape: &Shape, seed: u64) -> Vec<Vec<Transaction<<Queue as Sequentia
         .collect()
 }
 
-/// The deterministic record for one (shape, batch) cell.
+/// The deterministic record for one (shape, batch) cell: the run's
+/// telemetry plus the simulated time it took.
 #[derive(Clone)]
 struct Cell {
     batch: u32,
-    committed: usize,
-    aborted_conflict: usize,
-    aborted_unavailable: usize,
-    ops: usize,
-    msgs_sent: u64,
-    payload_msgs: u64,
-    batches_flushed: u64,
+    t: RunTelemetry,
     end_time: u64,
 }
 
 impl Cell {
-    fn msgs_per_op(&self) -> f64 {
-        self.msgs_sent as f64 / self.ops.max(1) as f64
-    }
     /// Ops per 1000 ticks of simulated time — the deterministic
     /// throughput proxy (the simulator's clock, not the host's).
     fn ops_per_ktick(&self) -> f64 {
-        self.ops as f64 * 1_000.0 / self.end_time.max(1) as f64
+        self.t.ops_completed as f64 * 1_000.0 / self.end_time.max(1) as f64
     }
-    fn json(&self) -> String {
-        format!(
-            "{{\"batch\": {}, \"committed\": {}, \"aborted_conflict\": {}, \
-             \"aborted_unavailable\": {}, \"ops\": {}, \"msgs_sent\": {}, \
-             \"payload_msgs\": {}, \"batches_flushed\": {}, \"sim_ticks\": {}, \
-             \"msgs_per_op\": {:.3}, \"ops_per_ktick\": {:.3}}}",
-            self.batch,
-            self.committed,
-            self.aborted_conflict,
-            self.aborted_unavailable,
-            self.ops,
-            self.msgs_sent,
-            self.payload_msgs,
-            self.batches_flushed,
-            self.end_time,
-            self.msgs_per_op(),
-            self.ops_per_ktick()
-        )
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("batch", self.batch)
+            .field("committed", self.t.committed)
+            .field("aborted_conflict", self.t.aborted_conflict)
+            .field("aborted_unavailable", self.t.aborted_unavailable)
+            .field("ops", self.t.ops_completed)
+            .field("msgs_sent", self.t.msgs_sent)
+            .field("payload_msgs", self.t.payload_msgs)
+            .field("batches_flushed", self.t.batches_flushed)
+            .field("sim_ticks", self.end_time)
+            .field("msgs_per_op", Json::Fixed(self.t.messages_per_op(), 3))
+            .field("ops_per_ktick", Json::Fixed(self.ops_per_ktick(), 3))
     }
 }
 
@@ -176,19 +163,10 @@ fn run_cell(shape: &Shape, batch: u32, protocol: &Protocol) -> Cell {
         .workload(workload(shape, seed))
         .run()
         .expect("scale sweep cell");
-    let s = report.stats();
-    let sim = report.sim_stats();
-    let t = report.telemetry();
     Cell {
         batch,
-        committed: s.committed,
-        aborted_conflict: s.aborted_conflict,
-        aborted_unavailable: s.aborted_unavailable,
-        ops: s.ops_completed,
-        msgs_sent: t.msgs_sent,
-        payload_msgs: t.payload_msgs,
-        batches_flushed: t.batches_flushed,
-        end_time: sim.end_time,
+        t: report.telemetry().clone(),
+        end_time: report.sim_stats().end_time,
     }
 }
 
@@ -214,19 +192,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let mut json = String::new();
-    json.push_str("{\n  \"id\": \"exp_scale\",\n");
-    let _ = writeln!(json, "  \"base_seed\": {BASE_SEED},");
-    let _ = writeln!(
-        json,
-        "  \"batches\": [{}],",
-        BATCHES
-            .iter()
-            .map(u32::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    json.push_str("  \"shapes\": {\n");
+    let mut shapes = Json::object();
 
     section("Scale sweep: msgs/op and throughput vs batch size");
     println!("  ({} cells, {wall_ms:.1} ms wall)", cells.len());
@@ -254,11 +220,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "  {:>5} | {:>9} | {:>8} | {:>9} | {:>9} | {:>8.2} | {:>9.2}",
                 c.batch,
-                c.committed,
-                c.msgs_sent,
-                c.payload_msgs,
+                c.t.committed,
+                c.t.msgs_sent,
+                c.t.payload_msgs,
                 c.end_time,
-                c.msgs_per_op(),
+                c.t.messages_per_op(),
                 c.ops_per_ktick()
             );
         }
@@ -270,18 +236,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(base.batch, 1, "sweep rows start at batch 1");
         for c in &rows {
             assert_eq!(
-                (c.committed, c.aborted_conflict, c.aborted_unavailable),
-                (
-                    base.committed,
-                    base.aborted_conflict,
-                    base.aborted_unavailable
-                ),
+                c.t.verdicts(),
+                base.t.verdicts(),
                 "{} batch {}: decision drift vs unbatched",
                 shape.name,
                 c.batch
             );
             assert_eq!(
-                c.aborted_conflict, 0,
+                c.t.aborted_conflict, 0,
                 "{} batch {}: conflicts in a disjoint workload",
                 shape.name, c.batch
             );
@@ -290,7 +252,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // end to end.
         for pair in rows.windows(2) {
             assert!(
-                pair[1].msgs_per_op() <= pair[0].msgs_per_op(),
+                pair[1].t.messages_per_op() <= pair[0].t.messages_per_op(),
                 "{}: msgs/op rose from batch {} to {}",
                 shape.name,
                 pair[0].batch,
@@ -299,31 +261,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let last = rows[rows.len() - 1];
         assert!(
-            last.msgs_per_op() < base.msgs_per_op(),
+            last.t.messages_per_op() < base.t.messages_per_op(),
             "{}: batching saved no messages",
             shape.name
         );
 
-        let _ = writeln!(json, "    \"{}\": {{", shape.name);
-        let _ = writeln!(
-            json,
-            "      \"sites\": {}, \"shards\": {}, \"objects\": {}, \"clients\": {}, \"total_ops\": {},",
-            shape.sites,
-            shape.shards,
-            shape.objects(),
-            shape.clients,
-            shape.total_ops()
+        shapes = shapes.field(
+            shape.name,
+            Json::object()
+                .field("sites", shape.sites)
+                .field("shards", shape.shards)
+                .field("objects", shape.objects())
+                .field("clients", shape.clients)
+                .field("total_ops", shape.total_ops())
+                .field("cells", Json::array(rows.iter().map(|c| c.to_json()))),
         );
-        json.push_str("      \"cells\": [\n");
-        for (j, c) in rows.iter().enumerate() {
-            let comma = if j + 1 < rows.len() { "," } else { "" };
-            let _ = writeln!(json, "        {}{comma}", c.json());
-        }
-        json.push_str("      ]\n");
-        let comma = if i + 1 < SHAPES.len() { "," } else { "" };
-        let _ = writeln!(json, "    }}{comma}");
     }
-    json.push_str("  },\n");
 
     // Gate 3 — the pipelined engine at the largest shape is at least 2×
     // the unbatched engine's throughput (simulated clock).
@@ -346,9 +299,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         speedup >= 2.0,
         "pipelining must at least double throughput at the largest shape (got {speedup:.2}x)"
     );
-    let _ = writeln!(json, "  \"large_shape_speedup\": {speedup:.3}\n}}");
-
-    std::fs::write("BENCH_exp_scale.json", &json)?;
-    println!("\ntelemetry written to BENCH_exp_scale.json");
+    let doc = Json::object()
+        .field("id", "exp_scale")
+        .field("base_seed", BASE_SEED)
+        .field("batches", Json::array(BATCHES.iter().copied()))
+        .field("shapes", shapes)
+        .field("large_shape_speedup", Json::Fixed(speedup, 3));
+    write_artifact("exp_scale", &doc)?;
     Ok(())
 }

@@ -7,7 +7,7 @@
 
 pub mod telemetry;
 
-pub use telemetry::{threads_from_args, BenchRecorder};
+pub use telemetry::{threads_from_args, write_artifact, BenchRecorder};
 
 use quorumcc_core::DependencyRelation;
 use quorumcc_model::spec::ExploreBounds;

@@ -5,14 +5,11 @@
 //! them to `BENCH_<id>.json` in the working directory on exit, so perf
 //! regressions across PRs are diffable without scraping stdout.
 //!
-//! The JSON is emitted by hand: the vendored `serde` is a marker-only
-//! stub (the build environment has no crates.io access), and the schema
-//! here is flat enough that a tiny escaping-aware writer is clearer than
-//! a generic one.
+//! Every artifact, this recorder's included, is a [`Json`] value written
+//! by [`write_artifact`].
 
 use quorumcc_model::spec::ExploreBounds;
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use quorumcc_sim::Json;
 use std::time::Instant;
 
 /// Parses `--threads N` / `--threads=N` from the process arguments.
@@ -55,7 +52,7 @@ pub struct BenchRecorder {
     bounds: ExploreBounds,
     phases: Vec<(String, f64)>,
     metrics: Vec<(String, f64)>,
-    sections: Vec<(String, String)>,
+    sections: Vec<(String, Json)>,
 }
 
 impl BenchRecorder {
@@ -119,104 +116,57 @@ impl BenchRecorder {
         self.metrics.push((name.to_string(), value));
     }
 
-    /// Attaches a pre-rendered JSON value as a top-level key of the
-    /// record — the hook the experiment binaries use to embed a run's
-    /// [`RunTelemetry`](quorumcc_replication::RunTelemetry) document.
-    ///
-    /// `value` must be a complete JSON value; it is emitted verbatim.
-    pub fn raw_json(&mut self, name: &str, value: String) {
+    /// Attaches a value as a top-level key of the record — how the
+    /// experiment binaries embed a run's
+    /// [`RunTelemetry`](quorumcc_replication::RunTelemetry).
+    pub fn section(&mut self, name: &str, value: Json) {
         self.sections.push((name.to_string(), value));
     }
 
-    /// Renders the record as a JSON document.
+    /// The record as a JSON value.
     #[must_use]
-    pub fn json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"id\": {},", json_str(&self.id));
-        let _ = writeln!(s, "  \"threads_requested\": {},", self.threads_requested);
-        let _ = writeln!(s, "  \"threads_effective\": {},", self.threads_effective);
-        let _ = writeln!(
-            s,
-            "  \"bounds\": {{ \"depth\": {}, \"max_states\": {}, \"budget\": {} }},",
-            self.bounds.depth, self.bounds.max_states, self.bounds.budget
-        );
-        s.push_str("  \"phases_ms\": {");
-        for (i, (name, ms)) in self.phases.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(s, "{sep}\n    {}: {}", json_str(name), json_f64(*ms));
-        }
-        s.push_str(if self.phases.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        s.push_str("  \"metrics\": {");
-        for (i, (name, v)) in self.metrics.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(s, "{sep}\n    {}: {}", json_str(name), json_f64(*v));
-        }
-        s.push_str(if self.metrics.is_empty() {
-            "}"
-        } else {
-            "\n  }"
-        });
-        for (name, value) in &self.sections {
-            let _ = write!(s, ",\n  {}: {}", json_str(name), value.trim_end());
-        }
-        s.push_str("\n}\n");
-        s
+    pub fn json(&self) -> Json {
+        let scalars = |rows: &[(String, f64)]| {
+            Json::Object(
+                rows.iter()
+                    .map(|(k, v)| (k.clone(), Json::Float(*v)))
+                    .collect(),
+            )
+        };
+        let bounds = Json::object()
+            .field("depth", self.bounds.depth)
+            .field("max_states", self.bounds.max_states)
+            .field("budget", self.bounds.budget);
+        let head = Json::object()
+            .field("id", self.id.as_str())
+            .field("threads_requested", self.threads_requested)
+            .field("threads_effective", self.threads_effective)
+            .field("bounds", bounds)
+            .field("phases_ms", scalars(&self.phases))
+            .field("metrics", scalars(&self.metrics));
+        (self.sections.iter()).fold(head, |doc, (name, value)| doc.field(name, value.clone()))
     }
 
-    /// Writes `BENCH_<id>.json` to the working directory and returns its
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the file cannot be written.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        let path = PathBuf::from(format!("BENCH_{}.json", self.id));
-        std::fs::write(&path, self.json())?;
-        Ok(path)
-    }
-
-    /// [`Self::write`], then prints the path — the standard last line of
-    /// every experiment binary.
+    /// Writes `BENCH_<id>.json` — the standard last step of every
+    /// experiment binary; a failure to write is reported, not fatal.
     pub fn finish(&self) {
-        match self.write() {
-            Ok(path) => println!("\ntelemetry: {}", path.display()),
-            Err(e) => eprintln!("\ntelemetry: could not write BENCH_{}.json: {e}", self.id),
+        if let Err(e) = write_artifact(&self.id, &self.json()) {
+            eprintln!("\ntelemetry: could not write BENCH_{}.json: {e}", self.id);
         }
     }
 }
 
-/// Escapes a string for a JSON document (the subset our names need).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an `f64` as a JSON number (JSON has no NaN/Inf; clamp to null).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Shortest round-trip representation; integers print bare.
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+/// Writes `doc` to `BENCH_<id>.json` in the working directory and prints
+/// the path — the one way an experiment binary leaves an artifact.
+///
+/// # Errors
+///
+/// Propagates the I/O error if the file cannot be written.
+pub fn write_artifact(id: &str, doc: &Json) -> std::io::Result<()> {
+    let path = format!("BENCH_{id}.json");
+    std::fs::write(&path, format!("{doc}\n"))?;
+    println!("\ntelemetry written to {path}");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -237,9 +187,10 @@ mod tests {
         let v = r.phase("work", || 42);
         assert_eq!(v, 42);
         r.metric("clauses", 19.0);
-        let j = r.json();
+        let j = r.json().to_string();
         assert!(j.contains("\"id\": \"unit\""));
         assert!(j.contains("\"threads_requested\": 2"));
+        assert!(j.contains("\"bounds\": {\"depth\": 4, \"max_states\": 4096, \"budget\": 5000000}"));
         assert!(j.contains("\"work\":"));
         assert!(j.contains("\"clauses\": 19"));
         assert!(r.phase_millis("work").is_some());
@@ -249,7 +200,7 @@ mod tests {
     #[test]
     fn empty_record_is_valid_shape() {
         let r = BenchRecorder::new("empty", 0, bounds());
-        let j = r.json();
+        let j = r.json().to_string();
         assert!(j.contains("\"phases_ms\": {}"));
         assert!(j.contains("\"metrics\": {}"));
         assert!(r.threads() >= 1);
@@ -260,28 +211,39 @@ mod tests {
         let mut r = BenchRecorder::new("pool", 0, bounds());
         r.set_threads_effective(3);
         assert_eq!(r.threads(), 3);
-        assert!(r.json().contains("\"threads_effective\": 3"));
+        assert!(r.json().to_string().contains("\"threads_effective\": 3"));
         r.set_threads_effective(0);
         assert_eq!(r.threads(), 1);
     }
 
     #[test]
-    fn raw_sections_are_embedded_verbatim() {
+    fn sections_nest_as_values() {
         let mut r = BenchRecorder::new("raw", 1, bounds());
         r.metric("k", 1.0);
-        r.raw_json(
+        let run = Json::object().field("runs", 1u64);
+        r.section(
             "telemetry",
-            "{\n      \"mode\": \"hybrid\"\n    }\n".to_string(),
+            Json::object().field("mode", "hybrid").field("run", run),
         );
-        let j = r.json();
-        assert!(j.contains("\"telemetry\": {\n      \"mode\": \"hybrid\"\n    }"));
-        assert!(j.ends_with("}\n"));
+        let j = r.json().to_string();
+        assert!(
+            j.ends_with(
+                ",\n  \"telemetry\": {\n    \"mode\": \"hybrid\",\n    \"run\": {\"runs\": 1}\n  }\n}"
+            ),
+            "{j}"
+        );
     }
 
     #[test]
     fn json_escaping_handles_specials() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.5");
+        let mut r = BenchRecorder::new("a\"b\\c\nd", 1, bounds());
+        r.metric("nan", f64::NAN);
+        r.metric("half", 1.5);
+        let j = r.json().to_string();
+        assert!(j.contains("\"id\": \"a\\\"b\\\\c\\nd\""), "{j}");
+        assert!(
+            j.contains("\"metrics\": {\"nan\": null, \"half\": 1.5}"),
+            "{j}"
+        );
     }
 }

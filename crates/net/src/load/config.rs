@@ -7,7 +7,7 @@ use std::time::Duration;
 use quorumcc_adts::Queue;
 use quorumcc_replication::protocol::Mode;
 use quorumcc_replication::{RunReport, RunTelemetry};
-use quorumcc_sim::SimTime;
+use quorumcc_sim::{Json, SimTime};
 
 use crate::fault::NetFaultProfile;
 
@@ -160,7 +160,7 @@ impl Default for LoadConfig {
 /// harvested [`RunReport`]s plus the socket links' counters.
 #[derive(Debug, Clone, Default)]
 pub struct LoadReport {
-    /// Mode name (`static-ts` / `hybrid` / `dynamic-2pl`).
+    /// Mode name (`static` / `hybrid` / `dynamic-2pl`), as `Mode::name` spells it.
     pub mode: &'static str,
     /// Repository host label (always `eventloop`; kept for the BENCH
     /// json's consumers).
@@ -224,38 +224,33 @@ impl LoadReport {
         out
     }
 
-    /// Renders the report as a JSON object (hand-rolled, like the rest of
-    /// the `BENCH_*.json` emitters).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"mode\": \"{}\", \"backend\": \"{}\", \"clients\": {}, \"committed\": {}, \
-             \"aborted\": {}, \
-             \"ops_committed\": {}, \"unfinished\": {}, \"wall_ms\": {}, \
-             \"txns_per_sec\": {:.1}, \"ops_per_sec\": {:.1}, \
-             \"reconnects\": {}, \"retransmit_frames\": {}, \
-             \"resolve_ack_retransmits\": {}, \"frontier_stalls\": {}, \"rejoins\": 0, \
-             \"statuses_gcd\": {}, \"recoveries\": {}, \
-             \"latency_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"mean\": {:.1}}}}}",
-            self.mode,
-            self.backend,
-            self.clients,
-            self.committed,
-            self.aborted,
-            self.ops_committed,
-            self.unfinished,
-            self.wall.as_millis(),
-            self.txns_per_sec,
-            self.ops_per_sec,
-            self.reconnects,
-            self.retransmit_frames,
-            self.resolve_ack_retransmits,
-            self.frontier_stalls,
-            self.statuses_gcd,
-            self.recoveries,
-            self.p50_us,
-            self.p90_us,
-            self.p99_us,
-            self.mean_us,
-        )
+    /// The report as a JSON object; `rejoins` comes from the cells'
+    /// telemetry like every count the links do not keep themselves.
+    pub fn to_json(&self) -> Json {
+        let rejoins: u64 = self.cells.iter().map(|c| c.telemetry().rejoins).sum();
+        let latency = Json::object()
+            .field("p50", self.p50_us)
+            .field("p90", self.p90_us)
+            .field("p99", self.p99_us)
+            .field("mean", Json::Fixed(self.mean_us, 1));
+        Json::object()
+            .field("mode", self.mode)
+            .field("backend", self.backend)
+            .field("clients", self.clients)
+            .field("committed", self.committed)
+            .field("aborted", self.aborted)
+            .field("ops_committed", self.ops_committed)
+            .field("unfinished", self.unfinished)
+            .field("wall_ms", self.wall.as_millis() as u64)
+            .field("txns_per_sec", Json::Fixed(self.txns_per_sec, 1))
+            .field("ops_per_sec", Json::Fixed(self.ops_per_sec, 1))
+            .field("reconnects", self.reconnects)
+            .field("retransmit_frames", self.retransmit_frames)
+            .field("resolve_ack_retransmits", self.resolve_ack_retransmits)
+            .field("frontier_stalls", self.frontier_stalls)
+            .field("rejoins", rejoins)
+            .field("statuses_gcd", self.statuses_gcd)
+            .field("recoveries", self.recoveries)
+            .field("latency_us", latency)
     }
 }

@@ -12,7 +12,7 @@ use quorumcc_sim::ProcId;
 
 /// Largest accepted frame (16 MiB) — a sanity bound against corrupt length
 /// prefixes, far above anything the protocol ships.
-const MAX_FRAME: u32 = 16 << 20;
+pub const MAX_FRAME: u32 = 16 << 20;
 
 /// One decoded frame: `(from, to, payload)`.
 pub type Frame = (ProcId, ProcId, Vec<u8>);

@@ -235,6 +235,18 @@ impl<I: Wire, R: Wire> Wire for LogEntry<I, R> {
     }
 }
 
+/// A status list: one status per action, in action order, as both log
+/// encodings write it. A list naming an action twice is refused here —
+/// merged into a log, two different resolutions of one action break the
+/// invariant `ActionOutcome::merge` asserts.
+fn take_statuses(inp: &mut Reader<'_>) -> Option<Vec<(ActionId, ActionOutcome)>> {
+    let statuses: Vec<(ActionId, ActionOutcome)> = Vec::take(inp)?;
+    statuses
+        .windows(2)
+        .all(|w| w[0].0 < w[1].0)
+        .then_some(statuses)
+}
+
 impl<I: Wire + Clone, R: Wire + Clone> Wire for LogDelta<I, R> {
     fn put(&self, out: &mut Vec<u8>) {
         assert!(
@@ -253,7 +265,7 @@ impl<I: Wire + Clone, R: Wire + Clone> Wire for LogDelta<I, R> {
             head: u64::take(inp)?,
             full: bool::take(inp)?,
             entries: Vec::take(inp)?,
-            statuses: Vec::take(inp)?,
+            statuses: take_statuses(inp)?,
             checkpoint: None,
         })
     }
@@ -282,8 +294,7 @@ impl<I: Wire + Clone, R: Wire + Clone> Wire for ObjectLog<I, R> {
         for _ in 0..n {
             log.insert(LogEntry::take(inp)?);
         }
-        let statuses: Vec<(ActionId, ActionOutcome)> = Vec::take(inp)?;
-        for (a, o) in statuses {
+        for (a, o) in take_statuses(inp)? {
             log.resolve(a, o);
         }
         Some(log)
@@ -410,7 +421,20 @@ impl<I: Wire + Clone, R: Wire + Clone> Wire for Msg<I, R> {
                 outcome: ActionOutcome::take(inp)?,
                 entries: Vec::take(inp)?,
             },
-            5 => Msg::Batch(Vec::take(inp)?),
+            5 => {
+                // The batcher only ever wraps raw payloads, so an envelope
+                // inside an envelope is corrupt — and following it would
+                // recurse once per five received bytes.
+                let n = u32::take(inp)? as usize;
+                let mut inner = Vec::with_capacity(n.min(4096));
+                for _ in 0..n {
+                    if inp.0.first() == Some(&5) {
+                        return None;
+                    }
+                    inner.push(Msg::take(inp)?);
+                }
+                Msg::Batch(inner)
+            }
             6 => Msg::ResolveAck {
                 action: ActionId::take(inp)?,
             },
@@ -632,6 +656,39 @@ mod tests {
             }
         }
         roundtrip_dbg(Msg::Batch(msgs));
+    }
+
+    /// Found by `tests/wire_fuzz.rs`: a status list naming one action
+    /// twice reached `ObjectLog::resolve` and, with two different
+    /// resolutions, its `debug_assert`. Both log encodings refuse it now.
+    #[test]
+    fn a_status_list_naming_an_action_twice_is_refused() {
+        let twice = vec![
+            (ActionId(3), ActionOutcome::Aborted),
+            (
+                ActionId(3),
+                ActionOutcome::Committed(Timestamp {
+                    counter: 9,
+                    node: 1,
+                }),
+            ),
+        ];
+        let mut log = vec![0u8]; // gc off
+        0u32.put(&mut log); // no entries
+        twice.put(&mut log);
+        assert!(decode::<ObjectLog<QueueInv, QueueRes>>(&log).is_none());
+
+        let mut delta = Vec::new();
+        (1u64, 2u64).put(&mut delta); // base, head
+        false.put(&mut delta);
+        Vec::<LogEntry<QueueInv, QueueRes>>::new().put(&mut delta);
+        twice.put(&mut delta);
+        assert!(decode::<LogDelta<QueueInv, QueueRes>>(&delta).is_none());
+        // Out of order is refused too: the encoders write action order.
+        let swapped = vec![twice[1], (ActionId(2), ActionOutcome::Aborted)];
+        delta.truncate(delta.len() - encode(&twice).len());
+        swapped.put(&mut delta);
+        assert!(decode::<LogDelta<QueueInv, QueueRes>>(&delta).is_none());
     }
 
     #[test]

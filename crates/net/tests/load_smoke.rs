@@ -10,6 +10,7 @@ use quorumcc_model::spec::ExploreBounds;
 use quorumcc_net::{run_load, LoadBackend, LoadConfig, NetFaultProfile};
 use quorumcc_replication::protocol::Mode;
 use quorumcc_replication::{RunTelemetry, SafetyViolation};
+use quorumcc_sim::Json;
 
 fn bounds() -> ExploreBounds {
     ExploreBounds {
@@ -48,6 +49,15 @@ fn socket_cluster_serves_hundreds_of_multiplexed_clients() {
         assert!(report.committed <= 600, "{mode:?}: {report:?}");
         assert!(report.committed > 0, "{mode:?}: nothing committed");
         assert!(report.p50_us > 0, "{mode:?}: missing latency samples");
+        // The report names the mode as `Mode::name` does, and its JSON
+        // reads `rejoins` off the cells' telemetry like any other count.
+        assert_eq!(report.mode, mode.name());
+        let Json::Object(members) = report.to_json() else {
+            panic!("a load report renders as an object");
+        };
+        assert_eq!(members[0], ("mode".into(), Json::from(mode.name())));
+        let rejoins = Json::from(report.telemetry().rejoins);
+        assert!(members.contains(&("rejoins".into(), rejoins)));
     }
 }
 

@@ -475,6 +475,32 @@ impl<S: Classified> Client<S> {
         }
     }
 
+    /// The final-quorum `WriteLog` of `view` and its fresh `entry` under
+    /// request `req`: cut against the mirror of `site` ([`Self::shipment`]),
+    /// or whole (`base` 0) when `site` is `None` — what a refusal and every
+    /// timer retry are answered with.
+    fn write_msg(
+        &self,
+        obj: ObjId,
+        req: u64,
+        view: &ObjectLog<S::Inv, S::Res>,
+        entry: &LogEntry<S::Inv, S::Res>,
+        site: Option<ProcId>,
+    ) -> Msg<S::Inv, S::Res> {
+        let (log, base) = match site {
+            Some(site) => self.shipment(obj, site, view),
+            None => (view.clone(), 0),
+        };
+        Msg::WriteLog {
+            obj,
+            req,
+            log,
+            entry: Some(entry.clone()),
+            cfg: self.config.state(obj).version(),
+            base,
+        }
+    }
+
     /// The records captured so far (for history assembly).
     pub fn records(&self) -> &[Record<S::Inv, S::Res>] {
         &self.records
@@ -535,6 +561,16 @@ impl<S: Classified> Client<S> {
         if self.cursor >= self.txns.len() {
             return; // workload done; going quiet drains the simulation
         }
+        self.begin_txn(ctx, self.cfg.txn_retries);
+    }
+
+    /// Begins the transaction at the cursor as a fresh action with
+    /// `attempts_left` retries to spend.
+    fn begin_txn<IO: Io<Msg<S::Inv, S::Res>> + ?Sized>(
+        &mut self,
+        ctx: &mut IO,
+        attempts_left: u32,
+    ) {
         let action = action_id(ctx.me(), self.action_seq);
         self.action_seq += 1;
         let begin_ts = self.fresh_ts(ctx);
@@ -554,7 +590,7 @@ impl<S: Classified> Client<S> {
             own: BTreeMap::new(),
             phases: BTreeMap::new(),
             ready: BTreeMap::new(),
-            attempts_left: self.cfg.txn_retries,
+            attempts_left,
         });
         self.pump(ctx);
     }
@@ -589,9 +625,7 @@ impl<S: Classified> Client<S> {
         let (obj, inv) = self.txns[self.cursor].ops[op_idx].clone();
         self.req_counter += 1;
         let req = self.req_counter;
-        let (action, begin_ts) = (txn.action, txn.begin_ts);
-        let op = S::op_class(&inv);
-        let mut ti = self.config.state(obj).max_initial(op);
+        let mut ti = self.config.state(obj).max_initial(S::op_class(&inv));
         if self.cfg.weaken_read_quorum {
             // The injected bug: assemble the initial view from one site
             // too few, breaking the ti + tf > n co-presence requirement.
@@ -619,9 +653,28 @@ impl<S: Classified> Client<S> {
             req,
             phase: PhaseKind::Read,
         });
+        self.send_reads(ctx, req, ti, false);
+    }
+
+    /// Sends the read round of the `Reading` phase `req` to `k`
+    /// repositories (every member on a `fallback`), each with the frontier
+    /// of its mirror, and arms the phase timeout.
+    fn send_reads<IO: Io<Msg<S::Inv, S::Res>> + ?Sized>(
+        &mut self,
+        ctx: &mut IO,
+        req: u64,
+        k: u32,
+        fallback: bool,
+    ) {
+        let Some(txn) = &self.current else { return };
+        let Some(Phase::Reading { obj, inv, .. }) = txn.phases.get(&req) else {
+            return;
+        };
+        let (obj, op) = (*obj, S::op_class(inv));
+        let (action, begin_ts) = (txn.action, txn.begin_ts);
         let cfg = self.config.state(obj).version();
         let durable = self.durable_frontier();
-        for r in self.targets(obj, req, ti, false) {
+        for r in self.targets(obj, req, k, fallback) {
             let since = self.frontier(obj, r);
             self.send_msg(
                 ctx,
@@ -688,14 +741,7 @@ impl<S: Classified> Client<S> {
                 self.abort_txn(ctx, AbortKind::Conflict);
             }
             Ok(res) => {
-                let ts = {
-                    let counter = ctx.now().max(self.last_counter + 1);
-                    self.last_counter = counter;
-                    Timestamp {
-                        counter,
-                        node: ctx.me(),
-                    }
-                };
+                let ts = self.fresh_ts(ctx);
                 let txn = self.current.as_mut().expect("txn in progress");
                 let event = Event::new(inv.clone(), res);
                 let entry = LogEntry {
@@ -731,23 +777,8 @@ impl<S: Classified> Client<S> {
                 self.metrics.view_sizes.push(view.len() as u64);
                 self.req_counter += 1;
                 let req = self.req_counter;
-                let cfg = self.config.state(obj).version();
                 let writes: Vec<_> = (self.targets(obj, req, need.max(1), false).into_iter())
-                    .map(|r| {
-                        let (log, base) = self.shipment(obj, r, &view);
-                        let entry = Some(entry.clone());
-                        (
-                            r,
-                            Msg::WriteLog {
-                                obj,
-                                req,
-                                log,
-                                entry,
-                                cfg,
-                                base,
-                            },
-                        )
-                    })
+                    .map(|r| (r, self.write_msg(obj, req, &view, &entry, Some(r))))
                     .collect();
                 // The phase keeps the whole view: refusals and timer
                 // retries resend it.
@@ -833,28 +864,39 @@ impl<S: Classified> Client<S> {
         ctx.trace(TraceAction::Commit {
             action: u64::from(txn.action.0),
         });
-        let outcome = ActionOutcome::Committed(cts);
-        self.known.insert(txn.action, outcome);
         // The write manifest: entries appended per object. Repositories
         // fold a committed action into a checkpoint only once they hold
         // all of its entries; this is how they know the count.
         let entries: Vec<(ObjId, u32)> =
             txn.own.iter().map(|(o, v)| (*o, v.len() as u32)).collect();
+        self.resolve(ctx, txn.action, ActionOutcome::Committed(cts), entries);
+        self.stats.committed += 1;
+        self.cursor += 1;
+        ctx.set_timer(self.cfg.think_time.max(1), TOKEN_KICK);
+    }
+
+    /// Decides `action`: remembers the outcome, tells every repository, and
+    /// hands the resolution to frontier repair.
+    fn resolve<IO: Io<Msg<S::Inv, S::Res>> + ?Sized>(
+        &mut self,
+        ctx: &mut IO,
+        action: ActionId,
+        outcome: ActionOutcome,
+        entries: Vec<(ObjId, u32)>,
+    ) {
+        self.known.insert(action, outcome);
         for r in self.cfg.repos.clone() {
             self.send_msg(
                 ctx,
                 r,
                 Msg::Resolve {
-                    action: txn.action,
+                    action,
                     outcome,
                     entries: entries.clone(),
                 },
             );
         }
-        self.stats.committed += 1;
-        self.track_resolve(ctx, txn.action, outcome, entries);
-        self.cursor += 1;
-        ctx.set_timer(self.cfg.think_time.max(1), TOKEN_KICK);
+        self.track_resolve(ctx, action, outcome, entries);
     }
 
     /// Records a just-broadcast resolution for retransmission and arms the
@@ -897,19 +939,7 @@ impl<S: Classified> Client<S> {
                 AbortKind::Stale => AbortCause::StaleEpoch,
             },
         });
-        self.known.insert(txn.action, ActionOutcome::Aborted);
-        for r in self.cfg.repos.clone() {
-            self.send_msg(
-                ctx,
-                r,
-                Msg::Resolve {
-                    action: txn.action,
-                    outcome: ActionOutcome::Aborted,
-                    entries: Vec::new(),
-                },
-            );
-        }
-        self.track_resolve(ctx, txn.action, ActionOutcome::Aborted, Vec::new());
+        self.resolve(ctx, txn.action, ActionOutcome::Aborted, Vec::new());
         match kind {
             AbortKind::Conflict => self.stats.aborted_conflict += 1,
             AbortKind::Unavailable => self.stats.aborted_unavailable += 1,
@@ -1103,14 +1133,7 @@ impl<S: Classified> Client<S> {
                 else {
                     return; // stale refusal
                 };
-                let whole = Msg::WriteLog {
-                    obj,
-                    req,
-                    log: view.clone(),
-                    entry: Some(entry.clone()),
-                    cfg: self.config.state(obj).version(),
-                    base: 0,
-                };
+                let whole = self.write_msg(obj, req, view, entry, None);
                 self.mirrors.remove(&(obj, from));
                 self.send_msg(ctx, from, whole);
             }
@@ -1203,29 +1226,8 @@ impl<S: Classified> Client<S> {
             if self.current.is_none() {
                 if let Some(left) = self.retry_pending.take() {
                     // Restart the current (aborted) transaction.
-                    let action = action_id(ctx.me(), self.action_seq);
-                    self.action_seq += 1;
-                    let begin_ts = self.fresh_ts(ctx);
-                    self.records.push(Record::Begin {
-                        t: begin_ts.counter,
-                        action,
-                    });
                     self.metrics.txn_reruns += 1;
-                    ctx.trace(TraceAction::TxnBegin {
-                        action: u64::from(action.0),
-                    });
-                    self.current = Some(Txn {
-                        action,
-                        begin_ts,
-                        next_op: 0,
-                        evaluated: 0,
-                        completed: 0,
-                        own: BTreeMap::new(),
-                        phases: BTreeMap::new(),
-                        ready: BTreeMap::new(),
-                        attempts_left: left,
-                    });
-                    self.pump(ctx);
+                    self.begin_txn(ctx, left);
                 } else {
                     self.start_next_txn(ctx);
                 }
@@ -1293,99 +1295,31 @@ impl<S: Classified> Client<S> {
             self.retransmit_armed = true;
             return;
         }
-        // Phase timeout: if the token matches a live request, retry or
-        // give up.
-        let retry = {
-            let Some(txn) = &mut self.current else { return };
-            match txn.phases.get_mut(&token) {
-                Some(Phase::Reading { retries, .. }) => {
-                    *retries += 1;
-                    if *retries > self.cfg.max_phase_retries {
-                        None
-                    } else {
-                        Some(RetryWhat::Read)
-                    }
-                }
-                Some(Phase::Writing { retries, .. }) => {
-                    *retries += 1;
-                    if *retries > self.cfg.max_phase_retries {
-                        None
-                    } else {
-                        Some(RetryWhat::Write)
-                    }
-                }
-                None => return, // stale timer
-            }
+        // Phase timeout: if the token matches a live request, retry it —
+        // whole, to every member — or give up.
+        let Some(txn) = &mut self.current else { return };
+        let (retries, phase) = match txn.phases.get_mut(&token) {
+            Some(Phase::Reading { retries, .. }) => (retries, PhaseKind::Read),
+            Some(Phase::Writing { retries, .. }) => (retries, PhaseKind::Write),
+            None => return, // stale timer
         };
-        match retry {
-            None => self.abort_txn(ctx, AbortKind::Unavailable),
-            Some(RetryWhat::Read) => {
-                self.metrics.phase_retries += 1;
-                let Some(txn) = &self.current else { return };
-                let Some(Phase::Reading { obj, inv, .. }) = txn.phases.get(&token) else {
-                    return;
-                };
-                let req = token;
-                ctx.trace(TraceAction::PhaseRetry {
-                    req,
-                    phase: PhaseKind::Read,
-                });
-                let (obj, op) = (*obj, S::op_class(inv));
-                let (action, begin_ts) = (txn.action, txn.begin_ts);
-                let cfg = self.config.state(obj).version();
-                let durable = self.durable_frontier();
-                for r in self.targets(obj, req, 0, true) {
-                    let since = self.frontier(obj, r);
-                    self.send_msg(
-                        ctx,
-                        r,
-                        Msg::ReadLog {
-                            obj,
-                            req,
-                            action,
-                            begin_ts,
-                            op,
-                            cfg,
-                            since,
-                            durable,
-                        },
-                    );
-                }
-                ctx.set_timer(self.cfg.op_timeout, req);
-            }
-            Some(RetryWhat::Write) => {
-                self.metrics.phase_retries += 1;
-                let Some(txn) = &self.current else { return };
-                let Some(Phase::Writing {
-                    obj, view, entry, ..
-                }) = txn.phases.get(&token)
-                else {
-                    return;
-                };
-                let req = token;
-                ctx.trace(TraceAction::PhaseRetry {
-                    req,
-                    phase: PhaseKind::Write,
-                });
-                let (obj, view, entry) = (*obj, view.clone(), entry.clone());
-                let cfg = self.config.state(obj).version();
-                for r in self.targets(obj, req, 0, true) {
-                    self.send_msg(
-                        ctx,
-                        r,
-                        Msg::WriteLog {
-                            obj,
-                            req,
-                            log: view.clone(),
-                            entry: Some(entry.clone()),
-                            cfg,
-                            base: 0,
-                        },
-                    );
-                }
-                ctx.set_timer(self.cfg.op_timeout, req);
-            }
+        *retries += 1;
+        if *retries > self.cfg.max_phase_retries {
+            return self.abort_txn(ctx, AbortKind::Unavailable);
         }
+        self.metrics.phase_retries += 1;
+        ctx.trace(TraceAction::PhaseRetry { req: token, phase });
+        let Some(Phase::Writing {
+            obj, view, entry, ..
+        }) = self.current.as_ref().and_then(|t| t.phases.get(&token))
+        else {
+            return self.send_reads(ctx, token, 0, true);
+        };
+        let (obj, whole) = (*obj, self.write_msg(*obj, token, view, entry, None));
+        for r in self.targets(obj, token, 0, true) {
+            self.send_msg(ctx, r, whole.clone());
+        }
+        ctx.set_timer(self.cfg.op_timeout, token);
     }
 
     /// Kick off the first transaction.
@@ -1393,11 +1327,6 @@ impl<S: Classified> Client<S> {
         // Stagger client start times slightly for realism.
         ctx.set_timer(1 + u64::from(ctx.me() % 5), TOKEN_KICK);
     }
-}
-
-enum RetryWhat {
-    Read,
-    Write,
 }
 
 enum AbortKind {

@@ -951,59 +951,32 @@ impl<S: Classified + Enumerable> Assembly<S> {
         S: 'a,
     {
         let mut clients = Vec::new();
-        let mut client_metrics = Vec::new();
         let mut reconfigs = Vec::new();
         let mut repo_logs = Vec::new();
         let mut repo_state = Vec::new();
         let mut repo_counters: Vec<RepoCounters> = Vec::new();
-        let mut repo_batch_fills = Vec::new();
-        let mut evals = (0, 0, 0);
+        let mut telemetry = RunTelemetry::for_run(self.protocol.mode().name(), stats, self.batch);
         for (id, node) in nodes.into_iter().enumerate() {
             match node {
                 Node::Repo(r) => {
                     let state: Vec<_> = self.objects.iter().map(|o| (*o, r.log(*o))).collect();
-                    repo_logs.push(state.iter().map(|(o, l)| (*o, l.len())).collect::<Vec<_>>());
+                    let lens: Vec<_> = state.iter().map(|(o, l)| (*o, l.len())).collect();
+                    let counters = r.counters();
+                    telemetry.add_repo(
+                        &counters,
+                        r.batch_fills(),
+                        lens.iter().map(|(_, len)| *len as u64),
+                    );
+                    repo_logs.push(lens);
                     repo_state.push(state);
-                    repo_counters.push(r.counters());
-                    repo_batch_fills.extend_from_slice(r.batch_fills());
+                    repo_counters.push(counters);
                 }
                 Node::Client(c) => {
+                    telemetry.add_client(&c.stats(), c.metrics(), c.eval_counters());
                     clients.push((id as ProcId, c.records().to_vec(), c.stats()));
-                    client_metrics.push(c.metrics().clone());
-                    let (asked, rebuilt, replayed) = c.eval_counters();
-                    evals = (evals.0 + asked, evals.1 + rebuilt, evals.2 + replayed);
                 }
                 Node::Reconfig(r) => reconfigs = r.records().to_vec(),
             }
-        }
-
-        let client_stats: Vec<ClientStats> = clients.iter().map(|(_, _, s)| *s).collect();
-        let mut telemetry = RunTelemetry::from_run(
-            self.protocol.mode().name(),
-            &client_stats,
-            &client_metrics,
-            stats,
-            repo_logs.iter().flatten().map(|(_, len)| *len as u64),
-        );
-        telemetry.full_log_fallbacks = repo_counters.iter().map(|c| c.full_log_fallbacks).sum();
-        telemetry.recoveries = repo_counters.iter().map(|c| c.recoveries).sum();
-        telemetry.statuses_shipped = repo_counters.iter().map(|c| c.statuses_shipped).sum();
-        telemetry.write_delta_refusals = repo_counters.iter().map(|c| c.write_delta_refusals).sum();
-        (
-            telemetry.evaluations,
-            telemetry.eval_rebuilds,
-            telemetry.eval_suffix_entries,
-        ) = evals;
-        telemetry.statuses_gcd = repo_counters.iter().map(|c| c.statuses_gcd).sum();
-        telemetry.status_table_peak = repo_counters
-            .iter()
-            .map(|c| c.status_table_peak)
-            .max()
-            .unwrap_or(0);
-        telemetry.batch_size = u64::from(self.batch);
-        telemetry.batches_flushed += repo_counters.iter().map(|c| c.batches_flushed).sum::<u64>();
-        for f in repo_batch_fills {
-            telemetry.batch_fill.record(f);
         }
         // Rejoins: members a committed install added relative to its
         // predecessor (bootstrap = the full cluster, so the count is 0

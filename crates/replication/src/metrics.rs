@@ -9,7 +9,8 @@
 //! messages per operation.
 
 use crate::client::ClientStats;
-use quorumcc_sim::{SimStats, SimTime};
+use crate::repository::RepoCounters;
+use quorumcc_sim::{Json, SimStats, SimTime};
 use std::fmt;
 
 /// A histogram over logical-time (or size) samples. Stores raw samples so
@@ -31,9 +32,14 @@ impl LogicalHistogram {
         self.samples.push(v);
     }
 
+    /// Adds every sample of the slice.
+    pub fn extend(&mut self, samples: &[u64]) {
+        self.samples.extend_from_slice(samples);
+    }
+
     /// Absorbs another histogram's samples.
     pub fn merge(&mut self, other: &LogicalHistogram) {
-        self.samples.extend_from_slice(&other.samples);
+        self.extend(&other.samples);
     }
 
     /// Number of samples.
@@ -82,18 +88,16 @@ impl LogicalHistogram {
     }
 
     /// A `{count, min, p50, p90, p99, max, mean}` JSON object (all zeros
-    /// when empty — hand-rolled, the vendored serde is a marker stub).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"min\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}, \"mean\": {:.3}}}",
-            self.count(),
-            self.min().unwrap_or(0),
-            self.percentile(50.0).unwrap_or(0),
-            self.percentile(90.0).unwrap_or(0),
-            self.percentile(99.0).unwrap_or(0),
-            self.max().unwrap_or(0),
-            self.mean().unwrap_or(0.0),
-        )
+    /// when empty).
+    pub fn to_json(&self) -> Json {
+        Json::object()
+            .field("count", self.count())
+            .field("min", self.min().unwrap_or(0))
+            .field("p50", self.percentile(50.0).unwrap_or(0))
+            .field("p90", self.percentile(90.0).unwrap_or(0))
+            .field("p99", self.percentile(99.0).unwrap_or(0))
+            .field("max", self.max().unwrap_or(0))
+            .field("mean", Json::Fixed(self.mean().unwrap_or(0.0), 3))
     }
 }
 
@@ -145,121 +149,208 @@ pub struct ClientMetrics {
     pub frontier_stalls: u64,
 }
 
-/// Aggregated observability record for one cluster run (or a merged set
-/// of runs of the same protocol) — the operational counterpart of the
-/// theory pipeline's `BENCH_*.json` phase telemetry.
-#[derive(Debug, Clone, Default)]
-pub struct RunTelemetry {
-    /// Protocol mode name (`static` / `hybrid` / `dynamic-2pl`).
-    pub mode: String,
+/// How a stored [`RunTelemetry`] field combines when two records merge,
+/// or how a derived one is rendered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// A count: merged records add.
+    Sum,
+    /// A setting or high-water mark: merged records keep the larger.
+    Max,
+    /// A [`LogicalHistogram`]: merged records pool their samples.
+    Hist,
+    /// Not stored: computed from the counts by the method of the same
+    /// name and rendered with this many decimals.
+    Rate(usize),
+}
+
+/// What each stored [`Rule`] means: the field's type, its merge, and its
+/// JSON value (the two count rules differ only in how they merge).
+macro_rules! rule {
+    (type Hist) => {
+        LogicalHistogram
+    };
+    (type $count:ident) => {
+        u64
+    };
+    (merge Sum $into:expr, $from:expr) => {
+        $into += $from
+    };
+    (merge Max $into:expr, $from:expr) => {
+        $into = $into.max($from)
+    };
+    (merge Hist $into:expr, $from:expr) => {
+        $into.merge(&$from)
+    };
+    (json Hist $v:expr) => {
+        $v.to_json()
+    };
+    (json $count:ident $v:expr) => {
+        Json::from($v)
+    };
+}
+
+/// Declares [`RunTelemetry`] from its field table — `name: Rule;` rows in
+/// JSON order, each optionally followed by `= rate: decimals;` rows for
+/// the derived rates rendered right after it. The struct, `merge`, the
+/// JSON body and [`RunTelemetry::FIELDS`] all come from this one list, so
+/// a new counter is a row here plus the line that feeds it.
+macro_rules! run_telemetry {
+    ($( $(#[$doc:meta])* $name:ident: $rule:ident;
+        $(= $rate:ident: $decimals:literal;)* )*) => {
+        /// Aggregated observability record for one cluster run (or a merged
+        /// set of runs of the same protocol) — the operational counterpart
+        /// of the theory pipeline's `BENCH_*.json` phase telemetry.
+        #[derive(Debug, Clone, Default)]
+        pub struct RunTelemetry {
+            /// Protocol mode name (`static` / `hybrid` / `dynamic-2pl`).
+            pub mode: String,
+            $( $(#[$doc])* pub $name: rule!(type $rule), )*
+        }
+
+        impl RunTelemetry {
+            /// The field table in declaration order, which is also the key
+            /// order of [`Self::to_json`] after `mode`.
+            pub const FIELDS: &'static [(&'static str, Rule)] = &[$(
+                (stringify!($name), Rule::$rule),
+                $( (stringify!($rate), Rule::Rate($decimals)), )*
+            )*];
+
+            /// Merges another run's telemetry (same mode) into this one,
+            /// field by field under each field's [`Rule`].
+            pub fn merge(&mut self, other: &RunTelemetry) {
+                if self.mode.is_empty() {
+                    self.mode.clone_from(&other.mode);
+                }
+                $( rule!(merge $rule self.$name, other.$name); )*
+            }
+
+            /// The record as a JSON object: `mode`, then every field and
+            /// derived rate of the table in order.
+            pub fn to_json(&self) -> Json {
+                Json::object().field("mode", self.mode.as_str())
+                $(  .field(stringify!($name), rule!(json $rule self.$name))
+                    $( .field(stringify!($rate), Json::Fixed(self.$rate(), $decimals)) )*
+                )*
+            }
+
+            /// Every stored field, in table order.
+            #[cfg(test)]
+            fn slots(&mut self) -> Vec<tests::Slot<'_>> {
+                vec![$( tests::Slot::from(&mut self.$name) ),*]
+            }
+        }
+    };
+}
+
+run_telemetry! {
     /// Runs merged into this record.
-    pub runs: u64,
+    runs: Sum;
     /// Transactions committed.
-    pub committed: u64,
+    committed: Sum;
     /// Transactions aborted on a concurrency conflict.
-    pub aborted_conflict: u64,
+    aborted_conflict: Sum;
     /// Transactions aborted on quorum unavailability.
-    pub aborted_unavailable: u64,
+    aborted_unavailable: Sum;
     /// Individual operations completed.
-    pub ops_completed: u64,
+    ops_completed: Sum;
+    = abort_rate: 4;
     /// Quorum phases re-broadcast after a timeout.
-    pub phase_retries: u64,
+    phase_retries: Sum;
     /// Aborted transactions re-run as fresh actions.
-    pub txn_reruns: u64,
+    txn_reruns: Sum;
     /// Transactions bounced on a stale configuration epoch and retried
     /// under the adopted one (free retries; not part of [`Self::decided`],
     /// since each one re-runs to a real verdict).
-    pub stale_epoch_retries: u64,
+    stale_epoch_retries: Sum;
     /// Messages submitted to the network.
-    pub msgs_sent: u64,
+    msgs_sent: Sum;
     /// Messages delivered.
-    pub msgs_delivered: u64,
+    msgs_delivered: Sum;
     /// Messages lost (drop, partition, crash).
-    pub msgs_dropped: u64,
+    msgs_dropped: Sum;
     /// Messages the lossy network delivered twice.
-    pub msgs_duplicated: u64,
+    msgs_duplicated: Sum;
     /// Messages the lossy network delayed past their natural slot.
-    pub msgs_reordered: u64,
+    msgs_reordered: Sum;
     /// Stale read frontiers repositories answered with a full log
     /// transfer instead of a delta.
-    pub full_log_fallbacks: u64,
+    full_log_fallbacks: Sum;
     /// Crash recoveries volatile repositories performed.
-    pub recoveries: u64,
+    recoveries: Sum;
     /// Timer events fired.
-    pub timers: u64,
+    timers: Sum;
+    = messages_per_op: 3;
     /// Initial-quorum (read) round-trip ticks.
-    pub initial_rt: LogicalHistogram,
+    initial_rt: Hist;
     /// Final-quorum (write) round-trip ticks.
-    pub final_rt: LogicalHistogram,
-    /// Whole-operation latency ticks.
-    pub op_latency: LogicalHistogram,
+    final_rt: Hist;
+    /// Whole-operation latency ticks (read start → write quorum).
+    op_latency: Hist;
     /// View sizes pushed on final-quorum writes.
-    pub view_sizes: LogicalHistogram,
+    view_sizes: Hist;
     /// Raw log entries shipped in `LogReply` payloads — the quantity
     /// delta shipping and compaction exist to shrink.
-    pub log_entries_shipped: u64,
+    log_entries_shipped: Sum;
+    = entries_shipped_per_op: 3;
     /// Entry-equivalents per `LogReply` (entries + 1 per checkpoint).
-    pub reply_payload: LogicalHistogram,
-    /// Per-repository, per-object log lengths at the end of the run.
-    pub log_lengths: LogicalHistogram,
+    reply_payload: Hist;
     /// Configured batch size (1 = batching off).
-    pub batch_size: u64,
+    batch_size: Max;
     /// Batch envelopes flushed across all processes (0 when batching is
     /// off).
-    pub batches_flushed: u64,
+    batches_flushed: Sum;
     /// Payloads per flushed envelope (empty when batching is off).
-    pub batch_fill: LogicalHistogram,
+    batch_fill: Hist;
     /// Logical payload messages submitted: `msgs_sent` with every batch
     /// envelope counted at its full weight. Equal to `msgs_sent` when
     /// nothing batches.
-    pub payload_msgs: u64,
+    payload_msgs: Sum;
     /// Status records shipped across all repositories, both ways: in the
     /// `LogReply` deltas they served and in the `WriteLog`s (views or
     /// deltas) they received — the quantity scoped status shipping
     /// exists to shrink.
-    pub statuses_shipped: u64,
+    statuses_shipped: Sum;
     /// Delta `WriteLog`s repositories refused because their log no longer
     /// extended the delta's base; each cost one more round trip carrying
     /// the whole view.
-    pub write_delta_refusals: u64,
+    write_delta_refusals: Sum;
     /// Operations front-ends evaluated (one per read quorum assembled).
-    pub evaluations: u64,
+    evaluations: Sum;
     /// Evaluations whose view contradicted the front-end's evaluation
     /// cache, which then replayed the view whole.
-    pub eval_rebuilds: u64,
+    eval_rebuilds: Sum;
     /// Entries replayed by all evaluations (÷ `evaluations`: the mean
     /// suffix an operation pays for).
-    pub eval_suffix_entries: u64,
+    eval_suffix_entries: Sum;
     /// Status tombstones dropped by status GC (0 when GC is off).
-    pub statuses_gcd: u64,
+    statuses_gcd: Sum;
     /// Largest per-repository status-table population observed at any
     /// resolution (resolution table + per-log statuses); bounds the
     /// gossip state a single site ever held.
-    pub status_table_peak: u64,
+    status_table_peak: Max;
     /// `Resolve` messages clients re-sent through the frontier-repair
     /// timer (0 when retransmission is off).
-    pub resolve_ack_retransmits: u64,
+    resolve_ack_retransmits: Sum;
     /// Supervised connections re-established after a socket death (0 on
     /// the DES/channels backends, which have no sockets).
-    pub reconnects: u64,
+    reconnects: Sum;
     /// Retransmit timer fires that observed a stalled durable-GC frontier
     /// (0 when retransmission is off).
-    pub frontier_stalls: u64,
+    frontier_stalls: Sum;
     /// Sites re-admitted to membership by a grow-epoch reconfiguration
     /// after a crash (0 without the self-healing policy).
-    pub rejoins: u64,
+    rejoins: Sum;
+    /// Per-repository, per-object log lengths at the end of the run.
+    log_lengths: Hist;
 }
 
 impl RunTelemetry {
-    /// Builds the record for one run from its harvested parts.
-    pub fn from_run(
-        mode: &str,
-        stats: &[ClientStats],
-        metrics: &[ClientMetrics],
-        sim: SimStats,
-        log_lengths: impl IntoIterator<Item = u64>,
-    ) -> Self {
-        let mut out = RunTelemetry {
+    /// An empty record for one run in `mode` at batch size `batch_size`,
+    /// carrying the host's message and timer counters; the drivers are
+    /// added by [`Self::add_client`] and [`Self::add_repo`].
+    pub fn for_run(mode: &str, sim: SimStats, batch_size: u32) -> Self {
+        RunTelemetry {
             mode: mode.to_string(),
             runs: 1,
             msgs_sent: sim.sent as u64,
@@ -268,47 +359,66 @@ impl RunTelemetry {
             msgs_duplicated: sim.duplicated as u64,
             msgs_reordered: sim.reordered as u64,
             timers: sim.timers as u64,
-            batch_size: 1,
+            batch_size: u64::from(batch_size),
             payload_msgs: sim.payload_msgs as u64,
             ..RunTelemetry::default()
-        };
-        for s in stats {
-            out.committed += s.committed as u64;
-            out.aborted_conflict += s.aborted_conflict as u64;
-            out.aborted_unavailable += s.aborted_unavailable as u64;
-            out.ops_completed += s.ops_completed as u64;
-            out.stale_epoch_retries += s.stale_retries as u64;
         }
-        for m in metrics {
-            out.phase_retries += m.phase_retries;
-            out.txn_reruns += m.txn_reruns;
-            for &v in &m.initial_rt {
-                out.initial_rt.record(v);
-            }
-            for &v in &m.final_rt {
-                out.final_rt.record(v);
-            }
-            for &v in &m.op_latency {
-                out.op_latency.record(v);
-            }
-            for &v in &m.view_sizes {
-                out.view_sizes.record(v);
-            }
-            out.log_entries_shipped += m.log_entries_shipped;
-            for &v in &m.reply_payload {
-                out.reply_payload.record(v);
-            }
-            out.batches_flushed += m.batches_flushed;
-            for &v in &m.batch_fill {
-                out.batch_fill.record(v);
-            }
-            out.resolve_ack_retransmits += m.resolve_retransmits;
-            out.frontier_stalls += m.frontier_stalls;
-        }
+    }
+
+    /// Adds one front-end: its outcome counters, its raw samples, and its
+    /// evaluation caches' `(evaluations, rebuilds, suffix entries)`.
+    pub fn add_client(&mut self, s: &ClientStats, m: &ClientMetrics, evals: (u64, u64, u64)) {
+        self.committed += s.committed as u64;
+        self.aborted_conflict += s.aborted_conflict as u64;
+        self.aborted_unavailable += s.aborted_unavailable as u64;
+        self.ops_completed += s.ops_completed as u64;
+        self.stale_epoch_retries += s.stale_retries as u64;
+        self.phase_retries += m.phase_retries;
+        self.txn_reruns += m.txn_reruns;
+        self.initial_rt.extend(&m.initial_rt);
+        self.final_rt.extend(&m.final_rt);
+        self.op_latency.extend(&m.op_latency);
+        self.view_sizes.extend(&m.view_sizes);
+        self.log_entries_shipped += m.log_entries_shipped;
+        self.reply_payload.extend(&m.reply_payload);
+        self.batches_flushed += m.batches_flushed;
+        self.batch_fill.extend(&m.batch_fill);
+        self.resolve_ack_retransmits += m.resolve_retransmits;
+        self.frontier_stalls += m.frontier_stalls;
+        self.evaluations += evals.0;
+        self.eval_rebuilds += evals.1;
+        self.eval_suffix_entries += evals.2;
+    }
+
+    /// Adds one repository: its health counters, the envelopes it flushed,
+    /// and the final length of each of its logs.
+    pub fn add_repo(
+        &mut self,
+        c: &RepoCounters,
+        batch_fills: &[u64],
+        log_lengths: impl IntoIterator<Item = u64>,
+    ) {
+        self.full_log_fallbacks += c.full_log_fallbacks;
+        self.recoveries += c.recoveries;
+        self.statuses_shipped += c.statuses_shipped;
+        self.write_delta_refusals += c.write_delta_refusals;
+        self.statuses_gcd += c.statuses_gcd;
+        self.status_table_peak = self.status_table_peak.max(c.status_table_peak);
+        self.batches_flushed += c.batches_flushed;
+        self.batch_fill.extend(batch_fills);
         for len in log_lengths {
-            out.log_lengths.record(len);
+            self.log_lengths.record(len);
         }
-        out
+    }
+
+    /// The verdicts reached: `(committed, conflict aborts, unavailability
+    /// aborts)` — what a decision-identity gate compares.
+    pub fn verdicts(&self) -> (u64, u64, u64) {
+        (
+            self.committed,
+            self.aborted_conflict,
+            self.aborted_unavailable,
+        )
     }
 
     /// Transactions that reached a verdict (committed or aborted).
@@ -319,208 +429,30 @@ impl RunTelemetry {
     /// Fraction of decided transactions that aborted (0 when none
     /// decided) — the measured quantity the paper's comparison turns on.
     pub fn abort_rate(&self) -> f64 {
-        let d = self.decided();
-        if d == 0 {
-            0.0
-        } else {
-            (self.aborted_conflict + self.aborted_unavailable) as f64 / d as f64
-        }
+        ratio(
+            self.aborted_conflict + self.aborted_unavailable,
+            self.decided(),
+        )
     }
 
     /// Network messages per completed operation (0 when none completed).
     pub fn messages_per_op(&self) -> f64 {
-        if self.ops_completed == 0 {
-            0.0
-        } else {
-            self.msgs_sent as f64 / self.ops_completed as f64
-        }
+        ratio(self.msgs_sent, self.ops_completed)
     }
 
     /// Log entries shipped per completed operation (0 when none
     /// completed) — the acceptance metric for delta shipping.
     pub fn entries_shipped_per_op(&self) -> f64 {
-        if self.ops_completed == 0 {
-            0.0
-        } else {
-            self.log_entries_shipped as f64 / self.ops_completed as f64
-        }
+        ratio(self.log_entries_shipped, self.ops_completed)
     }
+}
 
-    /// Merges another run's telemetry (same mode) into this one.
-    pub fn merge(&mut self, other: &RunTelemetry) {
-        if self.mode.is_empty() {
-            self.mode = other.mode.clone();
-        }
-        self.runs += other.runs;
-        self.committed += other.committed;
-        self.aborted_conflict += other.aborted_conflict;
-        self.aborted_unavailable += other.aborted_unavailable;
-        self.ops_completed += other.ops_completed;
-        self.phase_retries += other.phase_retries;
-        self.txn_reruns += other.txn_reruns;
-        self.stale_epoch_retries += other.stale_epoch_retries;
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_delivered += other.msgs_delivered;
-        self.msgs_dropped += other.msgs_dropped;
-        self.msgs_duplicated += other.msgs_duplicated;
-        self.msgs_reordered += other.msgs_reordered;
-        self.full_log_fallbacks += other.full_log_fallbacks;
-        self.recoveries += other.recoveries;
-        self.timers += other.timers;
-        self.initial_rt.merge(&other.initial_rt);
-        self.final_rt.merge(&other.final_rt);
-        self.op_latency.merge(&other.op_latency);
-        self.view_sizes.merge(&other.view_sizes);
-        self.log_entries_shipped += other.log_entries_shipped;
-        self.reply_payload.merge(&other.reply_payload);
-        self.log_lengths.merge(&other.log_lengths);
-        self.batch_size = self.batch_size.max(other.batch_size);
-        self.batches_flushed += other.batches_flushed;
-        self.batch_fill.merge(&other.batch_fill);
-        self.payload_msgs += other.payload_msgs;
-        self.statuses_shipped += other.statuses_shipped;
-        self.write_delta_refusals += other.write_delta_refusals;
-        self.evaluations += other.evaluations;
-        self.eval_rebuilds += other.eval_rebuilds;
-        self.eval_suffix_entries += other.eval_suffix_entries;
-        self.statuses_gcd += other.statuses_gcd;
-        self.status_table_peak = self.status_table_peak.max(other.status_table_peak);
-        self.resolve_ack_retransmits += other.resolve_ack_retransmits;
-        self.reconnects += other.reconnects;
-        self.frontier_stalls += other.frontier_stalls;
-        self.rejoins += other.rejoins;
-    }
-
-    /// A JSON object with every counter, derived rate, and histogram
-    /// summary (hand-rolled; the vendored serde is a marker stub).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("      \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("      \"runs\": {},\n", self.runs));
-        s.push_str(&format!("      \"committed\": {},\n", self.committed));
-        s.push_str(&format!(
-            "      \"aborted_conflict\": {},\n",
-            self.aborted_conflict
-        ));
-        s.push_str(&format!(
-            "      \"aborted_unavailable\": {},\n",
-            self.aborted_unavailable
-        ));
-        s.push_str(&format!(
-            "      \"ops_completed\": {},\n",
-            self.ops_completed
-        ));
-        s.push_str(&format!(
-            "      \"abort_rate\": {:.4},\n",
-            self.abort_rate()
-        ));
-        s.push_str(&format!(
-            "      \"phase_retries\": {},\n",
-            self.phase_retries
-        ));
-        s.push_str(&format!("      \"txn_reruns\": {},\n", self.txn_reruns));
-        s.push_str(&format!(
-            "      \"stale_epoch_retries\": {},\n",
-            self.stale_epoch_retries
-        ));
-        s.push_str(&format!("      \"msgs_sent\": {},\n", self.msgs_sent));
-        s.push_str(&format!(
-            "      \"msgs_delivered\": {},\n",
-            self.msgs_delivered
-        ));
-        s.push_str(&format!("      \"msgs_dropped\": {},\n", self.msgs_dropped));
-        s.push_str(&format!(
-            "      \"msgs_duplicated\": {},\n",
-            self.msgs_duplicated
-        ));
-        s.push_str(&format!(
-            "      \"msgs_reordered\": {},\n",
-            self.msgs_reordered
-        ));
-        s.push_str(&format!(
-            "      \"full_log_fallbacks\": {},\n",
-            self.full_log_fallbacks
-        ));
-        s.push_str(&format!("      \"recoveries\": {},\n", self.recoveries));
-        s.push_str(&format!("      \"timers\": {},\n", self.timers));
-        s.push_str(&format!(
-            "      \"messages_per_op\": {:.3},\n",
-            self.messages_per_op()
-        ));
-        s.push_str(&format!(
-            "      \"initial_rt\": {},\n",
-            self.initial_rt.to_json()
-        ));
-        s.push_str(&format!(
-            "      \"final_rt\": {},\n",
-            self.final_rt.to_json()
-        ));
-        s.push_str(&format!(
-            "      \"op_latency\": {},\n",
-            self.op_latency.to_json()
-        ));
-        s.push_str(&format!(
-            "      \"view_sizes\": {},\n",
-            self.view_sizes.to_json()
-        ));
-        s.push_str(&format!(
-            "      \"log_entries_shipped\": {},\n",
-            self.log_entries_shipped
-        ));
-        s.push_str(&format!(
-            "      \"entries_shipped_per_op\": {:.3},\n",
-            self.entries_shipped_per_op()
-        ));
-        s.push_str(&format!(
-            "      \"reply_payload\": {},\n",
-            self.reply_payload.to_json()
-        ));
-        s.push_str(&format!("      \"batch_size\": {},\n", self.batch_size));
-        s.push_str(&format!(
-            "      \"batches_flushed\": {},\n",
-            self.batches_flushed
-        ));
-        s.push_str(&format!(
-            "      \"batch_fill\": {},\n",
-            self.batch_fill.to_json()
-        ));
-        s.push_str(&format!("      \"payload_msgs\": {},\n", self.payload_msgs));
-        s.push_str(&format!(
-            "      \"statuses_shipped\": {},\n",
-            self.statuses_shipped
-        ));
-        s.push_str(&format!(
-            "      \"write_delta_refusals\": {},\n",
-            self.write_delta_refusals
-        ));
-        for (name, count) in [
-            ("evaluations", self.evaluations),
-            ("eval_rebuilds", self.eval_rebuilds),
-            ("eval_suffix_entries", self.eval_suffix_entries),
-        ] {
-            s.push_str(&format!("      \"{name}\": {count},\n"));
-        }
-        s.push_str(&format!("      \"statuses_gcd\": {},\n", self.statuses_gcd));
-        s.push_str(&format!(
-            "      \"status_table_peak\": {},\n",
-            self.status_table_peak
-        ));
-        s.push_str(&format!(
-            "      \"resolve_ack_retransmits\": {},\n",
-            self.resolve_ack_retransmits
-        ));
-        s.push_str(&format!("      \"reconnects\": {},\n", self.reconnects));
-        s.push_str(&format!(
-            "      \"frontier_stalls\": {},\n",
-            self.frontier_stalls
-        ));
-        s.push_str(&format!("      \"rejoins\": {},\n", self.rejoins));
-        s.push_str(&format!(
-            "      \"log_lengths\": {}\n",
-            self.log_lengths.to_json()
-        ));
-        s.push_str("    }");
-        s
+/// `n / d`, or 0 when `d` is 0.
+fn ratio(n: u64, d: u64) -> f64 {
+    if d == 0 {
+        0.0
+    } else {
+        n as f64 / d as f64
     }
 }
 
@@ -574,8 +506,11 @@ mod tests {
                 stale_retries: 2,
             },
         ];
-        let metrics = [ClientMetrics::default(), ClientMetrics::default()];
-        let t = RunTelemetry::from_run("hybrid", &stats, &metrics, SimStats::default(), [3, 3]);
+        let mut t = RunTelemetry::for_run("hybrid", SimStats::default(), 1);
+        for s in &stats {
+            t.add_client(s, &ClientMetrics::default(), (0, 0, 0));
+        }
+        t.add_repo(&RepoCounters::default(), &[], [3, 3]);
         assert_eq!(t.committed, 5);
         assert_eq!(t.decided(), 7);
         assert_eq!(t.stale_epoch_retries, 2);
@@ -583,35 +518,128 @@ mod tests {
         assert_eq!(t.log_lengths.count(), 2);
     }
 
-    #[test]
-    fn merge_accumulates_runs() {
-        let mut a = RunTelemetry {
-            mode: "static".into(),
-            runs: 1,
-            committed: 2,
-            ..RunTelemetry::default()
-        };
-        let b = RunTelemetry {
-            mode: "static".into(),
-            runs: 1,
-            committed: 3,
-            ..RunTelemetry::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.runs, 2);
-        assert_eq!(a.committed, 5);
+    /// A stored field of a record, as the table tests reach it.
+    pub(super) enum Slot<'a> {
+        Count(&'a mut u64),
+        Hist(&'a mut LogicalHistogram),
     }
 
-    #[test]
-    fn json_is_wellformed_enough() {
-        let t = RunTelemetry {
+    impl<'a> From<&'a mut u64> for Slot<'a> {
+        fn from(c: &'a mut u64) -> Self {
+            Slot::Count(c)
+        }
+    }
+
+    impl<'a> From<&'a mut LogicalHistogram> for Slot<'a> {
+        fn from(h: &'a mut LogicalHistogram) -> Self {
+            Slot::Hist(h)
+        }
+    }
+
+    /// The table's stored rows (everything but the derived rates).
+    fn stored() -> impl Iterator<Item = &'static (&'static str, Rule)> {
+        (RunTelemetry::FIELDS.iter()).filter(|(_, rule)| !matches!(rule, Rule::Rate(_)))
+    }
+
+    /// A record with every stored field drawn from the stream.
+    fn random_record(state: &mut u64) -> RunTelemetry {
+        let mut draw = |below: u64| {
+            *state = quorumcc_sim::splitmix64(*state);
+            *state % below
+        };
+        let mut t = RunTelemetry {
             mode: "hybrid".into(),
             ..RunTelemetry::default()
         };
-        let j = t.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"abort_rate\": 0.0000"));
-        assert!(j.contains("\"initial_rt\": {\"count\": 0"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        for slot in t.slots() {
+            match slot {
+                Slot::Count(c) => *c = draw(1_000),
+                Slot::Hist(h) => (0..draw(4)).for_each(|_| h.record(draw(100))),
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn merge_applies_each_fields_rule() {
+        let mut state = 19;
+        for _ in 0..200 {
+            let mut a = random_record(&mut state);
+            let mut b = random_record(&mut state);
+            let mut merged = a.clone();
+            merged.merge(&b);
+
+            let mut onto_a = a.clone();
+            onto_a.merge(&RunTelemetry::default());
+            let mut onto_blank = RunTelemetry::default();
+            onto_blank.merge(&a);
+            assert_eq!(onto_a.to_json(), a.to_json(), "default is a right identity");
+            assert_eq!(
+                onto_blank.to_json(),
+                a.to_json(),
+                "default is a left identity"
+            );
+
+            let (sa, sb, sm) = (a.slots(), b.slots(), merged.slots());
+            assert_eq!(sa.len(), stored().count(), "one slot per stored row");
+            for (i, (name, rule)) in stored().enumerate() {
+                match (rule, &sa[i], &sb[i], &sm[i]) {
+                    (Rule::Sum, Slot::Count(a), Slot::Count(b), Slot::Count(m)) => {
+                        assert_eq!(**m, **a + **b, "{name}");
+                    }
+                    (Rule::Max, Slot::Count(a), Slot::Count(b), Slot::Count(m)) => {
+                        assert_eq!(**m, (**a).max(**b), "{name}");
+                    }
+                    (Rule::Hist, Slot::Hist(a), Slot::Hist(b), Slot::Hist(m)) => {
+                        assert_eq!(m.samples(), [a.samples(), b.samples()].concat(), "{name}");
+                    }
+                    _ => panic!("{name}: the field's type does not match its rule"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn to_json_has_one_key_per_table_row_in_order() {
+        let t = random_record(&mut 3);
+        let Json::Object(members) = t.to_json() else {
+            panic!("telemetry renders as an object");
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        let rows = RunTelemetry::FIELDS;
+        let want: Vec<&str> = (std::iter::once("mode"))
+            .chain(rows.iter().map(|(name, _)| *name))
+            .collect();
+        assert_eq!(keys, want);
+        for ((name, rule), (_, value)) in rows.iter().zip(&members[1..]) {
+            let fits = match (rule, value) {
+                (Rule::Sum | Rule::Max, Json::Int(_)) | (Rule::Hist, Json::Object(_)) => true,
+                (Rule::Rate(want), Json::Fixed(_, decimals)) => want == decimals,
+                _ => false,
+            };
+            assert!(fits, "{name}: {value:?} under {rule:?}");
+        }
+        let rates: Vec<_> = rows.iter().filter(|r| !stored().any(|s| s == *r)).collect();
+        assert_eq!(
+            rates,
+            [
+                &("abort_rate", Rule::Rate(4)),
+                &("messages_per_op", Rule::Rate(3)),
+                &("entries_shipped_per_op", Rule::Rate(3)),
+            ]
+        );
+
+        let blank = RunTelemetry {
+            mode: "a\"b".into(),
+            ..RunTelemetry::default()
+        };
+        let text = blank.to_json().to_string();
+        assert!(
+            text.starts_with("{\n  \"mode\": \"a\\\"b\",\n  \"runs\": 0,"),
+            "{text}"
+        );
+        assert!(text.contains("\n  \"abort_rate\": 0.0000,\n"));
+        assert!(text.contains("\n  \"initial_rt\": {\"count\": 0, \"min\": 0,"));
+        assert!(text.ends_with("\"mean\": 0.000}\n}"));
     }
 }

@@ -293,6 +293,27 @@ impl<S: Classified> Repository<S> {
         }
     }
 
+    /// Pushes every log to `peer` as an entry-less `WriteLog` (a CRDT-safe
+    /// merge; `req` 0 because repositories ignore the ack it triggers) —
+    /// the one shape anti-entropy, `SyncReq` replies and the state
+    /// transfer after a committed install all use.
+    fn push_logs<IO: Io<Msg<S::Inv, S::Res>> + ?Sized>(&mut self, ctx: &mut IO, peer: ProcId) {
+        let cfg = self.version();
+        let msgs: Vec<Msg<S::Inv, S::Res>> = (self.logs.iter())
+            .map(|(obj, vlog)| Msg::WriteLog {
+                obj: *obj,
+                req: 0,
+                log: vlog.log().clone(),
+                entry: None,
+                cfg,
+                base: 0,
+            })
+            .collect();
+        for m in msgs {
+            self.send_msg(ctx, peer, m);
+        }
+    }
+
     /// Flushes queued sends (call at the end of each event handler) and
     /// syncs the batching counters.
     fn flush_batch<IO: Io<Msg<S::Inv, S::Res>> + ?Sized>(&mut self, ctx: &mut IO) {
@@ -386,22 +407,7 @@ impl<S: Classified> Repository<S> {
         if !peers.is_empty() {
             let peer = peers[ctx.rand_below(peers.len() as u64) as usize];
             ctx.trace(TraceAction::AntiEntropy { peer });
-            let cfg = self.version();
-            let msgs: Vec<Msg<S::Inv, S::Res>> = self
-                .logs
-                .iter()
-                .map(|(obj, vlog)| Msg::WriteLog {
-                    obj: *obj,
-                    req: 0, // repositories ignore the ack they trigger
-                    log: vlog.log().clone(),
-                    entry: None,
-                    cfg,
-                    base: 0,
-                })
-                .collect();
-            for m in msgs {
-                self.send_msg(ctx, peer, m);
-            }
+            self.push_logs(ctx, peer);
         }
         ctx.set_timer(iv, TOKEN_ANTI_ENTROPY);
         self.flush_batch(ctx);
@@ -919,33 +925,12 @@ impl<S: Classified> Repository<S> {
                     // push logs to the new membership so freshly added
                     // members catch up without waiting for anti-entropy.
                     if let Some(members) = stable_members {
-                        if !self.logs.is_empty() {
-                            let cfg = self.version();
-                            let me = ctx.me();
-                            let logs: Vec<_> = self
-                                .logs
-                                .iter()
-                                .map(|(obj, vlog)| (*obj, vlog.log().clone()))
-                                .collect();
-                            for peer in members.into_iter().filter(|p| *p != me) {
-                                for (obj, log) in &logs {
-                                    // Compaction keeps this transfer
-                                    // bounded: the checkpoint rides inside
-                                    // the log in place of its folded prefix.
-                                    self.send_msg(
-                                        ctx,
-                                        peer,
-                                        Msg::WriteLog {
-                                            obj: *obj,
-                                            req: 0,
-                                            log: log.clone(),
-                                            entry: None,
-                                            cfg,
-                                            base: 0,
-                                        },
-                                    );
-                                }
-                            }
+                        // Compaction keeps this transfer bounded: the
+                        // checkpoint rides inside the log in place of its
+                        // folded prefix.
+                        let me = ctx.me();
+                        for peer in members.into_iter().filter(|p| *p != me) {
+                            self.push_logs(ctx, peer);
                         }
                     }
                 }
@@ -959,26 +944,9 @@ impl<S: Classified> Repository<S> {
                 );
             }
             Msg::SyncReq => {
-                // A recovering peer asks for state transfer: push every
-                // object as entry-less propagation (CRDT-safe merges, the
-                // same shape anti-entropy uses).
+                // A recovering peer asks for state transfer.
                 ctx.trace(TraceAction::AntiEntropy { peer: from });
-                let cfg = self.version();
-                let msgs: Vec<Msg<S::Inv, S::Res>> = self
-                    .logs
-                    .iter()
-                    .map(|(obj, vlog)| Msg::WriteLog {
-                        obj: *obj,
-                        req: 0,
-                        log: vlog.log().clone(),
-                        entry: None,
-                        cfg,
-                        base: 0,
-                    })
-                    .collect();
-                for m in msgs {
-                    self.send_msg(ctx, from, m);
-                }
+                self.push_logs(ctx, from);
             }
             // Repositories ignore front-end-bound messages.
             Msg::LogReply { .. }

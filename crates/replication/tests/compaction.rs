@@ -303,7 +303,7 @@ fn merged_telemetry_is_identical_at_every_thread_count() {
         for t in &tels {
             merged.merge(t);
         }
-        merged.to_json()
+        merged.to_json().to_string()
     };
     let reference = merged_at(1);
     for threads in [2usize, 4, 0] {

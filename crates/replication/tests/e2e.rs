@@ -67,11 +67,10 @@ fn queue_workload(seed: u64, clients: usize, txns: usize) -> Vec<Vec<Transaction
 /// `BENCH_*.json` files (target tmpdir under `cargo test`).
 fn write_bench_telemetry(id: &str, telemetry: &RunTelemetry) {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("BENCH_{id}.json"));
-    let body = format!(
-        "{{\n  \"id\": \"{id}\",\n  \"telemetry\": {}\n}}\n",
-        telemetry.to_json()
-    );
-    std::fs::write(&path, body).expect("write BENCH json");
+    let doc = quorumcc_sim::Json::object()
+        .field("id", id)
+        .field("telemetry", telemetry.to_json());
+    std::fs::write(&path, format!("{doc}\n")).expect("write BENCH json");
 }
 
 /// The central soundness loop: for every protocol mode and several seeds,

@@ -215,7 +215,7 @@ fn telemetry_reconciles_with_client_stats() {
                 report.repo_logs().iter().map(Vec::len).sum::<usize>()
             );
             // The JSON document round-trips the headline counters.
-            let json = t.to_json();
+            let json = t.to_json().to_string();
             assert!(json.contains(&format!("\"committed\": {}", t.committed)));
             assert!(json.contains(&format!("\"msgs_sent\": {}", t.msgs_sent)));
         }

@@ -13,6 +13,7 @@
 //! * [`engine`] — the event loop ([`Sim`], [`Process`], [`Ctx`]).
 //! * [`explore`] — exhaustive interleaving enumeration over the same
 //!   [`Process`] drivers, with partial-order reduction.
+//! * [`json`] — the one JSON writer every report and artifact goes through.
 //! * [`trace`] — zero-overhead-when-disabled structured run traces.
 
 #![forbid(unsafe_code)]
@@ -22,12 +23,14 @@ pub mod clock;
 pub mod engine;
 pub mod explore;
 pub mod fault;
+pub mod json;
 pub mod trace;
 
 pub use clock::{LamportClock, Timestamp};
 pub use engine::{Ctx, NetworkConfig, Process, Sim, SimStats};
 pub use explore::{ExploreConfig, ExploreHooks, ExploreOutcome, ExploreStats, Witness};
 pub use fault::{FaultPlan, ProcId, SimTime};
+pub use json::Json;
 pub use trace::{
     AbortCause, ConflictKind, DropCause, PhaseKind, TraceAction, TraceBuffer, TraceConfig,
     TraceEvent,

@@ -3,6 +3,40 @@
 # CI runs exactly this script; run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+root="$PWD"
+
+# threads_invariant <bin> <artifact> [--quick]: runs the release binary in
+# a scratch dir at --threads 1, then 2/4/0, and requires byte-identical
+# artifacts. A full run (no --quick) must also reproduce the artifact
+# committed at the repo root; --quick shapes are smaller than it.
+threads_invariant() {
+  local bin="$1" artifact="$2" quick="${3:-}" dir t
+  dir="$(mktemp -d)"
+  for t in 1 2 4 0; do
+    (cd "$dir" && "$root/target/release/$bin" $quick --threads "$t" > /dev/null)
+    test -f "$dir/$artifact" || {
+      echo "$bin wrote no $artifact" >&2
+      exit 1
+    }
+    if [ "$t" = 1 ]; then
+      mv "$dir/$artifact" "$dir/t1.json"
+    else
+      cmp -s "$dir/t1.json" "$dir/$artifact" || {
+        echo "$artifact differs between --threads 1 and --threads $t" >&2
+        diff "$dir/t1.json" "$dir/$artifact" >&2 || true
+        exit 1
+      }
+    fi
+  done
+  if [ -z "$quick" ]; then
+    cmp -s "$dir/t1.json" "$artifact" || {
+      echo "the committed $artifact is not what $bin writes (run scripts/regen_goldens.sh):" >&2
+      diff "$dir/t1.json" "$artifact" >&2 || true
+      exit 1
+    }
+  fi
+  rm -rf "$dir"
+}
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -128,16 +162,7 @@ cargo test -q --release -p quorumcc-replication --test chaos \
   chaos_sweep_600_plans_is_violation_free -- --ignored > /dev/null
 
 echo "==> exp_chaos: BENCH_exp_chaos.json byte-identical at --threads 1/2/4/0"
-cargo run -q --release -p quorumcc-bench --bin exp_chaos -- --threads 1 > /dev/null
-mv BENCH_exp_chaos.json /tmp/chaos_bench_t1.json
-for t in 2 4 0; do
-  cargo run -q --release -p quorumcc-bench --bin exp_chaos -- --threads "$t" > /dev/null
-  cmp -s /tmp/chaos_bench_t1.json BENCH_exp_chaos.json || {
-    echo "BENCH_exp_chaos.json differs between --threads 1 and --threads $t" >&2
-    diff /tmp/chaos_bench_t1.json BENCH_exp_chaos.json >&2 || true
-    exit 1
-  }
-done
+threads_invariant exp_chaos BENCH_exp_chaos.json
 
 echo "==> chaos smoke: 200-plan sweep with sharding + batching enabled"
 chaos_tp="$(cargo run -q --release --bin qcc -- chaos queue --seed 11 --runs 200 --objects 8 --shards 4 --batch 4)"
@@ -152,20 +177,7 @@ cargo test -q --release -p quorumcc-replication --test batching \
   batched_and_unbatched_decide_identically_at_low_contention > /dev/null
 
 echo "==> exp_scale: sweep gates + BENCH_exp_scale.json byte-identical at --threads 1/2/4/0"
-cargo run -q --release -p quorumcc-bench --bin exp_scale -- --threads 1 > /dev/null
-test -f BENCH_exp_scale.json || {
-  echo "exp_scale wrote no BENCH_exp_scale.json" >&2
-  exit 1
-}
-mv BENCH_exp_scale.json /tmp/scale_bench_t1.json
-for t in 2 4 0; do
-  cargo run -q --release -p quorumcc-bench --bin exp_scale -- --threads "$t" > /dev/null
-  cmp -s /tmp/scale_bench_t1.json BENCH_exp_scale.json || {
-    echo "BENCH_exp_scale.json differs between --threads 1 and --threads $t" >&2
-    diff /tmp/scale_bench_t1.json BENCH_exp_scale.json >&2 || true
-    exit 1
-  }
-done
+threads_invariant exp_scale BENCH_exp_scale.json
 
 echo "==> exp_load quick smoke: real-socket fleet, bounded shape"
 # Wall-clock SLOs — BENCH_exp_load.json is the one bench artifact that
@@ -217,20 +229,7 @@ echo "$replay_out" | grep -q "safety VIOLATION: lost write" || {
 }
 
 echo "==> exp_explore quick: POR gate + BENCH_exp_explore.json byte-identical at --threads 1/2/4/0"
-# Quick mode sweeps a smaller cell matrix than the committed artifact, so
-# run from a scratch dir instead of clobbering the repo-root json.
-explore_scratch="$(mktemp -d)"
-(cd "$explore_scratch" && "$OLDPWD/target/release/exp_explore" --quick --threads 1 > /dev/null)
-mv "$explore_scratch/BENCH_exp_explore.json" /tmp/explore_bench_t1.json
-for t in 2 4 0; do
-  (cd "$explore_scratch" && "$OLDPWD/target/release/exp_explore" --quick --threads "$t" > /dev/null)
-  cmp -s /tmp/explore_bench_t1.json "$explore_scratch/BENCH_exp_explore.json" || {
-    echo "BENCH_exp_explore.json differs between --threads 1 and --threads $t" >&2
-    diff /tmp/explore_bench_t1.json "$explore_scratch/BENCH_exp_explore.json" >&2 || true
-    exit 1
-  }
-done
-rm -rf "$explore_scratch"
+threads_invariant exp_explore BENCH_exp_explore.json --quick
 
 echo "==> qcc load smoke: tiny fleet through the CLI"
 load_out="$(cargo run -q --release --bin qcc -- load --clients 40 --cells 2 --objects 16 --ramp-ms 100)"
@@ -277,39 +276,29 @@ cargo test -q --release -p quorumcc-replication --test gossip > /dev/null
 
 echo "==> exp_gossip: flat-curve gates + BENCH_exp_gossip.json byte-identical at --threads 1/2/4/0"
 cargo run -q --release -p quorumcc-bench --bin exp_gossip -- --quick > /dev/null
-cargo run -q --release -p quorumcc-bench --bin exp_gossip -- --threads 1 > /dev/null
-mv BENCH_exp_gossip.json /tmp/gossip_bench_t1.json
-for t in 2 4 0; do
-  cargo run -q --release -p quorumcc-bench --bin exp_gossip -- --threads "$t" > /dev/null
-  cmp -s /tmp/gossip_bench_t1.json BENCH_exp_gossip.json || {
-    echo "BENCH_exp_gossip.json differs between --threads 1 and --threads $t" >&2
-    diff /tmp/gossip_bench_t1.json BENCH_exp_gossip.json >&2 || true
-    exit 1
-  }
-done
+threads_invariant exp_gossip BENCH_exp_gossip.json
 
 echo "==> goldens: the four thread-invariant artifacts match scripts/goldens.md5"
-# exp_scale, exp_chaos and exp_gossip were regenerated in full above;
-# exp_explore ran --quick in a scratch dir, so its committed file is checked.
+# exp_scale, exp_chaos and exp_gossip were reproduced in full above;
+# exp_explore ran --quick, so its committed file answers to the stamp alone.
 md5sum -c --quiet scripts/goldens.md5
+
+echo "==> every BENCH_*.json in the tree parses"
+if command -v python3 > /dev/null; then
+  for f in BENCH_*.json; do
+    python3 -m json.tool "$f" > /dev/null || {
+      echo "$f is not well-formed JSON" >&2
+      exit 1
+    }
+  done
+else
+  echo "    python3 not found: gate skipped"
+fi
 
 echo "==> exp_recovery quick: recovery gates + BENCH_exp_recovery.json byte-identical at --threads 1/2/4/0"
 # DES telemetry is deterministic; the channels/eventloop phases record
-# only asserted booleans, so the whole artifact is byte-stable. Quick
-# mode uses a smaller event-loop shape than the committed artifact, so
-# run from a scratch dir instead of clobbering the repo-root json.
-recovery_scratch="$(mktemp -d)"
-(cd "$recovery_scratch" && "$OLDPWD/target/release/exp_recovery" --quick --threads 1 > /dev/null)
-mv "$recovery_scratch/BENCH_exp_recovery.json" /tmp/recovery_bench_t1.json
-for t in 2 4 0; do
-  (cd "$recovery_scratch" && "$OLDPWD/target/release/exp_recovery" --quick --threads "$t" > /dev/null)
-  cmp -s /tmp/recovery_bench_t1.json "$recovery_scratch/BENCH_exp_recovery.json" || {
-    echo "BENCH_exp_recovery.json differs between --threads 1 and --threads $t" >&2
-    diff /tmp/recovery_bench_t1.json "$recovery_scratch/BENCH_exp_recovery.json" >&2 || true
-    exit 1
-  }
-done
-rm -rf "$recovery_scratch"
+# only asserted booleans, so the whole artifact is byte-stable.
+threads_invariant exp_recovery BENCH_exp_recovery.json --quick
 
 echo "==> batching bench smoke run"
 batch_bench_out="$(cargo bench -q -p quorumcc-bench --bench batching 2>&1)"

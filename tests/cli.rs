@@ -207,9 +207,10 @@ fn missing_args_print_usage() {
     assert!(stderr.contains("usage"));
 }
 
-/// `load` rejects unknown flags like every other subcommand (per-flag
-/// tables in `allowed_opts`), including typos of the gossip knobs and the
-/// host-selection and polling flags that went away with the spare hosts.
+/// `load` rejects unknown flags like every other subcommand (whatever
+/// `Opts::finish` finds was never read), including typos of the gossip
+/// knobs and the host-selection and polling flags that went away with the
+/// spare hosts.
 #[test]
 fn load_rejects_unknown_flags() {
     for bogus in [
