@@ -1,11 +1,12 @@
-//! Sequential-vs-parallel benchmarks for the theorem-verification
-//! pipeline: the unmemoized reference extractor vs the memoized one, and
-//! thread scaling of corpus enumeration, clause extraction, hitting-set
-//! search, and Monte-Carlo availability at 1/2/4/8 workers.
+//! Thread-scaling benchmarks for the theorem-verification pipeline:
+//! corpus enumeration, clause extraction, hitting-set search, and
+//! Monte-Carlo availability at 1/2/4/8 workers.
 //!
-//! Outputs are bitwise-identical at every thread count (see
-//! `crates/core/tests/determinism.rs`); these benches measure the only
-//! thing `--threads` changes — wall-clock time.
+//! Outputs are bitwise-identical at every thread count, and extraction
+//! equals the unmemoized `ClauseSet::extract_reference` oracle (see
+//! `crates/core/tests/determinism.rs`, which is where that comparison
+//! lives); these benches measure the only thing `--threads` changes —
+//! wall-clock time.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use quorumcc_adts::FlagSet;
@@ -40,9 +41,6 @@ fn cfg(threads: usize) -> CorpusConfig {
 fn extraction(c: &mut Criterion) {
     let mut g = c.benchmark_group("extract/flagset");
     g.sample_size(10);
-    g.bench_function("reference_seq", |b| {
-        b.iter(|| ClauseSet::extract_reference::<FlagSet>(Property::Hybrid, &cfg(1), &[]))
-    });
     for threads in THREAD_COUNTS {
         g.bench_function(format!("memoized_t{threads}"), |b| {
             b.iter(|| ClauseSet::extract::<FlagSet>(Property::Hybrid, &cfg(threads), &[]))

@@ -28,32 +28,9 @@ fn main() {
         bounds,
         threads: rec.threads(),
     };
-    let witness = flagset_dual_witness();
-    // Reference pass: the retained unmemoized single-thread extractor, as
-    // both the correctness oracle and the perf baseline.
-    let reference = rec.phase("extract_reference_ms", || {
-        ClauseSet::extract_reference::<FlagSet>(
-            Property::Hybrid,
-            &cfg,
-            std::slice::from_ref(&witness),
-        )
-    });
     let clauses = rec.phase("extract_ms", || {
-        ClauseSet::extract::<FlagSet>(Property::Hybrid, &cfg, &[witness])
+        ClauseSet::extract::<FlagSet>(Property::Hybrid, &cfg, &[flagset_dual_witness()])
     });
-    assert_eq!(
-        reference, clauses,
-        "memoized parallel extraction must match the reference path bitwise"
-    );
-    let speedup = rec.phase_millis("extract_reference_ms").unwrap_or(0.0)
-        / rec.phase_millis("extract_ms").unwrap_or(f64::INFINITY);
-    rec.metric("extract_speedup", speedup);
-    println!(
-        "  extraction: {:.1} ms reference → {:.1} ms memoized×{} ({speedup:.2}x), outputs identical",
-        rec.phase_millis("extract_reference_ms").unwrap_or(0.0),
-        rec.phase_millis("extract_ms").unwrap_or(0.0),
-        rec.threads(),
-    );
     let st = clauses.stats();
     println!(
         "  corpus: {} histories, {} failing tests, {} clauses",

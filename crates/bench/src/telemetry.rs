@@ -102,15 +102,6 @@ impl BenchRecorder {
         self.phases.push((name.to_string(), millis));
     }
 
-    /// Wall-clock milliseconds recorded for `name`, if that phase ran.
-    #[must_use]
-    pub fn phase_millis(&self, name: &str) -> Option<f64> {
-        self.phases
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, ms)| *ms)
-    }
-
     /// Records a scalar metric (corpus size, clause count, speedup, …).
     pub fn metric(&mut self, name: &str, value: f64) {
         self.metrics.push((name.to_string(), value));
@@ -193,8 +184,7 @@ mod tests {
         assert!(j.contains("\"bounds\": {\"depth\": 4, \"max_states\": 4096, \"budget\": 5000000}"));
         assert!(j.contains("\"work\":"));
         assert!(j.contains("\"clauses\": 19"));
-        assert!(r.phase_millis("work").is_some());
-        assert!(r.phase_millis("absent").is_none());
+        assert!(!j.contains("\"absent\":"));
     }
 
     #[test]

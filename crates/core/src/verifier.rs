@@ -139,12 +139,12 @@ impl ClauseSet {
     }
 
     /// The pre-parallel, unmemoized extraction path, retained verbatim as a
-    /// correctness oracle and benchmark baseline.
+    /// correctness oracle.
     ///
     /// Runs the whole pipeline sequentially and decides every membership
     /// query from scratch via [`Property::admits`]. `extract` must produce
-    /// an equal `ClauseSet` (asserted by the determinism tests); benchmarks
-    /// report the speedup of `extract` over this function.
+    /// an equal `ClauseSet`: `crates/core/tests/determinism.rs` asserts it,
+    /// and is this function's only caller.
     pub fn extract_reference<S: Enumerable + Classified>(
         prop: Property,
         cfg: &CorpusConfig,

@@ -108,7 +108,9 @@ fn flagset_extraction_deterministic() {
 }
 
 /// Seeded witness histories ride along identically at every thread count
-/// (the FlagSet's published dual-minimality result depends on this).
+/// and through the reference path (the FlagSet's published
+/// dual-minimality result depends on this; `fig_1_2` and `table_flagset`
+/// extract with this seed and no longer run the oracle themselves).
 #[test]
 fn seeded_extraction_deterministic() {
     let witness = quorumcc_core::certificates::flagset_dual_witness();
@@ -116,6 +118,15 @@ fn seeded_extraction_deterministic() {
         Property::Hybrid,
         &cfg(17, 1),
         std::slice::from_ref(&witness),
+    );
+    let reference = ClauseSet::extract_reference::<FlagSet>(
+        Property::Hybrid,
+        &cfg(17, 1),
+        std::slice::from_ref(&witness),
+    );
+    assert_eq!(
+        reference, seq,
+        "seeded extraction diverged from the reference path"
     );
     for threads in THREADS {
         let par = ClauseSet::extract::<FlagSet>(

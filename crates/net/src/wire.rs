@@ -17,15 +17,16 @@
 //!   programming error.
 //!
 //! Operation classes travel as strings and are re-interned on decode (the
-//! protocol stores them as `&'static str`); the intern table is bounded by
-//! the number of distinct classes, so leaking them is by design.
+//! protocol stores them as `&'static str`) against the classes the wire's
+//! one data type declares; a string naming none of them is malformed
+//! input, so nothing a peer sends is ever kept.
 //!
 //! [`Checkpoint`]: quorumcc_replication::Checkpoint
 
-use std::collections::BTreeSet;
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
-use quorumcc_model::{ActionId, Event};
+use quorumcc_adts::queue::{Queue, QueueInv, QueueRes};
+use quorumcc_model::{ActionId, Classified, Event};
 use quorumcc_replication::types::{ActionOutcome, LogDelta, LogEntry, ObjId, ObjectLog};
 use quorumcc_replication::Msg;
 use quorumcc_sim::Timestamp;
@@ -127,18 +128,18 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
-/// Interns a decoded operation-class string. The protocol compares classes
-/// by value but stores `&'static str`; the table grows to at most the
-/// number of distinct classes any data type declares.
-fn intern(s: &str) -> &'static str {
-    static TABLE: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut table = TABLE.lock().unwrap();
-    if let Some(hit) = table.get(s) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    table.insert(leaked);
-    leaked
+/// Interns a decoded operation-class string: the protocol compares classes
+/// by value but stores `&'static str`. The table is the operation classes
+/// of [`Queue`] — the one data type with a wire encoding — built once;
+/// `None` for any other string.
+fn intern(s: &str) -> Option<&'static str> {
+    static TABLE: OnceLock<Vec<&'static str>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut ops = Queue::op_classes();
+        ops.extend(Queue::event_classes().iter().map(|class| class.op));
+        ops
+    });
+    table.iter().copied().find(|op| *op == s)
 }
 
 impl Wire for &'static str {
@@ -149,7 +150,7 @@ impl Wire for &'static str {
     fn take(inp: &mut Reader<'_>) -> Option<Self> {
         let n = u32::take(inp)? as usize;
         let raw = inp.bytes(n)?;
-        Some(intern(std::str::from_utf8(raw).ok()?))
+        intern(std::str::from_utf8(raw).ok()?)
     }
 }
 
@@ -236,9 +237,9 @@ impl<I: Wire, R: Wire> Wire for LogEntry<I, R> {
 }
 
 /// A status list: one status per action, in action order, as both log
-/// encodings write it. A list naming an action twice is refused here —
-/// merged into a log, two different resolutions of one action break the
-/// invariant `ActionOutcome::merge` asserts.
+/// encodings write it. A list naming an action twice is malformed and
+/// refused here, before its second resolution could meet the first in a
+/// log.
 fn take_statuses(inp: &mut Reader<'_>) -> Option<Vec<(ActionId, ActionOutcome)>> {
     let statuses: Vec<(ActionId, ActionOutcome)> = Vec::take(inp)?;
     statuses
@@ -463,8 +464,6 @@ pub fn decode<T: Wire>(buf: &[u8]) -> Option<T> {
 
 // Queue payloads — the data type the load harness ships.
 
-use quorumcc_adts::queue::{QueueInv, QueueRes};
-
 impl Wire for QueueInv {
     fn put(&self, out: &mut Vec<u8>) {
         match self {
@@ -551,6 +550,14 @@ mod tests {
         // Decoding the same class twice yields the same interned pointer.
         let again = decode::<&'static str>(&buf).unwrap();
         assert!(std::ptr::eq(back, again));
+        // Every class the data type declares is in the table; a string
+        // that names none is malformed input, not a new class.
+        for op in Queue::op_classes() {
+            assert_eq!(decode::<&'static str>(&encode(&op)), Some(op));
+        }
+        for hostile in ["", "enq", "Enq ", "Peek"] {
+            assert_eq!(decode::<&'static str>(&encode(&hostile)), None);
+        }
     }
 
     #[test]
@@ -660,7 +667,8 @@ mod tests {
 
     /// Found by `tests/wire_fuzz.rs`: a status list naming one action
     /// twice reached `ObjectLog::resolve` and, with two different
-    /// resolutions, its `debug_assert`. Both log encodings refuse it now.
+    /// resolutions, what was then a `debug_assert`. Both log encodings
+    /// refuse it.
     #[test]
     fn a_status_list_naming_an_action_twice_is_refused() {
         let twice = vec![

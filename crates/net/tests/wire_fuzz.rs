@@ -4,17 +4,20 @@
 //! length field. Seeded `splitmix64` properties over arbitrary bytes and
 //! over valid frames with one byte flipped, a tail cut off, or a length
 //! inflated; a counting allocator watches every reservation made while
-//! they run.
+//! they run, and what each test thread still holds of them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use quorumcc_adts::queue::{QueueInv, QueueRes};
+use quorumcc_adts::queue::{Queue, QueueInv, QueueRes};
+use quorumcc_core::minimal_static_relation;
+use quorumcc_model::spec::ExploreBounds;
 use quorumcc_model::{ActionId, Event};
 use quorumcc_net::tcp::{drain_frames, write_frame};
 use quorumcc_net::wire::{decode, encode};
 use quorumcc_replication::types::{ActionOutcome, LogDelta, LogEntry, ObjId, ObjectLog};
-use quorumcc_replication::Msg;
+use quorumcc_replication::{CollectIo, Mode, Msg, Repository};
 use quorumcc_sim::{splitmix64, Timestamp};
 
 type QMsg = Msg<QueueInv, QueueRes>;
@@ -27,22 +30,39 @@ const CASES: u64 = 10_000;
 /// The largest single reservation requested since the process started.
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Bytes this thread reserved and has not released (tests run on a
+    /// thread each, so one test's count is its own). No destructor and a
+    /// `const` initializer: reading it allocates nothing.
+    static HELD: Cell<isize> = const { Cell::new(0) };
+}
+
+fn note_held(delta: isize) {
+    // Fails only while the thread is being torn down; nothing is asserted
+    // about that stretch.
+    let _ = HELD.try_with(|held| held.set(held.get() + delta));
+}
+
 struct Watching;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a relaxed counter update.
+// `GlobalAlloc` contract; the only additions are a relaxed counter update
+// and a thread-local one that never allocates.
 unsafe impl GlobalAlloc for Watching {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        note_held(layout.size() as isize);
         // SAFETY: the caller's obligations are passed through as received.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_held(-(layout.size() as isize));
         // SAFETY: `ptr` came from `System.alloc` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        note_held(new_size as isize - layout.size() as isize);
         // SAFETY: the caller's obligations are passed through as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -310,4 +330,116 @@ fn nested_envelopes_are_refused_not_followed() {
     assert!(decode::<QMsg>(&hostile).is_none());
     assert!(decode::<QMsg>(&encode(&QMsg::Batch(vec![QMsg::Batch(vec![])]))).is_none());
     assert_nothing_reserved_past_a_frame();
+}
+
+/// An operation class is one of the few the wire's data type declares. A
+/// `ReadLog` naming anything else is refused, and the decoder keeps
+/// nothing of it: the class table is as large after 10 000 hostile reads
+/// as before, which the bytes this thread holds would show if it were not.
+#[test]
+fn a_hostile_op_class_is_refused_and_the_table_does_not_grow() {
+    let mut d = Draws(0x0b5);
+    let read = |op: &'static str, d: &mut Draws| -> QMsg {
+        Msg::ReadLog {
+            obj: ObjId(d.below(64) as u16),
+            req: d.below(1 << 40),
+            action: ActionId(d.below(16) as u32),
+            begin_ts: d.ts(),
+            op,
+            cfg: 0,
+            since: 0,
+            durable: 0,
+        }
+    };
+    // Both real classes once, so the table is built before the count.
+    for op in ["Enq", "Deq"] {
+        assert!(decode::<QMsg>(&encode(&read(op, &mut d))).is_some());
+    }
+    let before = HELD.get();
+    for case in 0..CASES {
+        // A valid frame but for the class: `Enq` overwritten with three
+        // other bytes, a different string every case.
+        let mut payload = encode(&read("Enq", &mut d));
+        let at = (payload.windows(3).position(|w| w == b"Enq")).expect("the class travels as text");
+        payload[at..at + 3].copy_from_slice(&[b'a' + (case % 26) as u8, (case / 26) as u8, 0x7e]);
+        assert!(decode::<QMsg>(&payload).is_none(), "case {case}");
+    }
+    assert_eq!(
+        HELD.get(),
+        before,
+        "the decoder kept bytes of a hostile frame"
+    );
+    assert_nothing_reserved_past_a_frame();
+}
+
+/// Two different resolutions of one action, both well-formed on the wire:
+/// the repository that decodes them keeps the first, counts the second,
+/// and does not panic in a debug build — whether the second arrives as a
+/// `Resolve` or as a status inside a `WriteLog`.
+#[test]
+fn conflicting_resolutions_off_the_wire_are_counted_not_fatal() {
+    let rel = minimal_static_relation::<Queue>(ExploreBounds {
+        depth: 3,
+        ..ExploreBounds::default()
+    })
+    .relation;
+    let mut d = Draws(0xc0f);
+    for scoped in [false, true] {
+        let mut repo =
+            Repository::<Queue>::new(Mode::Hybrid, rel.clone()).with_gossip(scoped, None);
+        let mut io: CollectIo<QMsg> = CollectIo::new(0, 1);
+        let (mut conflicts, mut first) = (0, std::collections::BTreeMap::new());
+        for _ in 0..CASES / 10 {
+            let entry = d.entry();
+            let action = entry.action;
+            let outcome = match d.outcome() {
+                ActionOutcome::Active => ActionOutcome::Aborted,
+                resolved => resolved,
+            };
+            let mut view = ObjectLog::new();
+            view.resolve(action, outcome);
+            let frames = [
+                Msg::WriteLog {
+                    obj: ObjId(0),
+                    req: 0,
+                    log: ObjectLog::new(),
+                    entry: Some(entry),
+                    cfg: 0,
+                    base: 0,
+                },
+                if d.below(2) == 0 {
+                    Msg::Resolve {
+                        action,
+                        outcome,
+                        entries: Vec::new(),
+                    }
+                } else {
+                    Msg::WriteLog {
+                        obj: ObjId(0),
+                        req: 0,
+                        log: view,
+                        entry: None,
+                        cfg: 0,
+                        base: 0,
+                    }
+                },
+            ];
+            for frame in frames {
+                let msg = decode::<QMsg>(&encode(&frame)).expect("a valid message decodes");
+                repo.handle(&mut io, 1, msg);
+            }
+            conflicts += u64::from(*first.entry(action).or_insert(outcome) != outcome);
+            io.take_outputs();
+        }
+        assert!(conflicts > 0, "the draws never disagreed");
+        assert_eq!(
+            repo.counters().conflicting_resolutions,
+            conflicts,
+            "scoped {scoped}"
+        );
+        let log = repo.log(ObjId(0));
+        for (action, outcome) in first {
+            assert_eq!(log.status_entry(action), Some(outcome), "first wins");
+        }
+    }
 }

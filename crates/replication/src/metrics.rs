@@ -315,6 +315,10 @@ run_telemetry! {
     /// extended the delta's base; each cost one more round trip carrying
     /// the whole view.
     write_delta_refusals: Sum;
+    /// Resolutions repositories refused because a different one was
+    /// already recorded for the action; anything but zero means a faulty
+    /// peer or a frame replayed across an amnesiac restart.
+    conflicting_resolutions: Sum;
     /// Operations front-ends evaluated (one per read quorum assembled).
     evaluations: Sum;
     /// Evaluations whose view contradicted the front-end's evaluation
@@ -402,6 +406,7 @@ impl RunTelemetry {
         self.recoveries += c.recoveries;
         self.statuses_shipped += c.statuses_shipped;
         self.write_delta_refusals += c.write_delta_refusals;
+        self.conflicting_resolutions += c.conflicting_resolutions;
         self.statuses_gcd += c.statuses_gcd;
         self.status_table_peak = self.status_table_peak.max(c.status_table_peak);
         self.batches_flushed += c.batches_flushed;

@@ -89,6 +89,13 @@ pub struct RepoCounters {
     /// in between). Each costs its sender one more round trip with the
     /// whole view; a run of them means mirrors and logs keep parting.
     pub write_delta_refusals: u64,
+    /// Resolutions refused because a different one was already recorded
+    /// for the action (`Committed` against `Aborted`, or two commit
+    /// timestamps): one per `Resolve` and one per status of an arriving
+    /// `WriteLog`. The first recorded stands. A correct front-end resolves
+    /// an action once, so anything but zero means a faulty peer or a frame
+    /// replayed across an amnesiac restart.
+    pub conflicting_resolutions: u64,
 }
 
 /// One read reservation.
@@ -116,14 +123,15 @@ pub struct Repository<S: Classified> {
     /// what a client reserved up to a resolved action is a short range
     /// scan instead of a walk over every object's map.
     reserved_index: BTreeSet<(ActionId, ObjId)>,
-    /// Reverse index over the live logs' touch scopes, keyed `(action,
-    /// obj)` — the shape of `reserved_index`. Kept only under scoped
-    /// planting, where it holds exactly the pairs some live log has in
-    /// [`ObjectLog::touched`]: a resolution then visits the logs a range
-    /// scan names instead of every log the repository holds. Filled where
-    /// entries enter a log, pruned where a touch scope is (status GC,
-    /// checkpoint install), rebuilt at recovery. (Write-ahead mirrors need
-    /// no rows: they are copied from the live logs, never planted in.)
+    /// Which resolutions each live log records, keyed `(action, obj)` —
+    /// the shape of `reserved_index`. Kept only under scoped planting,
+    /// where it holds `(a, o)` iff log `o` stores an entry or a recorded
+    /// status of `a`: an arriving status is planted only where the index
+    /// has its row, and a resolution visits the logs a range scan names
+    /// instead of every log the repository holds. Filled where entries
+    /// enter a log ([`Self::absorb`]), pruned where an action's entries and
+    /// status leave together (status GC, checkpoint install), rebuilt at
+    /// recovery. The logs themselves keep no scope.
     touch_index: BTreeSet<(ActionId, ObjId)>,
     /// Running Σ `status_count()` over `logs`, adjusted by the
     /// before/after difference of every mutation ([`Self::with_log`]; a GC
@@ -422,21 +430,17 @@ impl<S: Classified> Repository<S> {
     }
 
     /// The versioned log for `obj`, created on first touch (with
-    /// aborted-entry GC when compaction is enabled, and scoped status
-    /// planting when configured).
+    /// aborted-entry GC when compaction is enabled).
     fn vlog(&mut self, obj: ObjId) -> &mut VersionedLog<S::Inv, S::Res> {
         let gc = self.compaction.is_some();
-        let scoped = self.scoped_statuses;
-        self.logs.entry(obj).or_insert_with(|| {
-            let mut v = VersionedLog::with_gc(gc);
-            v.set_scoped(scoped);
-            v
-        })
+        self.logs
+            .entry(obj)
+            .or_insert_with(|| VersionedLog::with_gc(gc))
     }
 
     /// Applies `f` to `obj`'s live log (created on first touch), keeping
     /// the running status total in step. Every mutation of one live log
-    /// goes through here.
+    /// goes through here, or through [`Self::absorb`].
     fn with_log<T>(
         &mut self,
         obj: ObjId,
@@ -450,14 +454,69 @@ impl<S: Classified> Repository<S> {
         out
     }
 
+    /// Merges an arriving view (or delta), then its fresh entry, into
+    /// `obj`'s live log, in the order every merge runs: checkpoint,
+    /// entries, statuses. Under scoped planting the action of each entry
+    /// newly stored gains its index row before the statuses are offered —
+    /// a status arriving with its action's first entry is planted — and a
+    /// status is offered only where its row exists: one of an action with
+    /// neither entry nor status here is irrelevant to this object's
+    /// evaluations, and a reader treats a missing status as `Active`. A
+    /// refused insert adds no row, because what refuses it (a covering
+    /// checkpoint, an aborted tombstone, the entry already being there)
+    /// has the row already or never will. Last, an entry of an action that
+    /// resolved before it arrived finds its status in the resolution table
+    /// (no row, no plant, back then); only the entries stored here can be
+    /// such, every earlier one was served here or by the `Resolve` itself.
+    /// Returns what merging the view changed.
+    fn absorb(
+        &mut self,
+        obj: ObjId,
+        view: &ObjectLog<S::Inv, S::Res>,
+        entry: Option<LogEntry<S::Inv, S::Res>>,
+    ) -> MergeEffect {
+        let (scoped, gc) = (self.scoped_statuses, self.compaction.is_some());
+        let stored = (self.logs.entry(obj)).or_insert_with(|| VersionedLog::with_gc(gc));
+        let (index, table) = (&mut self.touch_index, &self.resolutions);
+        let conflicts = &mut self.counters.conflicting_resolutions;
+        let before = stored.log().status_count();
+        let mut planted: Vec<ActionId> = Vec::new();
+        let effect = stored.merge_with(|log| {
+            let mut effect = log.merge_entries(view);
+            planted.extend((effect.entries.iter()).filter_map(|ts| Some(view.get(*ts)?.action)));
+            if scoped {
+                index.extend(planted.iter().map(|a| (*a, obj)));
+            }
+            effect.statuses = log.merge_statuses(view, |a, held, offered| {
+                *conflicts += u64::from(held.is_some_and(|h| h.contradicts(offered)));
+                !scoped || index.contains(&(a, obj))
+            });
+            effect
+        });
+        if let Some(e) = entry {
+            let action = e.action;
+            if stored.insert(e) {
+                planted.push(action);
+                if scoped {
+                    index.insert((action, obj));
+                }
+            }
+        }
+        for (a, o) in planted.iter().filter_map(|a| Some((*a, *table.get(a)?))) {
+            stored.resolve(a, o);
+        }
+        self.status_total = self.status_total + stored.log().status_count() - before;
+        effect
+    }
+
     /// Brings `obj`'s write-ahead mirror level with its live log (when a
     /// mirror is kept): the reader's half of delta shipping pointed at
     /// stable storage, so the cost is what changed since the last call —
     /// or one full copy across a GC fence. Everything acknowledged goes
     /// through here first, which is what lets an acked delta promise
     /// *base + delta*: the base may have come in as gossip, and gossip is
-    /// volatile until the next acknowledgment. The mirror is unscoped — it
-    /// copies, it does not plant; recovery scopes what it restores.
+    /// volatile until the next acknowledgment. The mirror copies, it does
+    /// not plant: it has no rows in the index until recovery restores it.
     fn sync_wal(&mut self, obj: ObjId) {
         if !self.wal_active() {
             return;
@@ -473,8 +532,8 @@ impl<S: Classified> Repository<S> {
         mirror.apply_delta(&live.delta_since(mirror.version()));
     }
 
-    /// The objects whose stored logs `action` touched (scoped planting
-    /// only — the index is not kept otherwise).
+    /// The objects whose logs store an entry or a status of `action`
+    /// (scoped planting only — the index is not kept otherwise).
     fn touched_by(&self, action: ActionId) -> Vec<ObjId> {
         self.touch_index
             .range((action, ObjId(0))..=(action, ObjId(u16::MAX)))
@@ -482,13 +541,12 @@ impl<S: Classified> Repository<S> {
             .collect()
     }
 
-    /// Drops the index rows among `rows` that their log backs no more —
-    /// call after anything that prunes a touch scope.
+    /// Drops `rows` from the index — call with the pairs whose entries and
+    /// status just left their log together: what a GC sweep dropped, what
+    /// an installed checkpoint covers.
     fn prune_touches(&mut self, rows: impl IntoIterator<Item = (ActionId, ObjId)>) {
-        for (a, obj) in rows {
-            if !self.logs.get(&obj).is_some_and(|v| v.log().is_touched(a)) {
-                self.touch_index.remove(&(a, obj));
-            }
+        for row in rows {
+            self.touch_index.remove(&row);
         }
     }
 
@@ -556,9 +614,7 @@ impl<S: Classified> Repository<S> {
                 self.sync_wal(obj);
             }
         }
-        if self.scoped_statuses {
-            self.prune_touches(gone);
-        }
+        self.prune_touches(gone);
     }
 
     /// Strips below-frontier content from an incoming view (and its fresh
@@ -650,10 +706,6 @@ impl<S: Classified> Repository<S> {
             // Reservations and manifests ride in the write-ahead manifest
             // too: both are recorded before the mutation they guard acks.
             self.logs = self.wal.clone();
-            let scoped = self.scoped_statuses;
-            for v in self.logs.values_mut() {
-                v.set_scoped(scoped);
-            }
             // A mirror below the high-water missed changes (gossip merged
             // after the last acknowledgment). Step *past* the high-water:
             // a reader exactly at it holds those changes, and a delta
@@ -673,14 +725,14 @@ impl<S: Classified> Repository<S> {
         // Both are functions of the stored logs, and the live logs now
         // equal the mirrors (or nothing at all, for an amnesiac).
         self.status_total = self.logs.values().map(|v| v.log().status_count()).sum();
-        self.touch_index = if self.scoped_statuses {
-            self.logs
-                .iter()
-                .flat_map(|(obj, v)| v.log().touched().map(move |a| (a, *obj)))
-                .collect()
-        } else {
-            BTreeSet::new()
-        };
+        self.touch_index.clear();
+        if self.scoped_statuses {
+            for (obj, v) in &self.logs {
+                let actions =
+                    (v.log().entries().map(|e| e.action)).chain(v.log().statuses().map(|(a, _)| a));
+                self.touch_index.extend(actions.map(|a| (a, *obj)));
+            }
+        }
         let objs: Vec<ObjId> = self.shadow_versions.keys().copied().collect();
         for obj in objs {
             self.note_version(obj);
@@ -816,28 +868,9 @@ impl<S: Classified> Repository<S> {
                 // before the ack leaves. Entry-less gossip merges stay
                 // volatile until the next acknowledgment.
                 let acked = entry.is_some();
-                let (effect, planted) = self.with_log(obj, |v| absorb(v, &log, entry));
-                if self.scoped_statuses {
-                    self.touch_index.extend(planted.iter().map(|a| (*a, obj)));
-                    if let Some(cp) = log.checkpoint().filter(|_| effect.checkpoint) {
-                        self.prune_touches(cp.covered().keys().map(|a| (*a, obj)));
-                    }
-                    // Scoped planting: an entry of an action that resolved
-                    // before it arrived finds its status in the resolution
-                    // table (the per-log plant was skipped because the log
-                    // was untouched back then). Only the entries this
-                    // merge stored can be such: every earlier one was
-                    // served here, or by the `Resolve` itself.
-                    let late: Vec<(ActionId, ActionOutcome)> = (planted.iter())
-                        .filter_map(|a| self.resolutions.get(a).map(|o| (*a, *o)))
-                        .collect();
-                    if !late.is_empty() {
-                        self.with_log(obj, |v| {
-                            for (a, o) in late {
-                                v.resolve(a, o);
-                            }
-                        });
-                    }
+                let effect = self.absorb(obj, &log, entry);
+                if let Some(cp) = log.checkpoint().filter(|_| effect.checkpoint) {
+                    self.prune_touches(cp.covered().keys().map(|a| (*a, obj)));
                 }
                 // Resolutions gossip through merged views; a lost Resolve
                 // broadcast must not leave reservations stuck forever.
@@ -868,20 +901,27 @@ impl<S: Classified> Repository<S> {
                 if matches!(outcome, ActionOutcome::Committed(_)) && !entries.is_empty() {
                     self.manifests.insert(action, entries);
                 }
-                // Under scoped planting the status lands only in logs the
-                // action touched — the ones the index names; the table
-                // serves entries arriving later. Full planting means every
-                // log, so there the walk is the point.
-                if self.scoped_statuses && outcome.is_resolved() {
-                    self.resolutions.insert(action, outcome);
-                }
+                // Under scoped planting the status lands in the logs the
+                // index names (none is asked whether it wants it) and in
+                // the table, which serves entries arriving later; full
+                // planting means every log, so there the walk is the
+                // point. Wherever a different resolution is recorded
+                // already it stands — the table takes this one only if no
+                // log refused it — and the message is counted once.
+                let mut conflicting = false;
                 let targets: Vec<ObjId> = if self.scoped_statuses {
                     self.touched_by(action)
                 } else {
                     self.logs.keys().copied().collect()
                 };
                 for obj in targets {
-                    if self.with_log(obj, |v| v.resolve(action, outcome)) {
+                    let (changed, refused) = self.with_log(obj, |v| {
+                        let held = v.log().status_entry(action);
+                        let changed = v.resolve(action, outcome);
+                        (changed, held.is_some_and(|h| h.contradicts(outcome)))
+                    });
+                    conflicting |= refused;
+                    if changed {
                         self.note_version(obj);
                     }
                     // A mirror exists once an acknowledged write made one.
@@ -889,6 +929,11 @@ impl<S: Classified> Repository<S> {
                         self.sync_wal(obj);
                     }
                 }
+                if self.scoped_statuses && outcome.is_resolved() && !conflicting {
+                    let first = *self.resolutions.entry(action).or_insert(outcome);
+                    conflicting = first.contradicts(outcome);
+                }
+                self.counters.conflicting_resolutions += u64::from(conflicting);
                 if self.gc_batch.is_some() && outcome.is_resolved() {
                     self.send_msg(ctx, from, Msg::ResolveAck { action });
                 }
@@ -1131,15 +1176,12 @@ impl<S: Classified> Repository<S> {
         folded += replay.len() as u64;
         covered.extend(fold_set.iter().map(|(a, cts)| (*a, *cts)));
 
-        let pruned: Vec<(ActionId, ObjId)> = covered.keys().map(|a| (*a, obj)).collect();
         let cp = Checkpoint::new(states, covered, folded);
         self.with_log(obj, |v| v.install_checkpoint(cp));
         // Checkpoints subsume acked entries, so they must be at least as
         // durable as what they fold.
         self.sync_wal(obj);
-        if self.scoped_statuses {
-            self.prune_touches(pruned);
-        }
+        self.prune_touches(fold_set.keys().map(|a| (*a, obj)));
 
         // Drop manifests that every listed object has now folded.
         let fully_folded: Vec<ActionId> = fold_set
@@ -1162,31 +1204,6 @@ impl<S: Classified> Repository<S> {
         }
         true
     }
-}
-
-/// Merges an arriving view (or delta), then its fresh entry, into the
-/// stored log. Returns what the merge changed and the action of every entry
-/// newly stored — exactly the touches the log gained: a refused insert
-/// touches nothing new, because what refuses it (a covering checkpoint, an
-/// aborted tombstone, the entry already being there) scopes the action
-/// already or never will.
-fn absorb<I: Clone, R: Clone>(
-    stored: &mut VersionedLog<I, R>,
-    view: &ObjectLog<I, R>,
-    entry: Option<LogEntry<I, R>>,
-) -> (MergeEffect, Vec<ActionId>) {
-    let effect = stored.merge(view);
-    let mut planted: Vec<ActionId> = (effect.entries.iter())
-        .filter_map(|ts| view.get(*ts))
-        .map(|e| e.action)
-        .collect();
-    if let Some(e) = entry {
-        let action = e.action;
-        if stored.insert(e) {
-            planted.push(action);
-        }
-    }
-    (effect, planted)
 }
 
 #[cfg(test)]
@@ -1568,7 +1585,7 @@ mod tests {
         );
     }
 
-    // ---- the touch index (DESIGN §3.16, "the walk follows the bytes") ----
+    // ---- the touch index (DESIGN §3.16, "one record of scope") ----
 
     type TestIo = CollectIo<Msg<QInv, QRes>>;
 
@@ -1615,23 +1632,32 @@ mod tests {
         }
     }
 
-    /// The derived state against the stored logs it is derived from: the
-    /// index holds exactly the live touch scopes, no status sits outside
-    /// its log's scope (so an insert an aborted tombstone refuses touches
-    /// nothing new — see `absorb`), the running status total is the sum,
-    /// and a write-ahead mirror is its live log as of some earlier
-    /// version (the log itself when the versions agree).
+    /// Whether `log` stores an entry or records a status of `action`.
+    fn stores(log: &ObjectLog<QInv, QRes>, action: ActionId) -> bool {
+        log.status_entry(action).is_some() || log.entries().any(|e| e.action == action)
+    }
+
+    /// The derived state against the content of the stored logs it is
+    /// derived from: the index holds `(a, o)` iff live log `o` stores an
+    /// entry or records a status of `a`; a status recorded without an
+    /// entry is an aborted action's tombstone (anything else was planted
+    /// out of scope); the running status total is the sum; and a
+    /// write-ahead mirror is its live log as of some earlier version (the
+    /// log itself when the versions agree).
     fn audit(repo: &Repository<TestQueue>, at: &str) {
-        let mut touches = BTreeSet::new();
+        let mut content = BTreeSet::new();
         for (obj, v) in &repo.logs {
-            touches.extend(v.log().touched().map(|a| (a, *obj)));
-        }
-        assert_eq!(repo.touch_index, touches, "{at}: index");
-        for (obj, v) in repo.logs.iter().chain(repo.wal.iter()) {
-            for (a, _) in v.log().statuses() {
-                assert!(v.log().is_touched(a), "{at}: {obj} holds unscoped {a:?}");
+            content.extend(v.log().entries().map(|e| (e.action, *obj)));
+            for (a, o) in v.log().statuses() {
+                content.insert((a, *obj));
+                let bare = !v.log().entries().any(|e| e.action == a);
+                assert!(
+                    !bare || o == ActionOutcome::Aborted,
+                    "{at}: {obj} records {o:?} of {a:?}, which has no entry there"
+                );
             }
         }
+        assert_eq!(repo.touch_index, content, "{at}: index");
         let statuses: usize = repo.logs.values().map(|v| v.log().status_count()).sum();
         assert_eq!(repo.status_total, statuses, "{at}: status total");
         for (obj, w) in &repo.wal {
@@ -1833,10 +1859,11 @@ mod tests {
                     ios[r].take_outputs();
                     audit(repo, &at);
                     if let Some((action, outcome)) = to_resolve {
-                        // Every stored log the action touched now holds it.
+                        // Every stored log that holds anything of the
+                        // action now holds its outcome.
                         acked[r][c as usize].insert(action_parts(action).1);
                         for v in repo.logs.values().chain(repo.wal.values()) {
-                            if v.log().is_touched(action) {
+                            if stores(v.log(), action) {
                                 assert_eq!(v.log().status(action), outcome, "{at}: plant");
                             }
                         }
@@ -2460,5 +2487,147 @@ mod tests {
             "{replies:?}"
         );
         audit(&repo, "after the foreign resolutions");
+    }
+
+    fn resolve(action: ActionId, outcome: ActionOutcome) -> Msg<QInv, QRes> {
+        Msg::Resolve {
+            action,
+            outcome,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Gossip: `view` and nothing else.
+    fn gossip(obj: ObjId, view: ObjectLog<QInv, QRes>) -> Msg<QInv, QRes> {
+        Msg::WriteLog {
+            obj,
+            req: 0,
+            log: view,
+            entry: None,
+            cfg: 0,
+            base: 0,
+        }
+    }
+
+    /// A status of an action with neither entry nor recorded status in a
+    /// log is refused there, by whichever road it arrives.
+    #[test]
+    fn scoped_resolve_refuses_untouched_actions() {
+        let mut repo = scoped_repo(&queue_rel(), Durability::Stable);
+        let mut io: TestIo = CollectIo::new(0, 1);
+        let (here, elsewhere) = (action_id(7, 0), action_id(8, 0));
+        repo.handle(&mut io, 7, write(ObjId(0), enq(here, 1)));
+        repo.handle(&mut io, 8, write(ObjId(1), enq(elsewhere, 2)));
+        // An action with an entry here: its status lands.
+        let committed = ActionOutcome::Committed(ts(9, 7));
+        repo.handle(&mut io, 7, resolve(here, committed));
+        assert_eq!(repo.log(ObjId(0)).status(here), committed);
+        // One without: irrelevant here and refused, as a `Resolve` and as
+        // a status inside a view — and planted where it does have an entry.
+        repo.handle(&mut io, 8, resolve(elsewhere, ActionOutcome::Aborted));
+        let mut view = ObjectLog::new();
+        view.resolve(elsewhere, ActionOutcome::Aborted);
+        view.resolve(action_id(9, 0), ActionOutcome::Aborted);
+        repo.handle(&mut io, 8, gossip(ObjId(0), view));
+        let log = repo.log(ObjId(0));
+        assert_eq!(log.status(elsewhere), ActionOutcome::Active);
+        assert_eq!(log.status_count(), 1);
+        assert_eq!(repo.log(ObjId(1)).status(elsewhere), ActionOutcome::Aborted);
+        audit(&repo, "after the refusals");
+    }
+
+    /// Under aborted-entry GC an aborted action whose entry was dropped
+    /// stays in scope through its tombstone: a re-delivered entry is
+    /// refused and the tombstone keeps shipping.
+    #[test]
+    fn scoped_tombstone_still_lands_after_aborted_entry_gc() {
+        let obj = ObjId(0);
+        let mut repo = scoped_repo(&queue_rel(), Durability::Stable)
+            .with_compaction(CompactionConfig::default());
+        let mut io: TestIo = CollectIo::new(0, 1);
+        let action = action_id(7, 0);
+        repo.handle(&mut io, 7, write(obj, enq(action, 1)));
+        repo.handle(&mut io, 7, resolve(action, ActionOutcome::Aborted));
+        assert_eq!(repo.log(obj).len(), 0, "aborted entry dropped");
+        assert_eq!(
+            repo.touched_by(action),
+            vec![obj],
+            "the tombstone holds the row"
+        );
+        audit(&repo, "after the abort");
+        // Re-delivered alone, and inside a view that does not know better.
+        repo.handle(&mut io, 7, write(obj, enq(action, 1)));
+        let mut view = ObjectLog::new();
+        view.insert(enq(action, 1));
+        repo.handle(&mut io, 7, gossip(obj, view));
+        let log = repo.log(obj);
+        assert_eq!(log.len(), 0, "the tombstone refuses the entry");
+        assert_eq!(log.status(action), ActionOutcome::Aborted);
+        audit(&repo, "after the re-delivery");
+        io.take_outputs();
+        let replies = exchange(&mut repo, &mut io, 9, read(obj, action_id(9, 0), 0, 0));
+        assert!(
+            matches!(
+                replies.as_slice(),
+                [Msg::LogReply { delta, .. }]
+                    if delta.entries.is_empty()
+                        && delta.statuses == [(action, ActionOutcome::Aborted)]
+            ),
+            "{replies:?}"
+        );
+    }
+
+    /// Entries before statuses: a view carrying an action's first entry
+    /// here *and* its resolution leaves the resolution recorded.
+    #[test]
+    fn a_status_arriving_with_its_actions_first_entry_is_planted() {
+        let mut repo = scoped_repo(&queue_rel(), Durability::Stable);
+        let mut io: TestIo = CollectIo::new(0, 1);
+        let action = action_id(7, 0);
+        let committed = ActionOutcome::Committed(ts(9, 7));
+        let mut view = ObjectLog::new();
+        view.insert(enq(action, 1));
+        view.resolve(action, committed);
+        repo.handle(&mut io, 8, gossip(ObjId(0), view));
+        assert_eq!(repo.log(ObjId(0)).status_entry(action), Some(committed));
+        audit(&repo, "after the view");
+    }
+
+    /// Two different resolutions of one action: the first stands wherever
+    /// it is recorded, nothing panics in any build, and each refusal is
+    /// counted — scoped or not, as a `Resolve` or as a status in a view.
+    #[test]
+    fn conflicting_resolutions_are_refused_and_counted() {
+        for scoped in [true, false] {
+            let mut repo =
+                Repository::<TestQueue>::new(Mode::Hybrid, queue_rel()).with_gossip(scoped, None);
+            let mut io: TestIo = CollectIo::new(0, 1);
+            let action = action_id(7, 0);
+            let committed = ActionOutcome::Committed(ts(9, 7));
+            repo.handle(&mut io, 7, write(ObjId(0), enq(action, 1)));
+            repo.handle(&mut io, 7, write(ObjId(1), enq(action, 2)));
+            repo.handle(&mut io, 7, resolve(action, committed));
+            assert_eq!(repo.counters().conflicting_resolutions, 0);
+            repo.handle(&mut io, 7, resolve(action, ActionOutcome::Aborted));
+            assert_eq!(
+                repo.counters().conflicting_resolutions,
+                1,
+                "one per message"
+            );
+            // The same resolution again is a duplicate, not a conflict.
+            repo.handle(&mut io, 7, resolve(action, committed));
+            assert_eq!(repo.counters().conflicting_resolutions, 1);
+            let mut view = ObjectLog::new();
+            view.resolve(action, ActionOutcome::Committed(ts(10, 7)));
+            repo.handle(&mut io, 8, gossip(ObjId(1), view));
+            assert_eq!(repo.counters().conflicting_resolutions, 2);
+            for obj in [ObjId(0), ObjId(1)] {
+                assert_eq!(repo.log(obj).status_entry(action), Some(committed));
+            }
+            if scoped {
+                assert_eq!(repo.resolutions.get(&action), Some(&committed));
+                audit(&repo, "after the conflicts");
+            }
+        }
     }
 }

@@ -38,8 +38,26 @@ threads_invariant() {
   rm -rf "$dir"
 }
 
+# A source file up to its `#[cfg(test)]` module.
+nontest_awk='/^#\[cfg\(test\)\]/{exit} {print}'
+
+# nontest_lines <dir>: non-test Rust lines under <dir>'s crates/*/src + src.
+nontest_lines() {
+  (cd "$1" && find crates/*/src src -name '*.rs' -print0 \
+    | xargs -0 -n1 awk "$nontest_awk" | wc -l)
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+echo "==> structure: a log carries no scope (DESIGN §3.16)"
+# Which statuses a stored log records is Repository::touch_index's to say;
+# ObjectLog keeping a copy (a `touched` set, a `scoped` flag) is the
+# three-way redundancy PR 21 removed.
+if awk "$nontest_awk" crates/replication/src/types.rs | grep -nE '\btouched\b|\bscoped\b'; then
+  echo "crates/replication/src/types.rs names a scope outside its tests (lines above)" >&2
+  exit 1
+fi
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -327,7 +345,15 @@ for row in repository_resolve/8192_logs repository_writelog/800_entries/delta \
 done
 
 echo "==> non-test Rust lines under crates/*/src + src/ (ROADMAP aim 2: smaller is better)"
-find crates/*/src src -name '*.rs' -print0 \
-  | xargs -0 -n1 awk '/^#\[cfg\(test\)\]/{exit} {print}' | wc -l
+tree_lines="$(nontest_lines .)"
+if git rev-parse -q --verify 'HEAD~1^{commit}' > /dev/null 2>&1; then
+  parent_dir="$(mktemp -d)"
+  git archive HEAD~1 crates src | tar -x -C "$parent_dir"
+  parent_lines="$(nontest_lines "$parent_dir")"
+  rm -rf "$parent_dir"
+  echo "HEAD~1 $parent_lines -> this tree $tree_lines ($((tree_lines - parent_lines)))"
+else
+  echo "this tree $tree_lines (no HEAD~1 here: parent count skipped)"
+fi
 
 echo "verify.sh: all gates passed"
