@@ -2,7 +2,6 @@
 //! (simulated operations per wall-clock second).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation};
 use quorumcc_model::spec::ExploreBounds;
 use quorumcc_model::testtypes::{QInv, TestQueue};
 use quorumcc_replication::cluster::{ProtocolConfig, RunBuilder};
@@ -16,16 +15,11 @@ fn bench_cluster(c: &mut Criterion) {
         depth: 4,
         ..ExploreBounds::default()
     };
-    let s_rel = minimal_static_relation::<TestQueue>(bounds).relation;
-    let d_rel = s_rel.union(&minimal_dynamic_relation::<TestQueue>(bounds).relation);
 
     let mut g = c.benchmark_group("cluster_run_3repos_3clients_5txns");
     g.sample_size(20);
     for mode in [Mode::StaticTs, Mode::Hybrid, Mode::Dynamic2pl] {
-        let rel = match mode {
-            Mode::StaticTs | Mode::Hybrid => s_rel.clone(),
-            Mode::Dynamic2pl => d_rel.clone(),
-        };
+        let protocol = Protocol::minimal::<TestQueue>(mode, bounds);
         g.bench_function(mode.name(), |b| {
             b.iter(|| {
                 let w = generate(
@@ -45,7 +39,7 @@ fn bench_cluster(c: &mut Criterion) {
                     },
                 );
                 RunBuilder::<TestQueue>::new(3)
-                    .protocol(ProtocolConfig::new(Protocol::new(mode, rel.clone())).txn_retries(2))
+                    .protocol(ProtocolConfig::new(protocol.clone()).txn_retries(2))
                     .seed(7)
                     .workload(w)
                     .run()
@@ -61,6 +55,7 @@ fn bench_cluster(c: &mut Criterion) {
     // hybrid groups; delta must stay within noise).
     let mut g = c.benchmark_group("cluster_run_trace_overhead");
     g.sample_size(20);
+    let hybrid = Protocol::minimal::<TestQueue>(Mode::Hybrid, bounds);
     for (label, cfg) in [
         ("disabled", TraceConfig::disabled()),
         ("ring4096", TraceConfig::ring(4096)),
@@ -84,10 +79,7 @@ fn bench_cluster(c: &mut Criterion) {
                     },
                 );
                 RunBuilder::<TestQueue>::new(3)
-                    .protocol(
-                        ProtocolConfig::new(Protocol::new(Mode::Hybrid, s_rel.clone()))
-                            .txn_retries(2),
-                    )
+                    .protocol(ProtocolConfig::new(hybrid.clone()).txn_retries(2))
                     .trace(cfg)
                     .seed(7)
                     .workload(w)

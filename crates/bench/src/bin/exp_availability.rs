@@ -96,8 +96,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `--threads` count.
     let trials = 30u64;
     let mechs = [
-        ("hybrid", Mode::Hybrid, &hybrid_rel, &ta_h),
-        ("static", Mode::StaticTs, &static_rel, &ta_s),
+        (Mode::Hybrid, &hybrid_rel, &ta_h),
+        (Mode::StaticTs, &static_rel, &ta_s),
     ];
     let items: Vec<(usize, u64)> = (0..mechs.len())
         .flat_map(|m| (0..trials).map(move |t| (m, t)))
@@ -105,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rec.set_threads_effective(effective_threads(threads).min(items.len()));
     let sim_t0 = std::time::Instant::now();
     let results = map_indexed(threads, &items, |_, &(m, trial)| {
-        let (name, mode, rel, ta) = &mechs[m];
+        let (mode, rel, ta) = &mechs[m];
         let mut rng = StdRng::seed_from_u64(9_000 + trial);
         let mut faults = FaultPlan::none();
         for repo in 0..n {
@@ -128,10 +128,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .seed(trial)
             .workload(w)
             .run()
-            .map_err(|e| format!("{name}/trial {trial}: {e}"))?;
+            .map_err(|e| format!("{mode}/trial {trial}: {e}"))?;
         report
             .check_atomicity(bounds)
-            .map_err(|o| format!("{name}: non-atomic history {o}"))?;
+            .map_err(|o| format!("{mode}: non-atomic history {o}"))?;
         let t = report.stats();
         Ok::<_, String>((
             t.committed,
@@ -152,16 +152,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         *u += unavailable;
         merged.merge(&telemetry);
     }
-    for ((name, ..), (committed, unavailable, merged)) in mechs.iter().zip(&agg) {
+    for ((mode, ..), (committed, unavailable, merged)) in mechs.iter().zip(&agg) {
         let total = committed + unavailable;
         println!(
             "  {:>9} | {:>10} | {:>12} | {:>11.1}%",
-            name,
+            mode.name(),
             committed,
             unavailable,
             100.0 * *committed as f64 / total.max(1) as f64
         );
-        rec.section(&format!("telemetry_{name}"), merged.to_json());
+        rec.section(&format!("telemetry_{mode}"), merged.to_json());
     }
     println!(
         "\n  Shape check: hybrid write availability dominates static at every\n\

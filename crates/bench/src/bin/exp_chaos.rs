@@ -22,7 +22,6 @@
 
 use quorumcc_adts::Queue;
 use quorumcc_bench::{experiment_bounds, section, threads_from_args, write_artifact};
-use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation};
 use quorumcc_replication::chaos::{self, ChaosConfig, ChaosPlan, ProfileStats};
 use quorumcc_replication::protocol::{Mode, Protocol};
 use quorumcc_sim::Json;
@@ -72,13 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads = threads_from_args();
     let cfg = ChaosConfig::default();
 
-    let static_rel = minimal_static_relation::<Queue>(bounds).relation;
-    let dynamic_rel = static_rel.union(&minimal_dynamic_relation::<Queue>(bounds).relation);
-    let modes = [
-        ("hybrid", Protocol::new(Mode::Hybrid, static_rel.clone())),
-        ("static", Protocol::new(Mode::StaticTs, static_rel.clone())),
-        ("dynamic", Protocol::new(Mode::Dynamic2pl, dynamic_rel)),
-    ];
+    let modes = ["hybrid", "static", "dynamic"].map(|name| {
+        let mode: Mode = name.parse().expect("a mode name");
+        (name, Protocol::minimal::<Queue>(mode, bounds))
+    });
 
     section("1. Sound sweep: every mode, every profile, oracle on every run");
     let mut total_violations = 0u64;

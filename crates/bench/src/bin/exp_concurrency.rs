@@ -12,7 +12,6 @@
 
 use quorumcc_bench::{experiment_bounds, section, threads_from_args, BenchRecorder};
 use quorumcc_core::parallel::{effective_threads, map_indexed};
-use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation, DependencyRelation};
 use quorumcc_model::spec::ExploreBounds;
 use quorumcc_model::testtypes::{QInv, TestQueue};
 use quorumcc_replication::cluster::{ProtocolConfig, RunBuilder};
@@ -37,11 +36,11 @@ struct Cell {
 
 fn run_cell(
     clients: usize,
-    mode: Mode,
+    protocol: &Protocol,
     seed: u64,
-    rel: &DependencyRelation,
     bounds: ExploreBounds,
 ) -> Result<Cell, String> {
+    let mode = protocol.mode();
     let w = generate(
         WorkloadSpec {
             clients,
@@ -60,7 +59,7 @@ fn run_cell(
     );
     let run_one = |tuning: TuningConfig| {
         let run = RunBuilder::<TestQueue>::new(REPOS)
-            .protocol(ProtocolConfig::new(Protocol::new(mode, rel.clone())).txn_retries(4))
+            .protocol(ProtocolConfig::new(protocol.clone()).txn_retries(4))
             .tuning(tuning)
             .seed(seed)
             .workload(w.clone())
@@ -99,10 +98,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bounds = experiment_bounds();
     let threads = threads_from_args();
     let mut rec = BenchRecorder::new("exp_concurrency", threads, bounds);
-    let s_rel = rec.phase("relations_ms", || {
-        minimal_static_relation::<TestQueue>(bounds).relation
+    let protocols = rec.phase("relations_ms", || {
+        MODES.map(|mode| Protocol::minimal::<TestQueue>(mode, bounds))
     });
-    let d_rel = s_rel.union(&minimal_dynamic_relation::<TestQueue>(bounds).relation);
 
     // One item per (clients, mode, seed); each is an independent seeded
     // cluster simulation, so they parallelize freely.
@@ -121,7 +119,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let sim_t0 = std::time::Instant::now();
     let results = map_indexed(threads, &combos, |_, &(clients, mode, seed)| {
-        run_cell(clients, mode, seed, rel_for(mode, &s_rel, &d_rel), bounds)
+        let protocol = protocols.iter().find(|p| p.mode() == mode);
+        run_cell(clients, protocol.expect("one per mode"), seed, bounds)
     });
     rec.record_phase("cluster_sim_ms", sim_t0.elapsed().as_secs_f64() * 1e3);
 
@@ -225,17 +224,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     rec.finish();
     Ok(())
-}
-
-fn rel_for<'a>(
-    mode: Mode,
-    s_rel: &'a DependencyRelation,
-    d_rel: &'a DependencyRelation,
-) -> &'a DependencyRelation {
-    match mode {
-        Mode::StaticTs | Mode::Hybrid => s_rel,
-        Mode::Dynamic2pl => d_rel,
-    }
 }
 
 fn merge_into(acc: &mut Vec<(Mode, RunTelemetry)>, mode: Mode, t: &RunTelemetry) {

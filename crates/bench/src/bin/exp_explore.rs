@@ -27,7 +27,6 @@
 use quorumcc_adts::{FlagSet, Prom, Queue};
 use quorumcc_bench::{experiment_bounds, section, threads_from_args, write_artifact};
 use quorumcc_core::parallel::map_indexed;
-use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation};
 use quorumcc_model::{Classified, Enumerable};
 use quorumcc_replication::explore::{self, ExploreSetup, ExploreSpec, Knob};
 use quorumcc_replication::protocol::{Mode, Protocol};
@@ -39,17 +38,8 @@ const ADTS: [&str; 3] = ["queue", "prom", "flagset"];
 const MODES: [&str; 3] = ["hybrid", "static", "dynamic"];
 
 fn protocol_for<S: Enumerable + Classified>(mode: &str) -> Protocol {
-    let bounds = experiment_bounds();
-    let static_rel = minimal_static_relation::<S>(bounds).relation;
-    match mode {
-        "hybrid" => Protocol::new(Mode::Hybrid, static_rel),
-        "static" => Protocol::new(Mode::StaticTs, static_rel),
-        "dynamic" => Protocol::new(
-            Mode::Dynamic2pl,
-            static_rel.union(&minimal_dynamic_relation::<S>(bounds).relation),
-        ),
-        other => unreachable!("unknown mode {other}"),
-    }
+    let mode: Mode = mode.parse().expect("MODES names modes");
+    Protocol::minimal::<S>(mode, experiment_bounds())
 }
 
 /// The sound sweep shape: enough client/object parallelism that

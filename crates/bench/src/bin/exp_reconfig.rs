@@ -112,8 +112,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // metrics, and telemetry are byte-identical at every `--threads`
     // count.
     let mechs = [
-        ("hybrid", Mode::Hybrid, &hybrid_rel, &ta_h),
-        ("static", Mode::StaticTs, &static_rel, &ta_s),
+        (Mode::Hybrid, &hybrid_rel, &ta_h),
+        (Mode::StaticTs, &static_rel, &ta_s),
     ];
     let pols = ["off", "on"];
     let items: Vec<(usize, usize)> = (0..mechs.len())
@@ -122,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rec.set_threads_effective(effective_threads(threads).min(items.len()));
     let sim_t0 = std::time::Instant::now();
     let results = map_indexed(threads, &items, |_, &(m, p)| {
-        let (mech, mode, rel, ta) = &mechs[m];
+        let (mode, rel, ta) = &mechs[m];
         let policy = if pols[p] == "off" {
             ReconfigPolicy::None
         } else {
@@ -131,7 +131,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 priority: vec!["Read", "Write", "Seal"],
             }
         };
-        let name = format!("{mech}_{}", pols[p]);
+        let name = format!("{mode}_{}", pols[p]);
         let mut faults = FaultPlan::none();
         faults.crash(4, CRASH_AT, MAX_TIME);
         let report = RunBuilder::<Prom>::new(N)

@@ -34,7 +34,6 @@ use quorumcc_adts::queue::QueueInv;
 use quorumcc_adts::Queue;
 use quorumcc_bench::{experiment_bounds, section, threads_from_args, write_artifact};
 use quorumcc_core::parallel::map_indexed;
-use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation, DependencyRelation};
 use quorumcc_net::{run_load, CrashSpec, LoadConfig, LoadReport, NetFaultProfile};
 use quorumcc_replication::cluster::{ProtocolConfig, RunBuilder};
 use quorumcc_replication::protocol::{Mode, Protocol};
@@ -49,16 +48,10 @@ const N_SITES: u32 = 5;
 /// Crashed repository (DES / channels phases).
 const VICTIM: u32 = 1;
 
-/// A dependency relation valid for `mode` (majority thresholds satisfy
-/// any well-formed relation — same convention as the backend tests).
-fn relation(mode: Mode) -> DependencyRelation {
-    let bounds = experiment_bounds();
-    match mode {
-        Mode::StaticTs | Mode::Hybrid => minimal_static_relation::<Queue>(bounds).relation,
-        Mode::Dynamic2pl => minimal_static_relation::<Queue>(bounds)
-            .relation
-            .union(&minimal_dynamic_relation::<Queue>(bounds).relation),
-    }
+/// `mode` under its minimal relation (majority thresholds satisfy any
+/// well-formed relation — same convention as the backend tests).
+fn protocol(mode: Mode) -> Protocol {
+    Protocol::minimal::<Queue>(mode, experiment_bounds())
 }
 
 /// Enq-only, one private object per client: commutative *and*
@@ -91,7 +84,7 @@ fn des_phase(threads: usize) -> Json {
         let w = workload(4, 40);
         let total: usize = w.iter().map(Vec::len).sum();
         let report = RunBuilder::<Queue>::new(N_SITES)
-            .protocol(ProtocolConfig::new(Protocol::new(mode, relation(mode))).op_timeout(60))
+            .protocol(ProtocolConfig::new(protocol(mode)).op_timeout(60))
             .faults(faults)
             .seed(BASE_SEED)
             .workload(w)
@@ -173,7 +166,7 @@ fn channels_phase() -> Json {
     // (the run stops as soon as clients drain).
     let w = workload(3, 40);
     let report = RunBuilder::<Queue>::new(N_SITES)
-        .protocol(ProtocolConfig::new(Protocol::new(mode, relation(mode))).op_timeout(30_000))
+        .protocol(ProtocolConfig::new(protocol(mode)).op_timeout(30_000))
         .faults(faults)
         .seed(BASE_SEED + 1)
         .workload(w)
@@ -260,7 +253,7 @@ fn eventloop_phase(quick: bool) -> Json {
     let mode = Mode::Hybrid;
     let cfg = LoadConfig {
         mode,
-        relation: relation(mode),
+        relation: protocol(mode).rel().clone(),
         clusters: sh.clusters,
         n_repos: 3,
         clients: sh.clients,

@@ -82,25 +82,6 @@ impl Wire for bool {
     }
 }
 
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.put(out);
-            }
-        }
-    }
-    fn take(inp: &mut Reader<'_>) -> Option<Self> {
-        match u8::take(inp)? {
-            0 => Some(None),
-            1 => Some(Some(T::take(inp)?)),
-            _ => None,
-        }
-    }
-}
-
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, out: &mut Vec<u8>) {
         (self.len() as u32).put(out);
@@ -154,87 +135,91 @@ impl Wire for &'static str {
     }
 }
 
-impl Wire for Timestamp {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.counter.put(out);
-        self.node.put(out);
-    }
-    fn take(inp: &mut Reader<'_>) -> Option<Self> {
-        Some(Timestamp {
-            counter: u64::take(inp)?,
-            node: u32::take(inp)?,
-        })
-    }
-}
-
-impl Wire for ActionId {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.0.put(out);
-    }
-    fn take(inp: &mut Reader<'_>) -> Option<Self> {
-        Some(ActionId(u32::take(inp)?))
-    }
-}
-
-impl Wire for ObjId {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.0.put(out);
-    }
-    fn take(inp: &mut Reader<'_>) -> Option<Self> {
-        Some(ObjId(u16::take(inp)?))
-    }
-}
-
-impl Wire for ActionOutcome {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            ActionOutcome::Active => out.push(0),
-            ActionOutcome::Committed(ts) => {
-                out.push(1);
-                ts.put(out);
+/// Declares a type's layout once — its fields in wire order, each beside
+/// the type whose encoding it uses — and generates [`Wire::put`] and
+/// [`Wire::take`] from that one list, so the two directions cannot differ
+/// in order or width (a tuple struct's field is `0`). An enum lists
+/// `tag => Variant`, the tag being the one byte that precedes the variant's
+/// fields; a `put`/`take` pair of blocks after it adds the match arms that
+/// are not mechanical.
+macro_rules! wire {
+    (struct $name:ident $(<$($g:ident),*>)? { $($field:tt: $ty:ty),* $(,)? }) => {
+        impl$(<$($g: Wire),*>)? Wire for $name$(<$($g),*>)? {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
             }
-            ActionOutcome::Aborted => out.push(2),
+            fn take(inp: &mut Reader<'_>) -> Option<Self> {
+                Some($name { $($field: <$ty as Wire>::take(inp)?),* })
+            }
         }
-    }
-    fn take(inp: &mut Reader<'_>) -> Option<Self> {
-        match u8::take(inp)? {
-            0 => Some(ActionOutcome::Active),
-            1 => Some(ActionOutcome::Committed(Timestamp::take(inp)?)),
-            2 => Some(ActionOutcome::Aborted),
-            _ => None,
+    };
+    (enum $name:ident $(<$($g:ident $(: $bound:ident)?),*>)? {
+        $($tag:literal => $variant:ident
+            $(($bind:ident: $ty:ty))?
+            $({ $($field:ident: $fty:ty),* $(,)? })?),* $(,)?
+    } put |$out:ident| { $($put_arms:tt)* } take |$inp:ident| { $($take_arms:tt)* }) => {
+        impl$(<$($g: Wire $(+ $bound)?),*>)? Wire for $name$(<$($g),*>)? {
+            fn put(&self, $out: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant $(($bind))? $({ $($field),* })? => {
+                        $out.push($tag);
+                        $($bind.put($out);)?
+                        $($($field.put($out);)*)?
+                    })*
+                    $($put_arms)*
+                }
+            }
+            fn take($inp: &mut Reader<'_>) -> Option<Self> {
+                Some(match u8::take($inp)? {
+                    $($tag => $name::$variant
+                        $((<$ty as Wire>::take($inp)?))?
+                        $({ $($field: <$fty as Wire>::take($inp)?),* })?,)*
+                    $($take_arms)*
+                    _ => return None,
+                })
+            }
         }
-    }
+    };
+    (enum $name:ident $(<$($g:ident),*>)? { $($variants:tt)* }) => {
+        wire! { enum $name $(<$($g),*>)? { $($variants)* } put |out| {} take |inp| {} }
+    };
 }
 
-impl<I: Wire, R: Wire> Wire for Event<I, R> {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.inv.put(out);
-        self.res.put(out);
-    }
-    fn take(inp: &mut Reader<'_>) -> Option<Self> {
-        Some(Event {
-            inv: I::take(inp)?,
-            res: R::take(inp)?,
-        })
-    }
-}
+wire! { enum Option<T> {
+    0 => None,
+    1 => Some(v: T),
+} }
+wire! { struct Timestamp { counter: u64, node: u32 } }
+wire! { struct ActionId { 0: u32 } }
+wire! { struct ObjId { 0: u16 } }
+wire! { enum ActionOutcome {
+    0 => Active,
+    1 => Committed(ts: Timestamp),
+    2 => Aborted,
+} }
+wire! { struct Event<I, R> { inv: I, res: R } }
+wire! { struct LogEntry<I, R> {
+    ts: Timestamp,
+    action: ActionId,
+    begin_ts: Timestamp,
+    event: Event<I, R>,
+} }
 
-impl<I: Wire, R: Wire> Wire for LogEntry<I, R> {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.ts.put(out);
-        self.action.put(out);
-        self.begin_ts.put(out);
-        self.event.put(out);
-    }
-    fn take(inp: &mut Reader<'_>) -> Option<Self> {
-        Some(LogEntry {
-            ts: Timestamp::take(inp)?,
-            action: ActionId::take(inp)?,
-            begin_ts: Timestamp::take(inp)?,
-            event: Event::take(inp)?,
-        })
-    }
-}
+// Queue payloads — the data type the load harness ships.
+wire! { enum QueueInv {
+    0 => Enq(x: u32),
+    1 => Deq,
+} }
+wire! { enum QueueRes {
+    0 => Ok,
+    1 => Item(x: u32),
+    2 => Empty,
+} }
+
+// The two log encodings stay written out: neither is a field list. Both
+// refuse a checkpoint, both read their statuses through `take_statuses`,
+// and an `ObjectLog` is rebuilt through `insert`/`resolve` because its
+// fields are not ours to fill in.
 
 /// A status list: one status per action, in action order, as both log
 /// encodings write it. A list naming an action twice is malformed and
@@ -302,151 +287,61 @@ impl<I: Wire + Clone, R: Wire + Clone> Wire for ObjectLog<I, R> {
     }
 }
 
-impl<I: Wire + Clone, R: Wire + Clone> Wire for Msg<I, R> {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::ReadLog {
-                obj,
-                req,
-                action,
-                begin_ts,
-                op,
-                cfg,
-                since,
-                durable,
-            } => {
-                out.push(0);
-                obj.put(out);
-                req.put(out);
-                action.put(out);
-                begin_ts.put(out);
-                op.put(out);
-                cfg.put(out);
-                since.put(out);
-                durable.put(out);
+/// The tag of [`Msg::Batch`], the one variant whose payload is read under
+/// a condition.
+const BATCH: u8 = 5;
+
+wire! { enum Msg<I: Clone, R: Clone> {
+    0 => ReadLog {
+        obj: ObjId,
+        req: u64,
+        action: ActionId,
+        begin_ts: Timestamp,
+        op: &'static str,
+        cfg: u64,
+        since: u64,
+        durable: u64,
+    },
+    1 => LogReply { obj: ObjId, req: u64, delta: LogDelta<I, R> },
+    2 => WriteLog {
+        obj: ObjId,
+        req: u64,
+        log: ObjectLog<I, R>,
+        entry: Option<LogEntry<I, R>>,
+        cfg: u64,
+        base: u64,
+    },
+    3 => WriteAck { obj: ObjId, req: u64, conflict: Option<ActionId> },
+    4 => Resolve { action: ActionId, outcome: ActionOutcome, entries: Vec<(ObjId, u32)> },
+    6 => ResolveAck { action: ActionId },
+    7 => WriteRefused { obj: ObjId, req: u64 },
+} put |out| {
+    Msg::Batch(inner) => {
+        out.push(BATCH);
+        inner.put(out);
+    }
+    Msg::Install { .. } | Msg::InstallAck { .. } | Msg::SyncReq | Msg::StaleConfig { .. } => {
+        unreachable!(
+            "reconfiguration frames are not wire-encodable; \
+             the socket backend runs a fixed configuration"
+        )
+    }
+} take |inp| {
+    BATCH => {
+        // The batcher only ever wraps raw payloads, so an envelope
+        // inside an envelope is corrupt — and following it would
+        // recurse once per five received bytes.
+        let n = u32::take(inp)? as usize;
+        let mut inner = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            if inp.0.first() == Some(&BATCH) {
+                return None;
             }
-            Msg::LogReply { obj, req, delta } => {
-                out.push(1);
-                obj.put(out);
-                req.put(out);
-                delta.put(out);
-            }
-            Msg::WriteLog {
-                obj,
-                req,
-                log,
-                entry,
-                cfg,
-                base,
-            } => {
-                out.push(2);
-                obj.put(out);
-                req.put(out);
-                log.put(out);
-                entry.put(out);
-                cfg.put(out);
-                base.put(out);
-            }
-            Msg::WriteAck { obj, req, conflict } => {
-                out.push(3);
-                obj.put(out);
-                req.put(out);
-                conflict.put(out);
-            }
-            Msg::Resolve {
-                action,
-                outcome,
-                entries,
-            } => {
-                out.push(4);
-                action.put(out);
-                outcome.put(out);
-                entries.put(out);
-            }
-            Msg::Batch(inner) => {
-                out.push(5);
-                inner.put(out);
-            }
-            Msg::ResolveAck { action } => {
-                out.push(6);
-                action.put(out);
-            }
-            Msg::WriteRefused { obj, req } => {
-                out.push(7);
-                obj.put(out);
-                req.put(out);
-            }
-            Msg::Install { .. }
-            | Msg::InstallAck { .. }
-            | Msg::SyncReq
-            | Msg::StaleConfig { .. } => {
-                unreachable!(
-                    "reconfiguration frames are not wire-encodable; \
-                     the socket backend runs a fixed configuration"
-                )
-            }
+            inner.push(Msg::take(inp)?);
         }
+        Msg::Batch(inner)
     }
-    fn take(inp: &mut Reader<'_>) -> Option<Self> {
-        Some(match u8::take(inp)? {
-            0 => Msg::ReadLog {
-                obj: ObjId::take(inp)?,
-                req: u64::take(inp)?,
-                action: ActionId::take(inp)?,
-                begin_ts: Timestamp::take(inp)?,
-                op: <&'static str>::take(inp)?,
-                cfg: u64::take(inp)?,
-                since: u64::take(inp)?,
-                durable: u64::take(inp)?,
-            },
-            1 => Msg::LogReply {
-                obj: ObjId::take(inp)?,
-                req: u64::take(inp)?,
-                delta: LogDelta::take(inp)?,
-            },
-            2 => Msg::WriteLog {
-                obj: ObjId::take(inp)?,
-                req: u64::take(inp)?,
-                log: ObjectLog::take(inp)?,
-                entry: <Option<LogEntry<I, R>> as Wire>::take(inp)?,
-                cfg: u64::take(inp)?,
-                base: u64::take(inp)?,
-            },
-            3 => Msg::WriteAck {
-                obj: ObjId::take(inp)?,
-                req: u64::take(inp)?,
-                conflict: <Option<ActionId> as Wire>::take(inp)?,
-            },
-            4 => Msg::Resolve {
-                action: ActionId::take(inp)?,
-                outcome: ActionOutcome::take(inp)?,
-                entries: Vec::take(inp)?,
-            },
-            5 => {
-                // The batcher only ever wraps raw payloads, so an envelope
-                // inside an envelope is corrupt — and following it would
-                // recurse once per five received bytes.
-                let n = u32::take(inp)? as usize;
-                let mut inner = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    if inp.0.first() == Some(&5) {
-                        return None;
-                    }
-                    inner.push(Msg::take(inp)?);
-                }
-                Msg::Batch(inner)
-            }
-            6 => Msg::ResolveAck {
-                action: ActionId::take(inp)?,
-            },
-            7 => Msg::WriteRefused {
-                obj: ObjId::take(inp)?,
-                req: u64::take(inp)?,
-            },
-            _ => return None,
-        })
-    }
-}
+} }
 
 /// Encodes one value to a fresh buffer.
 pub fn encode<T: Wire>(v: &T) -> Vec<u8> {
@@ -460,48 +355,6 @@ pub fn decode<T: Wire>(buf: &[u8]) -> Option<T> {
     let mut r = Reader(buf);
     let v = T::take(&mut r)?;
     r.0.is_empty().then_some(v)
-}
-
-// Queue payloads — the data type the load harness ships.
-
-impl Wire for QueueInv {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            QueueInv::Enq(x) => {
-                out.push(0);
-                x.put(out);
-            }
-            QueueInv::Deq => out.push(1),
-        }
-    }
-    fn take(inp: &mut Reader<'_>) -> Option<Self> {
-        match u8::take(inp)? {
-            0 => Some(QueueInv::Enq(u32::take(inp)?)),
-            1 => Some(QueueInv::Deq),
-            _ => None,
-        }
-    }
-}
-
-impl Wire for QueueRes {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            QueueRes::Ok => out.push(0),
-            QueueRes::Item(x) => {
-                out.push(1);
-                x.put(out);
-            }
-            QueueRes::Empty => out.push(2),
-        }
-    }
-    fn take(inp: &mut Reader<'_>) -> Option<Self> {
-        match u8::take(inp)? {
-            0 => Some(QueueRes::Ok),
-            1 => Some(QueueRes::Item(u32::take(inp)?)),
-            2 => Some(QueueRes::Empty),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -738,7 +738,7 @@ impl<S: Classified> Client<S> {
                         ConflictReason::DirtyPast => ConflictKind::DirtyPast,
                     },
                 });
-                self.abort_txn(ctx, AbortKind::Conflict);
+                self.abort_txn(ctx, AbortCause::Conflict);
             }
             Ok(res) => {
                 let ts = self.fresh_ts(ctx);
@@ -923,7 +923,7 @@ impl<S: Classified> Client<S> {
         }
     }
 
-    fn abort_txn<IO: Io<Msg<S::Inv, S::Res>> + ?Sized>(&mut self, ctx: &mut IO, kind: AbortKind) {
+    fn abort_txn<IO: Io<Msg<S::Inv, S::Res>> + ?Sized>(&mut self, ctx: &mut IO, cause: AbortCause) {
         let Some(txn) = self.current.take() else {
             return;
         };
@@ -933,23 +933,19 @@ impl<S: Classified> Client<S> {
         });
         ctx.trace(TraceAction::Abort {
             action: u64::from(txn.action.0),
-            cause: match kind {
-                AbortKind::Conflict => AbortCause::Conflict,
-                AbortKind::Unavailable => AbortCause::Unavailable,
-                AbortKind::Stale => AbortCause::StaleEpoch,
-            },
+            cause,
         });
         self.resolve(ctx, txn.action, ActionOutcome::Aborted, Vec::new());
-        match kind {
-            AbortKind::Conflict => self.stats.aborted_conflict += 1,
-            AbortKind::Unavailable => self.stats.aborted_unavailable += 1,
-            AbortKind::Stale => self.stats.stale_retries += 1,
+        match cause {
+            AbortCause::Conflict => self.stats.aborted_conflict += 1,
+            AbortCause::Unavailable => self.stats.aborted_unavailable += 1,
+            AbortCause::StaleEpoch => self.stats.stale_retries += 1,
         }
         // Stale-epoch aborts retry for free: the transaction did nothing
         // wrong, the ground shifted under it. Other aborts consume the
         // configured retry budget.
-        let budget = match kind {
-            AbortKind::Stale => Some(txn.attempts_left),
+        let budget = match cause {
+            AbortCause::StaleEpoch => Some(txn.attempts_left),
             _ if txn.attempts_left > 0 => Some(txn.attempts_left - 1),
             _ => None,
         };
@@ -1116,7 +1112,7 @@ impl<S: Classified> Client<S> {
                             with: u64::from(with.0),
                             kind: ConflictKind::Reservation,
                         });
-                        self.abort_txn(ctx, AbortKind::Conflict)
+                        self.abort_txn(ctx, AbortCause::Conflict)
                     }
                     None => {}
                 }
@@ -1155,7 +1151,7 @@ impl<S: Classified> Client<S> {
                     .as_ref()
                     .is_some_and(|t| t.phases.contains_key(&req));
                 if live {
-                    self.abort_txn(ctx, AbortKind::Stale);
+                    self.abort_txn(ctx, AbortCause::StaleEpoch);
                 }
             }
             Msg::ResolveAck { action } => {
@@ -1305,7 +1301,7 @@ impl<S: Classified> Client<S> {
         };
         *retries += 1;
         if *retries > self.cfg.max_phase_retries {
-            return self.abort_txn(ctx, AbortKind::Unavailable);
+            return self.abort_txn(ctx, AbortCause::Unavailable);
         }
         self.metrics.phase_retries += 1;
         ctx.trace(TraceAction::PhaseRetry { req: token, phase });
@@ -1327,12 +1323,6 @@ impl<S: Classified> Client<S> {
         // Stagger client start times slightly for realism.
         ctx.set_timer(1 + u64::from(ctx.me() % 5), TOKEN_KICK);
     }
-}
-
-enum AbortKind {
-    Conflict,
-    Unavailable,
-    Stale,
 }
 
 #[cfg(test)]

@@ -51,11 +51,13 @@
 //! cached answer is the replayed answer by construction (DESIGN §3.11).
 
 use crate::types::{ActionOutcome, Checkpoint, LogEntry, ObjectLog};
-use quorumcc_core::DependencyRelation;
-use quorumcc_model::{ActionId, Classified, EventClass, Sequential};
+use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation, DependencyRelation};
+use quorumcc_model::spec::ExploreBounds;
+use quorumcc_model::{ActionId, Classified, Enumerable, EventClass, Sequential};
 use quorumcc_sim::Timestamp;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::str::FromStr;
 
 /// Which local atomicity property the protocol implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,6 +85,18 @@ impl Mode {
 impl fmt::Display for Mode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Reads back what [`Mode::name`] prints, and `dynamic` for `dynamic-2pl`.
+impl FromStr for Mode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Mode, String> {
+        [Mode::StaticTs, Mode::Hybrid, Mode::Dynamic2pl]
+            .into_iter()
+            .find(|mode| s == mode.name() || (s == "dynamic" && *mode == Mode::Dynamic2pl))
+            .ok_or_else(|| format!("unknown mode: {s} (want static, hybrid or dynamic)"))
     }
 }
 
@@ -149,6 +163,20 @@ static NO_DEPENDENCIES: OpTable = OpTable {
 };
 
 impl Protocol {
+    /// `mode` under the relation every run of it uses, computed from `S`'s
+    /// specification within `bounds` — the paper's comparison as one rule.
+    /// Static atomicity needs `≥S` (Theorem 6), which is also a hybrid
+    /// dependency relation (Theorem 4; a minimal hybrid one is not unique,
+    /// so hybrid runs under `≥S` too); strong dynamic atomicity needs `≥D`
+    /// (Theorem 10) and runs under `≥S ∪ ≥D`.
+    pub fn minimal<S: Enumerable + Classified>(mode: Mode, bounds: ExploreBounds) -> Self {
+        let mut rel = minimal_static_relation::<S>(bounds).relation;
+        if mode == Mode::Dynamic2pl {
+            rel = rel.union(&minimal_dynamic_relation::<S>(bounds).relation);
+        }
+        Protocol::new(mode, rel)
+    }
+
     /// Builds a protocol.
     pub fn new(mode: Mode, rel: DependencyRelation) -> Self {
         let mut tables: BTreeMap<&'static str, OpTable> = BTreeMap::new();
@@ -447,8 +475,6 @@ mod tests {
     use super::*;
     use crate::types::entry_of;
     use quorumcc_core::certificates::prom_hybrid_relation;
-    use quorumcc_core::minimal_static_relation;
-    use quorumcc_model::spec::ExploreBounds;
     use quorumcc_model::testtypes::{QInv, QRes, TestQueue, TestRegister};
 
     fn ts(c: u64, n: u32) -> Timestamp {
@@ -458,27 +484,41 @@ mod tests {
         }
     }
 
+    fn bounds() -> ExploreBounds {
+        ExploreBounds {
+            depth: 4,
+            ..ExploreBounds::default()
+        }
+    }
+
     fn queue_static() -> Protocol {
-        Protocol::new(
-            Mode::StaticTs,
-            minimal_static_relation::<TestQueue>(ExploreBounds {
-                depth: 4,
-                ..ExploreBounds::default()
-            })
-            .relation,
-        )
+        Protocol::minimal::<TestQueue>(Mode::StaticTs, bounds())
     }
 
     fn queue_hybrid() -> Protocol {
         // ≥S is a hybrid dependency relation for the queue (Theorem 4).
-        Protocol::new(
-            Mode::Hybrid,
-            minimal_static_relation::<TestQueue>(ExploreBounds {
-                depth: 4,
-                ..ExploreBounds::default()
-            })
-            .relation,
-        )
+        Protocol::minimal::<TestQueue>(Mode::Hybrid, bounds())
+    }
+
+    /// The rule every binary shares, against the two relations computed
+    /// here; and a mode reads back from what it prints.
+    #[test]
+    fn minimal_is_s_for_static_and_hybrid_and_s_union_d_for_dynamic() {
+        let s = minimal_static_relation::<TestQueue>(bounds()).relation;
+        let d = minimal_dynamic_relation::<TestQueue>(bounds()).relation;
+        assert!(!d.difference(&s).is_empty(), "≥D adds pairs to ≥S");
+        for mode in [Mode::StaticTs, Mode::Hybrid, Mode::Dynamic2pl] {
+            let p = Protocol::minimal::<TestQueue>(mode, bounds());
+            let want = match mode {
+                Mode::Dynamic2pl => s.union(&d),
+                _ => s.clone(),
+            };
+            assert_eq!((p.mode(), p.rel()), (mode, &want));
+            assert_eq!(mode.name().parse(), Ok(mode));
+        }
+        assert_eq!("dynamic".parse(), Ok(Mode::Dynamic2pl));
+        assert!("2pl".parse::<Mode>().is_err());
+        assert!("Hybrid".parse::<Mode>().is_err());
     }
 
     #[test]

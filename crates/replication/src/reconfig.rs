@@ -227,56 +227,49 @@ impl ConfigState {
     /// The repositories an operation contacts: the membership, or the
     /// union of both memberships while joint.
     pub fn members(&self) -> Vec<ProcId> {
+        let mut m: Vec<ProcId> = (self.configs())
+            .flat_map(|c| c.members.iter().copied())
+            .collect();
+        m.sort_unstable();
+        m.dedup();
+        m
+    }
+
+    /// The active configurations: one, or both while joint. Every quorum
+    /// question below is asked of each.
+    fn configs(&self) -> impl Iterator<Item = &Config> {
         match self {
-            ConfigState::Stable(c) => c.members.clone(),
-            ConfigState::Joint { old, new } => {
-                let mut m = old.members.clone();
-                m.extend_from_slice(&new.members);
-                m.sort_unstable();
-                m.dedup();
-                m
-            }
+            ConfigState::Stable(c) => [Some(c), None],
+            ConfigState::Joint { old, new } => [Some(old), Some(new)],
         }
+        .into_iter()
+        .flatten()
     }
 
     /// Whether `who` contains an initial quorum for `op` under every
     /// active configuration.
     pub fn initial_ok(&self, op: &str, who: &BTreeSet<ProcId>) -> bool {
-        match self {
-            ConfigState::Stable(c) => c.initial_ok(op, who),
-            ConfigState::Joint { old, new } => old.initial_ok(op, who) && new.initial_ok(op, who),
-        }
+        self.configs().all(|c| c.initial_ok(op, who))
     }
 
     /// Whether `who` contains a final quorum for `ev` under every active
     /// configuration.
     pub fn final_ok(&self, ev: EventClass, who: &BTreeSet<ProcId>) -> bool {
-        match self {
-            ConfigState::Stable(c) => c.final_ok(ev, who),
-            ConfigState::Joint { old, new } => old.final_ok(ev, who) && new.final_ok(ev, who),
-        }
+        self.configs().all(|c| c.final_ok(ev, who))
     }
 
     /// The largest initial threshold for `op` across active configs (used
     /// to size narrow fan-outs).
     pub fn max_initial(&self, op: &str) -> u32 {
-        match self {
-            ConfigState::Stable(c) => c.thresholds.initial(op),
-            ConfigState::Joint { old, new } => {
-                old.thresholds.initial(op).max(new.thresholds.initial(op))
-            }
-        }
+        let initial = |c: &Config| c.thresholds.initial(op);
+        self.configs().map(initial).max().expect("one at least")
     }
 
     /// The largest final threshold for `ev` across active configs (0
     /// means the write phase completes immediately).
     pub fn max_final(&self, ev: EventClass) -> u32 {
-        match self {
-            ConfigState::Stable(c) => c.thresholds.final_of(ev),
-            ConfigState::Joint { old, new } => {
-                old.thresholds.final_of(ev).max(new.thresholds.final_of(ev))
-            }
-        }
+        let final_of = |c: &Config| c.thresholds.final_of(ev);
+        self.configs().map(final_of).max().expect("one at least")
     }
 
     /// Materializes the initial quorum set of `op`: while joint, a set
@@ -286,13 +279,9 @@ impl ConfigState {
     ///
     /// Panics if `universe > 16`.
     pub fn initial_quorums(&self, op: &str, universe: u8) -> QuorumSet {
-        match self {
-            ConfigState::Stable(c) => c.initial_quorums(op, universe),
-            ConfigState::Joint { old, new } => intersect_requirements(
-                &old.initial_quorums(op, universe),
-                &new.initial_quorums(op, universe),
-            ),
-        }
+        let each = self.configs().map(|c| c.initial_quorums(op, universe));
+        each.reduce(|both, q| intersect_requirements(&both, &q))
+            .expect("one at least")
     }
 
     /// Materializes the final quorum set of `ev` (joint = both).
@@ -301,13 +290,9 @@ impl ConfigState {
     ///
     /// Panics if `universe > 16`.
     pub fn final_quorums(&self, ev: EventClass, universe: u8) -> QuorumSet {
-        match self {
-            ConfigState::Stable(c) => c.final_quorums(ev, universe),
-            ConfigState::Joint { old, new } => intersect_requirements(
-                &old.final_quorums(ev, universe),
-                &new.final_quorums(ev, universe),
-            ),
-        }
+        let each = self.configs().map(|c| c.final_quorums(ev, universe));
+        each.reduce(|both, q| intersect_requirements(&both, &q))
+            .expect("one at least")
     }
 }
 

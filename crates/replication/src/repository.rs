@@ -897,8 +897,14 @@ impl<S: Classified> Repository<S> {
                 entries,
             } => {
                 // Commit manifests unlock folding; aborted entries are
-                // garbage regardless, so aborts carry none.
-                if matches!(outcome, ActionOutcome::Committed(_)) && !entries.is_empty() {
+                // garbage regardless, so aborts carry none — and only a
+                // fold ever drops one, so a site that never folds keeps
+                // none (it would keep one per commit for as long as it
+                // runs).
+                if matches!(outcome, ActionOutcome::Committed(_))
+                    && !entries.is_empty()
+                    && self.folding().is_some()
+                {
                     self.manifests.insert(action, entries);
                 }
                 // Under scoped planting the status lands in the logs the
@@ -944,7 +950,7 @@ impl<S: Classified> Repository<S> {
                     // A fold's `now − lag` bound moves with the clock, not
                     // with this action, so any log may have become
                     // foldable: with compaction on this stays a full pass.
-                    if self.compaction.is_some() {
+                    if self.folding().is_some() {
                         let objs: Vec<ObjId> = self.logs.keys().copied().collect();
                         for obj in objs {
                             if self.maybe_compact(obj, ctx.now()) {
@@ -1064,6 +1070,15 @@ impl<S: Classified> Repository<S> {
         }
     }
 
+    /// The compaction settings, if this repository ever folds a log.
+    ///
+    /// Static mode never folds: it serializes by Begin timestamps, so a
+    /// late-beginning reader may still need to order itself *before*
+    /// arbitrarily old committed entries (`TooLate` detection needs them).
+    fn folding(&self) -> Option<CompactionConfig> {
+        (self.compaction).filter(|_| self.proto.mode() != Mode::StaticTs)
+    }
+
     /// Folds the committed prefix of `obj`'s log into a checkpoint when it
     /// is safe to do so.
     ///
@@ -1081,18 +1096,11 @@ impl<S: Classified> Repository<S> {
     /// repositories' checkpoints nest — the precondition for exact
     /// checkpoint adoption on merge.
     ///
-    /// Static mode never folds: it serializes by Begin timestamps, so a
-    /// late-beginning reader may still need to order itself *before*
-    /// arbitrarily old committed entries (`TooLate` detection needs them).
-    ///
     /// Returns whether a checkpoint was installed (the log's version moved).
     fn maybe_compact(&mut self, obj: ObjId, now: SimTime) -> bool {
-        let Some(cc) = self.compaction else {
+        let Some(cc) = self.folding() else {
             return false;
         };
-        if self.proto.mode() == Mode::StaticTs {
-            return false;
-        }
         let Some(vlog) = self.logs.get(&obj) else {
             return false;
         };
@@ -2534,6 +2542,49 @@ mod tests {
         assert_eq!(log.status_count(), 1);
         assert_eq!(repo.log(ObjId(1)).status(elsewhere), ActionOutcome::Aborted);
         audit(&repo, "after the refusals");
+    }
+
+    /// A commit manifest exists for folds and only a fold drops one: a
+    /// repository that never folds — compaction off, as on every socket
+    /// run, or static mode — must not keep one per committed transaction.
+    #[test]
+    fn manifests_are_kept_only_where_a_fold_can_use_them() {
+        let obj = ObjId(0);
+        let commits = |mut repo: Repository<TestQueue>| {
+            let mut io: TestIo = CollectIo::new(0, 1);
+            for seq in 0..1_000u32 {
+                let action = action_id(7, seq);
+                let at = u64::from(seq) * 2 + 1;
+                io.set_now(at + 1);
+                repo.handle(&mut io, 7, write(obj, enq(action, at)));
+                let committed = Msg::Resolve {
+                    action,
+                    outcome: ActionOutcome::Committed(ts(at + 1, 7)),
+                    entries: vec![(obj, 1)],
+                };
+                repo.handle(&mut io, 7, committed);
+            }
+            repo
+        };
+        let folds = CompactionConfig::default();
+        let hybrid = || Repository::<TestQueue>::new(Mode::Hybrid, queue_rel());
+        let static_ts = Repository::<TestQueue>::new(Mode::StaticTs, queue_rel());
+        assert!(commits(hybrid()).manifests.is_empty());
+        assert!(commits(static_ts.with_compaction(folds))
+            .manifests
+            .is_empty());
+        // Where folds happen they still find their manifests, and drop them:
+        // what is left is the commits younger than the fold lag.
+        let folding = commits(hybrid().with_compaction(folds));
+        assert!(folding
+            .log(obj)
+            .checkpoint()
+            .is_some_and(|cp| cp.folded() > 800));
+        assert_eq!(
+            folding.manifests.len(),
+            folding.log(obj).len(),
+            "one manifest per unfolded commit"
+        );
     }
 
     /// Under aborted-entry GC an aborted action whose entry was dropped

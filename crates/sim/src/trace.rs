@@ -71,293 +71,287 @@ impl Default for TraceConfig {
     }
 }
 
-/// Why the network dropped a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropCause {
-    /// Random loss (`NetworkConfig::drop_prob`).
-    Random,
-    /// Sender and receiver were in different partition blocks.
-    Partition,
-    /// The receiver was crashed at delivery time.
-    Crashed,
+/// Declares a closed set of labels: the enum and, from the same rows, the
+/// `Display` that writes each variant's label.
+macro_rules! label_enum {
+    ($(#[$doc:meta])* $name:ident {
+        $($(#[$vdoc:meta])* $variant:ident => $label:literal),* $(,)?
+    }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$vdoc])* $variant,)*
+        }
+
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(match self {
+                    $($name::$variant => $label,)*
+                })
+            }
+        }
+    };
 }
 
-impl fmt::Display for DropCause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            DropCause::Random => "random",
-            DropCause::Partition => "partition",
-            DropCause::Crashed => "crashed",
-        })
+label_enum! {
+    /// Why the network dropped a message.
+    DropCause {
+        /// Random loss (`NetworkConfig::drop_prob`).
+        Random => "random",
+        /// Sender and receiver were in different partition blocks.
+        Partition => "partition",
+        /// The receiver was crashed at delivery time.
+        Crashed => "crashed",
     }
 }
 
-/// Which quorum phase an operation is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PhaseKind {
-    /// Initial quorum: collect and merge logs.
-    Read,
-    /// Final quorum: push the updated view.
-    Write,
-}
-
-impl fmt::Display for PhaseKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PhaseKind::Read => "read",
-            PhaseKind::Write => "write",
-        })
+label_enum! {
+    /// Which quorum phase an operation is in.
+    PhaseKind {
+        /// Initial quorum: collect and merge logs.
+        Read => "read",
+        /// Final quorum: push the updated view.
+        Write => "write",
     }
 }
 
-/// Why a concurrency-control conflict was declared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConflictKind {
-    /// A dependency lock held by an uncommitted action (hybrid / 2PL).
-    Lock,
-    /// A static-timestamp writer arrived after a later read (Reed).
-    TooLate,
-    /// The view already serialized a dependent action in the past.
-    DirtyPast,
-    /// A repository-side read reservation blocked the write.
-    Reservation,
-}
-
-impl fmt::Display for ConflictKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ConflictKind::Lock => "lock",
-            ConflictKind::TooLate => "too-late",
-            ConflictKind::DirtyPast => "dirty-past",
-            ConflictKind::Reservation => "reservation",
-        })
+label_enum! {
+    /// Why a concurrency-control conflict was declared.
+    ConflictKind {
+        /// A dependency lock held by an uncommitted action (hybrid / 2PL).
+        Lock => "lock",
+        /// A static-timestamp writer arrived after a later read (Reed).
+        TooLate => "too-late",
+        /// The view already serialized a dependent action in the past.
+        DirtyPast => "dirty-past",
+        /// A repository-side read reservation blocked the write.
+        Reservation => "reservation",
     }
 }
 
-/// Why a transaction aborted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AbortCause {
-    /// Concurrency-control conflict.
-    Conflict,
-    /// A quorum stayed unreachable past the retry budget.
-    Unavailable,
-    /// The operation carried a stale configuration epoch; it restarts
-    /// under the adopted configuration.
-    StaleEpoch,
-}
-
-impl fmt::Display for AbortCause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            AbortCause::Conflict => "conflict",
-            AbortCause::Unavailable => "unavailable",
-            AbortCause::StaleEpoch => "stale-epoch",
-        })
+label_enum! {
+    /// Why a transaction aborted.
+    AbortCause {
+        /// Concurrency-control conflict.
+        Conflict => "conflict",
+        /// A quorum stayed unreachable past the retry budget.
+        Unavailable => "unavailable",
+        /// The operation carried a stale configuration epoch; it restarts
+        /// under the adopted configuration.
+        StaleEpoch => "stale-epoch",
     }
 }
 
-/// What happened. Network and fault events come from the engine;
-/// protocol events are recorded by processes via
-/// [`Ctx::trace`](crate::engine::Ctx::trace). Identifiers are plain
-/// integers so the trace layer stays independent of the layers above it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceAction {
-    /// A message was submitted to the network.
-    Send {
-        /// Receiver.
-        to: ProcId,
-    },
-    /// A message was delivered.
-    Deliver {
-        /// Sender.
-        from: ProcId,
-    },
-    /// A message was lost.
-    Drop {
-        /// Intended receiver.
-        to: ProcId,
-        /// Why it was lost.
-        cause: DropCause,
-    },
-    /// The network duplicated a message: a second, independently delayed
-    /// copy was scheduled (`NetworkConfig::dup_prob`).
-    NetDup {
-        /// Receiver of both copies.
-        to: ProcId,
-    },
-    /// The network delayed a message past its natural slot, letting later
-    /// sends overtake it (`NetworkConfig::reorder_window`).
-    NetReorder {
-        /// Receiver.
-        to: ProcId,
-    },
-    /// A repository answered a stale frontier with a full log transfer
-    /// because the requested suffix had already fallen off its change
-    /// journal — correct, but a bandwidth cliff worth surfacing.
-    FullLogFallback {
-        /// The object whose log was shipped in full.
-        obj: u64,
-        /// The stale frontier the reader presented.
-        since: u64,
-    },
-    /// A batch envelope was flushed: `len` coalesced payloads left for
-    /// one destination as a single network message. Only recorded when
-    /// batching is enabled, so traces of unbatched runs are unchanged.
-    BatchFlush {
-        /// Destination of the envelope.
-        to: ProcId,
-        /// Number of payload messages coalesced into it.
-        len: u64,
-    },
-    /// A timer fired.
-    TimerFire {
-        /// The token passed to `set_timer`.
-        token: u64,
-    },
-    /// (Fault schedule) the site crashes, recovering at `until`.
-    Crash {
-        /// Recovery time (exclusive).
-        until: SimTime,
-    },
-    /// (Fault schedule) the site recovers.
-    Recover,
-    /// (Fault schedule) the site enters a partition block until `until`.
-    PartitionStart {
-        /// Heal time (exclusive).
-        until: SimTime,
-    },
-    /// (Fault schedule) the site's partition heals.
-    PartitionHeal,
-    /// A transaction (action) began.
-    TxnBegin {
-        /// The action id.
-        action: u64,
-    },
-    /// A quorum phase started for a request.
-    PhaseStart {
-        /// Object operated on.
-        obj: u64,
-        /// Request id (matches the phase's timer token).
-        req: u64,
-        /// Read (initial quorum) or write (final quorum).
-        phase: PhaseKind,
-    },
-    /// A quorum phase completed after `rtt` ticks.
-    PhaseEnd {
-        /// Object operated on.
-        obj: u64,
-        /// Request id.
-        req: u64,
-        /// Read or write.
-        phase: PhaseKind,
-        /// Logical round-trip: ticks from phase start to quorum assembly.
-        rtt: SimTime,
-    },
-    /// A quorum phase timed out and was re-broadcast.
-    PhaseRetry {
-        /// Request id.
-        req: u64,
-        /// Read or write.
-        phase: PhaseKind,
-    },
-    /// A read reservation (dependency lock) was recorded.
-    Reserve {
-        /// Object.
-        obj: u64,
-        /// Reserving action.
-        action: u64,
-    },
-    /// A concurrency-control conflict was observed.
-    Conflict {
-        /// Object.
-        obj: u64,
-        /// The action that lost.
-        action: u64,
-        /// The action it conflicted with.
-        with: u64,
-        /// The conflict's flavor.
-        kind: ConflictKind,
-    },
-    /// A transaction committed.
-    Commit {
-        /// The action id.
-        action: u64,
-    },
-    /// A transaction aborted.
-    Abort {
-        /// The action id.
-        action: u64,
-        /// Conflict or unavailability.
-        cause: AbortCause,
-    },
-    /// An anti-entropy round pushed logs to a peer.
-    AntiEntropy {
-        /// The gossip target.
-        peer: ProcId,
-    },
-    /// A reconfiguration coordinator began installing a new epoch (the
-    /// joint phase starts here).
-    ReconfigStart {
-        /// The epoch being installed.
-        epoch: u64,
-    },
-    /// A site adopted a configuration state pushed by an install.
-    ConfigAdopt {
-        /// The adopted epoch.
-        epoch: u64,
-        /// The adopted state's total-order version (`2·epoch` for the
-        /// joint state, `2·epoch + 1` once stable).
-        version: u64,
-    },
-    /// The new epoch committed: a quorum of the new configuration
-    /// acknowledged the stable install and the joint phase ended.
-    ReconfigCommit {
-        /// The committed epoch.
-        epoch: u64,
-    },
-    /// An operation was refused for carrying a stale configuration
-    /// version; the client aborts and retries under the current one.
-    StaleEpoch {
-        /// The version the operation carried.
-        seen: u64,
-        /// The version the site holds.
-        current: u64,
-    },
+/// Declares the event vocabulary once: a row is a variant, its kind label
+/// and its fields, and yields the variant, its arm of `kind` and its
+/// rendering — the label, then ` field=value` for every field in
+/// declaration order.
+macro_rules! trace_actions {
+    ($(#[$doc:meta])* $name:ident {
+        $($(#[$vdoc:meta])* $variant:ident $label:literal
+            $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty),* $(,)? })?),* $(,)?
+    }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$vdoc])* $variant $({ $($(#[$fdoc])* $field: $ty),* })?,)*
+        }
+
+        impl $name {
+            /// A stable, lowercase label for the event family — the unit of
+            /// `--action` filtering in the CLI.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $label,)*
+                }
+            }
+        }
+
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(self.kind())?;
+                match self {
+                    $($name::$variant $({ $($field),* })? => {
+                        $($(write!(f, concat!(" ", stringify!($field), "={}"), $field)?;)*)?
+                    })*
+                }
+                Ok(())
+            }
+        }
+    };
+}
+
+trace_actions! {
+    /// What happened. Network and fault events come from the engine;
+    /// protocol events are recorded by processes via
+    /// [`Ctx::trace`](crate::engine::Ctx::trace). Identifiers are plain
+    /// integers so the trace layer stays independent of the layers above it.
+    TraceAction {
+        /// A message was submitted to the network.
+        Send "send" {
+            /// Receiver.
+            to: ProcId,
+        },
+        /// A message was delivered.
+        Deliver "deliver" {
+            /// Sender.
+            from: ProcId,
+        },
+        /// A message was lost.
+        Drop "net-drop" {
+            /// Intended receiver.
+            to: ProcId,
+            /// Why it was lost.
+            cause: DropCause,
+        },
+        /// The network duplicated a message: a second, independently delayed
+        /// copy was scheduled (`NetworkConfig::dup_prob`).
+        NetDup "net-dup" {
+            /// Receiver of both copies.
+            to: ProcId,
+        },
+        /// The network delayed a message past its natural slot, letting later
+        /// sends overtake it (`NetworkConfig::reorder_window`).
+        NetReorder "net-reorder" {
+            /// Receiver.
+            to: ProcId,
+        },
+        /// A repository answered a stale frontier with a full log transfer
+        /// because the requested suffix had already fallen off its change
+        /// journal — correct, but a bandwidth cliff worth surfacing.
+        FullLogFallback "full-log-fallback" {
+            /// The object whose log was shipped in full.
+            obj: u64,
+            /// The stale frontier the reader presented.
+            since: u64,
+        },
+        /// A batch envelope was flushed: `len` coalesced payloads left for
+        /// one destination as a single network message. Only recorded when
+        /// batching is enabled, so traces of unbatched runs are unchanged.
+        BatchFlush "batch-flush" {
+            /// Destination of the envelope.
+            to: ProcId,
+            /// Number of payload messages coalesced into it.
+            len: u64,
+        },
+        /// A timer fired.
+        TimerFire "timer" {
+            /// The token passed to `set_timer`.
+            token: u64,
+        },
+        /// (Fault schedule) the site crashes, recovering at `until`.
+        Crash "crash" {
+            /// Recovery time (exclusive).
+            until: SimTime,
+        },
+        /// (Fault schedule) the site recovers.
+        Recover "recover",
+        /// (Fault schedule) the site enters a partition block until `until`.
+        PartitionStart "partition-start" {
+            /// Heal time (exclusive).
+            until: SimTime,
+        },
+        /// (Fault schedule) the site's partition heals.
+        PartitionHeal "partition-heal",
+        /// A transaction (action) began.
+        TxnBegin "txn-begin" {
+            /// The action id.
+            action: u64,
+        },
+        /// A quorum phase started for a request.
+        PhaseStart "phase-start" {
+            /// Object operated on.
+            obj: u64,
+            /// Request id (matches the phase's timer token).
+            req: u64,
+            /// Read (initial quorum) or write (final quorum).
+            phase: PhaseKind,
+        },
+        /// A quorum phase completed after `rtt` ticks.
+        PhaseEnd "phase-end" {
+            /// Object operated on.
+            obj: u64,
+            /// Request id.
+            req: u64,
+            /// Read or write.
+            phase: PhaseKind,
+            /// Logical round-trip: ticks from phase start to quorum assembly.
+            rtt: SimTime,
+        },
+        /// A quorum phase timed out and was re-broadcast.
+        PhaseRetry "phase-retry" {
+            /// Request id.
+            req: u64,
+            /// Read or write.
+            phase: PhaseKind,
+        },
+        /// A read reservation (dependency lock) was recorded.
+        Reserve "reserve" {
+            /// Object.
+            obj: u64,
+            /// Reserving action.
+            action: u64,
+        },
+        /// A concurrency-control conflict was observed.
+        Conflict "conflict" {
+            /// Object.
+            obj: u64,
+            /// The action that lost.
+            action: u64,
+            /// The action it conflicted with.
+            with: u64,
+            /// The conflict's flavor.
+            kind: ConflictKind,
+        },
+        /// A transaction committed.
+        Commit "commit" {
+            /// The action id.
+            action: u64,
+        },
+        /// A transaction aborted.
+        Abort "abort" {
+            /// The action id.
+            action: u64,
+            /// Conflict or unavailability.
+            cause: AbortCause,
+        },
+        /// An anti-entropy round pushed logs to a peer.
+        AntiEntropy "anti-entropy" {
+            /// The gossip target.
+            peer: ProcId,
+        },
+        /// A reconfiguration coordinator began installing a new epoch (the
+        /// joint phase starts here).
+        ReconfigStart "reconfig-start" {
+            /// The epoch being installed.
+            epoch: u64,
+        },
+        /// A site adopted a configuration state pushed by an install.
+        ConfigAdopt "config-adopt" {
+            /// The adopted epoch.
+            epoch: u64,
+            /// The adopted state's total-order version (`2·epoch` for the
+            /// joint state, `2·epoch + 1` once stable).
+            version: u64,
+        },
+        /// The new epoch committed: a quorum of the new configuration
+        /// acknowledged the stable install and the joint phase ended.
+        ReconfigCommit "reconfig-commit" {
+            /// The committed epoch.
+            epoch: u64,
+        },
+        /// An operation was refused for carrying a stale configuration
+        /// version; the client aborts and retries under the current one.
+        StaleEpoch "stale-epoch" {
+            /// The version the operation carried.
+            seen: u64,
+            /// The version the site holds.
+            current: u64,
+        },
+    }
 }
 
 impl TraceAction {
-    /// A stable, lowercase label for the event family — the unit of
-    /// `--action` filtering in the CLI.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceAction::Send { .. } => "send",
-            TraceAction::Deliver { .. } => "deliver",
-            TraceAction::Drop { .. } => "net-drop",
-            TraceAction::NetDup { .. } => "net-dup",
-            TraceAction::NetReorder { .. } => "net-reorder",
-            TraceAction::FullLogFallback { .. } => "full-log-fallback",
-            TraceAction::BatchFlush { .. } => "batch-flush",
-            TraceAction::TimerFire { .. } => "timer",
-            TraceAction::Crash { .. } => "crash",
-            TraceAction::Recover => "recover",
-            TraceAction::PartitionStart { .. } => "partition-start",
-            TraceAction::PartitionHeal => "partition-heal",
-            TraceAction::TxnBegin { .. } => "txn-begin",
-            TraceAction::PhaseStart { .. } => "phase-start",
-            TraceAction::PhaseEnd { .. } => "phase-end",
-            TraceAction::PhaseRetry { .. } => "phase-retry",
-            TraceAction::Reserve { .. } => "reserve",
-            TraceAction::Conflict { .. } => "conflict",
-            TraceAction::Commit { .. } => "commit",
-            TraceAction::Abort { .. } => "abort",
-            TraceAction::AntiEntropy { .. } => "anti-entropy",
-            TraceAction::ReconfigStart { .. } => "reconfig-start",
-            TraceAction::ConfigAdopt { .. } => "config-adopt",
-            TraceAction::ReconfigCommit { .. } => "reconfig-commit",
-            TraceAction::StaleEpoch { .. } => "stale-epoch",
-        }
-    }
-
     /// The object the event concerns, when it concerns one.
     pub fn obj(&self) -> Option<u64> {
         match self {
@@ -367,67 +361,6 @@ impl TraceAction {
             | TraceAction::Conflict { obj, .. }
             | TraceAction::FullLogFallback { obj, .. } => Some(*obj),
             _ => None,
-        }
-    }
-}
-
-impl fmt::Display for TraceAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceAction::Send { to } => write!(f, "send to={to}"),
-            TraceAction::Deliver { from } => write!(f, "deliver from={from}"),
-            TraceAction::Drop { to, cause } => write!(f, "net-drop to={to} cause={cause}"),
-            TraceAction::NetDup { to } => write!(f, "net-dup to={to}"),
-            TraceAction::NetReorder { to } => write!(f, "net-reorder to={to}"),
-            TraceAction::FullLogFallback { obj, since } => {
-                write!(f, "full-log-fallback obj={obj} since={since}")
-            }
-            TraceAction::BatchFlush { to, len } => {
-                write!(f, "batch-flush to={to} len={len}")
-            }
-            TraceAction::TimerFire { token } => write!(f, "timer token={token}"),
-            TraceAction::Crash { until } => write!(f, "crash until={until}"),
-            TraceAction::Recover => write!(f, "recover"),
-            TraceAction::PartitionStart { until } => write!(f, "partition-start until={until}"),
-            TraceAction::PartitionHeal => write!(f, "partition-heal"),
-            TraceAction::TxnBegin { action } => write!(f, "txn-begin action={action}"),
-            TraceAction::PhaseStart { obj, req, phase } => {
-                write!(f, "phase-start obj={obj} req={req} phase={phase}")
-            }
-            TraceAction::PhaseEnd {
-                obj,
-                req,
-                phase,
-                rtt,
-            } => write!(f, "phase-end obj={obj} req={req} phase={phase} rtt={rtt}"),
-            TraceAction::PhaseRetry { req, phase } => {
-                write!(f, "phase-retry req={req} phase={phase}")
-            }
-            TraceAction::Reserve { obj, action } => {
-                write!(f, "reserve obj={obj} action={action}")
-            }
-            TraceAction::Conflict {
-                obj,
-                action,
-                with,
-                kind,
-            } => write!(
-                f,
-                "conflict obj={obj} action={action} with={with} kind={kind}"
-            ),
-            TraceAction::Commit { action } => write!(f, "commit action={action}"),
-            TraceAction::Abort { action, cause } => {
-                write!(f, "abort action={action} cause={cause}")
-            }
-            TraceAction::AntiEntropy { peer } => write!(f, "anti-entropy peer={peer}"),
-            TraceAction::ReconfigStart { epoch } => write!(f, "reconfig-start epoch={epoch}"),
-            TraceAction::ConfigAdopt { epoch, version } => {
-                write!(f, "config-adopt epoch={epoch} version={version}")
-            }
-            TraceAction::ReconfigCommit { epoch } => write!(f, "reconfig-commit epoch={epoch}"),
-            TraceAction::StaleEpoch { seen, current } => {
-                write!(f, "stale-epoch seen={seen} current={current}")
-            }
         }
     }
 }
@@ -502,8 +435,7 @@ impl TraceBuffer {
 /// through `Ctx::trace`.
 #[derive(Debug)]
 pub(crate) struct Tracer {
-    enabled: bool,
-    capacity: usize, // 0 = unbounded
+    cfg: TraceConfig,
     buf: VecDeque<TraceEvent>,
     overwritten: u64,
     clocks: Vec<LamportClock>,
@@ -517,8 +449,7 @@ impl Tracer {
             Vec::new()
         };
         Tracer {
-            enabled: cfg.enabled,
-            capacity: cfg.capacity,
+            cfg,
             buf: VecDeque::new(),
             overwritten: 0,
             clocks,
@@ -527,11 +458,11 @@ impl Tracer {
 
     #[inline]
     pub(crate) fn enabled(&self) -> bool {
-        self.enabled
+        self.cfg.enabled
     }
 
     fn push(&mut self, e: TraceEvent) {
-        if self.capacity > 0 && self.buf.len() == self.capacity {
+        if self.cfg.capacity > 0 && self.buf.len() == self.cfg.capacity {
             self.buf.pop_front();
             self.overwritten += 1;
         }
@@ -541,38 +472,26 @@ impl Tracer {
     /// Records the fault schedule as a prologue: one planned event per
     /// affected site, ordered by `(time, site, insertion)`.
     pub(crate) fn prologue(&mut self, faults: &FaultPlan) {
-        if !self.enabled {
+        if !self.cfg.enabled {
             return;
         }
+        // Plans rather than occurrences: no clock ticks for them.
+        let plan = |t, site, action| TraceEvent {
+            t,
+            site,
+            lamport: 0,
+            action,
+        };
         let mut planned: Vec<TraceEvent> = Vec::new();
         for c in faults.crashes() {
-            planned.push(TraceEvent {
-                t: c.from,
-                site: c.proc,
-                lamport: 0,
-                action: TraceAction::Crash { until: c.until },
-            });
-            planned.push(TraceEvent {
-                t: c.until,
-                site: c.proc,
-                lamport: 0,
-                action: TraceAction::Recover,
-            });
+            planned.push(plan(c.from, c.proc, TraceAction::Crash { until: c.until }));
+            planned.push(plan(c.until, c.proc, TraceAction::Recover));
         }
         for p in faults.partitions() {
             for site in &p.block {
-                planned.push(TraceEvent {
-                    t: p.from,
-                    site: *site,
-                    lamport: 0,
-                    action: TraceAction::PartitionStart { until: p.until },
-                });
-                planned.push(TraceEvent {
-                    t: p.until,
-                    site: *site,
-                    lamport: 0,
-                    action: TraceAction::PartitionHeal,
-                });
+                let start = TraceAction::PartitionStart { until: p.until };
+                planned.push(plan(p.from, *site, start));
+                planned.push(plan(p.until, *site, TraceAction::PartitionHeal));
             }
         }
         planned.sort_by_key(|e| (e.t, e.site));
@@ -581,12 +500,9 @@ impl Tracer {
         }
     }
 
-    /// Records a local event at `site`, ticking its Lamport clock.
-    #[inline]
-    pub(crate) fn record_local(&mut self, t: SimTime, site: ProcId, action: TraceAction) {
-        if !self.enabled {
-            return;
-        }
+    /// Ticks `site`'s Lamport clock for an event there and captures it
+    /// under the new stamp, which is returned.
+    fn stamp(&mut self, t: SimTime, site: ProcId, action: TraceAction) -> u64 {
         let lamport = self.clocks[site as usize].tick().counter;
         self.push(TraceEvent {
             t,
@@ -594,48 +510,43 @@ impl Tracer {
             lamport,
             action,
         });
+        lamport
+    }
+
+    /// Records a local event at `site`, ticking its Lamport clock.
+    #[inline]
+    pub(crate) fn record_local(&mut self, t: SimTime, site: ProcId, action: TraceAction) {
+        if self.cfg.enabled {
+            self.stamp(t, site, action);
+        }
     }
 
     /// Records a send and returns the Lamport stamp the message carries.
     #[inline]
     pub(crate) fn record_send(&mut self, t: SimTime, site: ProcId, to: ProcId) -> u64 {
-        if !self.enabled {
+        if !self.cfg.enabled {
             return 0;
         }
-        let lamport = self.clocks[site as usize].tick().counter;
-        self.push(TraceEvent {
-            t,
-            site,
-            lamport,
-            action: TraceAction::Send { to },
-        });
-        lamport
+        self.stamp(t, site, TraceAction::Send { to })
     }
 
     /// Records a delivery, first observing the carried stamp so the
     /// receiver's counter jumps past the sender's.
     #[inline]
     pub(crate) fn record_deliver(&mut self, t: SimTime, site: ProcId, from: ProcId, stamp: u64) {
-        if !self.enabled {
+        if !self.cfg.enabled {
             return;
         }
-        let clock = &mut self.clocks[site as usize];
-        clock.observe(Timestamp {
+        self.clocks[site as usize].observe(Timestamp {
             counter: stamp,
             node: from,
         });
-        let lamport = clock.tick().counter;
-        self.push(TraceEvent {
-            t,
-            site,
-            lamport,
-            action: TraceAction::Deliver { from },
-        });
+        self.stamp(t, site, TraceAction::Deliver { from });
     }
 
     /// Hands the captured events out (leaves the tracer empty).
     pub(crate) fn take(&mut self) -> Option<TraceBuffer> {
-        if !self.enabled {
+        if !self.cfg.enabled {
             return None;
         }
         Some(TraceBuffer {
@@ -714,6 +625,154 @@ mod tests {
             e.to_string(),
             "[      42] site=3   lam=7      conflict obj=0 action=100001 with=200000 kind=lock"
         );
+    }
+
+    /// One value of every variant, rendered: the line format is what
+    /// `qcc trace`, the saved captures and the trace goldens are made of.
+    #[test]
+    fn every_variant_renders_as_its_kind_then_its_fields() {
+        use TraceAction::*;
+        let (obj, req, action, epoch) = (1, 2, 100_001, 4);
+        let rendered = [
+            (Send { to: 3 }, "send to=3"),
+            (Deliver { from: 4 }, "deliver from=4"),
+            (
+                Drop {
+                    to: 3,
+                    cause: DropCause::Random,
+                },
+                "net-drop to=3 cause=random",
+            ),
+            (
+                Drop {
+                    to: 3,
+                    cause: DropCause::Partition,
+                },
+                "net-drop to=3 cause=partition",
+            ),
+            (
+                Drop {
+                    to: 3,
+                    cause: DropCause::Crashed,
+                },
+                "net-drop to=3 cause=crashed",
+            ),
+            (NetDup { to: 3 }, "net-dup to=3"),
+            (NetReorder { to: 3 }, "net-reorder to=3"),
+            (
+                FullLogFallback { obj, since: 9 },
+                "full-log-fallback obj=1 since=9",
+            ),
+            (BatchFlush { to: 3, len: 8 }, "batch-flush to=3 len=8"),
+            (TimerFire { token: 7 }, "timer token=7"),
+            (Crash { until: 60 }, "crash until=60"),
+            (Recover, "recover"),
+            (PartitionStart { until: 20 }, "partition-start until=20"),
+            (PartitionHeal, "partition-heal"),
+            (TxnBegin { action }, "txn-begin action=100001"),
+            (
+                PhaseStart {
+                    obj,
+                    req,
+                    phase: PhaseKind::Read,
+                },
+                "phase-start obj=1 req=2 phase=read",
+            ),
+            (
+                PhaseEnd {
+                    obj,
+                    req,
+                    phase: PhaseKind::Write,
+                    rtt: 12,
+                },
+                "phase-end obj=1 req=2 phase=write rtt=12",
+            ),
+            (
+                PhaseRetry {
+                    req,
+                    phase: PhaseKind::Read,
+                },
+                "phase-retry req=2 phase=read",
+            ),
+            (Reserve { obj, action }, "reserve obj=1 action=100001"),
+            (
+                Conflict {
+                    obj,
+                    action,
+                    with: 200_000,
+                    kind: ConflictKind::TooLate,
+                },
+                "conflict obj=1 action=100001 with=200000 kind=too-late",
+            ),
+            (
+                Conflict {
+                    obj,
+                    action,
+                    with: 200_000,
+                    kind: ConflictKind::DirtyPast,
+                },
+                "conflict obj=1 action=100001 with=200000 kind=dirty-past",
+            ),
+            (
+                Conflict {
+                    obj,
+                    action,
+                    with: 200_000,
+                    kind: ConflictKind::Reservation,
+                },
+                "conflict obj=1 action=100001 with=200000 kind=reservation",
+            ),
+            (Commit { action }, "commit action=100001"),
+            (
+                Abort {
+                    action,
+                    cause: AbortCause::Conflict,
+                },
+                "abort action=100001 cause=conflict",
+            ),
+            (
+                Abort {
+                    action,
+                    cause: AbortCause::Unavailable,
+                },
+                "abort action=100001 cause=unavailable",
+            ),
+            (
+                Abort {
+                    action,
+                    cause: AbortCause::StaleEpoch,
+                },
+                "abort action=100001 cause=stale-epoch",
+            ),
+            (AntiEntropy { peer: 2 }, "anti-entropy peer=2"),
+            (ReconfigStart { epoch }, "reconfig-start epoch=4"),
+            (
+                ConfigAdopt { epoch, version: 9 },
+                "config-adopt epoch=4 version=9",
+            ),
+            (ReconfigCommit { epoch }, "reconfig-commit epoch=4"),
+            (
+                StaleEpoch {
+                    seen: 8,
+                    current: 9,
+                },
+                "stale-epoch seen=8 current=9",
+            ),
+        ];
+        let mut kinds: Vec<&str> = Vec::new();
+        for (action, line) in rendered {
+            assert_eq!(action.to_string(), line);
+            let rest = line.strip_prefix(action.kind()).expect(line);
+            assert!(rest.is_empty() || rest.starts_with(' '), "{line}");
+            kinds.push(action.kind());
+        }
+        // Every variant is in the list above, under a label of its own.
+        kinds.dedup();
+        assert_eq!(kinds.len(), 25, "{kinds:?}");
+        let mut sorted = kinds.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), kinds.len(), "{kinds:?}");
     }
 
     #[test]

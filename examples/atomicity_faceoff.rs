@@ -5,7 +5,6 @@
 //! cargo run --example atomicity_faceoff
 //! ```
 
-use quorumcc::core::{minimal_dynamic_relation, minimal_static_relation};
 use quorumcc::prelude::*;
 use quorumcc::replication::workload::{generate, WorkloadSpec};
 use quorumcc_adts::queue::{Queue, QueueInv};
@@ -16,8 +15,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         depth: 4,
         ..ExploreBounds::default()
     };
-    let s_rel = minimal_static_relation::<Queue>(bounds).relation;
-    let d_rel = s_rel.union(&minimal_dynamic_relation::<Queue>(bounds).relation);
 
     println!("Replicated queue, 3 repositories, 4 clients, enqueue-heavy.");
     println!(
@@ -26,10 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for mode in [Mode::StaticTs, Mode::Hybrid, Mode::Dynamic2pl] {
-        let rel = match mode {
-            Mode::StaticTs | Mode::Hybrid => s_rel.clone(),
-            Mode::Dynamic2pl => d_rel.clone(),
-        };
+        let protocol = Protocol::minimal::<Queue>(mode, bounds);
         let mut committed = 0;
         let mut conflicts = 0;
         let mut unavailable = 0;
@@ -52,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 },
             );
             let run = RunBuilder::<Queue>::new(3)
-                .protocol(ProtocolConfig::new(Protocol::new(mode, rel.clone())).txn_retries(4))
+                .protocol(ProtocolConfig::new(protocol.clone()).txn_retries(4))
                 .seed(seed)
                 .workload(w)
                 .run()?;

@@ -45,12 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for mode in [Mode::StaticTs, Mode::Hybrid, Mode::Dynamic2pl] {
-        let rel = match mode {
-            Mode::StaticTs | Mode::Hybrid => s.relation.clone(),
-            Mode::Dynamic2pl => s.relation.union(&d.relation),
-        };
         let run = RunBuilder::<Account>::new(5)
-            .protocol(ProtocolConfig::new(Protocol::new(mode, rel)).txn_retries(5))
+            .protocol(
+                ProtocolConfig::new(Protocol::minimal::<Account>(mode, bounds)).txn_retries(5),
+            )
             .seed(11)
             .workload(workload.clone())
             .run()?;

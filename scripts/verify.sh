@@ -41,10 +41,9 @@ threads_invariant() {
 # A source file up to its `#[cfg(test)]` module.
 nontest_awk='/^#\[cfg\(test\)\]/{exit} {print}'
 
-# nontest_lines <dir>: non-test Rust lines under <dir>'s crates/*/src + src.
+# nontest_lines <dir>...: non-test Rust lines under the given source dirs.
 nontest_lines() {
-  (cd "$1" && find crates/*/src src -name '*.rs' -print0 \
-    | xargs -0 -n1 awk "$nontest_awk" | wc -l)
+  find "$@" -name '*.rs' -print0 | xargs -0 -n1 awk "$nontest_awk" | wc -l
 }
 
 echo "==> cargo fmt --check"
@@ -58,6 +57,42 @@ if awk "$nontest_awk" crates/replication/src/types.rs | grep -nE '\btouched\b|\b
   echo "crates/replication/src/types.rs names a scope outside its tests (lines above)" >&2
   exit 1
 fi
+
+echo "==> structure: a wire layout is declared once (DESIGN §0)"
+# `put` and `take` come from one field list per type (`wire!`), so a field
+# name appears once per type that has it: `durable` in ReadLog, `begin_ts`
+# in ReadLog and LogEntry. A hand-written direction would name them again.
+wire_src="$(awk "$nontest_awk" crates/net/src/wire.rs)"
+for want in durable:1 begin_ts:2; do
+  word="${want%:*}"
+  found="$(echo "$wire_src" | grep -cw "$word" || true)"
+  if [ "$found" != "${want#*:}" ]; then
+    echo "crates/net/src/wire.rs names $word on $found non-test lines, not ${want#*:}:" >&2
+    echo "$wire_src" | grep -nw "$word" >&2
+    exit 1
+  fi
+done
+
+echo "==> structure: a trace kind label is written once (DESIGN §0)"
+# `kind()` and the rendering both come from the `trace_actions!` rows
+# (`Variant "label" {`), so outside the label enums' `Variant => "label",`
+# rows (`conflict` and `stale-epoch` are an event kind *and* an abort
+# cause) each label opens exactly one string literal.
+trace_src="$(awk "$nontest_awk" crates/sim/src/trace.rs \
+  | grep -vE '^ *[A-Z][A-Za-z]* => "[a-z-]+",$')"
+labels="$(echo "$trace_src" | sed -nE 's/^ *[A-Z][A-Za-z]* "([a-z-]+)"( \{|,)$/\1/p')"
+[ "$(echo "$labels" | wc -l)" -ge 25 ] || {
+  echo "crates/sim/src/trace.rs: fewer than 25 trace_actions! rows found" >&2
+  exit 1
+}
+for label in $labels; do
+  found="$(echo "$trace_src" | grep -cE "\"$label[\" ]" || true)"
+  if [ "$found" != 1 ]; then
+    echo "crates/sim/src/trace.rs writes the kind label \"$label\" $found times:" >&2
+    echo "$trace_src" | grep -nE "\"$label[\" ]" >&2
+    exit 1
+  fi
+done
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -344,16 +379,30 @@ for row in repository_resolve/8192_logs repository_writelog/800_entries/delta \
   }
 done
 
-echo "==> non-test Rust lines under crates/*/src + src/ (ROADMAP aim 2: smaller is better)"
-tree_lines="$(nontest_lines .)"
+echo "==> non-test Rust lines per crate (ROADMAP aim 2: smaller is better)"
+parent_dir=""
 if git rev-parse -q --verify 'HEAD~1^{commit}' > /dev/null 2>&1; then
   parent_dir="$(mktemp -d)"
   git archive HEAD~1 crates src | tar -x -C "$parent_dir"
-  parent_lines="$(nontest_lines "$parent_dir")"
-  rm -rf "$parent_dir"
-  echo "HEAD~1 $parent_lines -> this tree $tree_lines ($((tree_lines - parent_lines)))"
 else
-  echo "this tree $tree_lines (no HEAD~1 here: parent count skipped)"
+  echo "(no HEAD~1 here: parent column skipped)"
 fi
+# count_row <label> <src dir>...: one row of the table below.
+count_row() {
+  local label="$1" tree parent="-" delta="-"
+  shift
+  tree="$(nontest_lines "$@")"
+  if [ -n "$parent_dir" ] && (cd "$parent_dir" && ls -d "$@" > /dev/null 2>&1); then
+    parent="$(cd "$parent_dir" && nontest_lines "$@")"
+    delta="$((tree - parent))"
+  fi
+  printf '%-22s %8s %8s %6s\n' "$label" "$parent" "$tree" "$delta"
+}
+printf '%-22s %8s %8s %6s\n' crate HEAD~1 tree delta
+for src in crates/*/src src; do
+  count_row "${src%/src}" "$src"
+done
+count_row total crates/*/src src
+[ -z "$parent_dir" ] || rm -rf "$parent_dir"
 
-echo "verify.sh: all gates passed"
+echo "verify.sh: all gates passed in ${SECONDS}s"

@@ -13,10 +13,10 @@
 //! qcc types                            list available data types
 //! ```
 //!
-//! Types: queue, prom, flagset, doublebuffer, register, counter, account,
-//! gset, directory, appendlog.
+//! `qcc types` lists the data types; a command given an option it does not
+//! read lists the ones it does.
 
-use quorumcc::core::{battery, certificates, minimal_dynamic_relation, minimal_static_relation};
+use quorumcc::core::{battery, certificates};
 use quorumcc::model::{Classified, Enumerable};
 use quorumcc::prelude::*;
 use quorumcc::quorum::{availability, pareto, planner, threshold, SiteSet};
@@ -26,21 +26,10 @@ use quorumcc::replication::workload::{generate, WorkloadSpec};
 use quorumcc::sim::explore::ExploreConfig;
 use rand::Rng;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::fmt::Display;
 use std::process::ExitCode;
-
-const TYPES: &[&str] = &[
-    "queue",
-    "prom",
-    "flagset",
-    "doublebuffer",
-    "register",
-    "counter",
-    "account",
-    "gset",
-    "directory",
-    "appendlog",
-];
+use std::str::FromStr;
 
 fn bounds() -> ExploreBounds {
     ExploreBounds {
@@ -51,11 +40,13 @@ fn bounds() -> ExploreBounds {
 }
 
 /// Parsed `--key value` options. A subcommand declares its options by
-/// reading them: every lookup is remembered, and [`Opts::finish`] rejects
-/// whatever was given but never asked for.
+/// reading them: every lookup is remembered with the default it falls back
+/// to, and [`Opts::finish`] rejects whatever was given but never asked for
+/// — listing what was.
 struct Opts {
     given: HashMap<String, String>,
-    read: RefCell<HashSet<String>>,
+    /// `(key, default)` in reading order; `""` where there is no default.
+    read: RefCell<Vec<(String, String)>>,
 }
 
 impl Opts {
@@ -81,78 +72,108 @@ impl Opts {
         })
     }
 
-    /// The raw value of `--key`, if given.
-    fn raw(&self, key: &str) -> Option<&String> {
-        self.read.borrow_mut().insert(key.to_string());
+    fn lookup(&self, key: &str, default: String) -> Option<&String> {
+        let mut read = self.read.borrow_mut();
+        if read.iter().all(|(k, _)| k != key) {
+            read.push((key.to_string(), default));
+        }
         self.given.get(key)
     }
 
-    /// `--key` parsed, if given.
-    fn maybe<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        (self.raw(key))
-            .map(|v| v.parse().map_err(|_| format!("bad value for --{key}: {v}")))
-            .transpose()
+    /// The raw value of `--key`, if given.
+    fn raw(&self, key: &str) -> Option<&String> {
+        self.lookup(key, String::new())
     }
 
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        Ok(self.maybe(key)?.unwrap_or(default))
+    fn parsed<T: FromStr>(key: &str, v: &String) -> Result<T, String> {
+        v.parse().map_err(|_| format!("bad value for --{key}: {v}"))
+    }
+
+    /// `--key` parsed, if given.
+    fn maybe<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.raw(key).map(|v| Self::parsed(key, v)).transpose()
+    }
+
+    fn get<T: FromStr + Display>(&self, key: &str, default: T) -> Result<T, String> {
+        let given = self.lookup(key, default.to_string());
+        given.map_or(Ok(default), |v| Self::parsed(key, v))
     }
 
     fn str(&self, key: &str, default: &str) -> String {
-        self.raw(key).map_or(default, String::as_str).to_string()
+        let given = self.lookup(key, default.to_string());
+        given.map_or(default, String::as_str).to_string()
     }
 
     /// Rejects options the subcommand never read; each command calls this
     /// once its configuration is built and before it does any work. A
     /// typo'd or stale flag (say `--batch` on `qcc quorums`) is an error,
     /// not a silent ignore — silently dropping a tuning knob would report
-    /// numbers for a configuration the user never asked for.
+    /// numbers for a configuration the user never asked for. The error
+    /// lists the options the command did read, each with its default
+    /// (bracketed where there is none), so no second list of them is kept.
     fn finish(&self) -> Result<(), String> {
         let read = self.read.borrow();
         let mut unknown: Vec<&str> = (self.given.keys().map(String::as_str))
-            .filter(|k| !read.contains(*k))
+            .filter(|k| read.iter().all(|(r, _)| r != k))
             .collect();
         if unknown.is_empty() {
             return Ok(());
         }
         unknown.sort_unstable();
         let s = if unknown.len() == 1 { "" } else { "s" };
+        // The planted-bug switches stay undocumented.
+        let mut reads: Vec<String> = (read.iter())
+            .filter(|(key, _)| !key.starts_with("unsound-"))
+            .map(|(key, default)| match default.as_str() {
+                "" => format!("[--{key}]"),
+                default => format!("--{key} {default}"),
+            })
+            .collect();
+        if reads.is_empty() {
+            reads.push("no options".to_string());
+        }
         Err(format!(
-            "unknown option{s} for this command: --{}",
-            unknown.join(" --")
+            "unknown option{s} for this command: --{}\nit reads: {}",
+            unknown.join(" --"),
+            reads.join(" ")
         ))
     }
 }
 
-/// Runs `f` with the sequential type named by `name`.
+/// `with_type!(name, f, args…)` runs `f::<S>(args…)` with the sequential
+/// type `S` named by `name`; [`TYPES`] is the names. Both come from the
+/// `@types` row, the one place a data type meets its command-line name.
 macro_rules! with_type {
-    ($name:expr, $f:ident, $($arg:expr),*) => {
-        match $name {
-            "queue" => $f::<quorumcc_adts::Queue>($($arg),*),
-            "prom" => $f::<quorumcc_adts::Prom>($($arg),*),
-            "flagset" => $f::<quorumcc_adts::FlagSet>($($arg),*),
-            "doublebuffer" => $f::<quorumcc_adts::DoubleBuffer>($($arg),*),
-            "register" => $f::<quorumcc_adts::Register>($($arg),*),
-            "counter" => $f::<quorumcc_adts::Counter>($($arg),*),
-            "account" => $f::<quorumcc_adts::Account>($($arg),*),
-            "gset" => $f::<quorumcc_adts::GSet>($($arg),*),
-            "directory" => $f::<quorumcc_adts::Directory>($($arg),*),
-            "appendlog" => $f::<quorumcc_adts::AppendLog>($($arg),*),
+    (@types $($then:tt)*) => {
+        with_type!($($then)* "queue" Queue, "prom" Prom, "flagset" FlagSet,
+            "doublebuffer" DoubleBuffer, "register" Register, "counter" Counter,
+            "account" Account, "gset" GSet, "directory" Directory, "appendlog" AppendLog)
+    };
+    (@names $($name:literal $ty:ident),*) => { &[$($name),*] };
+    (@call $on:expr, $f:ident, $args:tt, $($name:literal $ty:ident),*) => {
+        match $on {
+            $($name => $f::<quorumcc_adts::$ty> $args,)*
             other => Err(format!("unknown type: {other} (try `qcc types`)")),
         }
     };
+    ($on:expr, $f:ident, $($arg:expr),*) => {
+        with_type!(@types @call $on, $f, ($($arg),*),)
+    };
 }
 
-fn relation_for<S: Enumerable + Classified>(
-    which: &str,
-) -> Result<quorumcc::core::DependencyRelation, String> {
-    match which {
-        "static" | "hybrid" => Ok(minimal_static_relation::<S>(bounds()).relation),
-        "dynamic" => Ok(minimal_static_relation::<S>(bounds())
-            .relation
-            .union(&minimal_dynamic_relation::<S>(bounds()).relation)),
-        other => Err(format!("unknown relation/mode: {other}")),
-    }
+const TYPES: &[&str] = with_type!(@types @names);
+
+/// `--relation static|hybrid|dynamic`: the relation the named mode runs
+/// under, which `quorums`, `frontier` and `reconfig` plan against.
+fn relation_from_opts<S: Enumerable + Classified>(
+    opts: &Opts,
+    default: &str,
+) -> Result<(String, quorumcc::core::DependencyRelation), String> {
+    let which = opts.str("relation", default);
+    let rel = Protocol::minimal::<S>(which.parse()?, bounds())
+        .rel()
+        .clone();
+    Ok((which, rel))
 }
 
 /// `--priority Read,Write`: the named operation classes of `S`, in the
@@ -186,10 +207,9 @@ fn cmd_relations<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> 
 
 fn cmd_quorums<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
     let n: u32 = opts.get("sites", 5u32)?;
-    let which = opts.str("relation", "static");
+    let (which, rel) = relation_from_opts::<S>(opts, "static")?;
     let priority = priority_from_opts::<S>(opts);
     opts.finish()?;
-    let rel = relation_for::<S>(&which)?;
     let ops = S::op_classes();
     let evs = S::event_classes();
     let ta = threshold::optimize(&rel, n, &ops, &evs, &priority).map_err(|e| e.to_string())?;
@@ -211,9 +231,8 @@ fn cmd_quorums<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
 
 fn cmd_frontier<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
     let n: u32 = opts.get("sites", 5u32)?;
-    let which = opts.str("relation", "static");
+    let (which, rel) = relation_from_opts::<S>(opts, "static")?;
     opts.finish()?;
-    let rel = relation_for::<S>(&which)?;
     let ops = S::op_classes();
     let evs = S::event_classes();
     let f = pareto::frontier(&rel, n, &ops, &evs);
@@ -236,8 +255,7 @@ fn cmd_reconfig<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
     if n == 0 || n > 16 {
         return Err(format!("--sites must be in 1..=16, got {n}"));
     }
-    let which = opts.str("relation", "hybrid");
-    let rel = relation_for::<S>(&which)?;
+    let (which, rel) = relation_from_opts::<S>(opts, "hybrid")?;
     let ops = S::op_classes();
     let evs = S::event_classes();
 
@@ -319,7 +337,7 @@ fn cmd_reconfig<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
 /// Builds the `RunBuilder` shared by `simulate` and `trace` from the
 /// common command-line options.
 fn builder_from_opts<S: Enumerable + Classified>(opts: &Opts) -> Result<RunBuilder<S>, String> {
-    let protocol = protocol_from_opts::<S>(opts)?;
+    let (_, protocol) = protocol_from_opts::<S>(opts)?;
     let spec = WorkloadSpec {
         clients: opts.get("clients", 3usize)?,
         txns_per_client: opts.get("txns", 4usize)?,
@@ -389,13 +407,12 @@ fn cmd_simulate<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
 
 fn cmd_trace<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
     let builder = builder_from_opts::<S>(opts)?.trace(TraceConfig::unbounded());
-    // Filters: --obj N, --site N, --action kind, --from T, --until T.
     let f_obj: Option<u64> = opts.maybe("obj")?;
     let f_site: Option<u32> = opts.maybe("site")?;
     let f_action = opts.raw("action");
     let f_from: SimTime = opts.get("from", 0)?;
-    let f_until: SimTime = opts.get("until", SimTime::MAX)?;
-    let limit: usize = opts.get("limit", usize::MAX)?;
+    let f_until: SimTime = opts.maybe("until")?.unwrap_or(SimTime::MAX);
+    let limit: usize = opts.maybe("limit")?.unwrap_or(usize::MAX);
     let save = opts.raw("save");
     opts.finish()?;
 
@@ -459,24 +476,14 @@ fn cmd_trace<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves a mode name into the protocol every run-shaped subcommand
-/// uses (the relation is the minimal one the mode needs).
-fn protocol_from_mode<S: Enumerable + Classified>(mode_s: &str) -> Result<Protocol, String> {
-    let mode = match mode_s {
-        "static" => Mode::StaticTs,
-        "hybrid" => Mode::Hybrid,
-        "dynamic" => Mode::Dynamic2pl,
-        other => return Err(format!("unknown mode: {other}")),
-    };
-    let rel = relation_for::<S>(match mode {
-        Mode::Dynamic2pl => "dynamic",
-        _ => "static",
-    })?;
-    Ok(Protocol::new(mode, rel))
-}
-
-fn protocol_from_opts<S: Enumerable + Classified>(opts: &Opts) -> Result<Protocol, String> {
-    protocol_from_mode::<S>(&opts.str("mode", "hybrid"))
+/// `--mode static|hybrid|dynamic`: the protocol every run-shaped
+/// subcommand uses.
+fn protocol_from_opts<S: Enumerable + Classified>(
+    opts: &Opts,
+) -> Result<(String, Protocol), String> {
+    let mode_s = opts.str("mode", "hybrid");
+    let protocol = Protocol::minimal::<S>(mode_s.parse()?, bounds());
+    Ok((mode_s, protocol))
 }
 
 /// `qcc chaos <type>`: the deterministic fuzz driver. Samples `--runs`
@@ -487,8 +494,7 @@ fn protocol_from_opts<S: Enumerable + Classified>(opts: &Opts) -> Result<Protoco
 /// minimal reproducer and prints the exact replay command. `--replay
 /// SPEC` re-runs one encoded plan instead.
 fn cmd_chaos<S: Enumerable + Classified>(ty: &str, opts: &Opts) -> Result<(), String> {
-    let mode_s = opts.str("mode", "hybrid");
-    let protocol = protocol_from_mode::<S>(&mode_s)?;
+    let (mode_s, protocol) = protocol_from_opts::<S>(opts)?;
     let (shards, batch) = shards_and_batch(opts)?;
     let cfg = ChaosConfig {
         n_sites: opts.get("sites", 3u32)?,
@@ -624,7 +630,7 @@ fn cmd_explore<S: Enumerable + Classified + Clone + std::fmt::Debug>(
             return Err("--replay takes no other options (the spec carries the shape)".to_string());
         }
         let spec = ExploreSpec::parse(raw)?;
-        let protocol = protocol_from_mode::<S>(&spec.mode)?;
+        let protocol = Protocol::minimal::<S>(spec.mode.parse()?, bounds());
         let r = rexplore::replay_setup::<S>(&protocol, &spec.setup, &spec.sched)
             .map_err(|e| e.to_string())?;
         println!("replaying {spec}");
@@ -643,8 +649,7 @@ fn cmd_explore<S: Enumerable + Classified + Clone + std::fmt::Debug>(
         };
     }
 
-    let mode_s = opts.str("mode", "hybrid");
-    let protocol = protocol_from_mode::<S>(&mode_s)?;
+    let (mode_s, protocol) = protocol_from_opts::<S>(opts)?;
     let knob = match (
         opts.get("unsound-weaken-read-quorum", false)?,
         opts.get("unsound-skip-final-ack", false)?,
@@ -740,7 +745,7 @@ fn cmd_explore<S: Enumerable + Classified + Clone + std::fmt::Debug>(
 /// generates `Enq`/`Deq` workloads (`--deq 0` is the conflict-free
 /// Enq-only shape the `exp_load` bench uses).
 fn cmd_load(opts: &Opts) -> Result<(), String> {
-    let protocol = protocol_from_opts::<quorumcc_adts::Queue>(opts)?;
+    let (_, protocol) = protocol_from_opts::<quorumcc_adts::Queue>(opts)?;
     let gc_batch = opts.get("gc", 0u64)?;
     let fault_profile = quorumcc::net::NetFaultProfile::parse(&opts.str("fault-profile", "none"))?;
     let crash = match opts.str("crash", "").as_str() {
@@ -845,12 +850,8 @@ fn usage() -> String {
      \x20    qcc chaos queue --seed 7 --runs 200 | qcc chaos queue --replay 's=7;...'\n\
      \x20    qcc explore queue --sites 2 --clients 2 --depth 14 | qcc explore queue --replay 'mode=...'\n\
      \x20    qcc load --mode static --clients 2000 --cells 8 | qcc load --scoped true --gc 64\n\
-     trace filters: --obj N --site N --action k1,k2 --from T --until T --limit N --save FILE\n\
-     load (real TCP sockets, queue workload): --cells N --sites N --clients N --txns N --ops N\n\
-     \x20    --objects N --workers N --seed N --timeout-ms N --narrow BOOL --deq FRAC --ramp-ms N --deadline SECS\n\
-     \x20    --scoped BOOL --gc BATCH (status GC sweep batch, 0 = off)\n\
-     \x20    --fault-profile none|lossy|stormy[:seed] (socket fault injection) --crash REPO:AT_MS:DOWN_MS\n\
-     \x20    --retransmit-ms N (ResolveAck frontier repair, 0 = off)"
+     options: a command given one it does not read (say `qcc load --help me`) lists\n\
+     \x20    those it does, each with its default"
         .to_string()
 }
 

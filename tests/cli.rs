@@ -235,3 +235,65 @@ fn repeated_option_is_rejected() {
     assert!(!ok, "repeated --seed accepted");
     assert!(stderr.contains("--seed given more than once"), "{stderr}");
 }
+
+/// The unknown-option error is the option reference: it lists what the
+/// command read, each option beside its default — one case per family of
+/// commands that share a reader.
+#[test]
+fn an_unknown_option_lists_what_the_command_reads() {
+    let cases: [(&[&str], &[&str]); 6] = [
+        (&["relations", "queue"], &["it reads: no options"]),
+        (
+            &["quorums", "prom"],
+            &["--sites 5", "--relation static", "[--priority]"],
+        ),
+        (
+            &["trace", "queue"],
+            &["--mode hybrid", "--clients 3", "--delta true", "[--action]"],
+        ),
+        (
+            &["chaos", "queue"],
+            &["--mode hybrid", "--runs 200", "--threads 0", "[--replay]"],
+        ),
+        (
+            &["explore", "queue"],
+            &["--mode hybrid", "--fan b", "--depth 20", "--por on"],
+        ),
+        (
+            &["load"],
+            &["--mode hybrid", "--clients 300", "--gc 0", "[--crash]"],
+        ),
+    ];
+    for (cmd, reads) in cases {
+        let mut args = cmd.to_vec();
+        args.extend(["--bogus", "1"]);
+        let (ok, _, stderr) = qcc(&args);
+        assert!(!ok, "{cmd:?} accepted --bogus");
+        assert!(stderr.contains("unknown option"), "{cmd:?}: {stderr}");
+        for read in reads {
+            assert!(stderr.contains(read), "{cmd:?} lacks {read}: {stderr}");
+        }
+        // The planted-bug switches stay out of it.
+        assert!(!stderr.contains("unsound"), "{cmd:?}: {stderr}");
+    }
+}
+
+/// A mode reads back from either spelling: the one `--mode` has always
+/// taken and the one every report prints.
+#[test]
+fn both_spellings_of_a_mode_resolve() {
+    for mode in ["dynamic", "dynamic-2pl"] {
+        let (ok, stdout, stderr) = qcc(&["simulate", "queue", "--mode", mode, "--clients", "2"]);
+        assert!(ok, "{mode}: {stderr}");
+        assert!(stdout.contains("mode dynamic-2pl:"), "{stdout}");
+        let spec = format!(
+            "mode={mode};sites=2;clients=2;txns=1;ops=1;objects=1;seed=0;depth=40;por=1;\
+             knob=skipack;sched=0.0.0.0.0"
+        );
+        let (_, stdout, _) = qcc(&["explore", "queue", "--replay", &spec]);
+        assert!(stdout.contains("safety VIOLATION: lost write"), "{stdout}");
+    }
+    let (ok, _, stderr) = qcc(&["simulate", "queue", "--mode", "2pl"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown mode: 2pl"), "{stderr}");
+}
