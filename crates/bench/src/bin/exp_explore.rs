@@ -139,6 +139,8 @@ fn witness_spec(knob: Knob) -> (ExploreSpec, usize) {
             setup,
             depth,
             por: true,
+            drops: 0,
+            crashes: 0,
             sched: w.schedule,
         },
         d,

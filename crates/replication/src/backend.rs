@@ -1,13 +1,14 @@
 //! Execution backends for the sans-I/O cluster.
 //!
-//! The protocol core ([`Driver`](crate::driver::Driver) implementations in
+//! The protocol core ([`Driver`](quorumcc_sim::Driver) implementations in
 //! `client`, `repository`, and `reconfig`) never touches a clock, socket, or
-//! RNG directly — everything flows through the [`Io`](crate::driver::Io)
+//! RNG directly — everything flows through the [`Io`](quorumcc_sim::Io)
 //! surface. That makes the choice of *host* a swappable detail:
 //!
 //! * [`BackendKind::Des`] — the deterministic discrete-event simulator
-//!   (`quorumcc_sim::Sim`), via [`DesAdapter`](crate::driver::DesAdapter).
-//!   Fully reproducible; supports fault plans, tracing, and chaos.
+//!   (`quorumcc_sim::Sim`), which steps the drivers itself with its `Ctx`
+//!   as their `Io`. Fully reproducible; supports fault plans, tracing, and
+//!   chaos.
 //! * [`BackendKind::Channels`] — a real-concurrency host: one OS thread per
 //!   node running [`host::run`] over an `std::sync::mpsc`
 //!   [`Transport`], wall-clock timers.
@@ -26,10 +27,11 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use quorumcc_model::Classified;
-use quorumcc_sim::{chance, splitmix64, FaultPlan, NetworkConfig, ProcId, SimStats, SimTime};
+use quorumcc_sim::{
+    chance, splitmix64, CollectIo, FaultPlan, NetworkConfig, ProcId, SimStats, SimTime,
+};
 
 use crate::cluster::Node;
-use crate::driver::CollectIo;
 use crate::host::{self, Clock as _, CrashScript, HostStats, Transport, WallClock};
 use crate::messages::Msg;
 

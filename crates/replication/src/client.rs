@@ -14,7 +14,6 @@
 //! the "unambiguous ordering on Begin and Commit events" the paper
 //! assumes.
 
-use crate::driver::Io;
 use crate::messages::{Batcher, Msg};
 use crate::metrics::ClientMetrics;
 use crate::protocol::{ConflictReason, EvalCache, Protocol};
@@ -25,7 +24,7 @@ use crate::types::{
 use quorumcc_model::{ActionId, Classified, Event};
 use quorumcc_quorum::ThresholdAssignment;
 use quorumcc_sim::trace::{AbortCause, ConflictKind, PhaseKind, TraceAction};
-use quorumcc_sim::{ProcId, SimTime, Timestamp};
+use quorumcc_sim::{Io, ProcId, SimTime, Timestamp};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A transaction: a sequence of operations on replicated objects.
@@ -1328,10 +1327,10 @@ impl<S: Classified> Client<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{CollectIo, Input, Output};
     use crate::types::LogDelta;
     use quorumcc_core::DependencyRelation;
     use quorumcc_model::testtypes::{QInv, QRes, TestQueue};
+    use quorumcc_sim::{CollectIo, Input, Output};
 
     fn client(fanout: Fanout, repos: u32) -> Client<TestQueue> {
         let thresholds = quorumcc_quorum::ThresholdAssignment::new(repos);
@@ -1524,10 +1523,10 @@ mod tests {
     #[test]
     fn evaluation_caches_change_nothing_a_client_says_or_shows() {
         use crate::cluster::Node;
-        use crate::driver::Driver as _;
         use crate::protocol::Mode;
         use crate::repository::Repository;
         use quorumcc_model::spec::ExploreBounds;
+        use quorumcc_sim::Driver as _;
 
         let bounds = ExploreBounds {
             depth: 4,

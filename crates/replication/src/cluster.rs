@@ -10,7 +10,6 @@
 
 use crate::backend::BackendKind;
 use crate::client::{Client, ClientConfig, ClientStats, Fanout, Record, Transaction};
-use crate::driver::{DesAdapter, Driver, Input, Io};
 use crate::error::ReplicationError;
 use crate::history;
 use crate::messages::Msg;
@@ -23,7 +22,8 @@ use quorumcc_model::spec::ExploreBounds;
 use quorumcc_model::{BHistory, Classified, Enumerable};
 use quorumcc_quorum::{planner, SiteSet, ThresholdAssignment};
 use quorumcc_sim::{
-    FaultPlan, NetworkConfig, ProcId, Sim, SimStats, SimTime, TraceBuffer, TraceConfig,
+    Driver, FaultPlan, Input, Io, NetworkConfig, ProcId, Sim, SimStats, SimTime, TraceBuffer,
+    TraceConfig,
 };
 use std::collections::BTreeSet;
 
@@ -41,9 +41,9 @@ pub enum Node<S: Classified> {
     Reconfig(Reconfigurer<S>),
 }
 
-/// A whole node is one sans-I/O [`Driver`]: every backend — the
-/// deterministic simulator (via [`DesAdapter`]) and the real-time host
-/// loop ([`crate::host::run`]) — feeds it the same [`Input`] alphabet and
+/// A whole node is one sans-I/O [`Driver`]: every host — the
+/// deterministic simulator, the explorer and the real-time loop
+/// ([`crate::host::run`]) — feeds it the same [`Input`] alphabet and
 /// receives effects through the same [`Io`] surface.
 impl<S: Classified> Driver<Msg<S::Inv, S::Res>> for Node<S> {
     #[inline]
@@ -899,16 +899,12 @@ impl<S: Classified + Enumerable> Assembly<S> {
 
     /// Runs the drivers under the deterministic simulator.
     fn run_des(mut self) -> RunReport<S> {
-        let procs = self.take_nodes().into_iter().map(DesAdapter::new).collect();
+        let nodes = self.take_nodes();
         let faults = std::mem::replace(&mut self.faults, FaultPlan::none());
-        let mut sim = Sim::with_trace(procs, self.net, faults, self.seed, self.trace_cfg);
+        let mut sim = Sim::with_trace(nodes, self.net, faults, self.seed, self.trace_cfg);
         let sim_stats = sim.run(self.max_time);
         let trace = sim.take_trace();
-        self.harvest(
-            sim.processes().iter().map(DesAdapter::driver),
-            sim_stats,
-            trace,
-        )
+        self.harvest(sim.processes(), sim_stats, trace)
     }
 
     /// Runs the drivers on the real-concurrency channels backend.

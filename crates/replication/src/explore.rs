@@ -40,7 +40,6 @@
 
 use crate::client::{Client, Transaction};
 use crate::cluster::{Assembly, Node, ProtocolConfig, RunBuilder, TuningConfig};
-use crate::driver::DesAdapter;
 use crate::error::ReplicationError;
 use crate::messages::Msg;
 use crate::protocol::Protocol;
@@ -147,7 +146,9 @@ impl Default for ExploreSetup {
 ///
 /// `sched` is the witness schedule — indices into each prefix state's
 /// canonical enabled-choice list, which is independent of whether
-/// partial-order reduction was on when the witness was found.
+/// partial-order reduction was on when the witness was found but not of
+/// the fault budgets (they add `Drop`/`Crash` choices to the list), so
+/// `drops=`/`crashes=` travel with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreSpec {
     /// Protocol mode name (resolved back to a protocol by the CLI).
@@ -159,6 +160,10 @@ pub struct ExploreSpec {
     /// Whether partial-order reduction was on (informational; replay is
     /// identical either way).
     pub por: bool,
+    /// Messages each branch could drop ([`ExploreConfig::drop_budget`]).
+    pub drops: u32,
+    /// Crashes each branch could inject ([`ExploreConfig::crash_budget`]).
+    pub crashes: u32,
     /// The schedule to replay.
     pub sched: Vec<u32>,
 }
@@ -179,11 +184,17 @@ impl fmt::Display for ExploreSpec {
             self.depth,
             u8::from(self.por),
         )?;
-        // Broadcast fan-out is the default; like the chaos codec's
-        // `shards`/`batch`, the field appears only when it deviates, so
-        // pre-existing specs stay byte-identical.
+        // Broadcast fan-out and zero fault budgets are the defaults; like
+        // the chaos codec's `shards`/`batch`, each field appears only when
+        // it deviates, so pre-existing specs stay byte-identical.
         if self.setup.narrow {
             write!(f, ";fan=n")?;
+        }
+        if self.drops > 0 {
+            write!(f, ";drops={}", self.drops)?;
+        }
+        if self.crashes > 0 {
+            write!(f, ";crashes={}", self.crashes)?;
         }
         write!(
             f,
@@ -206,6 +217,8 @@ impl ExploreSpec {
             setup: ExploreSetup::default(),
             depth: 0,
             por: true,
+            drops: 0,
+            crashes: 0,
             sched: Vec::new(),
         };
         for (key, value) in spec::fields(s)? {
@@ -226,6 +239,8 @@ impl ExploreSpec {
                         other => return Err(format!("bad fan: {other:?}")),
                     }
                 }
+                "drops" => out.drops = spec::num(value, "drops")?,
+                "crashes" => out.crashes = spec::num(value, "crashes")?,
                 "knob" => out.setup.knob = Knob::parse(value)?,
                 "sched" => {
                     out.sched = value
@@ -241,6 +256,18 @@ impl ExploreSpec {
             return Err("missing mode".to_string());
         }
         Ok(out)
+    }
+
+    /// The exploration settings the spec records: what a replay must run
+    /// under to enumerate the same choices.
+    pub fn config(&self) -> ExploreConfig {
+        ExploreConfig {
+            max_depth: self.depth,
+            por: self.por,
+            drop_budget: self.drops,
+            crash_budget: self.crashes,
+            ..ExploreConfig::default()
+        }
     }
 }
 
@@ -263,17 +290,17 @@ struct Hooks<S: Classified + Enumerable + Clone + fmt::Debug> {
     bounds: ExploreBounds,
 }
 
-fn clients<S: Classified>(procs: &[DesAdapter<Node<S>>]) -> impl Iterator<Item = &Client<S>> {
-    procs.iter().filter_map(|p| match p.driver() {
+fn clients<S: Classified>(procs: &[Node<S>]) -> impl Iterator<Item = &Client<S>> {
+    procs.iter().filter_map(|p| match p {
         Node::Client(c) => Some(c),
         _ => None,
     })
 }
 
-impl<S: Classified + Enumerable + Clone + fmt::Debug>
-    ExploreHooks<Msg<S::Inv, S::Res>, DesAdapter<Node<S>>> for Hooks<S>
+impl<S: Classified + Enumerable + Clone + fmt::Debug> ExploreHooks<Msg<S::Inv, S::Res>, Node<S>>
+    for Hooks<S>
 {
-    fn decided(&self, procs: &[DesAdapter<Node<S>>]) -> u64 {
+    fn decided(&self, procs: &[Node<S>]) -> u64 {
         clients(procs)
             .map(|c| {
                 let s = c.stats();
@@ -282,12 +309,8 @@ impl<S: Classified + Enumerable + Clone + fmt::Debug>
             .sum()
     }
 
-    fn check(&self, procs: &[DesAdapter<Node<S>>]) -> Option<String> {
-        let report = self.assembly.harvest(
-            procs.iter().map(DesAdapter::driver),
-            SimStats::default(),
-            None,
-        );
+    fn check(&self, procs: &[Node<S>]) -> Option<String> {
+        let report = self.assembly.harvest(procs, SimStats::default(), None);
         let full = self.decided(procs) >= self.total_txns;
         let safety = report.safety_gated(self.bounds, full);
         safety.violations().first().map(ToString::to_string)
@@ -309,7 +332,7 @@ impl<S: Classified + Enumerable + Clone + fmt::Debug>
         }
     }
 
-    fn done(&self, procs: &[DesAdapter<Node<S>>]) -> bool {
+    fn done(&self, procs: &[Node<S>]) -> bool {
         clients(procs).all(Client::is_done)
     }
 
@@ -320,12 +343,11 @@ impl<S: Classified + Enumerable + Clone + fmt::Debug>
 
 /// Builds the cluster for a shape: the [`RunBuilder::assemble`] every host
 /// goes through, its drivers handed to the explorer instead of an engine.
-#[allow(clippy::type_complexity)]
 fn build_cluster<S: Classified + Enumerable + Clone + fmt::Debug>(
     protocol: &Protocol,
     setup: &ExploreSetup,
     workload: Vec<Vec<Transaction<S::Inv>>>,
-) -> Result<(Hooks<S>, Vec<DesAdapter<Node<S>>>), ReplicationError> {
+) -> Result<(Hooks<S>, Vec<Node<S>>), ReplicationError> {
     let mut tuning = TuningConfig::default();
     if setup.narrow {
         tuning = tuning.fanout(crate::client::Fanout::Narrow);
@@ -342,11 +364,7 @@ fn build_cluster<S: Classified + Enumerable + Clone + fmt::Debug>(
         .seed(setup.seed)
         .workload(workload)
         .assemble()?;
-    let procs = assembly
-        .take_nodes()
-        .into_iter()
-        .map(DesAdapter::new)
-        .collect();
+    let procs = assembly.take_nodes();
     Ok((
         Hooks {
             assembly,
@@ -408,7 +426,8 @@ pub fn explore_workload<S: Classified + Enumerable + Clone + fmt::Debug>(
     Ok(explore(procs, &hooks, cfg))
 }
 
-/// Replays a witness schedule against the seeded shape, step for step.
+/// Replays a witness schedule against the seeded shape, step for step,
+/// under the fault budgets of the exploration that found it (`cfg`).
 ///
 /// # Errors
 ///
@@ -416,9 +435,10 @@ pub fn explore_workload<S: Classified + Enumerable + Clone + fmt::Debug>(
 pub fn replay_setup<S: Classified + Enumerable + Clone + fmt::Debug>(
     protocol: &Protocol,
     setup: &ExploreSetup,
+    cfg: ExploreConfig,
     schedule: &[u32],
 ) -> Result<ExploreReplay, ReplicationError> {
-    replay_workload::<S>(protocol, setup, seeded_workload::<S>(setup), schedule)
+    replay_workload::<S>(protocol, setup, seeded_workload::<S>(setup), cfg, schedule)
 }
 
 /// Replays a witness schedule against a hand-written workload.
@@ -430,12 +450,13 @@ pub fn replay_workload<S: Classified + Enumerable + Clone + fmt::Debug>(
     protocol: &Protocol,
     setup: &ExploreSetup,
     workload: Vec<Vec<Transaction<S::Inv>>>,
+    cfg: ExploreConfig,
     schedule: &[u32],
 ) -> Result<ExploreReplay, ReplicationError> {
     let (hooks, procs) = build_cluster::<S>(protocol, setup, workload)?;
     let cfg = ExploreConfig {
         seed: setup.seed,
-        ..ExploreConfig::default()
+        ..cfg
     };
     let r = replay(procs, &hooks, cfg, schedule);
     Ok(ExploreReplay {

@@ -16,9 +16,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-use quorumcc_sim::{ProcId, SimStats, SimTime};
-
-use crate::driver::{CollectIo, Driver, Input, Io as _, Output};
+use quorumcc_sim::{CollectIo, Driver, Input, Io as _, Output, ProcId, SimStats, SimTime};
 
 /// Who carries the messages. [`run`] calls `poll` until it returns `None`
 /// (the whole ready backlog), fires due timers, then `flush`es once and
@@ -364,7 +362,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::Io;
+    use quorumcc_sim::Io;
     use std::cell::Cell;
     use std::collections::VecDeque;
     use std::rc::Rc;

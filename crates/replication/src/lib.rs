@@ -42,7 +42,6 @@ pub mod backend;
 pub mod chaos;
 pub mod client;
 pub mod cluster;
-pub mod driver;
 pub mod error;
 pub mod explore;
 pub mod history;
@@ -61,13 +60,13 @@ pub use backend::BackendKind;
 pub use chaos::{ChaosConfig, ChaosOutcome, ChaosPlan, ChaosProfile, ProfileStats};
 pub use client::{Client, ClientConfig, ClientStats, Fanout, Transaction};
 pub use cluster::{Assembly, Node, ProtocolConfig, RunBuilder, RunReport, TuningConfig};
-pub use driver::{CollectIo, DesAdapter, Driver, Input, Io, Output};
 pub use error::ReplicationError;
 pub use explore::{ExploreReplay, ExploreSetup, ExploreSpec, Knob};
 pub use messages::Msg;
 pub use metrics::{ClientMetrics, LogicalHistogram, RunTelemetry};
 pub use oracle::{SafetyReport, SafetyViolation};
 pub use protocol::{Conflict, ConflictReason, EvalCache, Mode, Protocol};
+pub use quorumcc_sim::node::{CollectIo, Driver, Input, Io, Output};
 pub use reconfig::{Config, ConfigState, ReconfigPolicy, ReconfigRecord, Reconfigurer};
 pub use repository::{Durability, RepoCounters, Repository};
 pub use types::{

@@ -2,11 +2,10 @@
 //! [`Batcher`] that coalesces per-destination traffic into
 //! [`Msg::Batch`] envelopes.
 
-use crate::driver::Io;
 use crate::reconfig::ConfigState;
 use crate::types::{ActionOutcome, LogDelta, LogEntry, ObjId, ObjectLog};
 use quorumcc_model::ActionId;
-use quorumcc_sim::{ProcId, Timestamp, TraceAction};
+use quorumcc_sim::{Io, ProcId, Timestamp, TraceAction};
 use std::collections::BTreeMap;
 
 /// Messages exchanged in a cluster. `I`/`R` are the data type's invocation

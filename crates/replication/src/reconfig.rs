@@ -30,7 +30,6 @@
 //! membership (install-triggered anti-entropy), migrating state to any
 //! freshly added member.
 
-use crate::driver::Io;
 use crate::error::ReplicationError;
 use crate::messages::Msg;
 use crate::types::{ObjId, ShardMap};
@@ -38,7 +37,7 @@ use quorumcc_core::DependencyRelation;
 use quorumcc_model::{Classified, EventClass};
 use quorumcc_quorum::{QuorumSet, SiteSet, ThresholdAssignment};
 use quorumcc_sim::trace::TraceAction;
-use quorumcc_sim::{ProcId, SimTime};
+use quorumcc_sim::{Io, ProcId, SimTime};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::marker::PhantomData;

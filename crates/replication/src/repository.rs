@@ -11,7 +11,6 @@
 //! set, so one repository always witnesses the pair in some order — either
 //! the reader saw the entry, or the writer hears about the reservation.
 
-use crate::driver::Io;
 use crate::messages::{Batcher, Msg};
 use crate::protocol::{Mode, Protocol};
 use crate::reconfig::ConfigState;
@@ -22,7 +21,7 @@ use crate::types::{
 use quorumcc_core::DependencyRelation;
 use quorumcc_model::{ActionId, Classified};
 use quorumcc_sim::trace::{ConflictKind, TraceAction};
-use quorumcc_sim::{ProcId, SimTime, Timestamp};
+use quorumcc_sim::{Io, ProcId, SimTime, Timestamp};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Timer token repositories use for anti-entropy rounds.
@@ -1217,12 +1216,11 @@ impl<S: Classified> Repository<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{CollectIo, Output};
     use crate::types::{action_id, entry_of, ActionOutcome};
     use quorumcc_core::minimal_static_relation;
     use quorumcc_model::spec::ExploreBounds;
     use quorumcc_model::testtypes::{QInv, QRes, TestQueue};
-    use quorumcc_sim::{Ctx, FaultPlan, NetworkConfig, Process, Sim};
+    use quorumcc_sim::{CollectIo, Driver, FaultPlan, Input, NetworkConfig, Output, Sim};
 
     fn ts(c: u64, n: u32) -> Timestamp {
         Timestamp {
@@ -1251,23 +1249,21 @@ mod tests {
         Probe(Probe),
     }
 
-    impl Process<Msg<QInv, QRes>> for Node {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<QInv, QRes>>) {
-            if let Node::Probe(p) = self {
-                for m in p.script.drain(..) {
-                    ctx.send(0, m);
-                }
-            }
-        }
-        fn on_message(
+    impl Driver<Msg<QInv, QRes>> for Node {
+        fn handle<IO: Io<Msg<QInv, QRes>> + ?Sized>(
             &mut self,
-            ctx: &mut Ctx<'_, Msg<QInv, QRes>>,
-            from: ProcId,
-            msg: Msg<QInv, QRes>,
+            io: &mut IO,
+            input: Input<Msg<QInv, QRes>>,
         ) {
-            match self {
-                Node::Repo(r) => r.handle(ctx, from, msg),
-                Node::Probe(p) => p.replies.push(msg),
+            match (self, input) {
+                (Node::Probe(p), Input::Start) => {
+                    for m in p.script.drain(..) {
+                        io.send(0, m);
+                    }
+                }
+                (Node::Repo(r), Input::Deliver { from, msg }) => r.handle(io, from, msg),
+                (Node::Probe(p), Input::Deliver { msg, .. }) => p.replies.push(msg),
+                _ => {}
             }
         }
     }

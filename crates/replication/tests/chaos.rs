@@ -15,7 +15,9 @@ use quorumcc_replication::repository::{Durability, Repository};
 use quorumcc_replication::types::{entry_of, ActionOutcome, ObjId, ObjectLog, VersionedLog};
 use quorumcc_replication::workload::{generate, WorkloadSpec};
 use quorumcc_replication::Transaction;
-use quorumcc_sim::{Ctx, FaultPlan, NetworkConfig, ProcId, Process, Sim, Timestamp, TraceConfig};
+use quorumcc_sim::{
+    Driver, FaultPlan, Input, Io, NetworkConfig, ProcId, Sim, Timestamp, TraceConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
@@ -255,61 +257,52 @@ enum Node {
     Probe(Probe),
 }
 
-impl Process<Msg<QInv, QRes>> for Node {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<QInv, QRes>>) {
-        if let Node::Probe(_) = self {
-            for target in [0u32, 1] {
-                for k in 0..3u64 {
-                    let e = entry_of::<TestQueue>(
-                        ts(k + 1, 5),
-                        ActionId(k as u32),
-                        ts(k + 1, 5),
-                        QInv::Enq(k as u8),
-                        QRes::Ok,
-                    );
-                    ctx.send(
+impl Driver<Msg<QInv, QRes>> for Node {
+    fn handle<IO: Io<Msg<QInv, QRes>> + ?Sized>(
+        &mut self,
+        io: &mut IO,
+        input: Input<Msg<QInv, QRes>>,
+    ) {
+        match (self, input) {
+            (Node::Probe(_), Input::Start) => {
+                for target in [0u32, 1] {
+                    for k in 0..3u64 {
+                        let e = entry_of::<TestQueue>(
+                            ts(k + 1, 5),
+                            ActionId(k as u32),
+                            ts(k + 1, 5),
+                            QInv::Enq(k as u8),
+                            QRes::Ok,
+                        );
+                        io.send(
+                            target,
+                            Msg::WriteLog {
+                                obj: ObjId(0),
+                                req: k + 1,
+                                log: ObjectLog::new(),
+                                entry: Some(e),
+                                cfg: 0,
+                                base: 0,
+                            },
+                        );
+                    }
+                    io.send(
                         target,
-                        Msg::WriteLog {
-                            obj: ObjId(0),
-                            req: k + 1,
-                            log: ObjectLog::new(),
-                            entry: Some(e),
-                            cfg: 0,
-                            base: 0,
+                        Msg::Resolve {
+                            action: ActionId(0),
+                            outcome: ActionOutcome::Committed(ts(9, 9)),
+                            entries: vec![(ObjId(0), 1)],
                         },
                     );
                 }
-                ctx.send(
-                    target,
-                    Msg::Resolve {
-                        action: ActionId(0),
-                        outcome: ActionOutcome::Committed(ts(9, 9)),
-                        entries: vec![(ObjId(0), 1)],
-                    },
-                );
+                io.set_timer(400, 0);
             }
-            ctx.set_timer(400, 0);
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg<QInv, QRes>>,
-        from: ProcId,
-        msg: Msg<QInv, QRes>,
-    ) {
-        match self {
-            Node::Repo(r) => r.handle(ctx, from, msg),
-            Node::Probe(p) => p.replies.push((from, msg)),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<QInv, QRes>>, token: u64) {
-        match self {
-            Node::Repo(r) => r.tick(ctx, token),
-            Node::Probe(_) => {
+            (Node::Repo(r), Input::Deliver { from, msg }) => r.handle(io, from, msg),
+            (Node::Probe(p), Input::Deliver { from, msg }) => p.replies.push((from, msg)),
+            (Node::Repo(r), Input::Timer { token }) => r.tick(io, token),
+            (Node::Probe(_), Input::Timer { .. }) => {
                 for target in [0u32, 1] {
-                    ctx.send(
+                    io.send(
                         target,
                         Msg::ReadLog {
                             obj: ObjId(0),
@@ -324,12 +317,8 @@ impl Process<Msg<QInv, QRes>> for Node {
                     );
                 }
             }
-        }
-    }
-
-    fn on_recover(&mut self, ctx: &mut Ctx<'_, Msg<QInv, QRes>>) {
-        if let Node::Repo(r) = self {
-            r.on_recover(ctx);
+            (Node::Repo(r), Input::Recover) => r.on_recover(io),
+            _ => {}
         }
     }
 }
@@ -439,57 +428,55 @@ fn stale_frontier_past_the_journal_is_served_full_and_counted() {
         Repo(Box<Repository<TestQueue>>),
         Flood(Flood),
     }
-    impl Process<Msg<QInv, QRes>> for N {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<QInv, QRes>>) {
-            if let N::Flood(_) = self {
-                for k in 0..1100u64 {
-                    let e = entry_of::<TestQueue>(
-                        ts(k + 1, 5),
-                        ActionId(k as u32),
-                        ts(k + 1, 5),
-                        QInv::Enq((k % 250) as u8),
-                        QRes::Ok,
-                    );
-                    ctx.send(
+    impl Driver<Msg<QInv, QRes>> for N {
+        fn handle<IO: Io<Msg<QInv, QRes>> + ?Sized>(
+            &mut self,
+            io: &mut IO,
+            input: Input<Msg<QInv, QRes>>,
+        ) {
+            match (self, input) {
+                (N::Flood(_), Input::Start) => {
+                    for k in 0..1100u64 {
+                        let e = entry_of::<TestQueue>(
+                            ts(k + 1, 5),
+                            ActionId(k as u32),
+                            ts(k + 1, 5),
+                            QInv::Enq((k % 250) as u8),
+                            QRes::Ok,
+                        );
+                        io.send(
+                            0,
+                            Msg::WriteLog {
+                                obj: ObjId(0),
+                                req: k + 1,
+                                log: ObjectLog::new(),
+                                entry: Some(e),
+                                cfg: 0,
+                                base: 0,
+                            },
+                        );
+                    }
+                    io.send(
                         0,
-                        Msg::WriteLog {
+                        Msg::ReadLog {
                             obj: ObjId(0),
-                            req: k + 1,
-                            log: ObjectLog::new(),
-                            entry: Some(e),
+                            req: 9999,
+                            action: ActionId(7777),
+                            begin_ts: ts(2000, 9),
+                            op: "Deq",
                             cfg: 0,
-                            base: 0,
+                            since: 1,
+                            durable: 0,
                         },
                     );
                 }
-                ctx.send(
-                    0,
-                    Msg::ReadLog {
-                        obj: ObjId(0),
-                        req: 9999,
-                        action: ActionId(7777),
-                        begin_ts: ts(2000, 9),
-                        op: "Deq",
-                        cfg: 0,
-                        since: 1,
-                        durable: 0,
-                    },
-                );
-            }
-        }
-        fn on_message(
-            &mut self,
-            ctx: &mut Ctx<'_, Msg<QInv, QRes>>,
-            from: ProcId,
-            msg: Msg<QInv, QRes>,
-        ) {
-            match self {
-                N::Repo(r) => r.handle(ctx, from, msg),
-                N::Flood(f) => {
+                (N::Repo(r), Input::Deliver { from, msg }) => r.handle(io, from, msg),
+                (N::Flood(f), Input::Deliver { msg, .. }) => {
                     if matches!(msg, Msg::LogReply { .. }) {
                         f.reply = Some(Box::new(msg));
                     }
                 }
+                _ => {}
             }
         }
     }

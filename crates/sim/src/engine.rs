@@ -1,11 +1,17 @@
-//! The deterministic discrete-event engine: processes exchange messages
+//! The deterministic discrete-event engine: [`Driver`]s exchange messages
 //! over a lossy, delaying, crash- and partition-prone network.
 //!
-//! Determinism: executions are a pure function of (processes, network
+//! The engine steps each node with one [`Input`] at a time through
+//! [`Driver::handle`], handing it a [`Ctx`] as its [`Io`] — the call every
+//! real-time host makes with a [`CollectIo`](crate::node::CollectIo).
+//!
+//! Determinism: executions are a pure function of (drivers, network
 //! config, fault plan, seed). Events are ordered by `(time, sequence)`;
-//! all randomness (delays, drops) comes from one seeded RNG.
+//! all randomness (delays, drops, [`Io::rand_below`]) comes from one
+//! seeded RNG.
 
 use crate::fault::{FaultPlan, ProcId, SimTime};
+use crate::node::{Driver, Input, Io};
 use crate::trace::{DropCause, TraceAction, TraceBuffer, TraceConfig, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,27 +56,10 @@ impl NetworkConfig {
     }
 }
 
-/// A process in the simulation: reacts to messages and timers by emitting
-/// actions through [`Ctx`].
-pub trait Process<M> {
-    /// Called once at time 0.
-    fn on_start(&mut self, _ctx: &mut Ctx<'_, M>) {}
-
-    /// Called on message delivery.
-    fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: ProcId, msg: M);
-
-    /// Called when a timer set via [`Ctx::set_timer`] fires.
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _token: u64) {}
-
-    /// Called when the process recovers from a crash interval (at its
-    /// `until` tick, before any same-tick deliveries). Processes model
-    /// volatile state by discarding and rebuilding it here; the default
-    /// keeps today's freeze-and-thaw semantics.
-    fn on_recover(&mut self, _ctx: &mut Ctx<'_, M>) {}
-}
-
-/// The execution context handed to a process: the only way to affect the
-/// world. Actions are buffered and applied when the handler returns.
+/// The engine's [`Io`], handed to a driver for one [`Driver::handle`]
+/// call: time, identity, entropy and the trace come from the run; sends
+/// and timers are buffered and applied when the handler returns. The
+/// explorer builds one per event the same way.
 #[derive(Debug)]
 pub struct Ctx<'a, M> {
     now: SimTime,
@@ -81,60 +70,8 @@ pub struct Ctx<'a, M> {
     timers: Vec<(SimTime, u64)>,
 }
 
-impl<M> Ctx<'_, M> {
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// This process's id.
-    pub fn me(&self) -> ProcId {
-        self.me
-    }
-
-    /// Sends `msg` to `to` (subject to delay, loss, crashes, partitions).
-    pub fn send(&mut self, to: ProcId, msg: M) {
-        self.outbox.push((to, msg, 1));
-    }
-
-    /// Sends a message that stands for `weight` logical payloads — a
-    /// batch envelope. The network treats it as one message (one delay,
-    /// one loss draw, one delivery), but [`SimStats::payload_msgs`]
-    /// advances by `weight`, so telemetry can report both the physical
-    /// message count (post-batching) and the logical payload count the
-    /// same run would have cost unbatched.
-    pub fn send_weighted(&mut self, to: ProcId, msg: M, weight: u64) {
-        self.outbox.push((to, msg, weight.max(1)));
-    }
-
-    /// Schedules `on_timer(token)` after `delay` ticks.
-    pub fn set_timer(&mut self, delay: SimTime, token: u64) {
-        self.timers.push((delay.max(1), token));
-    }
-
-    /// Deterministic per-run randomness for the process's own decisions.
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-
-    /// Records a protocol-level trace event at this site (no-op unless the
-    /// run was built with an enabled [`TraceConfig`]).
-    pub fn trace(&mut self, action: TraceAction) {
-        self.tracer.record_local(self.now, self.me, action);
-    }
-
-    /// Whether tracing is enabled — lets callers skip building expensive
-    /// event payloads when nobody is listening.
-    pub fn tracing(&self) -> bool {
-        self.tracer.enabled()
-    }
-}
-
 impl<'a, M> Ctx<'a, M> {
-    /// A context detached from any running [`Sim`] — the interleaving
-    /// explorer executes handlers one event at a time and collects the
-    /// buffered effects itself via [`Ctx::into_effects`].
-    pub(crate) fn detached(
+    pub(crate) fn new(
         now: SimTime,
         me: ProcId,
         rng: &'a mut StdRng,
@@ -155,6 +92,44 @@ impl<'a, M> Ctx<'a, M> {
     #[allow(clippy::type_complexity)]
     pub(crate) fn into_effects(self) -> (Vec<(ProcId, M, u64)>, Vec<(SimTime, u64)>) {
         (self.outbox, self.timers)
+    }
+}
+
+/// A batch envelope (`send_weighted`) is one message to the network — one
+/// delay, one loss draw, one delivery — but advances
+/// [`SimStats::payload_msgs`] by its weight.
+impl<M> Io<M> for Ctx<'_, M> {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn me(&self) -> ProcId {
+        self.me
+    }
+
+    fn send(&mut self, to: ProcId, msg: M) {
+        self.outbox.push((to, msg, 1));
+    }
+
+    fn send_weighted(&mut self, to: ProcId, msg: M, weight: u64) {
+        self.outbox.push((to, msg, weight.max(1)));
+    }
+
+    fn set_timer(&mut self, delay: SimTime, token: u64) {
+        self.timers.push((delay.max(1), token));
+    }
+
+    fn rand_below(&mut self, bound: u64) -> u64 {
+        // The run's seeded stream: seeded runs replay byte for byte.
+        self.rng.gen_range(0..bound.max(1))
+    }
+
+    fn trace(&mut self, action: TraceAction) {
+        self.tracer.record_local(self.now, self.me, action);
+    }
+
+    fn tracing(&self) -> bool {
+        self.tracer.enabled()
     }
 }
 
@@ -196,7 +171,7 @@ pub struct SimStats {
     /// Messages submitted to the network.
     pub sent: usize,
     /// Logical payloads submitted: like `sent`, but a batch envelope sent
-    /// with [`Ctx::send_weighted`] counts its full weight. Equal to
+    /// with [`Io::send_weighted`] counts its full weight. Equal to
     /// `sent` when nothing batches.
     pub payload_msgs: usize,
     /// Messages delivered.
@@ -219,21 +194,23 @@ pub struct SimStats {
 /// # Example
 ///
 /// ```
-/// use quorumcc_sim::engine::{Ctx, NetworkConfig, Process, Sim};
+/// use quorumcc_sim::engine::{NetworkConfig, Sim};
 /// use quorumcc_sim::fault::FaultPlan;
+/// use quorumcc_sim::node::{Driver, Input, Io};
 ///
-/// /// Ping-pong: process 0 sends `n`; everyone replies `n - 1` until 0.
+/// /// Ping-pong: node 0 sends `n`; everyone replies `n - 1` until 0.
 /// struct Pong(u32);
-/// impl Process<u32> for Pong {
-///     fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-///         if ctx.me() == 0 {
-///             ctx.send(1, 4);
-///         }
-///     }
-///     fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: u32, n: u32) {
-///         self.0 = n;
-///         if n > 0 {
-///             ctx.send(from, n - 1);
+/// impl Driver<u32> for Pong {
+///     fn handle<IO: Io<u32> + ?Sized>(&mut self, io: &mut IO, input: Input<u32>) {
+///         match input {
+///             Input::Start if io.me() == 0 => io.send(1, 4),
+///             Input::Deliver { from, msg: n } => {
+///                 self.0 = n;
+///                 if n > 0 {
+///                     io.send(from, n - 1);
+///                 }
+///             }
+///             _ => {}
 ///         }
 ///     }
 /// }
@@ -249,8 +226,8 @@ pub struct SimStats {
 /// assert_eq!(sim.process(0).0 + sim.process(1).0, 1); // 1 and 0
 /// ```
 #[derive(Debug)]
-pub struct Sim<M, P> {
-    procs: Vec<P>,
+pub struct Sim<M, D> {
+    procs: Vec<D>,
     queue: BinaryHeap<Reverse<Scheduled<M>>>,
     now: SimTime,
     seq: u64,
@@ -259,12 +236,14 @@ pub struct Sim<M, P> {
     faults: FaultPlan,
     stats: SimStats,
     tracer: Tracer,
+    /// Whether every driver has had its [`Input::Start`].
+    started: bool,
 }
 
-impl<M: Clone, P: Process<M>> Sim<M, P> {
-    /// Builds a simulation over the given processes (ids are their
+impl<M: Clone, D: Driver<M>> Sim<M, D> {
+    /// Builds a simulation over the given drivers (ids are their
     /// indices). Tracing is disabled; use [`Sim::with_trace`] to capture.
-    pub fn new(procs: Vec<P>, net: NetworkConfig, faults: FaultPlan, seed: u64) -> Self {
+    pub fn new(procs: Vec<D>, net: NetworkConfig, faults: FaultPlan, seed: u64) -> Self {
         Sim::with_trace(procs, net, faults, seed, TraceConfig::disabled())
     }
 
@@ -272,7 +251,7 @@ impl<M: Clone, P: Process<M>> Sim<M, P> {
     /// enabled, the fault schedule is recorded up front as a prologue and
     /// every network, timer, and process-level event thereafter.
     pub fn with_trace(
-        procs: Vec<P>,
+        procs: Vec<D>,
         net: NetworkConfig,
         faults: FaultPlan,
         seed: u64,
@@ -295,10 +274,11 @@ impl<M: Clone, P: Process<M>> Sim<M, P> {
             faults,
             stats: SimStats::default(),
             tracer,
+            started: false,
         };
         // Schedule one recovery event per crash interval up front. The low
         // sequence numbers make recoveries run before any same-tick
-        // delivery, so a recovering process rebuilds state first.
+        // delivery, so a recovering driver rebuilds state first.
         let crashes: Vec<_> = sim.faults.crashes().to_vec();
         for c in crashes {
             sim.seq += 1;
@@ -318,13 +298,13 @@ impl<M: Clone, P: Process<M>> Sim<M, P> {
         self.tracer.take()
     }
 
-    /// Immutable access to a process (e.g. to read results after `run`).
-    pub fn process(&self, id: ProcId) -> &P {
+    /// Immutable access to a driver (e.g. to read results after `run`).
+    pub fn process(&self, id: ProcId) -> &D {
         &self.procs[id as usize]
     }
 
-    /// All processes.
-    pub fn processes(&self) -> &[P] {
+    /// All drivers, in id order.
+    pub fn processes(&self) -> &[D] {
         &self.procs
     }
 
@@ -333,21 +313,17 @@ impl<M: Clone, P: Process<M>> Sim<M, P> {
         self.now
     }
 
-    /// Runs `on_start` for every process, then drains events until the
-    /// queue is empty or `max_time` is reached. Returns the run's
-    /// statistics.
+    /// Drains events until the queue is empty or `max_time` is reached,
+    /// first delivering [`Input::Start`] to every driver in id order if no
+    /// earlier call has. May be called again to resume. Returns the run's
+    /// statistics so far.
     pub fn run(&mut self, max_time: SimTime) -> SimStats {
-        // Start processes in id order (only on the first run).
-        if self.now == 0 && self.stats.delivered == 0 && self.stats.timers == 0 {
+        if !self.started {
+            self.started = true;
             for id in 0..self.procs.len() as ProcId {
-                self.with_ctx(id, |p, ctx| p.on_start(ctx));
+                self.step(id, Input::Start);
             }
         }
-        self.run_until(max_time)
-    }
-
-    /// Continues draining events until the queue is empty or `max_time`.
-    pub fn run_until(&mut self, max_time: SimTime) -> SimStats {
         while let Some(Reverse(ev)) = self.queue.pop() {
             if ev.at > max_time {
                 // Leave the event unprocessed; time stops at max_time.
@@ -379,17 +355,17 @@ impl<M: Clone, P: Process<M>> Sim<M, P> {
                 EventKind::Deliver { from, msg, stamp } => {
                     self.stats.delivered += 1;
                     self.tracer.record_deliver(self.now, to, from, stamp);
-                    self.with_ctx(to, |p, ctx| p.on_message(ctx, from, msg));
+                    self.step(to, Input::Deliver { from, msg });
                 }
                 EventKind::Timer { token } => {
                     self.stats.timers += 1;
                     self.tracer
                         .record_local(self.now, to, TraceAction::TimerFire { token });
-                    self.with_ctx(to, |p, ctx| p.on_timer(ctx, token));
+                    self.step(to, Input::Timer { token });
                 }
                 EventKind::Recover => {
                     self.tracer.record_local(self.now, to, TraceAction::Recover);
-                    self.with_ctx(to, |p, ctx| p.on_recover(ctx));
+                    self.step(to, Input::Recover);
                 }
             }
         }
@@ -397,23 +373,12 @@ impl<M: Clone, P: Process<M>> Sim<M, P> {
         self.stats
     }
 
-    fn with_ctx(&mut self, id: ProcId, f: impl FnOnce(&mut P, &mut Ctx<'_, M>)) {
-        let mut ctx = Ctx {
-            now: self.now,
-            me: id,
-            rng: &mut self.rng,
-            tracer: &mut self.tracer,
-            outbox: Vec::new(),
-            timers: Vec::new(),
-        };
-        // Split borrow: the process is taken by index; ctx holds only
-        // rng and the tracer.
-        {
-            let (left, rest) = self.procs.split_at_mut(id as usize);
-            let _ = left;
-            f(&mut rest[0], &mut ctx);
-        }
-        let Ctx { outbox, timers, .. } = ctx;
+    /// Hands `input` to driver `id`, then applies the sends and timers it
+    /// buffered.
+    fn step(&mut self, id: ProcId, input: Input<M>) {
+        let mut ctx = Ctx::new(self.now, id, &mut self.rng, &mut self.tracer);
+        self.procs[id as usize].handle(&mut ctx, input);
+        let (outbox, timers) = ctx.into_effects();
         for (to, msg, weight) in outbox {
             self.stats.sent += 1;
             self.stats.payload_msgs += weight as usize;
@@ -497,16 +462,17 @@ mod tests {
         n: u32,
     }
 
-    impl Process<()> for Flood {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-            if ctx.me() == 0 {
-                for i in 1..self.n {
-                    ctx.send(i, ());
+    impl Driver<()> for Flood {
+        fn handle<IO: Io<()> + ?Sized>(&mut self, io: &mut IO, input: Input<()>) {
+            match input {
+                Input::Start if io.me() == 0 => {
+                    for i in 1..self.n {
+                        io.send(i, ());
+                    }
                 }
+                Input::Deliver { .. } => self.got = Some(io.now()),
+                _ => {}
             }
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, _from: ProcId, _msg: ()) {
-            self.got = Some(ctx.now());
         }
     }
 
@@ -576,14 +542,16 @@ mod tests {
     struct Ticker {
         fired: Vec<(SimTime, u64)>,
     }
-    impl Process<()> for Ticker {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-            ctx.set_timer(5, 1);
-            ctx.set_timer(10, 2);
-        }
-        fn on_message(&mut self, _ctx: &mut Ctx<'_, ()>, _from: ProcId, _msg: ()) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, token: u64) {
-            self.fired.push((ctx.now(), token));
+    impl Driver<()> for Ticker {
+        fn handle<IO: Io<()> + ?Sized>(&mut self, io: &mut IO, input: Input<()>) {
+            match input {
+                Input::Start => {
+                    io.set_timer(5, 1);
+                    io.set_timer(10, 2);
+                }
+                Input::Timer { token } => self.fired.push((io.now(), token)),
+                _ => {}
+            }
         }
     }
 
@@ -649,14 +617,14 @@ mod tests {
     struct Phoenix {
         recovered: Vec<SimTime>,
     }
-    impl Process<()> for Phoenix {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-            // Keep the queue non-empty past the crash window.
-            ctx.set_timer(100, 0);
-        }
-        fn on_message(&mut self, _ctx: &mut Ctx<'_, ()>, _from: ProcId, _msg: ()) {}
-        fn on_recover(&mut self, ctx: &mut Ctx<'_, ()>) {
-            self.recovered.push(ctx.now());
+    impl Driver<()> for Phoenix {
+        fn handle<IO: Io<()> + ?Sized>(&mut self, io: &mut IO, input: Input<()>) {
+            match input {
+                // Keep the queue non-empty past the crash window.
+                Input::Start => io.set_timer(100, 0),
+                Input::Recover => self.recovered.push(io.now()),
+                _ => {}
+            }
         }
     }
 
@@ -783,7 +751,34 @@ mod tests {
         assert_eq!(sim.process(0).fired, vec![(5, 1)]);
         assert_eq!(stats.timers, 1);
         // Resuming picks the pending timer back up.
-        sim.run_until(1_000);
+        sim.run(1_000);
         assert_eq!(sim.process(0).fired.len(), 2);
+    }
+
+    /// Counts its boots and arms one timer per boot.
+    struct Boots(u32);
+    impl Driver<()> for Boots {
+        fn handle<IO: Io<()> + ?Sized>(&mut self, io: &mut IO, input: Input<()>) {
+            if let Input::Start = input {
+                self.0 += 1;
+                io.set_timer(5, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn start_is_delivered_once_across_resumed_runs() {
+        // The first call processes no event (the timer is due at t=5), so
+        // nothing but a flag can tell the second call the drivers booted.
+        let mut sim = Sim::new(
+            vec![Boots(0)],
+            NetworkConfig::default(),
+            FaultPlan::none(),
+            1,
+        );
+        sim.run(0);
+        let stats = sim.run(1_000);
+        assert_eq!(sim.process(0).0, 1);
+        assert_eq!(stats.timers, 1);
     }
 }

@@ -1,6 +1,7 @@
 //! Exhaustive interleaving exploration: a forking scheduler over the same
-//! [`Process`] drivers the DES runs, enumerating *every* enabled-event
-//! order instead of sampling one.
+//! [`Driver`]s the DES steps, enumerating *every* enabled-event order
+//! instead of sampling one. Each event is one [`Input`] handed to
+//! [`Driver::handle`] with a fresh [`Ctx`] as the driver's `Io`.
 //!
 //! Where [`crate::engine::Sim`] draws one delivery order per seed, the
 //! explorer treats the set of in-flight messages, armed timers, and
@@ -72,8 +73,9 @@
 //! Schedules index the **unreduced** canonical choice list, so a witness
 //! found with reduction on replays identically with reduction off.
 
-use crate::engine::{Ctx, Process};
+use crate::engine::Ctx;
 use crate::fault::{ProcId, SimTime};
+use crate::node::{Driver, Input};
 use crate::splitmix64;
 use crate::trace::{TraceConfig, Tracer};
 use rand::rngs::StdRng;
@@ -164,16 +166,17 @@ pub struct ExploreOutcome {
 }
 
 /// What the caller plugs into the explorer: decision counting, the safety
-/// audit, and the domain's independence relation.
-pub trait ExploreHooks<M, P> {
+/// audit, and the domain's independence relation. Each question is asked
+/// of the drivers themselves, in process-id order.
+pub trait ExploreHooks<M, D> {
     /// How many top-level decisions (e.g. transactions committed or
     /// aborted) the state holds — the explorer audits a branch whenever
     /// this increases.
-    fn decided(&self, procs: &[P]) -> u64;
+    fn decided(&self, procs: &[D]) -> u64;
 
     /// Audits the state; `Some(verdict)` reports a safety violation.
     /// Called on every decision increase and at every terminal state.
-    fn check(&self, procs: &[P]) -> Option<String>;
+    fn check(&self, procs: &[D]) -> Option<String>;
 
     /// Whether delivering `a` and `b` to the *same* process commutes.
     /// Only claim this for handlers that are RNG-free and whose state
@@ -184,7 +187,7 @@ pub trait ExploreHooks<M, P> {
 
     /// Whether the run is over even if events remain enabled (prunes
     /// post-decision bookkeeping interleavings).
-    fn done(&self, _procs: &[P]) -> bool {
+    fn done(&self, _procs: &[D]) -> bool {
         false
     }
 
@@ -207,8 +210,8 @@ struct Pend<M> {
 /// One explorer state: drivers plus the whole network/timer/fault
 /// context. Cloned per branch — shapes are small by design.
 #[derive(Debug, Clone)]
-struct ExpState<M, P> {
-    procs: Vec<P>,
+struct ExpState<M, D> {
+    procs: Vec<D>,
     /// In-flight messages in send order. A `(from, to)` channel's queue
     /// is the subsequence with that pair; only its first element is
     /// deliverable (FIFO channels). The subsequence per channel is
@@ -283,8 +286,8 @@ fn fingerprint<M: Debug>(msg: &M) -> u64 {
     h.finish()
 }
 
-fn apply_effects<M: Debug, P>(
-    st: &mut ExpState<M, P>,
+fn apply_effects<M: Debug, D>(
+    st: &mut ExpState<M, D>,
     me: ProcId,
     sends: Vec<(ProcId, M, u64)>,
     timers: Vec<(SimTime, u64)>,
@@ -308,32 +311,33 @@ fn apply_effects<M: Debug, P>(
     }
 }
 
-/// Runs one handler under a detached context and applies its effects.
-fn run_event<M, P, F>(st: &mut ExpState<M, P>, p: ProcId, seed: u64, f: F)
-where
-    M: Debug,
-    P: Process<M>,
-    F: FnOnce(&mut P, &mut Ctx<'_, M>),
-{
+/// Hands `input` to driver `p` under a fresh context and applies its
+/// effects.
+fn run_event<M: Debug, D: Driver<M>>(
+    st: &mut ExpState<M, D>,
+    p: ProcId,
+    seed: u64,
+    input: Input<M>,
+) {
     let mut rng = event_rng(seed, p, st.events_at[p as usize]);
     st.events_at[p as usize] += 1;
     let mut tracer = Tracer::new(TraceConfig::disabled(), st.procs.len());
-    let mut ctx = Ctx::detached(st.now, p, &mut rng, &mut tracer);
-    f(&mut st.procs[p as usize], &mut ctx);
+    let mut ctx = Ctx::new(st.now, p, &mut rng, &mut tracer);
+    st.procs[p as usize].handle(&mut ctx, input);
     let (sends, timers) = ctx.into_effects();
     apply_effects(st, p, sends, timers);
 }
 
-fn execute<M, P>(st: &mut ExpState<M, P>, c: Choice, seed: u64)
+fn execute<M, D>(st: &mut ExpState<M, D>, c: Choice, seed: u64)
 where
     M: Clone + Debug,
-    P: Process<M> + Clone,
+    D: Driver<M> + Clone,
 {
     match c {
         Choice::Deliver(i) => {
             let Pend { from, to, msg, .. } = st.pending.remove(i);
             debug_assert!(!st.crashed[to as usize], "pending never targets crashed");
-            run_event(st, to, seed, |proc, ctx| proc.on_message(ctx, from, msg));
+            run_event(st, to, seed, Input::Deliver { from, msg });
         }
         Choice::Timer(p) => {
             let slot = &mut st.timers[p as usize];
@@ -344,7 +348,7 @@ where
                 .expect("timer choice requires an armed timer");
             let (due, token) = slot.remove(mi);
             st.now = st.now.max(due);
-            run_event(st, p, seed, |proc, ctx| proc.on_timer(ctx, token));
+            run_event(st, p, seed, Input::Timer { token });
         }
         Choice::Drop(i) => {
             st.pending.remove(i);
@@ -358,7 +362,7 @@ where
         }
         Choice::Recover(p) => {
             st.crashed[p as usize] = false;
-            run_event(st, p, seed, |proc, ctx| proc.on_recover(ctx));
+            run_event(st, p, seed, Input::Recover);
         }
     }
 }
@@ -383,9 +387,9 @@ fn channel_heads<M>(pending: &[Pend<M>]) -> Vec<usize> {
 /// `(to, from)` channel order, then at most one timer (the globally
 /// earliest eligible `(due, proc)`), then drops, crashes, and
 /// recoveries. Schedule indices refer to this list.
-fn enabled_choices<M, P, H>(st: &ExpState<M, P>, hooks: &H) -> Vec<Choice>
+fn enabled_choices<M, D, H>(st: &ExpState<M, D>, hooks: &H) -> Vec<Choice>
 where
-    H: ExploreHooks<M, P> + ?Sized,
+    H: ExploreHooks<M, D> + ?Sized,
 {
     let heads = channel_heads(&st.pending);
     let mut out: Vec<Choice> = heads.iter().copied().map(Choice::Deliver).collect();
@@ -435,10 +439,10 @@ where
 /// state is `Debug`-deterministic by construction: ordered collections
 /// only). Two independent hash passes make accidental 64-bit collisions
 /// a non-concern at explorable state counts.
-fn state_hash<M, P>(st: &ExpState<M, P>) -> u128
+fn state_hash<M, D>(st: &ExpState<M, D>) -> u128
 where
     M: Debug,
-    P: Debug,
+    D: Debug,
 {
     let mut h1 = DefaultHasher::new();
     0u8.hash(&mut h1);
@@ -482,7 +486,7 @@ fn is_subset(a: &[SleepKey], b: &[SleepKey]) -> bool {
     a.iter().all(|k| b.binary_search(k).is_ok())
 }
 
-struct Dfs<'h, M, P, H> {
+struct Dfs<'h, M, D, H> {
     hooks: &'h H,
     cfg: ExploreConfig,
     stats: ExploreStats,
@@ -493,21 +497,21 @@ struct Dfs<'h, M, P, H> {
     witness: Option<Witness>,
     depth_cut: bool,
     schedule: Vec<u32>,
-    _m: std::marker::PhantomData<fn() -> (M, P)>,
+    _m: std::marker::PhantomData<fn() -> (M, D)>,
 }
 
-impl<M, P, H> Dfs<'_, M, P, H>
+impl<M, D, H> Dfs<'_, M, D, H>
 where
     M: Clone + Debug,
-    P: Process<M> + Clone + Debug,
-    H: ExploreHooks<M, P>,
+    D: Driver<M> + Clone + Debug,
+    H: ExploreHooks<M, D>,
 {
     fn budget_over(&self) -> bool {
         self.stats.states >= self.cfg.max_states
             || self.stats.transitions >= self.cfg.max_transitions
     }
 
-    fn run(&mut self, st: &ExpState<M, P>, sleep: Vec<SleepEnt<M>>, limit: usize) {
+    fn run(&mut self, st: &ExpState<M, D>, sleep: Vec<SleepEnt<M>>, limit: usize) {
         if self.witness.is_some() {
             return;
         }
@@ -613,7 +617,7 @@ where
     /// deliveries to a different process always commute; same-process
     /// deliveries commute when the hooks say the messages do; everything
     /// else wakes the entry.
-    fn sleeps_through(&self, st: &ExpState<M, P>, e: &SleepEnt<M>, c: Choice) -> bool {
+    fn sleeps_through(&self, st: &ExpState<M, D>, e: &SleepEnt<M>, c: Choice) -> bool {
         match c {
             Choice::Deliver(idx) => {
                 let m = &st.pending[idx];
@@ -624,10 +628,10 @@ where
     }
 }
 
-fn init_state<M, P>(procs: Vec<P>, cfg: &ExploreConfig) -> ExpState<M, P>
+fn init_state<M, D>(procs: Vec<D>, cfg: &ExploreConfig) -> ExpState<M, D>
 where
     M: Clone + Debug,
-    P: Process<M> + Clone,
+    D: Driver<M> + Clone,
 {
     let n = procs.len();
     let mut st = ExpState {
@@ -641,21 +645,21 @@ where
         crashes_left: cfg.crash_budget,
     };
     for p in 0..n as ProcId {
-        run_event(&mut st, p, cfg.seed, |proc, ctx| proc.on_start(ctx));
+        run_event(&mut st, p, cfg.seed, Input::Start);
     }
     st
 }
 
 /// Explores every interleaving of `procs` (which have not been started;
-/// the explorer runs `on_start` itself, in process-id order) up to the
+/// the explorer delivers [`Input::Start`] itself, in process-id order) up to the
 /// configured budgets, iteratively deepening so the first witness found
 /// is minimal-depth. Deterministic: a pure function of the drivers, the
 /// hooks, and `cfg`.
-pub fn explore<M, P, H>(procs: Vec<P>, hooks: &H, cfg: ExploreConfig) -> ExploreOutcome
+pub fn explore<M, D, H>(procs: Vec<D>, hooks: &H, cfg: ExploreConfig) -> ExploreOutcome
 where
     M: Clone + Debug,
-    P: Process<M> + Clone + Debug,
-    H: ExploreHooks<M, P>,
+    D: Driver<M> + Clone + Debug,
+    H: ExploreHooks<M, D>,
 {
     let init = init_state(procs, &cfg);
     let mut agg = ExploreStats::default();
@@ -713,16 +717,16 @@ where
 /// deterministic one-line description per executed step, and the hooks'
 /// verdict (checked at every decision increase and once at the end).
 #[derive(Debug)]
-pub struct Replay<P> {
+pub struct Replay<D> {
     /// The drivers after the schedule ran.
-    pub procs: Vec<P>,
+    pub procs: Vec<D>,
     /// One rendered line per executed step.
     pub steps: Vec<String>,
     /// The first violation observed, if any.
     pub verdict: Option<String>,
 }
 
-fn describe<M, P>(st: &ExpState<M, P>, c: Choice) -> String {
+fn describe<M, D>(st: &ExpState<M, D>, c: Choice) -> String {
     match c {
         Choice::Deliver(i) => {
             let m = &st.pending[i];
@@ -750,11 +754,11 @@ fn describe<M, P>(st: &ExpState<M, P>, c: Choice) -> String {
 /// schedule)`, so the replay visits the same states the exploration did.
 /// An index past the enabled-choice list (a schedule for a different
 /// shape or seed) stops the replay with a diagnostic step line.
-pub fn replay<M, P, H>(procs: Vec<P>, hooks: &H, cfg: ExploreConfig, schedule: &[u32]) -> Replay<P>
+pub fn replay<M, D, H>(procs: Vec<D>, hooks: &H, cfg: ExploreConfig, schedule: &[u32]) -> Replay<D>
 where
     M: Clone + Debug,
-    P: Process<M> + Clone + Debug,
-    H: ExploreHooks<M, P>,
+    D: Driver<M> + Clone + Debug,
+    H: ExploreHooks<M, D>,
 {
     let mut st = init_state(procs, &cfg);
     let mut steps = Vec::new();

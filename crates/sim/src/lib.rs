@@ -4,15 +4,17 @@
 //! The paper's fault model (§3) — sites crash and recover, links lose
 //! messages, long-lived failures partition functioning sites — is
 //! reproduced exactly and *deterministically*: an execution is a pure
-//! function of the processes, the network configuration, the fault plan,
+//! function of the drivers, the network configuration, the fault plan,
 //! and one RNG seed. That determinism is what lets the replication layer's
 //! end-to-end tests assert atomicity of every captured history.
 //!
 //! * [`clock`] — Lamport clocks, totally-ordered unique timestamps.
 //! * [`fault`] — crash and partition schedules.
-//! * [`engine`] — the event loop ([`Sim`], [`Process`], [`Ctx`]).
+//! * [`node`] — what a node is on every host: a [`Driver`] fed [`Input`]s,
+//!   acting through an [`Io`].
+//! * [`engine`] — the event loop ([`Sim`]) and its [`Io`], [`Ctx`].
 //! * [`explore`] — exhaustive interleaving enumeration over the same
-//!   [`Process`] drivers, with partial-order reduction.
+//!   drivers, with partial-order reduction.
 //! * [`json`] — the one JSON writer every report and artifact goes through.
 //! * [`trace`] — zero-overhead-when-disabled structured run traces.
 
@@ -24,13 +26,15 @@ pub mod engine;
 pub mod explore;
 pub mod fault;
 pub mod json;
+pub mod node;
 pub mod trace;
 
 pub use clock::{LamportClock, Timestamp};
-pub use engine::{Ctx, NetworkConfig, Process, Sim, SimStats};
+pub use engine::{Ctx, NetworkConfig, Sim, SimStats};
 pub use explore::{ExploreConfig, ExploreHooks, ExploreOutcome, ExploreStats, Witness};
 pub use fault::{FaultPlan, ProcId, SimTime};
 pub use json::Json;
+pub use node::{CollectIo, Driver, Input, Io, Output};
 pub use trace::{
     AbortCause, ConflictKind, DropCause, PhaseKind, TraceAction, TraceBuffer, TraceConfig,
     TraceEvent,

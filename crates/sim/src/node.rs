@@ -1,39 +1,29 @@
-//! The sans-I/O boundary: protocol logic talks to the world only through
-//! [`Io`], and a whole node is a [`Driver`] — a pure state machine fed
-//! [`Input`]s that emits effects ([`Output`]s) through whatever backend
-//! hosts it.
+//! The node alphabet: a whole node is a [`Driver`] — a state machine fed
+//! [`Input`]s — and everything it observes (time, own id, entropy) or
+//! effects (sends, timers, trace records) goes through [`Io`].
 //!
-//! The client, repository, and reconfigurer state machines in this crate
-//! never touch `sim::engine`, wall clocks, sockets, or an RNG directly:
-//! every observation (time, own id, entropy) and every effect (message
-//! sends, timers, trace records) goes through the [`Io`] trait. Two hosts
-//! implement it:
+//! Every host steps the same `Driver` values through `handle(io, input)`;
+//! only the `Io` differs:
 //!
-//! * the deterministic simulator's [`Ctx`] — drivers running under the
-//!   DES make **exactly** the same calls in the same order as the
-//!   pre-extraction code, so traces, RNG streams, and bench outputs stay
-//!   byte-identical (verified by the golden gates in `verify.sh`). `Ctx`
-//!   buffers sends and timers (`outbox`, `timers`) and the engine applies
-//!   them when the handler returns;
-//! * [`CollectIo`] — the same buffering for real-time backends
-//!   (threads + channels, TCP): the host stamps in the current time and
-//!   entropy, lets the driver run, and drains the emitted [`Output`]s to
-//!   its transport. This is the pure `handle(Input) -> Vec<Output>` form.
-//!
-//! [`DesAdapter`] is the thin shim welding a [`Driver`] back onto the
-//! simulator's [`Process`] trait; [`crate::host::run`] steps the same
-//! drivers over any real-time [`Transport`](crate::host::Transport).
+//! * the engine's [`Ctx`](crate::engine::Ctx) — [`Sim`](crate::engine::Sim)
+//!   and [`explore`](crate::explore::explore) hand it to `handle`; it
+//!   buffers sends and timers, and the engine applies them when the
+//!   handler returns;
+//! * [`CollectIo`] — the real-time hosts (`quorumcc_replication::host::run`
+//!   over channels or sockets) stamp in the current tick, let the driver
+//!   run, and drain the emitted [`Output`]s to their transport: the pure
+//!   `handle(Input) -> Vec<Output>` form.
 
-use quorumcc_sim::trace::TraceAction;
-use quorumcc_sim::{splitmix64, Ctx, ProcId, Process, SimTime, SPLITMIX64_GAMMA};
-use rand::Rng as _;
+use crate::fault::{ProcId, SimTime};
+use crate::trace::TraceAction;
+use crate::{splitmix64, SPLITMIX64_GAMMA};
 
 /// Everything a protocol state machine may observe or effect. The only
 /// window protocol code has onto the outside world — no simulator
 /// handles, no clocks, no ambient randomness.
 ///
-/// Implementations: the simulator's [`Ctx`] (live, deterministic) and
-/// [`CollectIo`] (buffered, for real-time backends).
+/// Implementations: the engine's [`Ctx`](crate::engine::Ctx) (seeded,
+/// traced) and [`CollectIo`] (buffered, for real-time backends).
 pub trait Io<M> {
     /// The current logical time: simulated ticks under the DES, a
     /// host-supplied monotonic tick count on real backends.
@@ -68,46 +58,6 @@ pub trait Io<M> {
     fn tracing(&self) -> bool;
 }
 
-/// The simulator's context *is* an [`Io`]: drivers under the DES call the
-/// engine directly, preserving the exact call order (and RNG draw
-/// sequence) of the pre-extraction code.
-impl<M> Io<M> for Ctx<'_, M> {
-    fn now(&self) -> SimTime {
-        Ctx::now(self)
-    }
-
-    fn me(&self) -> ProcId {
-        Ctx::me(self)
-    }
-
-    fn send(&mut self, to: ProcId, msg: M) {
-        Ctx::send(self, to, msg);
-    }
-
-    fn send_weighted(&mut self, to: ProcId, msg: M, weight: u64) {
-        Ctx::send_weighted(self, to, msg, weight);
-    }
-
-    fn set_timer(&mut self, delay: SimTime, token: u64) {
-        Ctx::set_timer(self, delay, token);
-    }
-
-    fn rand_below(&mut self, bound: u64) -> u64 {
-        // On 64-bit hosts this draws the identical `next_u64` sequence the
-        // old in-protocol `gen_range(0..n_usize)` sites drew, keeping
-        // seeded runs byte-identical across the extraction.
-        self.rng().gen_range(0..bound.max(1))
-    }
-
-    fn trace(&mut self, action: TraceAction) {
-        Ctx::trace(self, action);
-    }
-
-    fn tracing(&self) -> bool {
-        Ctx::tracing(self)
-    }
-}
-
 /// One stimulus delivered to a [`Driver`]: the complete input alphabet of
 /// a node. Backends produce these; drivers consume them.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,9 +82,8 @@ pub enum Input<M> {
 
 /// One effect a [`Driver`] requested, as buffered by [`CollectIo`]: the
 /// complete output alphabet of a node. Real-time backends drain these
-/// into their transport; the DES's [`Ctx`] buffers the same two effect
-/// kinds (its `outbox` and `timers`) and the engine applies them when the
-/// handler returns.
+/// into their transport; the engine's [`Ctx`](crate::engine::Ctx) buffers
+/// the same two effect kinds and applies them when the handler returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Output<M> {
     /// Deliver `msg` to `to`.
@@ -158,8 +107,8 @@ pub enum Output<M> {
 
 /// A transport-agnostic protocol node: a state machine whose entire
 /// interaction with the world is `handle(io, input)`. The same driver
-/// value runs unmodified under the deterministic simulator (via
-/// [`DesAdapter`]) and under real concurrency ([`crate::host::run`]).
+/// value runs unmodified under the deterministic simulator, the explorer
+/// and real concurrency (`quorumcc_replication::host::run`).
 pub trait Driver<M> {
     /// Feeds one input, applying effects through `io`. Generic, not
     /// `dyn`: each host's `Io` is known statically, so a disabled
@@ -171,45 +120,6 @@ pub trait Driver<M> {
     /// queue drains instead); servers never finish.
     fn is_done(&self) -> bool {
         false
-    }
-}
-
-/// Welds a [`Driver`] onto the simulator: implements [`Process`] by
-/// translating engine callbacks into [`Input`]s and handing the engine's
-/// [`Ctx`] straight through as the driver's [`Io`]. Zero translation on
-/// the effect side — the driver's calls land in the engine's own `Ctx`
-/// buffers in call order — which is what makes the refactor
-/// byte-invisible to seeded runs.
-#[derive(Debug, Clone)]
-pub struct DesAdapter<D>(pub D);
-
-impl<D> DesAdapter<D> {
-    /// Wraps a driver for the simulator.
-    pub fn new(driver: D) -> Self {
-        DesAdapter(driver)
-    }
-
-    /// The hosted driver.
-    pub fn driver(&self) -> &D {
-        &self.0
-    }
-}
-
-impl<M, D: Driver<M>> Process<M> for DesAdapter<D> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
-        self.0.handle(ctx, Input::Start);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: ProcId, msg: M) {
-        self.0.handle(ctx, Input::Deliver { from, msg });
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, token: u64) {
-        self.0.handle(ctx, Input::Timer { token });
-    }
-
-    fn on_recover(&mut self, ctx: &mut Ctx<'_, M>) {
-        self.0.handle(ctx, Input::Recover);
     }
 }
 
@@ -416,24 +326,22 @@ mod tests {
     }
 
     #[test]
-    fn des_adapter_runs_a_driver_under_the_engine() {
-        use quorumcc_sim::{FaultPlan, NetworkConfig, Sim};
+    fn the_engine_steps_a_driver() {
+        use crate::{FaultPlan, NetworkConfig, Sim};
         let nodes = vec![
-            DesAdapter::new(Echo {
+            Echo {
                 delivered: 0,
                 kick: Some(1),
-            }),
-            DesAdapter::new(Echo {
+            },
+            Echo {
                 delivered: 0,
                 kick: None,
-            }),
+            },
         ];
         let mut sim = Sim::new(nodes, NetworkConfig::default(), FaultPlan::none(), 11);
         // Node 0 pokes node 1 at startup; echoes bounce until the horizon.
         sim.run(200);
-        let bounced: u32 = (0..2)
-            .map(|i| sim.process(i).driver().delivered)
-            .sum::<u32>();
-        assert!(bounced > 0, "messages flowed through the adapter");
+        let bounced: u32 = (0..2).map(|i| sim.process(i).delivered).sum::<u32>();
+        assert!(bounced > 0, "messages flowed between the drivers");
     }
 }

@@ -5,8 +5,8 @@
 //! happened at, and a per-site Lamport counter (message deliveries observe
 //! the sender's stamp, so the trace's Lamport order refines causality).
 //! The engine records network-level events (send / deliver / drop / timer)
-//! and the fault schedule; processes record protocol-level events through
-//! [`Ctx::trace`](crate::engine::Ctx::trace).
+//! and the fault schedule; drivers record protocol-level events through
+//! [`Io::trace`](crate::node::Io::trace), which the engine's `Ctx` routes here.
 //!
 //! Capture is deterministic: because the engine itself is a pure function
 //! of (processes, network, faults, seed), the same seed yields a
@@ -183,8 +183,8 @@ macro_rules! trace_actions {
 
 trace_actions! {
     /// What happened. Network and fault events come from the engine;
-    /// protocol events are recorded by processes via
-    /// [`Ctx::trace`](crate::engine::Ctx::trace). Identifiers are plain
+    /// protocol events are recorded by drivers via
+    /// [`Io::trace`](crate::node::Io::trace). Identifiers are plain
     /// integers so the trace layer stays independent of the layers above it.
     TraceAction {
         /// A message was submitted to the network.
@@ -431,8 +431,8 @@ impl TraceBuffer {
     }
 }
 
-/// The engine-side recorder. Lives inside `Sim`; processes reach it
-/// through `Ctx::trace`.
+/// The engine-side recorder. Lives inside `Sim`; drivers reach it
+/// through `Ctx`'s `Io::trace`.
 #[derive(Debug)]
 pub(crate) struct Tracer {
     cfg: TraceConfig,

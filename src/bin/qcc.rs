@@ -631,7 +631,7 @@ fn cmd_explore<S: Enumerable + Classified + Clone + std::fmt::Debug>(
         }
         let spec = ExploreSpec::parse(raw)?;
         let protocol = Protocol::minimal::<S>(spec.mode.parse()?, bounds());
-        let r = rexplore::replay_setup::<S>(&protocol, &spec.setup, &spec.sched)
+        let r = rexplore::replay_setup::<S>(&protocol, &spec.setup, spec.config(), &spec.sched)
             .map_err(|e| e.to_string())?;
         println!("replaying {spec}");
         for step in &r.steps {
@@ -730,6 +730,8 @@ fn cmd_explore<S: Enumerable + Classified + Clone + std::fmt::Debug>(
                 setup,
                 depth,
                 por,
+                drops: cfg.drop_budget,
+                crashes: cfg.crash_budget,
                 sched: w.schedule,
             };
             println!("witness: {spec}");

@@ -69,10 +69,10 @@ pub mod prelude {
     pub use quorumcc_net::{run_load, LoadConfig, LoadReport, Wire};
     pub use quorumcc_quorum::ThresholdAssignment;
     pub use quorumcc_replication::{
-        BackendKind, ClientMetrics, ClientStats, CollectIo, Config, ConfigState, DesAdapter,
-        Driver, Fanout, Input, Io, LogicalHistogram, Mode, Msg, ObjId, Output, Protocol,
-        ProtocolConfig, ReconfigPolicy, ReconfigRecord, ReplicationError, RunBuilder, RunReport,
-        RunTelemetry, Transaction, TuningConfig,
+        BackendKind, ClientMetrics, ClientStats, CollectIo, Config, ConfigState, Driver, Fanout,
+        Input, Io, LogicalHistogram, Mode, Msg, ObjId, Output, Protocol, ProtocolConfig,
+        ReconfigPolicy, ReconfigRecord, ReplicationError, RunBuilder, RunReport, RunTelemetry,
+        Transaction, TuningConfig,
     };
     pub use quorumcc_sim::trace::{TraceAction, TraceBuffer, TraceConfig, TraceEvent};
     pub use quorumcc_sim::{FaultPlan, NetworkConfig, ProcId, SimTime, Timestamp};
