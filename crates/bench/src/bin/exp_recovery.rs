@@ -1,5 +1,5 @@
 //! **Experiment R2** — self-healing under crashes: kill a repository
-//! under load on every backend, and gate that the run *recovers* rather
+//! under load on every host, and gate that the run *recovers* rather
 //! than merely survives.
 //!
 //! Three phases, one per hosting substrate, strongest oracle first:
@@ -13,10 +13,11 @@
 //!    actually firing. Full [`RunTelemetry`] per mode is embedded in the
 //!    JSON — the runs are deterministic, so the artifact is
 //!    byte-identical at every `--threads` count.
-//! 2. **Channels** — the same protocol core on real OS threads with a
-//!    scripted crash window. Wall-clock scheduling makes counters
-//!    nondeterministic, so the JSON records only the asserted booleans
-//!    (oracle clean, commits happened, the site recovered).
+//! 2. **Loopback** — the same protocol core under the real-time loop
+//!    that serves sockets (`host::run`), over the deterministic in-memory
+//!    loopback on virtual time, with a scripted crash window. The run is
+//!    deterministic, so like phase 1 it gates exact counts (commits,
+//!    recoveries) and embeds its full [`RunTelemetry`].
 //! 3. **Event loop** — the real-socket harness ([`run_load`]) with a
 //!    lossy fault profile, supervised reconnecting links, and a scripted
 //!    kill/restart of one repository per cell. Gates: every client
@@ -37,15 +38,13 @@ use quorumcc_core::parallel::map_indexed;
 use quorumcc_net::{run_load, CrashSpec, LoadConfig, LoadReport, NetFaultProfile};
 use quorumcc_replication::cluster::{ProtocolConfig, RunBuilder};
 use quorumcc_replication::protocol::{Mode, Protocol};
-use quorumcc_replication::{
-    BackendKind, Durability, ObjId, ReconfigPolicy, Transaction, TuningConfig,
-};
+use quorumcc_replication::{Durability, ObjId, ReconfigPolicy, Transaction, TuningConfig};
 use quorumcc_sim::{FaultPlan, Json, SimTime};
 use std::time::Duration;
 
 const BASE_SEED: u64 = 20_260;
 const N_SITES: u32 = 5;
-/// Crashed repository (DES / channels phases).
+/// Crashed repository (DES / loopback phases).
 const VICTIM: u32 = 1;
 
 /// `mode` under its minimal relation (majority thresholds satisfy any
@@ -104,7 +103,6 @@ fn des_phase(threads: usize) -> Json {
                 priority: vec!["Enq", "Deq"],
             })
             .max_time(20_000)
-            .backend(BackendKind::Des)
             .run()
             .unwrap_or_else(|e| panic!("{mode:?}: DES run failed: {e}"));
         report
@@ -154,17 +152,17 @@ fn des_phase(threads: usize) -> Json {
     by_mode
 }
 
-fn channels_phase() -> Json {
-    section("2. Channels: scripted crash window on real threads");
-    // Ticks are microseconds of wall clock on this backend: the victim
-    // is dark from 50 ms to 150 ms of a <=400 ms run.
+fn loopback_phase() -> Json {
+    section("2. Loopback: scripted crash window under the real-time loop");
+    // Virtual ticks: the victim is dark from tick 50 000 to 150 000 of a
+    // run that 40 txns x 5 000 ticks of think time keep busy past the
+    // window end, so the recovery fires while clients still run (the
+    // run stops as soon as clients drain and the network is empty).
     let mut faults = FaultPlan::none();
     faults.crash(VICTIM, 50_000, 150_000);
     let mode = Mode::Hybrid;
-    // 40 txns x 5 ms think time keeps every client busy past the window
-    // end, so the victim's thread is still alive to owe the recovery
-    // (the run stops as soon as clients drain).
     let w = workload(3, 40);
+    let total: usize = w.iter().map(Vec::len).sum();
     let report = RunBuilder::<Queue>::new(N_SITES)
         .protocol(ProtocolConfig::new(protocol(mode)).op_timeout(30_000))
         .faults(faults)
@@ -180,27 +178,24 @@ fn channels_phase() -> Json {
                 .resolve_retransmit(25_000),
         )
         .max_time(400_000)
-        .backend(BackendKind::Channels)
-        .run()
-        .unwrap_or_else(|e| panic!("channels run failed: {e}"));
+        .assemble()
+        .unwrap_or_else(|e| panic!("loopback assembly failed: {e}"))
+        .run_loopback();
     report
         .check_atomicity(experiment_bounds())
-        .unwrap_or_else(|o| panic!("channels: non-atomic history on {o}"));
+        .unwrap_or_else(|o| panic!("loopback: non-atomic history on {o}"));
     let committed = report.stats().committed;
     let t = report.telemetry();
     println!(
-        "  hybrid: {committed} committed, {} recoveries, {} retransmits, {} statuses gc'd",
-        t.recoveries, t.resolve_ack_retransmits, t.statuses_gcd
+        "  {}: {committed}/{total} committed, {} recoveries, {} retransmits, {} statuses gc'd",
+        mode.name(),
+        t.recoveries,
+        t.resolve_ack_retransmits,
+        t.statuses_gcd
     );
-    assert!(committed > 0, "channels: nothing committed");
-    assert!(t.recoveries >= 1, "channels: the crash window never fired");
-    // Wall-clock scheduling decides how many retransmit rounds and GC
-    // sweeps land inside the window, so only the asserted booleans are
-    // serialized.
-    Json::object()
-        .field("atomicity_ok", true)
-        .field("committed_nonzero", true)
-        .field("recovered", true)
+    assert_eq!(committed, total, "loopback: Enq-only leaves no conflicts");
+    assert_eq!(t.recoveries, 1, "loopback: the crash window must fire once");
+    Json::object().field(mode.name(), t.to_json())
 }
 
 struct LoadShape {
@@ -384,7 +379,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let doc = Json::object()
         .field("experiment", "exp_recovery")
         .field("des", des_phase(threads))
-        .field("channels", channels_phase())
+        .field("loopback", loopback_phase())
         .field("eventloop", eventloop_phase(quick));
     write_artifact("exp_recovery", &doc)?;
     Ok(())

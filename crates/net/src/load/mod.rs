@@ -235,7 +235,7 @@ fn run_cluster(cfg: &LoadConfig) -> CellRun {
     // much more CPU per transaction).
     let mut clients = repos.split_off(cfg.n_repos as usize);
     let stop = AtomicBool::new(false);
-    let clock = WallClock::new(Instant::now(), 1);
+    let clock = WallClock::new(Instant::now());
 
     // Bind every repository listener up front so workers can connect
     // immediately.

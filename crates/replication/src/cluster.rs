@@ -1,6 +1,6 @@
-//! Cluster assembly: repositories + clients over the simulator, one call
-//! to run a workload and harvest histories, statistics, telemetry, and
-//! (optionally) a structured trace.
+//! Cluster assembly: repositories + clients under any host, one call to
+//! run a workload and harvest histories, statistics, telemetry, and
+//! (optionally, on the simulator) a structured trace.
 //!
 //! The entry point is [`RunBuilder`], which groups the run's knobs into
 //! cohesive configs: [`NetworkConfig`], [`FaultPlan`], [`ProtocolConfig`]
@@ -8,10 +8,10 @@
 //! repository pacing), [`TraceConfig`], and [`ReconfigPolicy`] (online
 //! quorum reconfiguration).
 
-use crate::backend::BackendKind;
 use crate::client::{Client, ClientConfig, ClientStats, Fanout, Record, Transaction};
 use crate::error::ReplicationError;
 use crate::history;
+use crate::host::{self, Clock as _, CrashScript, HostStats, Loopback};
 use crate::messages::Msg;
 use crate::metrics::RunTelemetry;
 use crate::protocol::Protocol;
@@ -22,8 +22,8 @@ use quorumcc_model::spec::ExploreBounds;
 use quorumcc_model::{BHistory, Classified, Enumerable};
 use quorumcc_quorum::{planner, SiteSet, ThresholdAssignment};
 use quorumcc_sim::{
-    Driver, FaultPlan, Input, Io, NetworkConfig, ProcId, Sim, SimStats, SimTime, TraceBuffer,
-    TraceConfig,
+    splitmix64, CollectIo, Driver, FaultPlan, Input, Io, NetworkConfig, ProcId, Sim, SimStats,
+    SimTime, TraceBuffer, TraceConfig,
 };
 use std::collections::BTreeSet;
 
@@ -386,7 +386,6 @@ pub struct RunBuilder<S: Classified> {
     workload: Vec<Vec<Transaction<S::Inv>>>,
     reconfig: ReconfigPolicy,
     shard_thresholds: Vec<ThresholdAssignment>,
-    backend: BackendKind,
 }
 
 impl<S: Classified + Enumerable> RunBuilder<S> {
@@ -405,7 +404,6 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
             workload: Vec::new(),
             reconfig: ReconfigPolicy::None,
             shard_thresholds: Vec::new(),
-            backend: BackendKind::Des,
         }
     }
 
@@ -419,15 +417,6 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
     /// (initial = final = ⌈(n+1)/2⌉), which satisfies every relation.
     pub fn thresholds(mut self, ta: ThresholdAssignment) -> Self {
         self.thresholds = Some(ta);
-        self
-    }
-
-    /// Selects the execution backend: the deterministic simulator
-    /// ([`BackendKind::Des`], the default) or the real-concurrency
-    /// channels host ([`BackendKind::Channels`]). The same sans-I/O
-    /// drivers run either way; see [`crate::backend`].
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
         self
     }
 
@@ -494,36 +483,27 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
         self
     }
 
-    /// Builds and runs the cluster to quiescence (or `max_time`).
+    /// Builds and runs the cluster under the deterministic simulator to
+    /// quiescence (or `max_time`). [`Assembly::run_loopback`] runs the
+    /// same cluster under the real-time loop instead.
     ///
     /// # Errors
     ///
-    /// Everything [`RunBuilder::assemble`] refuses, plus
-    /// [`ReplicationError::Unsupported`] when the channels backend is asked
-    /// for scripted partitions or a trace.
+    /// Everything [`RunBuilder::assemble`] refuses.
     pub fn run(self) -> Result<RunReport<S>, ReplicationError> {
-        self.run_with(true)
+        Ok(self.assemble()?.run_des())
     }
 
     /// Like [`RunBuilder::run`] but skips quorum validation — for
     /// experiments that *demonstrate* what goes wrong with too-small
     /// quorums.
     pub fn run_unchecked(self) -> Result<RunReport<S>, ReplicationError> {
-        self.run_with(false)
-    }
-
-    fn run_with(self, validate: bool) -> Result<RunReport<S>, ReplicationError> {
-        let backend = self.backend;
-        let assembly = self.assemble_with(validate)?;
-        match backend {
-            BackendKind::Des => Ok(assembly.run_des()),
-            BackendKind::Channels => assembly.run_channels(),
-        }
+        Ok(self.assemble_with(false)?.run_des())
     }
 
     /// Validates the configuration and builds the cluster without running
     /// it — the one way any host gets its drivers. The built-in hosts
-    /// ([`RunBuilder::run`] on the DES or channels backend, the
+    /// ([`RunBuilder::run`] on the DES, [`Assembly::run_loopback`], the
     /// interleaving explorer) and external ones (`quorumcc_net`'s socket
     /// harness) all take [`Assembly::take_nodes`], step them, and read the
     /// result back with [`Assembly::harvest`].
@@ -539,7 +519,9 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
     /// [`ReplicationError::InvalidChaosProfile`] when a network
     /// probability is outside `[0, 1]`,
     /// [`ReplicationError::InvalidReconfig`] for a malformed manual
-    /// schedule, and [`ReplicationError::InvalidThresholds`] when the
+    /// schedule, [`ReplicationError::InvalidFaultPlan`] when a fault
+    /// window names a process outside the cluster or ends before it
+    /// starts, and [`ReplicationError::InvalidThresholds`] when the
     /// quorum thresholds violate the protocol's dependency relation — an
     /// invalid assignment would silently produce non-atomic histories,
     /// which is precisely what the paper's constraints exist to prevent.
@@ -601,6 +583,9 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
         let repos: Vec<ProcId> = (0..self.n_repos).collect();
         let bootstrap = Config::new(0, repos.iter().copied(), thresholds.clone());
         let schedule = self.reconfig_schedule(&cc);
+        let n_procs =
+            self.n_repos as usize + self.workload.len() + usize::from(!schedule.is_empty());
+        self.validate_faults(n_procs as ProcId)?;
         let tuning = self.tuning;
         let mut nodes: Vec<Node<S>> = repos
             .iter()
@@ -702,6 +687,27 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
                 )));
             }
             c.validate(cc.protocol.rel())?;
+        }
+        Ok(())
+    }
+
+    /// Checks that every fault window names processes of the cluster's
+    /// `n` and does not end before it starts: every host indexes its
+    /// nodes by the plan's process ids.
+    fn validate_faults(&self, n: ProcId) -> Result<(), ReplicationError> {
+        let crashes = self.faults.crashes().iter();
+        let crashes = crashes.map(|c| ("crash", std::slice::from_ref(&c.proc), c.from, c.until));
+        let cuts = self.faults.partitions().iter();
+        let cuts = cuts.map(|p| ("partition", &p.block[..], p.from, p.until));
+        for (what, procs, from, until) in crashes.chain(cuts) {
+            let why = if let Some(p) = procs.iter().find(|p| **p >= n) {
+                format!("{what} names process {p}, outside the cluster (n = {n})")
+            } else if until < from {
+                format!("{what} window ends at {until}, before it starts at {from}")
+            } else {
+                continue;
+            };
+            return Err(ReplicationError::InvalidFaultPlan(why));
         }
         Ok(())
     }
@@ -873,7 +879,7 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
 
 /// A validated, built cluster: the drivers a host steps, and the recipe
 /// for reading them back into a [`RunReport`]. Made by
-/// [`RunBuilder::assemble`]; every host — DES, channels, explorer, sockets
+/// [`RunBuilder::assemble`]; every host — DES, loopback, explorer, sockets
 /// — goes through it, so they share one validation and one harvest.
 #[derive(Debug)]
 pub struct Assembly<S: Classified> {
@@ -907,31 +913,44 @@ impl<S: Classified + Enumerable> Assembly<S> {
         self.harvest(sim.processes(), sim_stats, trace)
     }
 
-    /// Runs the drivers on the real-concurrency channels backend.
-    fn run_channels(mut self) -> Result<RunReport<S>, ReplicationError> {
-        if !self.faults.partitions().is_empty() {
-            return Err(ReplicationError::Unsupported(
-                "the channels backend cannot schedule scripted partitions \
-                 (link cuts are tied to simulated time); use NetworkConfig \
-                 drop/dup probabilities instead. Scripted crash windows are \
-                 supported: they map tick-for-tick onto the host's wall-clock \
-                 tick."
-                    .into(),
-            ));
-        }
-        if self.trace_cfg != TraceConfig::disabled() {
-            return Err(ReplicationError::Unsupported(
-                "trace capture requires the deterministic DES backend".into(),
-            ));
-        }
-        let (finished, sim_stats) = crate::backend::run_channels(
-            self.take_nodes(),
-            self.net,
-            &self.faults,
-            self.seed,
-            self.max_time,
+    /// Runs the drivers under the real-time loop [`host::run`] — the loop
+    /// that serves sockets — over a deterministic [`Loopback`] network on
+    /// a virtual clock: the DES's delay, loss, duplication and reorder
+    /// model drawn from the run seed, partitions cut at send time, crash
+    /// windows applied by the loop. Each node gets its own
+    /// [`CollectIo`], whose entropy is per node where the DES's is one
+    /// stream shared with the network, so the two schedule messages
+    /// differently and agree on decisions that do not depend on the
+    /// schedule. The run stops once every client is done and nothing is
+    /// in flight, or at `max_time`. Traces stay the DES's until
+    /// `CollectIo` gets a recorder: the report carries none.
+    pub fn run_loopback(mut self) -> RunReport<S> {
+        let nodes = self.take_nodes();
+        let clients = nodes
+            .iter()
+            .filter(|n| matches!(n, Node::Client(_)))
+            .count();
+        let seed = self.seed;
+        let io = |me: ProcId| CollectIo::new(me, seed ^ splitmix64(u64::from(me) + 1));
+        let mut hosted: Vec<_> = (0..).zip(nodes).map(|(me, n)| (n, io(me))).collect();
+        let crashes = self.faults.crashes().iter();
+        let script = CrashScript::new(crashes.map(|c| (c.proc as usize, c.from, c.until)));
+        let mut net = Loopback::new(self.net, self.faults.clone(), seed, self.max_time);
+        let (clock, in_flight, max_time) =
+            (net.clock.clone(), net.in_flight.clone(), self.max_time);
+        let ran = host::run(
+            &mut hosted,
+            &mut net,
+            &clock,
+            script,
+            |_| 0,
+            |done, now| now >= max_time || (done == clients && in_flight.get() == 0),
         );
-        Ok(self.harvest(&finished, sim_stats, None))
+        let mut stats = HostStats::sim_stats([&ran], clock.now());
+        stats.dropped += net.stats.dropped;
+        stats.duplicated = net.stats.duplicated;
+        stats.reordered = net.stats.reordered;
+        self.harvest(hosted.iter().map(|(node, _)| node), stats, None)
     }
 
     /// Reads a [`RunReport`] back from the drivers (all of them, in the
@@ -1222,6 +1241,42 @@ mod tests {
             .assemble()
             .unwrap();
         assert_eq!(ok.take_nodes().len(), 5);
+    }
+
+    /// Every host indexes its nodes by a fault plan's process ids, so a
+    /// window naming a process outside the cluster (3 repositories + 2
+    /// clients here) is refused, as is one that ends before it starts.
+    /// A crash of process 9 used to panic the simulator mid-run.
+    #[test]
+    fn assemble_refuses_fault_plans_outside_the_cluster() {
+        let run = |faults: &mut FaultPlan| {
+            RunBuilder::<TestQueue>::new(3)
+                .protocol(ProtocolConfig::new(queue_protocol()))
+                .workload(workload())
+                .faults(faults.clone())
+                .run()
+        };
+        let err = run(FaultPlan::none().crash(9, 10, 20)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid fault plan: crash names process 9, outside the cluster (n = 5)"
+        );
+        for refused in [
+            FaultPlan::none().crash(5, 10, 20),
+            FaultPlan::none().partition([1, 7], 10, 20),
+            FaultPlan::none().crash(0, 20, 10),
+            FaultPlan::none().partition([0], 20, 10),
+        ] {
+            let err = run(refused).unwrap_err();
+            assert!(
+                matches!(err, ReplicationError::InvalidFaultPlan(_)),
+                "{err}"
+            );
+        }
+        assert!(
+            run(FaultPlan::none().partition([4], 10, 20).crash(4, 10, 10)).is_ok(),
+            "the last client's id and an empty window are in range"
+        );
     }
 
     /// Action ids are `client × ACTION_SPAN + seq`: a client that could

@@ -52,10 +52,9 @@ pub enum ReplicationError {
     /// outside the cluster, non-increasing epochs or times, thresholds
     /// sized for a different membership).
     InvalidReconfig(String),
-    /// A [`RunBuilder`](crate::cluster::RunBuilder) feature is not
-    /// supported by the selected execution backend (e.g. injected fault
-    /// plans under the real-concurrency channels backend).
-    Unsupported(String),
+    /// A fault plan names a process outside the cluster, or schedules a
+    /// window that ends before it starts.
+    InvalidFaultPlan(String),
 }
 
 impl fmt::Display for ReplicationError {
@@ -89,8 +88,8 @@ impl fmt::Display for ReplicationError {
                 f,
                 "stale configuration: operation saw version {seen}, current is {current}"
             ),
-            ReplicationError::Unsupported(detail) => {
-                write!(f, "unsupported backend feature: {detail}")
+            ReplicationError::InvalidFaultPlan(detail) => {
+                write!(f, "invalid fault plan: {detail}")
             }
             ReplicationError::InvalidReconfig(detail) => {
                 write!(f, "invalid reconfiguration schedule: {detail}")

@@ -5,18 +5,23 @@
 //! written once. [`run`] owns everything a host has to get right — the
 //! `set_now → handle → drain outputs` turn, the `(due, seq)`-ordered
 //! [`Timers`], staggered [`Input::Start`]s, the [`CrashScript`] (DES crash
-//! semantics on a wall clock), the stop check and idle parking — and a
-//! [`Transport`] hides only *who carries the messages*: mpsc envelopes
-//! between threads ([`crate::backend`]), framed nonblocking sockets, or
-//! supervised reconnecting links (`quorumcc_net::load`). Tests substitute
-//! an in-memory transport on a manual [`Clock`] and run the loop without
-//! threads or sleeps.
+//! semantics on any clock), the stop check and idle parking — and a
+//! [`Transport`] hides only *who carries the messages*: the deterministic
+//! in-memory [`Loopback`] on a [`ManualClock`] (the DES's network model,
+//! one thread, virtual time), framed nonblocking sockets, or supervised
+//! reconnecting links (`quorumcc_net::load`).
 
+use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use quorumcc_sim::{CollectIo, Driver, Input, Io as _, Output, ProcId, SimStats, SimTime};
+use quorumcc_sim::{
+    CollectIo, Driver, FaultPlan, Input, Io as _, NetworkConfig, Output, ProcId, SimStats, SimTime,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Who carries the messages. [`run`] calls `poll` until it returns `None`
 /// (the whole ready backlog), fires due timers, then `flush`es once and
@@ -46,41 +51,40 @@ pub trait Transport<M> {
     fn recovered(&mut self, _node: ProcId) {}
 }
 
-/// The host's notion of time: a monotonic tick count and its wall-clock
-/// scale.
+/// The host's notion of time: a monotonic count of one-microsecond ticks
+/// since the run's epoch, the unit [`run`] parks in.
 pub trait Clock {
     /// Ticks since the run's epoch.
     fn now(&self) -> SimTime;
-
-    /// The wall-clock length of `ticks` ticks, saturating.
-    fn span(&self, ticks: SimTime) -> Duration;
 }
 
-/// Ticks of a fixed length counted from a shared epoch.
+/// Wall-clock microseconds since a shared epoch.
 #[derive(Debug, Clone, Copy)]
 pub struct WallClock {
     epoch: Instant,
-    tick_us: u64,
 }
 
 impl WallClock {
-    /// A clock whose tick 0 is `epoch` and whose tick lasts `tick_us`
-    /// microseconds (at least one).
-    pub fn new(epoch: Instant, tick_us: u64) -> Self {
-        WallClock {
-            epoch,
-            tick_us: tick_us.max(1),
-        }
+    /// A clock whose tick 0 is `epoch`.
+    pub fn new(epoch: Instant) -> Self {
+        WallClock { epoch }
     }
 }
 
 impl Clock for WallClock {
     fn now(&self) -> SimTime {
-        self.epoch.elapsed().as_micros() as SimTime / self.tick_us
+        self.epoch.elapsed().as_micros() as SimTime
     }
+}
 
-    fn span(&self, ticks: SimTime) -> Duration {
-        Duration::from_micros(ticks.saturating_mul(self.tick_us))
+/// Virtual time, moved only by a [`Loopback`]'s `park`. Clones share one
+/// reading.
+#[derive(Debug, Clone, Default)]
+pub struct ManualClock(Rc<Cell<SimTime>>);
+
+impl Clock for ManualClock {
+    fn now(&self) -> SimTime {
+        self.0.get()
     }
 }
 
@@ -354,8 +358,97 @@ where
         .into_iter()
         .flatten()
         .min();
-        let wait = wake.map_or(Duration::MAX, |due| clock.span(due.saturating_sub(now)));
+        let wait = wake.map_or(Duration::MAX, |due| {
+            Duration::from_micros(due.saturating_sub(now))
+        });
         h.transport.park(wait);
+    }
+}
+
+/// The deterministic in-memory network: one thread, a [`ManualClock`] and
+/// the DES's network model. A send's fate is [`NetworkConfig::fate`] —
+/// the draws the DES's step makes — on a stream seeded with the run seed,
+/// with the fault plan's partitions cut at send time (crash windows are
+/// [`run`]'s [`CrashScript`]'s); what survives waits in one queue by
+/// `(arrival, send order)`. `park` is the passage of time: it moves the
+/// clock to the next arrival or the loop's wake-up, whichever is first,
+/// and never past the horizon, so once nothing is in flight and no timer
+/// is due the clock jumps there and a run cannot hang.
+#[derive(Debug)]
+pub struct Loopback<M> {
+    /// The clock `park` moves; hand it to [`run`].
+    pub clock: ManualClock,
+    /// How many messages are in flight, readable while [`run`] holds the
+    /// transport: a stop condition's view of quiescence.
+    pub in_flight: Rc<Cell<usize>>,
+    /// The network's own counters — `dropped` (random loss and
+    /// partitions), `duplicated` and `reordered`; the loop counts the rest.
+    pub stats: SimStats,
+    net: NetworkConfig,
+    faults: FaultPlan,
+    rng: StdRng,
+    horizon: SimTime,
+    queue: BTreeMap<(SimTime, u64), (ProcId, ProcId, M)>,
+    sends: u64,
+}
+
+impl<M> Loopback<M> {
+    /// An empty network at tick 0 whose clock stops at `horizon`.
+    pub fn new(net: NetworkConfig, faults: FaultPlan, seed: u64, horizon: SimTime) -> Self {
+        let (clock, in_flight, stats, queue, sends) = Default::default();
+        let rng = StdRng::seed_from_u64(seed);
+        Loopback {
+            clock,
+            in_flight,
+            stats,
+            net,
+            faults,
+            rng,
+            horizon,
+            queue,
+            sends,
+        }
+    }
+
+    fn push(&mut self, at: SimTime, to: ProcId, from: ProcId, msg: M) {
+        self.sends += 1;
+        self.queue.insert((at, self.sends), (to, from, msg));
+        self.in_flight.set(self.queue.len());
+    }
+}
+
+impl<M: Clone> Transport<M> for Loopback<M> {
+    fn poll(&mut self) -> Option<(ProcId, ProcId, M)> {
+        let now = self.clock.now();
+        let due = self.queue.first_entry().filter(|e| e.key().0 <= now)?;
+        let delivery = due.remove();
+        self.in_flight.set(self.queue.len());
+        Some(delivery)
+    }
+
+    fn send(&mut self, from: ProcId, to: ProcId, msg: M) {
+        let now = self.clock.now();
+        let severed = self.faults.is_partitioned(from, to, now);
+        let Ok((delay, reordered, dup)) = self.net.fate(&mut self.rng, severed) else {
+            self.stats.dropped += 1;
+            return;
+        };
+        self.stats.reordered += usize::from(reordered);
+        if let Some(dup_delay) = dup {
+            self.stats.duplicated += 1;
+            self.push(now + dup_delay, to, from, msg.clone());
+        }
+        self.push(now + delay, to, from, msg);
+    }
+
+    /// Nothing is buffered: a send is in the queue at once.
+    fn flush(&mut self) {}
+
+    fn park(&mut self, max: Duration) {
+        let now = self.clock.now();
+        let wake = now.saturating_add(u64::try_from(max.as_micros()).unwrap_or(u64::MAX));
+        let next = self.queue.keys().next().map_or(SimTime::MAX, |&(at, _)| at);
+        self.clock.0.set(wake.min(next).min(self.horizon).max(now));
     }
 }
 
@@ -363,22 +456,6 @@ where
 mod tests {
     use super::*;
     use quorumcc_sim::Io;
-    use std::cell::Cell;
-    use std::collections::VecDeque;
-    use std::rc::Rc;
-
-    /// One tick = 1µs, advanced only by the transport's `park`.
-    #[derive(Clone, Default)]
-    struct ManualClock(Rc<Cell<SimTime>>);
-
-    impl Clock for ManualClock {
-        fn now(&self) -> SimTime {
-            self.0.get()
-        }
-        fn span(&self, ticks: SimTime) -> Duration {
-            Duration::from_micros(ticks)
-        }
-    }
 
     #[derive(Debug, PartialEq)]
     enum Call {
@@ -389,22 +466,42 @@ mod tests {
         Recovered(ProcId),
     }
 
-    /// Deterministic in-memory transport: sends between hosted nodes loop
-    /// back, `arrivals` inject outside deliveries at scripted ticks, and
-    /// `park` *is* the passage of time.
-    #[derive(Default)]
+    /// A [`Loopback`] on a zero-delay network (a send to a hosted node is
+    /// ready in the same turn) that records what the loop asked of it.
     struct Mem {
-        clock: ManualClock,
-        queue: VecDeque<(ProcId, ProcId, u32)>,
-        /// `(at, to, from, msg)`, sorted by `at`.
-        arrivals: VecDeque<(SimTime, ProcId, ProcId, u32)>,
+        net: Loopback<u32>,
         /// One-shot: the next park overshoots to this tick, whatever `max`.
         oversleep_to: Option<SimTime>,
         calls: Vec<Call>,
         parks: Vec<Duration>,
     }
 
+    impl Default for Mem {
+        fn default() -> Self {
+            let instant = NetworkConfig {
+                min_delay: 0,
+                max_delay: 0,
+                ..NetworkConfig::default()
+            };
+            Mem {
+                net: Loopback::new(instant, FaultPlan::none(), 0, SimTime::MAX),
+                oversleep_to: None,
+                calls: Vec::new(),
+                parks: Vec::new(),
+            }
+        }
+    }
+
     impl Mem {
+        /// Mem with outside deliveries `(at, to, from, msg)` in flight.
+        fn with_arrivals(arrivals: &[(SimTime, ProcId, ProcId, u32)]) -> Self {
+            let mut mem = Mem::default();
+            for &(at, to, from, msg) in arrivals {
+                mem.net.push(at, to, from, msg);
+            }
+            mem
+        }
+
         /// The crash/recovery notices the host sent, in order.
         fn edges(&self) -> Vec<&Call> {
             self.calls
@@ -416,19 +513,11 @@ mod tests {
 
     impl Transport<u32> for Mem {
         fn poll(&mut self) -> Option<(ProcId, ProcId, u32)> {
-            while self
-                .arrivals
-                .front()
-                .is_some_and(|a| a.0 <= self.clock.now())
-            {
-                let (_, to, from, msg) = self.arrivals.pop_front().unwrap();
-                self.queue.push_back((to, from, msg));
-            }
-            self.queue.pop_front()
+            self.net.poll()
         }
         fn send(&mut self, from: ProcId, to: ProcId, msg: u32) {
             self.calls.push(Call::Send);
-            self.queue.push_back((to, from, msg));
+            self.net.send(from, to, msg);
         }
         fn flush(&mut self) {
             self.calls.push(Call::Flush);
@@ -436,12 +525,10 @@ mod tests {
         fn park(&mut self, max: Duration) {
             self.calls.push(Call::Park);
             self.parks.push(max);
-            let now = self.clock.now();
-            let mut target = now.saturating_add(max.as_micros().min(1 << 40) as SimTime);
-            if let Some(a) = self.arrivals.front() {
-                target = target.min(a.0.max(now));
+            match self.oversleep_to.take() {
+                Some(t) => self.net.clock.0.set(t),
+                None => self.net.park(max),
             }
-            self.clock.0.set(self.oversleep_to.take().unwrap_or(target));
         }
         fn crashed(&mut self, node: ProcId) {
             self.calls.push(Call::Crashed(node));
@@ -508,7 +595,7 @@ mod tests {
         script: CrashScript,
         horizon: SimTime,
     ) -> HostStats {
-        let clock = mem.clock.clone();
+        let clock = mem.net.clock.clone();
         run(
             nodes,
             mem,
@@ -555,10 +642,7 @@ mod tests {
     #[test]
     fn crash_window_drops_what_falls_inside_and_recovers_once() {
         let mut nodes = crash_probe();
-        let mut mem = Mem {
-            arrivals: [(12, 0, 9, 120), (22, 0, 9, 220)].into(),
-            ..Mem::default()
-        };
+        let mut mem = Mem::with_arrivals(&[(12, 0, 9, 120), (22, 0, 9, 220)]);
         let stats = run_to(&mut nodes, &mut mem, CrashScript::new([(0, 10, 20)]), 30);
         assert_eq!(
             nodes[0].0.seen,
@@ -603,7 +687,7 @@ mod tests {
     fn staggered_starts_honour_start_at() {
         let mut nodes = hosted(vec![Probe::default(), Probe::default(), Probe::default()]);
         let mut mem = Mem::default();
-        let clock = mem.clock.clone();
+        let clock = mem.net.clock.clone();
         run(
             &mut nodes,
             &mut mem,
@@ -627,7 +711,7 @@ mod tests {
             ..Probe::default()
         }]);
         let mut mem = Mem::default();
-        let clock = mem.clock.clone();
+        let clock = mem.net.clock.clone();
         let stats = run(
             &mut nodes,
             &mut mem,
@@ -654,7 +738,7 @@ mod tests {
             ..Probe::default()
         }]);
         let mut mem = Mem::default();
-        let clock = mem.clock.clone();
+        let clock = mem.net.clock.clone();
         let mut turns = 0;
         run(
             &mut nodes,
@@ -669,9 +753,81 @@ mod tests {
         );
         assert_eq!(mem.parks, [Duration::from_micros(far)]);
         assert_eq!(nodes[0].0.seen.last(), Some(&(far, Seen::Timer(1))));
-        // The wall clock scales and saturates in 64 bits.
-        let wall = WallClock::new(Instant::now(), 50);
-        assert_eq!(wall.span(far), Duration::from_micros(50 * far));
-        assert_eq!(wall.span(u64::MAX), Duration::from_micros(u64::MAX));
+    }
+
+    /// Node 0 messages every other node at start and again at t=50; every
+    /// node records when it received what.
+    struct Fan {
+        n: ProcId,
+        got: Vec<(SimTime, u32)>,
+    }
+
+    impl Driver<u32> for Fan {
+        fn handle<IO: Io<u32> + ?Sized>(&mut self, io: &mut IO, input: Input<u32>) {
+            let round = match input {
+                Input::Start if io.me() == 0 => {
+                    io.set_timer(50, 1);
+                    0
+                }
+                Input::Timer { token } => token as u32,
+                Input::Deliver { msg, .. } => return self.got.push((io.now(), msg)),
+                _ => return,
+            };
+            for to in 1..self.n {
+                io.send(to, round);
+            }
+        }
+    }
+
+    /// The loopback is the DES's network: same seed, same fates — drops,
+    /// partition cuts, delays, reorder penalties and duplicates land on
+    /// the same messages at the same ticks.
+    #[test]
+    fn loopback_draws_the_des_network_fates() {
+        use quorumcc_sim::Sim;
+        let net = NetworkConfig {
+            drop_prob: 0.2,
+            dup_prob: 0.4,
+            reorder_window: 6,
+            ..NetworkConfig::default()
+        };
+        let mut faults = FaultPlan::none();
+        faults.partition([0, 1, 2], 0, 20);
+        let fan = || {
+            (0..12).map(|_| Fan {
+                n: 12,
+                got: Vec::new(),
+            })
+        };
+        let mut sim = Sim::new(fan().collect(), net, faults.clone(), 5);
+        let des = sim.run(1_000);
+        let mut lb = Loopback::new(net, faults, 5, 1_000);
+        let clock = lb.clock.clone();
+        let mut nodes: Vec<_> = fan()
+            .enumerate()
+            .map(|(i, d)| (d, CollectIo::new(i as ProcId, 0)))
+            .collect();
+        let ran = run(
+            &mut nodes,
+            &mut lb,
+            &clock,
+            CrashScript::none(),
+            |_| 0,
+            |_, now| now >= 1_000,
+        );
+        for (i, (node, _)) in nodes.iter().enumerate() {
+            assert_eq!(node.got, sim.process(i as ProcId).got, "node {i}");
+        }
+        let mut stats = HostStats::sim_stats([&ran], des.end_time);
+        stats.dropped += lb.stats.dropped;
+        stats.duplicated = lb.stats.duplicated;
+        stats.reordered = lb.stats.reordered;
+        assert_eq!(
+            stats, des,
+            "the loop and the network count what the DES does"
+        );
+        assert!(des.dropped > 0 && des.duplicated > 0 && des.reordered > 0);
+        // Nothing in flight and no timer due: the clock jumped to the horizon.
+        assert_eq!((lb.in_flight.get(), clock.now()), (0, 1_000));
     }
 }

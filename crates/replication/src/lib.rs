@@ -1,5 +1,9 @@
-//! Quorum-consensus replication of typed objects (§3.2 of the paper),
-//! over the deterministic simulator.
+//! Quorum-consensus replication of typed objects (§3.2 of the paper), as
+//! sans-I/O drivers that every host steps alike: the deterministic
+//! simulator ([`cluster::RunBuilder::run`]), the exhaustive explorer, and
+//! the one real-time loop ([`host::run`]) — over the deterministic
+//! in-memory [`host::Loopback`] ([`cluster::Assembly::run_loopback`]) or
+//! over sockets (`quorumcc-net`).
 //!
 //! The architecture follows the paper exactly:
 //!
@@ -38,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod chaos;
 pub mod client;
 pub mod cluster;
@@ -56,7 +59,6 @@ mod spec;
 pub mod types;
 pub mod workload;
 
-pub use backend::BackendKind;
 pub use chaos::{ChaosConfig, ChaosOutcome, ChaosPlan, ChaosProfile, ProfileStats};
 pub use client::{Client, ClientConfig, ClientStats, Fanout, Transaction};
 pub use cluster::{Assembly, Node, ProtocolConfig, RunBuilder, RunReport, TuningConfig};

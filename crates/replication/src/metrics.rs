@@ -337,7 +337,7 @@ run_telemetry! {
     /// timer (0 when retransmission is off).
     resolve_ack_retransmits: Sum;
     /// Supervised connections re-established after a socket death (0 on
-    /// the DES/channels backends, which have no sockets).
+    /// the DES and the loopback, which have no sockets).
     reconnects: Sum;
     /// Retransmit timer fires that observed a stalled durable-GC frontier
     /// (0 when retransmission is off).

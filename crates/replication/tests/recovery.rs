@@ -9,15 +9,18 @@
 //!    always safe.
 //! 2. **Transparency** — turning the retransmitter on must not change any
 //!    commit/abort decision: it only repeats messages the protocol already
-//!    tolerates. The same workload pushed through the DES and the
-//!    channels backend with frontier repair enabled must produce identical
-//!    per-client decision sequences for Queue, PROM, and FlagSet in all
-//!    three concurrency-control modes.
+//!    tolerates. The same workload pushed through the DES and through the
+//!    real-time loop over the deterministic loopback
+//!    ([`Assembly::run_loopback`]) with frontier repair enabled must
+//!    produce identical per-client decision sequences for Queue, PROM, and
+//!    FlagSet in all three concurrency-control modes.
 //!
 //! The first claim is exercised directly against a [`Client`] driver (the
 //! frontier is client state; no cluster needed), then end-to-end under a
 //! duplicating DES network. The second reuses the equivalence idiom of
 //! `backends.rs` with the repair tuning switched on.
+//!
+//! [`Assembly::run_loopback`]: quorumcc_replication::Assembly::run_loopback
 
 use quorumcc_adts::flagset::FlagSetInv;
 use quorumcc_adts::prom::PromInv;
@@ -32,7 +35,7 @@ use quorumcc_replication::cluster::{ProtocolConfig, RunBuilder, RunReport};
 use quorumcc_replication::protocol::{Mode, Protocol};
 use quorumcc_replication::types::action_id;
 use quorumcc_replication::{
-    BackendKind, Client, ClientConfig, CollectIo, Fanout, Msg, ObjId, Transaction, TuningConfig,
+    Client, ClientConfig, CollectIo, Fanout, Msg, ObjId, Transaction, TuningConfig,
 };
 use quorumcc_sim::NetworkConfig;
 
@@ -199,15 +202,20 @@ fn private_txns<I: Clone>(obj: u16, txns: &[Vec<I>]) -> Vec<Transaction<I>> {
         .collect()
 }
 
-/// Both backends, frontier repair on: decisions must match each other and
+/// Both hosts, frontier repair on: decisions must match each other and
 /// the workload total (conflict-free, fault-free — retransmission may
-/// repeat wire traffic but never changes an outcome).
+/// repeat wire traffic but never changes an outcome). The think time
+/// outlasts the largest network delay, so a client's next transaction
+/// never overtakes its previous one's `Resolve`: the hosts schedule
+/// messages differently (their entropy streams differ), and an overtaken
+/// `Resolve` is the one way a private object's decision could depend on
+/// that.
 fn assert_equivalent_under_repair<S: Classified + Enumerable>(
     mode: Mode,
     workload: Vec<Vec<Transaction<S::Inv>>>,
 ) {
     let total_txns: usize = workload.iter().map(Vec::len).sum();
-    let build = |backend| {
+    let build = || {
         RunBuilder::<S>::new(3)
             .protocol(ProtocolConfig::new(Protocol::new(
                 mode,
@@ -215,28 +223,31 @@ fn assert_equivalent_under_repair<S: Classified + Enumerable>(
             )))
             .tuning(
                 TuningConfig::default()
+                    .think_time(NetworkConfig::default().max_delay + 1)
                     .scoped_statuses()
                     .status_gc(2)
                     .resolve_retransmit(400),
             )
             .seed(7)
             .workload(workload.clone())
-            .backend(backend)
-            .run()
-            .unwrap_or_else(|e| panic!("{mode:?}/{backend:?} run failed: {e}"))
     };
-    let des = build(BackendKind::Des);
-    let chan = build(BackendKind::Channels);
+    let des = build()
+        .run()
+        .unwrap_or_else(|e| panic!("{mode:?}/DES run failed: {e}"));
+    let lb = build()
+        .assemble()
+        .unwrap_or_else(|e| panic!("{mode:?}/loopback assembly failed: {e}"))
+        .run_loopback();
     assert_eq!(
         decisions(&des),
-        decisions(&chan),
+        decisions(&lb),
         "{mode:?}: decision sequences diverge under retransmit"
     );
     assert_eq!(des.stats().committed, total_txns, "{mode:?}: DES aborts");
     assert_eq!(
-        chan.stats().committed,
+        lb.stats().committed,
         total_txns,
-        "{mode:?}: channels aborts"
+        "{mode:?}: loopback aborts"
     );
     // The repair plumbing must actually be live on the deterministic run:
     // statuses reach durability and get collected.
@@ -339,7 +350,6 @@ fn duplicating_network_keeps_repair_oracle_clean() {
         })
         .seed(23)
         .workload(workload)
-        .backend(BackendKind::Des)
         .run()
         .expect("duplicating DES run");
     let safety = report.safety(bounds());

@@ -15,8 +15,7 @@ use crate::node::{Driver, Input, Io};
 use crate::trace::{DropCause, TraceAction, TraceBuffer, TraceConfig, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 /// Network timing and loss parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,6 +52,39 @@ impl NetworkConfig {
     /// (`drop_prob` and `dup_prob` in `[0, 1]`).
     pub fn probabilities_valid(&self) -> bool {
         (0.0..=1.0).contains(&self.drop_prob) && (0.0..=1.0).contains(&self.dup_prob)
+    }
+
+    /// Decides at send time what the network does with one message —
+    /// the one network model, which [`Sim`]'s step and the real-time
+    /// loopback transport both call: `Err` with why it is lost (`severed`
+    /// says a partition cuts the link now), or `Ok((delay, reordered,
+    /// dup))` — ticks in flight, whether a reorder penalty is part of
+    /// them, and a duplicate's own ticks in flight. The draws come from
+    /// `rng` in a fixed order: the drop, then (past the partition) the
+    /// delay, the reorder penalty and the duplicate with its delay. The
+    /// last two are drawn only when their knob is set, so the default
+    /// configuration's stream — every seed's execution — is unmoved.
+    pub fn fate<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        severed: bool,
+    ) -> Result<(SimTime, bool, Option<SimTime>), DropCause> {
+        if rng.gen_bool(self.drop_prob) {
+            return Err(DropCause::Random);
+        }
+        if severed {
+            return Err(DropCause::Partition);
+        }
+        let mut delay = rng.gen_range(self.min_delay..=self.max_delay);
+        let mut reordered = false;
+        if self.reorder_window > 0 {
+            let penalty = rng.gen_range(0..=self.reorder_window);
+            reordered = penalty > 0;
+            delay += penalty;
+        }
+        let dup = (self.dup_prob > 0.0 && rng.gen_bool(self.dup_prob))
+            .then(|| rng.gen_range(self.min_delay..=self.max_delay));
+        Ok((delay, reordered, dup))
     }
 }
 
@@ -140,31 +172,6 @@ enum EventKind<M> {
     Recover,
 }
 
-#[derive(Debug)]
-struct Scheduled<M> {
-    at: SimTime,
-    seq: u64,
-    to: ProcId,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// Counters describing one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
@@ -228,7 +235,8 @@ pub struct SimStats {
 #[derive(Debug)]
 pub struct Sim<M, D> {
     procs: Vec<D>,
-    queue: BinaryHeap<Reverse<Scheduled<M>>>,
+    /// Pending events `(to, kind)` by `(time, sequence)`.
+    queue: BTreeMap<(SimTime, u64), (ProcId, EventKind<M>)>,
     now: SimTime,
     seq: u64,
     rng: StdRng,
@@ -266,7 +274,7 @@ impl<M: Clone, D: Driver<M>> Sim<M, D> {
         tracer.prologue(&faults);
         let mut sim = Sim {
             procs,
-            queue: BinaryHeap::new(),
+            queue: BTreeMap::new(),
             now: 0,
             seq: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -279,15 +287,8 @@ impl<M: Clone, D: Driver<M>> Sim<M, D> {
         // Schedule one recovery event per crash interval up front. The low
         // sequence numbers make recoveries run before any same-tick
         // delivery, so a recovering driver rebuilds state first.
-        let crashes: Vec<_> = sim.faults.crashes().to_vec();
-        for c in crashes {
-            sim.seq += 1;
-            sim.queue.push(Reverse(Scheduled {
-                at: c.until,
-                seq: sim.seq,
-                to: c.proc,
-                kind: EventKind::Recover,
-            }));
+        for c in sim.faults.crashes().to_vec() {
+            sim.schedule(c.until, c.proc, EventKind::Recover);
         }
         sim
     }
@@ -324,22 +325,18 @@ impl<M: Clone, D: Driver<M>> Sim<M, D> {
                 self.step(id, Input::Start);
             }
         }
-        while let Some(Reverse(ev)) = self.queue.pop() {
-            if ev.at > max_time {
-                // Leave the event unprocessed; time stops at max_time.
-                self.queue.push(Reverse(ev));
-                break;
-            }
-            self.now = ev.at;
-            let to = ev.to;
+        // An event past max_time stays queued; time stops at max_time.
+        while let Some(next) = self.queue.first_entry().filter(|e| e.key().0 <= max_time) {
+            let ((at, _), (to, kind)) = next.remove_entry();
+            self.now = at;
             if self.faults.is_crashed(to, self.now) {
                 // A recovery swallowed by an overlapping crash interval is
                 // not an occurrence at all: skip it without counting.
-                if matches!(ev.kind, EventKind::Recover) {
+                if matches!(kind, EventKind::Recover) {
                     continue;
                 }
                 self.stats.dropped += 1;
-                if let EventKind::Deliver { .. } = ev.kind {
+                if let EventKind::Deliver { .. } = kind {
                     self.tracer.record_local(
                         self.now,
                         to,
@@ -351,7 +348,7 @@ impl<M: Clone, D: Driver<M>> Sim<M, D> {
                 }
                 continue;
             }
-            match ev.kind {
+            match kind {
                 EventKind::Deliver { from, msg, stamp } => {
                     self.stats.delivered += 1;
                     self.tracer.record_deliver(self.now, to, from, stamp);
@@ -384,71 +381,50 @@ impl<M: Clone, D: Driver<M>> Sim<M, D> {
             self.stats.payload_msgs += weight as usize;
             // Random loss and partitions are assessed at send time,
             // receiver crashes at delivery time.
-            let dropped = if self.rng.gen_bool(self.net.drop_prob) {
-                Some(DropCause::Random)
-            } else if self.faults.is_partitioned(id, to, self.now) {
-                Some(DropCause::Partition)
-            } else {
-                None
-            };
-            if let Some(cause) = dropped {
-                self.stats.dropped += 1;
-                self.tracer
-                    .record_local(self.now, id, TraceAction::Drop { to, cause });
-                continue;
-            }
-            let stamp = self.tracer.record_send(self.now, id, to);
-            let mut delay = self.rng.gen_range(self.net.min_delay..=self.net.max_delay);
-            // Chaos draws are gated on their knobs being set so the RNG
-            // stream — and thus every existing seed's execution — is
-            // untouched under the default configuration.
-            if self.net.reorder_window > 0 {
-                let penalty = self.rng.gen_range(0..=self.net.reorder_window);
-                if penalty > 0 {
-                    self.stats.reordered += 1;
+            let severed = self.faults.is_partitioned(id, to, self.now);
+            let (delay, reordered, dup) = match self.net.fate(&mut self.rng, severed) {
+                Ok(fate) => fate,
+                Err(cause) => {
+                    self.stats.dropped += 1;
                     self.tracer
-                        .record_local(self.now, id, TraceAction::NetReorder { to });
-                    delay += penalty;
+                        .record_local(self.now, id, TraceAction::Drop { to, cause });
+                    continue;
                 }
+            };
+            let stamp = self.tracer.record_send(self.now, id, to);
+            if reordered {
+                self.stats.reordered += 1;
+                self.tracer
+                    .record_local(self.now, id, TraceAction::NetReorder { to });
             }
-            if self.net.dup_prob > 0.0 && self.rng.gen_bool(self.net.dup_prob) {
-                let dup_delay = self.rng.gen_range(self.net.min_delay..=self.net.max_delay);
+            if let Some(dup_delay) = dup {
                 self.stats.duplicated += 1;
                 self.tracer
                     .record_local(self.now, id, TraceAction::NetDup { to });
-                self.seq += 1;
-                self.queue.push(Reverse(Scheduled {
-                    at: self.now + dup_delay,
-                    seq: self.seq,
-                    to,
-                    kind: EventKind::Deliver {
-                        from: id,
-                        msg: msg.clone(),
-                        stamp,
-                    },
-                }));
-            }
-            self.seq += 1;
-            self.queue.push(Reverse(Scheduled {
-                at: self.now + delay,
-                seq: self.seq,
-                to,
-                kind: EventKind::Deliver {
+                let copy = EventKind::Deliver {
                     from: id,
-                    msg,
+                    msg: msg.clone(),
                     stamp,
-                },
-            }));
+                };
+                self.schedule(self.now + dup_delay, to, copy);
+            }
+            let kind = EventKind::Deliver {
+                from: id,
+                msg,
+                stamp,
+            };
+            self.schedule(self.now + delay, to, kind);
         }
         for (delay, token) in timers {
-            self.seq += 1;
-            self.queue.push(Reverse(Scheduled {
-                at: self.now + delay,
-                seq: self.seq,
-                to: id,
-                kind: EventKind::Timer { token },
-            }));
+            self.schedule(self.now + delay, id, EventKind::Timer { token });
         }
+    }
+
+    /// Queues `kind` for `to` at tick `at`, after everything already
+    /// queued for that tick.
+    fn schedule(&mut self, at: SimTime, to: ProcId, kind: EventKind<M>) {
+        self.seq += 1;
+        self.queue.insert((at, self.seq), (to, kind));
     }
 }
 

@@ -10,9 +10,9 @@
 //!   buffers sends and timers, and the engine applies them when the
 //!   handler returns;
 //! * [`CollectIo`] — the real-time hosts (`quorumcc_replication::host::run`
-//!   over channels or sockets) stamp in the current tick, let the driver
-//!   run, and drain the emitted [`Output`]s to their transport: the pure
-//!   `handle(Input) -> Vec<Output>` form.
+//!   over the in-memory loopback or sockets) stamp in the current tick,
+//!   let the driver run, and drain the emitted [`Output`]s to their
+//!   transport: the pure `handle(Input) -> Vec<Output>` form.
 
 use crate::fault::{ProcId, SimTime};
 use crate::trace::TraceAction;
@@ -129,10 +129,11 @@ pub trait Driver<M> {
 /// transport. This is the pure `handle(Input) -> Vec<Output>` face of the
 /// sans-I/O core.
 ///
-/// Entropy is a private splitmix64 stream seeded per node — real
-/// backends make no determinism promise, they only need *well-spread*
-/// jitter, and keeping the generator inside the `Io` keeps protocol code
-/// free of any direct RNG dependency.
+/// Entropy is a private splitmix64 stream seeded per node — a pure
+/// function of the seed, but not the DES's one shared stream, so a
+/// deterministic host (the loopback) reproduces itself without drawing
+/// what the DES would — and keeping the generator inside the `Io` keeps
+/// protocol code free of any direct RNG dependency.
 #[derive(Debug)]
 pub struct CollectIo<M> {
     now: SimTime,

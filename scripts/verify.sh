@@ -115,6 +115,16 @@ for decl in 'pub trait Driver<' 'pub trait Io<'; do
   fi
 done
 
+echo "==> structure: one real-time loop, two transports (DESIGN §3.14)"
+# host::run is the one real-time loop; host::Loopback (virtual time, the
+# DES's network model) and the socket transports are what it runs over.
+# The threads-and-channels host, the builder switch that chose it and the
+# refusal its nondeterminism needed must not come back beside them.
+if echo "$node_src" | grep -E 'ChannelTransport|BackendKind|run_channels|Unsupported|TICK_US|WALL_CAP'; then
+  echo "a second real-time host or its backend switch outside tests (lines above)" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -141,7 +151,7 @@ git diff --quiet -- perf BENCHMARK.json || {
   exit 1
 }
 
-echo "==> sans-I/O backend equivalence suite (DES vs channel threads)"
+echo "==> sans-I/O host equivalence suite (DES vs host::run over Loopback)"
 cargo test -q --release -p quorumcc-replication --test backends > /dev/null
 
 echo "==> qcc trace smoke run"
@@ -353,7 +363,7 @@ echo "$lossy_out" | grep -q '"recoveries": 1' || {
   exit 1
 }
 
-echo "==> recovery property suite (frontier idempotence + backend identity under retransmit)"
+echo "==> recovery property suite (frontier idempotence + host identity under retransmit)"
 cargo test -q --release -p quorumcc-replication --test recovery > /dev/null
 
 echo "==> gossip A/B decision-identity suite (scoped+GC vs full shipping, 3 ADTs x 3 modes + GC chaos sweep)"
@@ -381,7 +391,7 @@ else
 fi
 
 echo "==> exp_recovery quick: recovery gates + BENCH_exp_recovery.json byte-identical at --threads 1/2/4/0"
-# DES telemetry is deterministic; the channels/eventloop phases record
+# DES and loopback telemetry is deterministic; the eventloop phase records
 # only asserted booleans, so the whole artifact is byte-stable.
 threads_invariant exp_recovery BENCH_exp_recovery.json --quick
 

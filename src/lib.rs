@@ -15,7 +15,8 @@
 //! * [`quorum`] — quorum assignments, intersection constraints, availability
 //! * [`sim`] — deterministic discrete-event simulation substrate
 //! * [`replication`] — repositories, front-ends, transactions, CC protocols,
-//!   and the sans-I/O protocol drivers both backends host
+//!   the sans-I/O protocol drivers every host steps, and the one real-time
+//!   host loop
 //! * [`net`] — the real-socket backend: wire codec, TCP framing, and the
 //!   `exp_load` harness (`qcc load`)
 //!
@@ -40,9 +41,8 @@ pub use quorumcc_sim as sim;
 /// `use quorumcc::prelude::*;` brings in everything needed to configure
 /// a cluster with [`RunBuilder`](prelude::RunBuilder) — including the
 /// sans-I/O surface ([`Driver`](prelude::Driver),
-/// [`Input`](prelude::Input)/[`Output`](prelude::Output),
-/// [`BackendKind`](prelude::BackendKind) for `RunBuilder::backend`, and
-/// the [`run_load`](prelude::run_load) socket harness) — inspect the
+/// [`Input`](prelude::Input)/[`Output`](prelude::Output)) and the
+/// [`run_load`](prelude::run_load) socket harness — inspect the
 /// resulting [`RunReport`](prelude::RunReport) and
 /// [`RunTelemetry`](prelude::RunTelemetry), and check captured histories
 /// against the paper's atomicity properties:
@@ -69,10 +69,10 @@ pub mod prelude {
     pub use quorumcc_net::{run_load, LoadConfig, LoadReport, Wire};
     pub use quorumcc_quorum::ThresholdAssignment;
     pub use quorumcc_replication::{
-        BackendKind, ClientMetrics, ClientStats, CollectIo, Config, ConfigState, Driver, Fanout,
-        Input, Io, LogicalHistogram, Mode, Msg, ObjId, Output, Protocol, ProtocolConfig,
-        ReconfigPolicy, ReconfigRecord, ReplicationError, RunBuilder, RunReport, RunTelemetry,
-        Transaction, TuningConfig,
+        ClientMetrics, ClientStats, CollectIo, Config, ConfigState, Driver, Fanout, Input, Io,
+        LogicalHistogram, Mode, Msg, ObjId, Output, Protocol, ProtocolConfig, ReconfigPolicy,
+        ReconfigRecord, ReplicationError, RunBuilder, RunReport, RunTelemetry, Transaction,
+        TuningConfig,
     };
     pub use quorumcc_sim::trace::{TraceAction, TraceBuffer, TraceConfig, TraceEvent};
     pub use quorumcc_sim::{FaultPlan, NetworkConfig, ProcId, SimTime, Timestamp};
