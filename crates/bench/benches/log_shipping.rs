@@ -32,6 +32,14 @@
 //! committed `Enq`s: from an empty cache (`Protocol::evaluate`, a replay of
 //! the whole view), and from a cache that has seen all but the last 16
 //! entries (`Protocol::evaluate_from`, the client's path).
+//!
+//! A fifth, `client_read_round/{25,800}_entries/{rebuild,persistent}`, is the
+//! row for the front-end's view assembly: one read round over mirrors of
+//! three sites holding 25 / 800 committed entries — two replies, each a
+//! 16-entry delta, then the final-quorum cuts to those two sites. `rebuild`
+//! merges the replied mirrors into a blank log and cuts with
+//! `ObjectLog::minus`; `persistent` syncs and joins the client's `View`
+//! and cuts it over what the mirrors disagree on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quorumcc_adts::queue::{Queue, QueueInv, QueueRes};
@@ -42,7 +50,7 @@ use quorumcc_replication::protocol::{EvalCache, Mode};
 use quorumcc_replication::types::{
     action_id, entry_of, ActionOutcome, Checkpoint, LogEntry, ObjId, ObjectLog, VersionedLog,
 };
-use quorumcc_replication::{CollectIo, Msg, Output, Protocol, Repository};
+use quorumcc_replication::{CollectIo, Msg, Output, Protocol, Repository, View};
 use quorumcc_sim::Timestamp;
 use std::collections::BTreeMap;
 
@@ -60,7 +68,13 @@ fn ts(c: u64, n: u32) -> Timestamp {
 /// protocol guarantees).
 fn filled(n: usize) -> Log {
     let mut log = Log::new();
-    for i in 0..n {
+    grow(&mut log, 0..n);
+    log
+}
+
+/// Appends the committed entries numbered `which` (as in [`filled`]).
+fn grow(log: &mut Log, which: impl IntoIterator<Item = usize>) {
+    for i in which {
         let i64 = i as u64;
         log.insert(LogEntry {
             ts: ts(i64 + 1, 0),
@@ -70,7 +84,6 @@ fn filled(n: usize) -> Log {
         });
         log.resolve(ActionId(i as u32), ActionOutcome::Committed(ts(i64 + 2, 0)));
     }
-    log
 }
 
 /// `filled(n)` with all but the youngest `tail` commits folded into a
@@ -350,11 +363,98 @@ fn bench_protocol_evaluate(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_client_read_round(c: &mut Criterion) {
+    /// Entries each replying site gained since the client last read it.
+    const FRESH: usize = 16;
+    const SAMPLES: usize = 30;
+    let mut g = c.benchmark_group("client_read_round");
+    g.sample_size(SAMPLES);
+    for entries in [25usize, 800] {
+        // Three sites, mirrored and viewed by a client at `entries - FRESH`;
+        // then the two the round reads from gain `FRESH` more each, from
+        // writes that reached one of them but not the other.
+        let mut sites = vec![filled(entries - FRESH); 3];
+        let mirrors: Vec<Log> = (sites.iter())
+            .map(|site| {
+                let mut mirror = Log::new();
+                mirror.apply_delta(&site.delta_since(0));
+                mirror
+            })
+            .collect();
+        let mut view = View::default();
+        view.sync(
+            0,
+            mirrors[0].log(),
+            &(0..).zip(mirrors.iter().map(Log::log)).collect::<Vec<_>>(),
+        );
+        for (s, site) in sites[..2].iter_mut().enumerate() {
+            grow(
+                site,
+                (entries - FRESH..entries + FRESH).filter(|i| i % 2 == s),
+            );
+        }
+        let deltas: Vec<_> = (0..2)
+            .map(|s| sites[s].delta_since(mirrors[s].version()))
+            .collect();
+        let rebuild = |m: &mut Vec<Log>| {
+            for (mirror, delta) in m.iter_mut().zip(&deltas) {
+                mirror.apply_delta(delta);
+            }
+            let mut merged = ObjectLog::new();
+            merged.merge(m[0].log());
+            merged.merge(m[1].log());
+            let cuts = [merged.minus(m[0].log()), merged.minus(m[1].log())];
+            (merged, cuts)
+        };
+        let persistent = |(m, view): &mut (Vec<Log>, View<u64, u64>)| {
+            for ((site, mirror), delta) in (0..).zip(m.iter_mut()).zip(&deltas) {
+                view.advance(site, mirror, delta);
+            }
+            view.sync(
+                0,
+                m[0].log(),
+                &(0..).zip(m.iter().map(Log::log)).collect::<Vec<_>>(),
+            );
+            view.join(1, m[1].log());
+            [view.cut(0, m[0].log()), view.cut(1, m[1].log())]
+        };
+        let (mut a, mut b) = (mirrors.clone(), (mirrors.clone(), view.clone()));
+        let (merged, cuts) = rebuild(&mut a);
+        assert_eq!(persistent(&mut b), cuts);
+        assert_eq!((b.1.log(), cuts[0].len()), (&merged, FRESH));
+        // Each sample runs on copies made beforehand and kept until after.
+        let mut states: Vec<_> = (0..=SAMPLES).map(|_| mirrors.clone()).collect();
+        let mut spent = Vec::with_capacity(states.len());
+        g.bench_function(format!("{entries}_entries/rebuild"), |b| {
+            b.iter(|| {
+                let mut m = states.pop().expect("one copy per sample");
+                let cuts = rebuild(&mut m);
+                spent.push(m);
+                cuts
+            })
+        });
+        let mut states: Vec<_> = (0..=SAMPLES)
+            .map(|_| (mirrors.clone(), view.clone()))
+            .collect();
+        let mut spent = Vec::with_capacity(states.len());
+        g.bench_function(format!("{entries}_entries/persistent"), |b| {
+            b.iter(|| {
+                let mut state = states.pop().expect("one copy per sample");
+                let cuts = persistent(&mut state);
+                spent.push(state);
+                cuts
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_log_shipping,
     bench_repository_resolve,
     bench_repository_writelog,
-    bench_protocol_evaluate
+    bench_protocol_evaluate,
+    bench_client_read_round
 );
 criterion_main!(benches);

@@ -18,9 +18,8 @@ use crate::messages::{Batcher, Msg};
 use crate::metrics::ClientMetrics;
 use crate::protocol::{ConflictReason, EvalCache, Protocol};
 use crate::reconfig::{ConfigState, ShardedConfig};
-use crate::types::{
-    action_id, action_parts, ActionOutcome, LogEntry, ObjId, ObjectLog, VersionedLog,
-};
+use crate::types::{action_id, action_parts, ActionOutcome, LogEntry, ObjId, VersionedLog};
+use crate::view::View;
 use quorumcc_model::{ActionId, Classified, Event};
 use quorumcc_quorum::ThresholdAssignment;
 use quorumcc_sim::trace::{AbortCause, ConflictKind, PhaseKind, TraceAction};
@@ -221,7 +220,6 @@ enum Phase<I, R> {
         op_idx: usize,
         obj: ObjId,
         inv: I,
-        merged: ObjectLog<I, R>,
         replied: BTreeSet<ProcId>,
         retries: u32,
         since: SimTime,
@@ -230,7 +228,6 @@ enum Phase<I, R> {
     Writing {
         obj: ObjId,
         event: Event<I, R>,
-        view: ObjectLog<I, R>,
         entry: LogEntry<I, R>,
         acks: BTreeSet<ProcId>,
         retries: u32,
@@ -245,10 +242,9 @@ enum Phase<I, R> {
 /// operation before `k` already exist — pipelining reorders network
 /// phases, never the serial semantics of the transaction.
 #[derive(Debug, Clone)]
-struct ReadyRead<I, R> {
+struct ReadyRead<I> {
     obj: ObjId,
     inv: I,
-    merged: ObjectLog<I, R>,
     started: SimTime,
 }
 
@@ -268,7 +264,7 @@ struct Txn<I, R> {
     /// At pipeline depth 1 this holds at most one phase.
     phases: BTreeMap<u64, Phase<I, R>>,
     /// Assembled reads awaiting in-order evaluation, keyed by op index.
-    ready: BTreeMap<usize, ReadyRead<I, R>>,
+    ready: BTreeMap<usize, ReadyRead<I>>,
     attempts_left: u32,
 }
 
@@ -294,10 +290,13 @@ pub struct Client<S: Classified> {
     known: BTreeMap<ActionId, ActionOutcome>,
     retry_pending: Option<u32>,
     /// Per-(object, site) mirrors of repository logs, advanced by applying
-    /// the deltas in `LogReply`. A mirror equals the site's log as of the
-    /// last reply received; its version is the frontier piggybacked on the
-    /// next `ReadLog` to that site.
+    /// the deltas in `LogReply` ([`View::advance`]). A mirror equals the
+    /// site's log as of the last reply received; its version is the
+    /// frontier piggybacked on the next `ReadLog` to that site.
     mirrors: BTreeMap<(ObjId, ProcId), VersionedLog<S::Inv, S::Res>>,
+    /// One persistent view per object: a read round syncs and joins it
+    /// over what the object's mirrors disagree on, and the write cuts it.
+    views: Views<S>,
     /// The per-shard quorum maps this front-end currently believes
     /// govern: quorum counting and fan-out follow the shard of the object
     /// operated on, and every quorum-bearing message carries that shard's
@@ -341,6 +340,33 @@ impl<S: Classified> std::fmt::Debug for EvalCaches<S> {
     }
 }
 
+/// The views, and the objects whose view a live phase has read into since
+/// its first reply. Only those render: what a phase assembled is state (a
+/// refusal resends it), a parked view is not.
+#[derive(Clone)]
+struct Views<S: Classified> {
+    of: BTreeMap<ObjId, View<S::Inv, S::Res>>,
+    live: BTreeSet<ObjId>,
+}
+
+impl<S: Classified> Views<S> {
+    /// The phase on `obj` is over: its view is parked, or dropped if whole
+    /// — the next round rebuilds a whole view from its first reply anyway.
+    fn park(&mut self, obj: ObjId) {
+        self.live.remove(&obj);
+        if self.of.get(&obj).is_some_and(View::is_whole) {
+            self.of.remove(&obj);
+        }
+    }
+}
+
+impl<S: Classified> std::fmt::Debug for Views<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let live = (self.live.iter()).filter_map(|o| Some((o, self.of.get(o)?.log())));
+        f.debug_map().entries(live).finish()
+    }
+}
+
 impl<S: Classified> Client<S> {
     /// Builds a client that will run `txns` under `cfg`, starting from the
     /// epoch-0 configuration (all of `cfg.repos` with `cfg.thresholds`,
@@ -374,6 +400,10 @@ impl<S: Classified> Client<S> {
             known: BTreeMap::new(),
             retry_pending: None,
             mirrors: BTreeMap::new(),
+            views: Views {
+                of: BTreeMap::new(),
+                live: BTreeSet::new(),
+            },
             config,
             batcher,
             flush_scheduled: false,
@@ -454,41 +484,28 @@ impl<S: Classified> Client<S> {
             .map_or(0, VersionedLog::version)
     }
 
-    /// What a final-quorum write of `view` to `site` carries, and the
-    /// `base` it names: the part of the view beyond the mirror of that
-    /// site's log, at the mirror's version — or the whole view (`base` 0)
-    /// when there is no mirror to cut against. The mirror itself stays as
-    /// the last `LogReply` left it: an ack says the site merged the delta,
-    /// not what else its log holds by now, so only a read may advance it.
-    fn shipment(
-        &self,
-        obj: ObjId,
-        site: ProcId,
-        view: &ObjectLog<S::Inv, S::Res>,
-    ) -> (ObjectLog<S::Inv, S::Res>, u64) {
-        match self.mirrors.get(&(obj, site)) {
-            Some(m) if self.cfg.delta_shipping && m.version() > 0 => {
-                (view.minus(m.log()), m.version())
-            }
-            _ => (view.clone(), 0),
-        }
-    }
-
-    /// The final-quorum `WriteLog` of `view` and its fresh `entry` under
-    /// request `req`: cut against the mirror of `site` ([`Self::shipment`]),
-    /// or whole (`base` 0) when `site` is `None` — what a refusal and every
-    /// timer retry are answered with.
+    /// The final-quorum `WriteLog` of `obj`'s view and its fresh `entry`
+    /// under request `req`: the part of the view beyond the mirror of
+    /// `site`'s log, at the mirror's version ([`View::cut`]) — or the whole
+    /// view (`base` 0) when there is no mirror to cut against, or no `site`:
+    /// what a refusal and every timer retry are answered with. The mirror
+    /// stays as the last `LogReply` left it: an ack says the site merged
+    /// the delta, not what else its log holds by now, so only a read may
+    /// advance it.
     fn write_msg(
         &self,
         obj: ObjId,
         req: u64,
-        view: &ObjectLog<S::Inv, S::Res>,
         entry: &LogEntry<S::Inv, S::Res>,
         site: Option<ProcId>,
     ) -> Msg<S::Inv, S::Res> {
-        let (log, base) = match site {
-            Some(site) => self.shipment(obj, site, view),
-            None => (view.clone(), 0),
+        let view = &self.views.of[&obj];
+        let mirror = site.and_then(|s| Some((s, self.mirrors.get(&(obj, s))?)));
+        let (log, base) = match mirror {
+            Some((s, m)) if self.cfg.delta_shipping && m.version() > 0 => {
+                (view.cut(s, m.log()), m.version())
+            }
+            _ => (view.log().clone(), 0),
         };
         Msg::WriteLog {
             obj,
@@ -640,7 +657,6 @@ impl<S: Classified> Client<S> {
                 op_idx,
                 obj,
                 inv,
-                merged: ObjectLog::new(),
                 replied: BTreeSet::new(),
                 retries: 0,
                 since: ctx.now(),
@@ -713,19 +729,14 @@ impl<S: Classified> Client<S> {
         &mut self,
         ctx: &mut IO,
         op_idx: usize,
-        ready: ReadyRead<S::Inv, S::Res>,
+        ready: ReadyRead<S::Inv>,
     ) {
         let Some(txn) = &mut self.current else { return };
-        let ReadyRead {
-            obj,
-            inv,
-            merged,
-            started,
-        } = ready;
+        let ReadyRead { obj, inv, started } = ready;
         let own = txn.own.get(&obj).map_or(&[][..], Vec::as_slice);
         let cache = self.evals.0.entry((obj, S::op_class(&inv))).or_default();
-        match (self.cfg.protocol).evaluate_from(cache, &merged, own, txn.action, txn.begin_ts, &inv)
-        {
+        let view = self.views.of[&obj].log();
+        match (self.cfg.protocol).evaluate_from(cache, view, own, txn.action, txn.begin_ts, &inv) {
             Err(conflict) => {
                 ctx.trace(TraceAction::Conflict {
                     obj: u64::from(obj.0),
@@ -752,16 +763,17 @@ impl<S: Classified> Client<S> {
                 txn.own.entry(obj).or_default().push(entry.clone());
                 txn.evaluated = op_idx + 1;
 
-                // Build the updated view: merged quorum logs + prior own
+                // The view written back: the quorum's logs + prior own
                 // entries for this object + every resolution we know. The
                 // fresh entry rides separately for reservation validation.
                 // (Under the ablation, only own entries and resolutions are
-                // written — no transitive log propagation.)
-                let mut view = if self.cfg.propagate_views {
-                    merged
-                } else {
-                    ObjectLog::new()
-                };
+                // written — no transitive log propagation.) It stays as it
+                // is until the phase ends: refusals and timer retries
+                // resend it whole.
+                let view = self.views.of.get_mut(&obj).expect("read into");
+                if !self.cfg.propagate_views {
+                    *view = View::default();
+                }
                 for e in txn.own.get(&obj).into_iter().flatten() {
                     view.insert(e.clone());
                 }
@@ -773,21 +785,18 @@ impl<S: Classified> Client<S> {
                     .config
                     .state(obj)
                     .max_final(S::event_class(&event.inv, &event.res));
-                self.metrics.view_sizes.push(view.len() as u64);
+                self.metrics.view_sizes.push(view.log().len() as u64);
                 self.req_counter += 1;
                 let req = self.req_counter;
                 let writes: Vec<_> = (self.targets(obj, req, need.max(1), false).into_iter())
-                    .map(|r| (r, self.write_msg(obj, req, &view, &entry, Some(r))))
+                    .map(|r| (r, self.write_msg(obj, req, &entry, Some(r))))
                     .collect();
-                // The phase keeps the whole view: refusals and timer
-                // retries resend it.
                 let txn = self.current.as_mut().expect("txn in progress");
                 txn.phases.insert(
                     req,
                     Phase::Writing {
                         obj,
                         event,
-                        view,
                         entry,
                         acks: BTreeSet::new(),
                         retries: 0,
@@ -826,6 +835,7 @@ impl<S: Classified> Client<S> {
         else {
             return;
         };
+        self.views.park(obj);
         self.metrics.final_rt.push(ctx.now() - since);
         self.metrics.op_latency.push(ctx.now() - started);
         ctx.trace(TraceAction::PhaseEnd {
@@ -926,6 +936,9 @@ impl<S: Classified> Client<S> {
         let Some(txn) = self.current.take() else {
             return;
         };
+        for obj in std::mem::take(&mut self.views.live) {
+            self.views.park(obj);
+        }
         self.records.push(Record::Abort {
             t: ctx.now(),
             action: txn.action,
@@ -997,37 +1010,51 @@ impl<S: Classified> Client<S> {
                 // Advance the mirror first, even for stale replies — the
                 // data was shipped for a frontier this mirror announced,
                 // and dropping it would desynchronize the frontier.
-                if self.cfg.delta_shipping {
+                let view = self.views.of.get_mut(&obj);
+                let unmirrored = if self.cfg.delta_shipping {
                     let gc = self.cfg.compact_logs;
                     let mirror = self
                         .mirrors
                         .entry((obj, from))
                         .or_insert_with(|| VersionedLog::with_gc(gc));
-                    if !mirror.apply_delta(&delta) {
+                    let applied = match view {
+                        Some(view) => view.advance(from, mirror, &delta),
+                        None => mirror.apply_delta(&delta),
+                    };
+                    if !applied {
                         // Cut against a mirror since forgotten: nothing
                         // here can interpret it, so it is no reply at all.
                         return;
                     }
-                }
+                    None
+                } else {
+                    if let Some(view) = view {
+                        view.forget();
+                    }
+                    Some(delta.to_log())
+                };
                 let assembled = {
                     let Some(txn) = &mut self.current else { return };
-                    let Some(Phase::Reading {
-                        inv,
-                        merged,
-                        replied,
-                        ..
-                    }) = txn.phases.get_mut(&req)
-                    else {
+                    let Some(Phase::Reading { inv, replied, .. }) = txn.phases.get_mut(&req) else {
                         return; // stale reply
                     };
-                    if self.cfg.delta_shipping {
-                        // The mirror *is* the site's log at serving time;
-                        // merging it is what merging the full reply did.
-                        if let Some(m) = self.mirrors.get(&(obj, from)) {
-                            merged.merge(m.log());
-                        }
+                    // The mirror *is* the site's log at serving time;
+                    // merging it is what merging the full reply did. The
+                    // round's first reply makes the view that log, against
+                    // the mirrors of the object's members: a site that left
+                    // keeps no column in its disagreement set.
+                    let log =
+                        (unmirrored.as_ref()).unwrap_or_else(|| self.mirrors[&(obj, from)].log());
+                    let view = self.views.of.entry(obj).or_default();
+                    if replied.is_empty() {
+                        let members = self.config.state(obj).members().into_iter();
+                        let all: Vec<_> = members
+                            .filter_map(|s| Some((s, self.mirrors.get(&(obj, s))?.log())))
+                            .collect();
+                        view.sync(from, log, &all);
+                        self.views.live.insert(obj);
                     } else {
-                        merged.merge(&delta.to_log());
+                        view.join(from, log);
                     }
                     replied.insert(from);
                     let state = self.config.state(obj);
@@ -1051,7 +1078,6 @@ impl<S: Classified> Client<S> {
                         op_idx,
                         obj,
                         inv,
-                        merged,
                         since,
                         started,
                         ..
@@ -1066,15 +1092,7 @@ impl<S: Classified> Client<S> {
                         phase: PhaseKind::Read,
                         rtt: ctx.now() - since,
                     });
-                    txn.ready.insert(
-                        op_idx,
-                        ReadyRead {
-                            obj,
-                            inv,
-                            merged,
-                            started,
-                        },
-                    );
+                    txn.ready.insert(op_idx, ReadyRead { obj, inv, started });
                     self.drain_ready(ctx);
                 }
             }
@@ -1123,13 +1141,16 @@ impl<S: Classified> Client<S> {
                 // instead of a frontier the site cannot serve (one a
                 // recovered site fell back below would be refused on every
                 // write until its log outgrew it).
-                let Some(Phase::Writing { view, entry, .. }) =
+                let Some(Phase::Writing { entry, .. }) =
                     self.current.as_ref().and_then(|t| t.phases.get(&req))
                 else {
                     return; // stale refusal
                 };
-                let whole = self.write_msg(obj, req, view, entry, None);
+                let whole = self.write_msg(obj, req, entry, None);
                 self.mirrors.remove(&(obj, from));
+                if let Some(view) = self.views.of.get_mut(&obj) {
+                    view.forget();
+                }
                 self.send_msg(ctx, from, whole);
             }
             Msg::StaleConfig { req, state } => {
@@ -1304,13 +1325,12 @@ impl<S: Classified> Client<S> {
         }
         self.metrics.phase_retries += 1;
         ctx.trace(TraceAction::PhaseRetry { req: token, phase });
-        let Some(Phase::Writing {
-            obj, view, entry, ..
-        }) = self.current.as_ref().and_then(|t| t.phases.get(&token))
+        let Some(Phase::Writing { obj, entry, .. }) =
+            self.current.as_ref().and_then(|t| t.phases.get(&token))
         else {
             return self.send_reads(ctx, token, 0, true);
         };
-        let (obj, whole) = (*obj, self.write_msg(*obj, token, view, entry, None));
+        let (obj, whole) = (*obj, self.write_msg(*obj, token, entry, None));
         for r in self.targets(obj, token, 0, true) {
             self.send_msg(ctx, r, whole.clone());
         }
@@ -1517,11 +1537,11 @@ mod tests {
     }
 
     /// Two clients and three repositories under a small event queue, and a
-    /// twin of the first client fed exactly what the first is fed —
-    /// but with its evaluation caches emptied before every input, so each
-    /// of its evaluations starts from nothing.
-    #[test]
-    fn evaluation_caches_change_nothing_a_client_says_or_shows() {
+    /// twin of the first client fed exactly what the first is fed, with
+    /// `reset` applied to the twin before every input: each input must
+    /// leave both with the same outputs and the same `Debug`. Returns the
+    /// first client, its run finished.
+    fn twin_run(reset: impl Fn(&mut Client<TestQueue>)) -> Client<TestQueue> {
         use crate::cluster::Node;
         use crate::protocol::Mode;
         use crate::repository::Repository;
@@ -1596,7 +1616,7 @@ mod tests {
                 let Node::Client(c) = &mut twin else {
                     unreachable!()
                 };
-                c.evals.0.clear();
+                reset(c);
                 twin_io.set_now(now);
                 twin.handle(&mut twin_io, ev);
                 assert_eq!(format!("{io:?}"), format!("{twin_io:?}"));
@@ -1606,18 +1626,56 @@ mod tests {
             schedule(&mut events, now, to, io);
         }
         assert!(nodes[3].is_done() && nodes[4].is_done());
-        let Node::Client(cached) = &nodes[3] else {
+        let [_, _, _, Node::Client(c), _] = nodes else {
             unreachable!()
         };
-        let (asked, _, replayed) = cached.eval_counters();
-        let stats = cached.stats();
+        let stats = c.stats();
         assert!(
             stats.committed > 10 && stats.aborted_conflict > 0,
             "{stats:?}"
         );
+        c
+    }
+
+    /// The twin's evaluation caches are emptied before every input, so each
+    /// of its evaluations starts from nothing.
+    #[test]
+    fn evaluation_caches_change_nothing_a_client_says_or_shows() {
+        let cached = twin_run(|c| c.evals.0.clear());
+        let (asked, _, replayed) = cached.eval_counters();
         assert!(
             asked > 40 && replayed > 0,
             "the cached client never evaluated"
+        );
+    }
+
+    /// The twin's view of every object no phase is on is emptied before
+    /// every input, so each of its read rounds rebuilds the view from its
+    /// first reply, as every round did before views persisted.
+    #[test]
+    fn persistent_views_change_nothing_a_client_says_or_shows() {
+        let emptied = std::cell::Cell::new(0);
+        let kept = twin_run(|c| {
+            let txn = c.current.as_ref();
+            let phases = txn
+                .into_iter()
+                .flat_map(|t| t.phases.values().map(Phase::obj));
+            let ready = txn
+                .into_iter()
+                .flat_map(|t| t.ready.values().map(|r| r.obj));
+            let live: BTreeSet<ObjId> = phases.chain(ready).collect();
+            let before = c.views.of.len();
+            c.views.of.retain(|obj, _| live.contains(obj));
+            emptied.set(emptied.get() + before - c.views.of.len());
+        });
+        assert!(
+            emptied.get() > 40,
+            "the twin rebuilt {} views",
+            emptied.get()
+        );
+        assert!(
+            kept.views.of.len() <= 2,
+            "the client keeps at most one view per object"
         );
     }
 }

@@ -57,6 +57,7 @@ pub mod reconfig;
 pub mod repository;
 mod spec;
 pub mod types;
+mod view;
 pub mod workload;
 
 pub use chaos::{ChaosConfig, ChaosOutcome, ChaosPlan, ChaosProfile, ProfileStats};
@@ -74,3 +75,4 @@ pub use repository::{Durability, RepoCounters, Repository};
 pub use types::{
     ActionOutcome, Checkpoint, CompactionConfig, LogDelta, LogEntry, ObjId, ObjectLog, VersionedLog,
 };
+pub use view::View;

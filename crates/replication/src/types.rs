@@ -393,23 +393,33 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
     /// Records an action resolution (upgrades, never downgrades). Returns
     /// whether the recorded status changed.
     pub fn resolve(&mut self, action: ActionId, outcome: ActionOutcome) -> bool {
+        self.upgrade(action, outcome).is_some()
+    }
+
+    /// [`Self::resolve`], reporting a change as the recorded status before
+    /// it and after.
+    pub(crate) fn upgrade(
+        &mut self,
+        action: ActionId,
+        outcome: ActionOutcome,
+    ) -> Option<(Option<ActionOutcome>, ActionOutcome)> {
         if self
             .checkpoint
             .as_ref()
             .is_some_and(|cp| cp.covers(action).is_some())
         {
-            return false; // implied Committed by the checkpoint
+            return None; // implied Committed by the checkpoint
         }
         let cur = self.statuses.get(&action).copied();
         let next = cur.unwrap_or(ActionOutcome::Active).merge(outcome);
-        let changed = cur != Some(next);
-        if changed {
-            self.statuses.insert(action, next);
-            if self.gc_aborted && next == ActionOutcome::Aborted {
-                self.entries.retain(|_, e| e.action != action);
-            }
+        if cur == Some(next) {
+            return None;
         }
-        changed
+        self.statuses.insert(action, next);
+        if self.gc_aborted && next == ActionOutcome::Aborted {
+            self.entries.retain(|_, e| e.action != action);
+        }
+        Some((cur, next))
     }
 
     /// The outcome of `action` as known here (checkpoint-covered actions
@@ -518,8 +528,7 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
     pub fn merge(&mut self, other: &ObjectLog<I, R>) -> MergeEffect {
         if self.is_blank() && !self.gc_aborted && other.checkpoint.is_none() {
             // Nothing here to refuse, drop or upgrade anything of
-            // `other`'s: the join is a copy (a front-end's first
-            // `LogReply` of every operation).
+            // `other`'s: the join is a copy (a log's first merge).
             self.entries = other.entries.clone();
             self.statuses = other.statuses.clone();
             return MergeEffect {
@@ -603,12 +612,29 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
         .filter(|(a, _)| !folded(**a))
         .map(|(a, o)| (*a, *o))
         .collect();
+        self.carry_statuses(out)
+    }
+
+    /// `out`, each entry's action carrying the status this log knows for
+    /// it (the rule of [`Self::minus`], for a view's cuts in `view.rs`).
+    pub(crate) fn carry_statuses(&self, mut out: ObjectLog<I, R>) -> ObjectLog<I, R> {
         for e in out.entries.values() {
             if let Some(o) = self.statuses.get(&e.action) {
                 out.statuses.insert(e.action, *o);
             }
         }
         out
+    }
+
+    /// Drops the entry at `ts`, by no rule: a view set to a mirror key by
+    /// key (`view.rs`) drops what the mirror lacks.
+    pub(crate) fn unset_entry(&mut self, ts: Timestamp) {
+        self.entries.remove(&ts);
+    }
+
+    /// Drops the recorded status of `action`, as [`Self::unset_entry`].
+    pub(crate) fn unset_status(&mut self, action: ActionId) {
+        self.statuses.remove(&action);
     }
 
     /// Entries in timestamp order.
@@ -961,6 +987,18 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
     /// delta write against it is refused, and a reply to a read sent
     /// before that may still be on its way).
     pub fn apply_delta(&mut self, delta: &LogDelta<I, R>) -> bool {
+        self.apply_delta_with(delta, |_| {}, |_, _| {})
+    }
+
+    /// [`Self::apply_delta`], telling `entry` of every entry it stores and
+    /// `status` of every status change ([`ObjectLog::upgrade`]'s report),
+    /// except on a full transfer, which replaces the log.
+    pub(crate) fn apply_delta_with(
+        &mut self,
+        delta: &LogDelta<I, R>,
+        mut entry: impl FnMut(&LogEntry<I, R>),
+        mut status: impl FnMut(ActionId, (Option<ActionOutcome>, ActionOutcome)),
+    ) -> bool {
         if delta.full {
             if delta.head >= self.version {
                 let gc = self.log.gc_aborted();
@@ -979,10 +1017,14 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
             self.log.adopt_checkpoint(cp);
         }
         for e in &delta.entries {
-            self.log.insert(e.clone());
+            if self.log.insert(e.clone()) {
+                entry(e);
+            }
         }
         for (a, o) in &delta.statuses {
-            self.log.resolve(*a, *o);
+            if let Some(change) = self.log.upgrade(*a, *o) {
+                status(*a, change);
+            }
         }
         self.version = self.version.max(delta.head);
         true

@@ -125,6 +125,16 @@ if echo "$node_src" | grep -E 'ChannelTransport|BackendKind|run_channels|Unsuppo
   exit 1
 fi
 
+echo "==> structure: one persistent view per object (DESIGN §3.11)"
+# A read round syncs and joins the object's View (replication/src/view.rs) over
+# what its mirrors disagree on, and the write is cut from it. A view merged
+# from blank per operation, or a whole-log `minus` beside the view, is the
+# per-operation rebuild the view replaced.
+if awk "$nontest_awk" crates/replication/src/client.rs | grep -nE '\.minus\(|merged: ObjectLog'; then
+  echo "crates/replication/src/client.rs rebuilds a view outside its tests (lines above)" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -411,9 +421,9 @@ echo "$bench_out" | grep -q "log_shipping/1024/delta_reply" || {
   exit 1
 }
 # The same binary carries the perf ledger's `Repository::handle(Resolve)`,
-# `handle(WriteLog)` and `Protocol::evaluate_from` rows.
+# `handle(WriteLog)`, `Protocol::evaluate_from` and read-round rows.
 for row in repository_resolve/8192_logs repository_writelog/800_entries/delta \
-  protocol_evaluate/800_entries/incremental; do
+  protocol_evaluate/800_entries/incremental client_read_round/800_entries/persistent; do
   echo "$bench_out" | grep -q "$row" || {
     echo "log_shipping bench produced no $row timing:" >&2
     echo "$bench_out" >&2
