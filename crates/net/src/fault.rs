@@ -28,13 +28,12 @@
 //! failure a supervised link must detect and repair by reconnecting and
 //! retransmitting unacked frames.
 //!
-//! Stalls are a blocking `sleep` on blocking sockets and a one-shot
-//! `WouldBlock` on nonblocking ones (the event loop retries on the next
-//! turn). All randomness is a private splitmix64 stream seeded from the
-//! profile seed and a per-link id, so runs are reproducible.
+//! A stall is a one-shot spurious `WouldBlock`: both socket transports
+//! are nonblocking and try again on a later turn. All randomness is a
+//! private splitmix64 stream seeded from the profile seed and a per-link
+//! id, so runs are reproducible.
 
 use std::io::{self, Read, Write};
-use std::time::Duration;
 
 use quorumcc_sim::{chance, splitmix64};
 
@@ -44,10 +43,8 @@ use quorumcc_sim::{chance, splitmix64};
 pub struct NetFaultProfile {
     /// Per-call probability that the link dies with `ConnectionReset`.
     pub reset_prob: f64,
-    /// Per-call probability of a stall (sleep or `WouldBlock`).
+    /// Per-call probability of a stall (a spurious `WouldBlock`).
     pub stall_prob: f64,
-    /// Stall duration for blocking sockets.
-    pub stall_us: u64,
     /// Per-write probability that only a prefix of the buffer is written
     /// (callers must loop, as `write_all` does).
     pub split_prob: f64,
@@ -67,7 +64,6 @@ impl NetFaultProfile {
         NetFaultProfile {
             reset_prob: 0.0,
             stall_prob: 0.0,
-            stall_us: 0,
             split_prob: 0.0,
             drop_prob: 0.0,
             seed: 0,
@@ -80,7 +76,6 @@ impl NetFaultProfile {
         NetFaultProfile {
             reset_prob: 0.002,
             stall_prob: 0.01,
-            stall_us: 200,
             split_prob: 0.05,
             drop_prob: 0.001,
             seed,
@@ -92,7 +87,6 @@ impl NetFaultProfile {
         NetFaultProfile {
             reset_prob: 0.01,
             stall_prob: 0.05,
-            stall_us: 500,
             split_prob: 0.2,
             drop_prob: 0.005,
             seed,
@@ -150,38 +144,28 @@ pub struct ShimCounters {
 }
 
 /// A `Read + Write` wrapper that injects the faults described by a
-/// [`NetFaultProfile`]. Wrap each directional use of a socket in its own
-/// shim (they keep independent rng streams keyed by `link_id`).
+/// [`NetFaultProfile`] into a nonblocking transport. One shim carries
+/// both directions of a connection, so a reset seen by a read also fails
+/// the writes after it.
 pub struct FaultShim<S> {
     inner: S,
     profile: NetFaultProfile,
     rng: u64,
     state: LinkState,
-    /// Nonblocking transports get `WouldBlock` stalls instead of sleeps.
-    nonblocking: bool,
     pub counters: ShimCounters,
 }
 
 impl<S> FaultShim<S> {
-    /// Wraps `inner` for a blocking transport. `link_id` keys the chaos
-    /// stream so distinct links fault independently but reproducibly.
+    /// Wraps `inner`. `link_id` keys the chaos stream so distinct links
+    /// fault independently but reproducibly.
     pub fn new(inner: S, profile: NetFaultProfile, link_id: u64) -> Self {
         FaultShim {
             inner,
             rng: splitmix64(profile.seed ^ splitmix64(link_id.wrapping_add(1))),
             profile,
             state: LinkState::Alive,
-            nonblocking: false,
             counters: ShimCounters::default(),
         }
-    }
-
-    /// Same, but stalls surface as `WouldBlock` (for readiness-polled
-    /// sockets in the event-loop host).
-    pub fn new_nonblocking(inner: S, profile: NetFaultProfile, link_id: u64) -> Self {
-        let mut s = Self::new(inner, profile, link_id);
-        s.nonblocking = true;
-        s
     }
 
     pub fn get_ref(&self) -> &S {
@@ -200,17 +184,9 @@ impl<S> FaultShim<S> {
         io::Error::new(io::ErrorKind::ConnectionReset, "faultshim: injected reset")
     }
 
-    fn stall(&mut self) -> Option<io::Error> {
+    fn stall(&mut self) -> io::Error {
         self.counters.stalls += 1;
-        if self.nonblocking {
-            Some(io::Error::new(
-                io::ErrorKind::WouldBlock,
-                "faultshim: injected stall",
-            ))
-        } else {
-            std::thread::sleep(Duration::from_micros(self.profile.stall_us));
-            None
-        }
+        io::Error::new(io::ErrorKind::WouldBlock, "faultshim: injected stall")
     }
 }
 
@@ -230,13 +206,11 @@ impl<S: Read> Read for FaultShim<S> {
             return Err(self.reset_err());
         }
         if chance(&mut self.rng, self.profile.stall_prob) {
-            if let Some(e) = self.stall() {
-                return Err(e);
-            }
+            return Err(self.stall());
         }
         // Short read: hand back at most half the buffer. Framing-safe —
-        // both `read_exact` and the event loop's growing buffer tolerate
-        // arbitrary read splits.
+        // a transport's growing read buffer tolerates arbitrary read
+        // splits.
         if buf.len() > 1 && chance(&mut self.rng, self.profile.split_prob) {
             self.counters.splits += 1;
             let half = buf.len() / 2;
@@ -276,9 +250,7 @@ impl<S: Write> Write for FaultShim<S> {
             return Ok(buf.len());
         }
         if chance(&mut self.rng, self.profile.stall_prob) {
-            if let Some(e) = self.stall() {
-                return Err(e);
-            }
+            return Err(self.stall());
         }
         if buf.len() > 1 && chance(&mut self.rng, self.profile.split_prob) {
             self.counters.splits += 1;
@@ -347,7 +319,6 @@ mod tests {
             reset_prob: 0.0,
             stall_prob: 0.0,
             split_prob: 0.0,
-            stall_us: 0,
             seed: 9,
         };
         let mut shim = FaultShim::new(Vec::new(), profile, 5);
@@ -379,7 +350,6 @@ mod tests {
             stall_prob: 0.0,
             split_prob: 0.0,
             drop_prob: 0.0,
-            stall_us: 0,
             seed: 77,
         };
         let run = |link: u64| {
@@ -402,14 +372,18 @@ mod tests {
     fn nonblocking_stall_surfaces_as_wouldblock() {
         let profile = NetFaultProfile {
             stall_prob: 1.0,
-            stall_us: 1,
             reset_prob: 0.0,
             split_prob: 0.0,
             drop_prob: 0.0,
             seed: 3,
         };
-        let mut shim = FaultShim::new_nonblocking(Vec::new(), profile, 8);
+        let mut shim = FaultShim::new(Vec::new(), profile, 8);
         let err = shim.write(b"x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(shim.counters.stalls, 1);
+        // Reads stall the same way, even with bytes waiting.
+        let mut shim = FaultShim::new(&b"abc"[..], profile, 8);
+        let err = shim.read(&mut [0u8; 4]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
         assert_eq!(shim.counters.stalls, 1);
     }

@@ -19,11 +19,17 @@
 //! * [`fault`] — deterministic socket-level fault injection
 //!   ([`fault::FaultShim`]) plus connection supervision knobs, so the
 //!   chaos envelope covers the real wire path too.
+//! * `ready` — blocking on socket readiness (`ppoll(2)`): the crate's
+//!   only `unsafe`, and the way both socket transports idle.
 //!
 //! [`Msg`]: quorumcc_replication::Msg
 
+#![deny(unsafe_code)]
+
 pub mod fault;
 pub mod load;
+#[allow(unsafe_code)]
+mod ready;
 pub mod tcp;
 pub mod wire;
 

@@ -10,6 +10,10 @@
 //! state plus a [`CollectIo`]. Every worker opens one connection per
 //! repository and tags frames with the issuing client's process id, so a
 //! repository routes replies by id over the connection they arrived on.
+//! A cell is therefore its repository thread plus its workers, and no
+//! thread reads on another's behalf: each reads its own nonblocking
+//! sockets and, when it has nothing to do, blocks until one of them is
+//! ready or its next timer is due (`sockets`).
 //!
 //! Hosting: the cluster comes from the same
 //! [`RunBuilder::assemble`](quorumcc_replication::RunBuilder::assemble)
@@ -33,6 +37,7 @@ mod sockets;
 
 use std::collections::HashMap;
 use std::net::TcpListener;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -234,7 +239,10 @@ fn run_cluster(cfg: &LoadConfig) -> CellRun {
     // the benchmark's 8192-object workload: 4.5% less throughput and as
     // much more CPU per transaction).
     let mut clients = repos.split_off(cfg.n_repos as usize);
+    // The cell parks on its sockets; dropping `stop_end` wakes it to
+    // read `stop` as soon as the workers are done.
     let stop = AtomicBool::new(false);
+    let (wake, stop_end) = UnixStream::pair().expect("wake socket pair");
     let clock = WallClock::new(Instant::now());
 
     // Bind every repository listener up front so workers can connect
@@ -251,7 +259,7 @@ fn run_cluster(cfg: &LoadConfig) -> CellRun {
     let (mut ran, mut reconnects, mut retransmit_frames) = (Vec::new(), 0, 0);
     std::thread::scope(|scope| {
         let (stop, clock, ports, repos) = (&stop, &clock, &ports, &mut repos[..]);
-        let cell = scope.spawn(move || cell_main(cfg, repos, listeners, stop, clock));
+        let cell = scope.spawn(move || cell_main(cfg, repos, listeners, wake, stop, clock));
         let workers: Vec<_> = clients
             .chunks_mut(chunk)
             .enumerate()
@@ -264,6 +272,7 @@ fn run_cluster(cfg: &LoadConfig) -> CellRun {
             retransmit_frames += links.1;
         }
         stop.store(true, Ordering::SeqCst);
+        drop(stop_end);
         ran.push(cell.join().expect("cell host panicked"));
     });
     CellRun {
@@ -279,7 +288,7 @@ fn run_cluster(cfg: &LoadConfig) -> CellRun {
 }
 
 /// A cell's repository side: every repository driver on one thread, over
-/// [`CellSockets`].
+/// [`CellSockets`], which `wake` rouses to look at `stop`.
 ///
 /// A scripted [`LoadConfig::crash`] kills one co-hosted repository for a
 /// wall-clock window; it restarts amnesiac and catches up through
@@ -289,6 +298,7 @@ fn cell_main(
     cfg: &LoadConfig,
     repos: &mut [Hosted],
     listeners: Vec<TcpListener>,
+    wake: UnixStream,
     stop: &AtomicBool,
     clock: &WallClock,
 ) -> HostStats {
@@ -300,7 +310,7 @@ fn cell_main(
             from.saturating_add(spec.down_ms.saturating_mul(1000)),
         )
     }));
-    let mut sockets = CellSockets::new(listeners, cfg.fault_profile, cfg.seed);
+    let mut sockets = CellSockets::new(listeners, cfg.fault_profile, cfg.seed, wake);
     host::run(
         repos,
         &mut sockets,

@@ -17,8 +17,8 @@ pub const MAX_FRAME: u32 = 16 << 20;
 /// One decoded frame: `(from, to, payload)`.
 pub type Frame = (ProcId, ProcId, Vec<u8>);
 
-/// Writes one frame. The caller batches frames behind a `BufWriter` and
-/// flushes once per event-loop turn.
+/// Appends one frame. The socket transports write into a connection's
+/// write buffer and flush it once per host turn.
 ///
 /// # Errors
 /// `InvalidInput`, with nothing written, for a payload no reader would
@@ -40,7 +40,8 @@ pub fn write_frame(w: &mut impl Write, from: ProcId, to: ProcId, payload: &[u8])
     w.write_all(payload)
 }
 
-/// Reads one frame, blocking; `Err(UnexpectedEof)` on clean shutdown.
+/// Reads one frame from a blocking reader; `Err(UnexpectedEof)` on clean
+/// shutdown.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
     let mut word = [0u8; 4];
     r.read_exact(&mut word)?;
@@ -61,9 +62,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
 }
 
 /// Drains every *complete* frame from a growing byte buffer — the
-/// nonblocking-socket counterpart of [`read_frame`]. The event-loop
-/// backend appends whatever a readiness-polled read returned and calls
-/// this; a partial frame's bytes stay in `buf` for the next read.
+/// nonblocking-socket counterpart of [`read_frame`]. Both socket
+/// transports append whatever a nonblocking read returned and call this;
+/// a partial frame's bytes stay in `buf` for the next read.
 ///
 /// # Errors
 /// `InvalidData` on a corrupt length prefix (the connection is beyond

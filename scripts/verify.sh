@@ -135,6 +135,25 @@ if awk "$nontest_awk" crates/replication/src/client.rs | grep -nE '\.minus\(|mer
   exit 1
 fi
 
+echo "==> structure: unsafe lives in one module (DESIGN §3.16)"
+# `net::ready` declares ppoll(2) for the socket transports; it is the one
+# place the tree may say `unsafe` in code (comments stripped, so
+# `forbid(unsafe_code)` and prose about unsafe protocols do not count).
+if echo "$node_src" | grep -v '^crates/net/src/ready\.rs:' | sed -E 's#//.*$##' | grep -wE 'unsafe'; then
+  echo "unsafe code outside crates/net/src/ready.rs (lines above)" >&2
+  exit 1
+fi
+
+echo "==> structure: the socket transports wake on readiness alone (DESIGN §3.16, §3.17)"
+# Both transports idle in ready::wait on their own sockets. A reader
+# thread, a channel between threads, or a sleep ladder would be a second
+# way to wake beside it.
+if awk "$nontest_awk" crates/net/src/load/sockets.rs \
+  | grep -nE 'thread::spawn|mpsc|recv_timeout|POLL_MIN|idle_turns'; then
+  echo "crates/net/src/load/sockets.rs wakes some other way outside its tests (lines above)" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
