@@ -37,9 +37,10 @@
 //! row for the front-end's view assembly: one read round over mirrors of
 //! three sites holding 25 / 800 committed entries — two replies, each a
 //! 16-entry delta, then the final-quorum cuts to those two sites. `rebuild`
-//! merges the replied mirrors into a blank log and cuts with
-//! `ObjectLog::minus`; `persistent` syncs and joins the client's `View`
-//! and cuts it over what the mirrors disagree on.
+//! applies the deltas to a `VersionedLog` mirror per site, merges the
+//! replied mirrors into a blank log and cuts with `ObjectLog::minus`;
+//! `persistent` advances the client's `View`, which holds the mirrors as
+//! columns, syncs and joins it and cuts it over what they disagree on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quorumcc_adts::queue::{Queue, QueueInv, QueueRes};
@@ -381,12 +382,11 @@ fn bench_client_read_round(c: &mut Criterion) {
                 mirror
             })
             .collect();
-        let mut view = View::default();
-        view.sync(
-            0,
-            mirrors[0].log(),
-            &(0..).zip(mirrors.iter().map(Log::log)).collect::<Vec<_>>(),
-        );
+        let mut view = View::new(false);
+        for (s, site) in (0..).zip(&sites) {
+            view.advance(s, &site.delta_since(0));
+        }
+        view.sync(0);
         for (s, site) in sites[..2].iter_mut().enumerate() {
             grow(
                 site,
@@ -406,22 +406,18 @@ fn bench_client_read_round(c: &mut Criterion) {
             let cuts = [merged.minus(m[0].log()), merged.minus(m[1].log())];
             (merged, cuts)
         };
-        let persistent = |(m, view): &mut (Vec<Log>, View<u64, u64>)| {
-            for ((site, mirror), delta) in (0..).zip(m.iter_mut()).zip(&deltas) {
-                view.advance(site, mirror, delta);
+        let persistent = |view: &mut View<u64, u64>| {
+            for (site, delta) in (0..).zip(&deltas) {
+                view.advance(site, delta);
             }
-            view.sync(
-                0,
-                m[0].log(),
-                &(0..).zip(m.iter().map(Log::log)).collect::<Vec<_>>(),
-            );
-            view.join(1, m[1].log());
-            [view.cut(0, m[0].log()), view.cut(1, m[1].log())]
+            view.sync(0);
+            view.join(1);
+            [0, 1].map(|site| view.cut(site).expect("a mirror to cut against").0)
         };
-        let (mut a, mut b) = (mirrors.clone(), (mirrors.clone(), view.clone()));
+        let (mut a, mut b) = (mirrors.clone(), view.clone());
         let (merged, cuts) = rebuild(&mut a);
         assert_eq!(persistent(&mut b), cuts);
-        assert_eq!((b.1.log(), cuts[0].len()), (&merged, FRESH));
+        assert_eq!((b.log(), cuts[0].len()), (&merged, FRESH));
         // Each sample runs on copies made beforehand and kept until after.
         let mut states: Vec<_> = (0..=SAMPLES).map(|_| mirrors.clone()).collect();
         let mut spent = Vec::with_capacity(states.len());
@@ -433,9 +429,7 @@ fn bench_client_read_round(c: &mut Criterion) {
                 cuts
             })
         });
-        let mut states: Vec<_> = (0..=SAMPLES)
-            .map(|_| (mirrors.clone(), view.clone()))
-            .collect();
+        let mut states: Vec<_> = (0..=SAMPLES).map(|_| view.clone()).collect();
         let mut spent = Vec::with_capacity(states.len());
         g.bench_function(format!("{entries}_entries/persistent"), |b| {
             b.iter(|| {

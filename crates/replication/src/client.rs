@@ -18,8 +18,8 @@ use crate::messages::{Batcher, Msg};
 use crate::metrics::ClientMetrics;
 use crate::protocol::{ConflictReason, EvalCache, Protocol};
 use crate::reconfig::{ConfigState, ShardedConfig};
-use crate::types::{action_id, action_parts, ActionOutcome, LogEntry, ObjId, VersionedLog};
-use crate::view::View;
+use crate::types::{action_id, action_parts, ActionOutcome, LogEntry, ObjId};
+use crate::view::{View, Views};
 use quorumcc_model::{ActionId, Classified, Event};
 use quorumcc_quorum::ThresholdAssignment;
 use quorumcc_sim::trace::{AbortCause, ConflictKind, PhaseKind, TraceAction};
@@ -124,8 +124,8 @@ pub struct ClientConfig {
     /// Disabling reverts to full-log replies and whole-view writes (the
     /// shipping ablation/baseline).
     pub delta_shipping: bool,
-    /// Whether the cluster runs committed-prefix compaction (mirrors then
-    /// garbage-collect aborted entries the same way repositories do).
+    /// Whether the cluster runs committed-prefix compaction (a mirror then
+    /// garbage-collects aborted entries the same way repositories do).
     pub compact_logs: bool,
     /// Test-only fault injection for the safety oracle's self-test:
     /// assemble every initial view from one repository too few (and count
@@ -289,14 +289,13 @@ pub struct Client<S: Classified> {
     last_counter: u64,
     known: BTreeMap<ActionId, ActionOutcome>,
     retry_pending: Option<u32>,
-    /// Per-(object, site) mirrors of repository logs, advanced by applying
-    /// the deltas in `LogReply` ([`View::advance`]). A mirror equals the
-    /// site's log as of the last reply received; its version is the
-    /// frontier piggybacked on the next `ReadLog` to that site.
-    mirrors: BTreeMap<(ObjId, ProcId), VersionedLog<S::Inv, S::Res>>,
-    /// One persistent view per object: a read round syncs and joins it
-    /// over what the object's mirrors disagree on, and the write cuts it.
-    views: Views<S>,
+    /// One persistent view per object, holding the front-end's mirror of
+    /// each site's log of it as a column: a `LogReply`'s delta advances the
+    /// site's mirror ([`View::advance`]), whose version is the frontier
+    /// piggybacked on the next `ReadLog` to that site. A read round syncs
+    /// and joins the view over what its mirror columns disagree on, and the
+    /// write cuts it.
+    views: Views<S::Inv, S::Res>,
     /// The per-shard quorum maps this front-end currently believes
     /// govern: quorum counting and fan-out follow the shard of the object
     /// operated on, and every quorum-bearing message carries that shard's
@@ -340,33 +339,6 @@ impl<S: Classified> std::fmt::Debug for EvalCaches<S> {
     }
 }
 
-/// The views, and the objects whose view a live phase has read into since
-/// its first reply. Only those render: what a phase assembled is state (a
-/// refusal resends it), a parked view is not.
-#[derive(Clone)]
-struct Views<S: Classified> {
-    of: BTreeMap<ObjId, View<S::Inv, S::Res>>,
-    live: BTreeSet<ObjId>,
-}
-
-impl<S: Classified> Views<S> {
-    /// The phase on `obj` is over: its view is parked, or dropped if whole
-    /// — the next round rebuilds a whole view from its first reply anyway.
-    fn park(&mut self, obj: ObjId) {
-        self.live.remove(&obj);
-        if self.of.get(&obj).is_some_and(View::is_whole) {
-            self.of.remove(&obj);
-        }
-    }
-}
-
-impl<S: Classified> std::fmt::Debug for Views<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let live = (self.live.iter()).filter_map(|o| Some((o, self.of.get(o)?.log())));
-        f.debug_map().entries(live).finish()
-    }
-}
-
 impl<S: Classified> Client<S> {
     /// Builds a client that will run `txns` under `cfg`, starting from the
     /// epoch-0 configuration (all of `cfg.repos` with `cfg.thresholds`,
@@ -399,7 +371,6 @@ impl<S: Classified> Client<S> {
             last_counter: 0,
             known: BTreeMap::new(),
             retry_pending: None,
-            mirrors: BTreeMap::new(),
             views: Views {
                 of: BTreeMap::new(),
                 live: BTreeSet::new(),
@@ -479,9 +450,7 @@ impl<S: Classified> Client<S> {
         if !self.cfg.delta_shipping {
             return 0;
         }
-        self.mirrors
-            .get(&(obj, site))
-            .map_or(0, VersionedLog::version)
+        (self.views.of.get(&obj)).map_or(0, |view| view.version(site))
     }
 
     /// The final-quorum `WriteLog` of `obj`'s view and its fresh `entry`
@@ -500,13 +469,9 @@ impl<S: Classified> Client<S> {
         site: Option<ProcId>,
     ) -> Msg<S::Inv, S::Res> {
         let view = &self.views.of[&obj];
-        let mirror = site.and_then(|s| Some((s, self.mirrors.get(&(obj, s))?)));
-        let (log, base) = match mirror {
-            Some((s, m)) if self.cfg.delta_shipping && m.version() > 0 => {
-                (view.cut(s, m.log()), m.version())
-            }
-            _ => (view.log().clone(), 0),
-        };
+        let cut = site.filter(|_| self.cfg.delta_shipping);
+        let (log, base) =
+            (cut.and_then(|s| view.cut(s))).unwrap_or_else(|| (view.log().clone(), 0));
         Msg::WriteLog {
             obj,
             req,
@@ -772,7 +737,7 @@ impl<S: Classified> Client<S> {
                 // resend it whole.
                 let view = self.views.of.get_mut(&obj).expect("read into");
                 if !self.cfg.propagate_views {
-                    *view = View::default();
+                    view.clear();
                 }
                 for e in txn.own.get(&obj).into_iter().flatten() {
                     view.insert(e.clone());
@@ -1010,29 +975,15 @@ impl<S: Classified> Client<S> {
                 // Advance the mirror first, even for stale replies — the
                 // data was shipped for a frontier this mirror announced,
                 // and dropping it would desynchronize the frontier.
-                let view = self.views.of.get_mut(&obj);
-                let unmirrored = if self.cfg.delta_shipping {
-                    let gc = self.cfg.compact_logs;
-                    let mirror = self
-                        .mirrors
-                        .entry((obj, from))
-                        .or_insert_with(|| VersionedLog::with_gc(gc));
-                    let applied = match view {
-                        Some(view) => view.advance(from, mirror, &delta),
-                        None => mirror.apply_delta(&delta),
-                    };
-                    if !applied {
-                        // Cut against a mirror since forgotten: nothing
-                        // here can interpret it, so it is no reply at all.
-                        return;
-                    }
-                    None
-                } else {
-                    if let Some(view) = view {
-                        view.forget();
-                    }
-                    Some(delta.to_log())
-                };
+                let gc = self.cfg.compact_logs;
+                let view = (self.views.of.entry(obj)).or_insert_with(|| View::new(gc));
+                if !self.cfg.delta_shipping {
+                    view.replace(from, &delta);
+                } else if !view.advance(from, &delta) {
+                    // Cut against a mirror since forgotten: nothing here
+                    // can interpret it, so it is no reply at all.
+                    return;
+                }
                 let assembled = {
                     let Some(txn) = &mut self.current else { return };
                     let Some(Phase::Reading { inv, replied, .. }) = txn.phases.get_mut(&req) else {
@@ -1040,21 +991,12 @@ impl<S: Classified> Client<S> {
                     };
                     // The mirror *is* the site's log at serving time;
                     // merging it is what merging the full reply did. The
-                    // round's first reply makes the view that log, against
-                    // the mirrors of the object's members: a site that left
-                    // keeps no column in its disagreement set.
-                    let log =
-                        (unmirrored.as_ref()).unwrap_or_else(|| self.mirrors[&(obj, from)].log());
-                    let view = self.views.of.entry(obj).or_default();
+                    // round's first reply makes the view that log.
                     if replied.is_empty() {
-                        let members = self.config.state(obj).members().into_iter();
-                        let all: Vec<_> = members
-                            .filter_map(|s| Some((s, self.mirrors.get(&(obj, s))?.log())))
-                            .collect();
-                        view.sync(from, log, &all);
+                        view.sync(from);
                         self.views.live.insert(obj);
                     } else {
-                        view.join(from, log);
+                        view.join(from);
                     }
                     replied.insert(from);
                     let state = self.config.state(obj);
@@ -1147,9 +1089,8 @@ impl<S: Classified> Client<S> {
                     return; // stale refusal
                 };
                 let whole = self.write_msg(obj, req, entry, None);
-                self.mirrors.remove(&(obj, from));
                 if let Some(view) = self.views.of.get_mut(&obj) {
-                    view.forget();
+                    view.reset(from);
                 }
                 self.send_msg(ctx, from, whole);
             }
@@ -1347,7 +1288,7 @@ impl<S: Classified> Client<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::LogDelta;
+    use crate::types::{LogDelta, ObjectLog};
     use quorumcc_core::DependencyRelation;
     use quorumcc_model::testtypes::{QInv, QRes, TestQueue};
     use quorumcc_sim::{CollectIo, Input, Output};
@@ -1539,9 +1480,13 @@ mod tests {
     /// Two clients and three repositories under a small event queue, and a
     /// twin of the first client fed exactly what the first is fed, with
     /// `reset` applied to the twin before every input: each input must
-    /// leave both with the same outputs and the same `Debug`. Returns the
-    /// first client, its run finished.
-    fn twin_run(reset: impl Fn(&mut Client<TestQueue>)) -> Client<TestQueue> {
+    /// leave both with the same outputs and the same `Debug`, and `check`
+    /// sees the first client after each of its inputs. Returns the first
+    /// client, its run finished.
+    fn twin_run(
+        reset: impl Fn(&mut Client<TestQueue>),
+        check: impl Fn(&Client<TestQueue>, &Input<Msg<QInv, QRes>>),
+    ) -> Client<TestQueue> {
         use crate::cluster::Node;
         use crate::protocol::Mode;
         use crate::repository::Repository;
@@ -1612,6 +1557,9 @@ mod tests {
             let io = &mut ios[to as usize];
             io.set_now(now);
             nodes[to as usize].handle(io, ev.clone());
+            if let Node::Client(c) = &nodes[3] {
+                (to == 3).then(|| check(c, &ev));
+            }
             if to == 3 {
                 let Node::Client(c) = &mut twin else {
                     unreachable!()
@@ -1641,7 +1589,7 @@ mod tests {
     /// of its evaluations starts from nothing.
     #[test]
     fn evaluation_caches_change_nothing_a_client_says_or_shows() {
-        let cached = twin_run(|c| c.evals.0.clear());
+        let cached = twin_run(|c| c.evals.0.clear(), |_, _| ());
         let (asked, _, replayed) = cached.eval_counters();
         assert!(
             asked > 40 && replayed > 0,
@@ -1649,33 +1597,63 @@ mod tests {
         );
     }
 
-    /// The twin's view of every object no phase is on is emptied before
-    /// every input, so each of its read rounds rebuilds the view from its
-    /// first reply, as every round did before views persisted.
+    /// The twin's view of every object no phase is on is rebuilt before
+    /// every input: a blank view whose mirrors are the old one's, each
+    /// opened by a full transfer of itself. Each of its read rounds then
+    /// syncs a view that shares nothing with the round before. The client
+    /// itself holds one log per object it has read, and no entry beyond
+    /// that log's and one per key its mirrors disagree with it on.
     #[test]
     fn persistent_views_change_nothing_a_client_says_or_shows() {
-        let emptied = std::cell::Cell::new(0);
-        let kept = twin_run(|c| {
-            let txn = c.current.as_ref();
-            let phases = txn
-                .into_iter()
-                .flat_map(|t| t.phases.values().map(Phase::obj));
-            let ready = txn
-                .into_iter()
-                .flat_map(|t| t.ready.values().map(|r| r.obj));
-            let live: BTreeSet<ObjId> = phases.chain(ready).collect();
-            let before = c.views.of.len();
-            c.views.of.retain(|obj, _| live.contains(obj));
-            emptied.set(emptied.get() + before - c.views.of.len());
-        });
-        assert!(
-            emptied.get() > 40,
-            "the twin rebuilt {} views",
-            emptied.get()
+        let rebuilt = std::cell::Cell::new(0);
+        let read = std::cell::RefCell::new(BTreeSet::new());
+        twin_run(
+            |c| {
+                let txn = c.current.as_ref();
+                let phases = txn
+                    .into_iter()
+                    .flat_map(|t| t.phases.values().map(Phase::obj));
+                let ready = txn
+                    .into_iter()
+                    .flat_map(|t| t.ready.values().map(|r| r.obj));
+                let live: BTreeSet<ObjId> = phases.chain(ready).collect();
+                for (_, view) in (c.views.of.iter_mut()).filter(|(o, _)| !live.contains(o)) {
+                    let mut fresh = View::new(c.cfg.compact_logs);
+                    for site in view.sites() {
+                        let mirror = view.mirror(site).expect("a column per site");
+                        assert!(fresh.advance(site, &mirror.delta_since(0)));
+                    }
+                    *view = fresh;
+                    rebuilt.set(rebuilt.get() + 1);
+                }
+            },
+            |c, input| {
+                if let Input::Deliver {
+                    msg: Msg::LogReply { obj, .. },
+                    ..
+                } = input
+                {
+                    read.borrow_mut().insert(*obj);
+                }
+                assert!(c.views.of.keys().eq(read.borrow().iter()));
+                for view in c.views.of.values() {
+                    let ts = |log: &ObjectLog<QInv, QRes>| -> BTreeSet<Timestamp> {
+                        log.entries().map(|e| e.ts).collect()
+                    };
+                    let at = ts(view.log());
+                    let mut doubted = BTreeSet::new();
+                    for site in view.sites() {
+                        let mirror = view.mirror(site).expect("a column per site");
+                        doubted.extend(ts(mirror.log()).symmetric_difference(&at).copied());
+                    }
+                    assert!(view.entries_held() <= at.len() + doubted.len());
+                }
+            },
         );
         assert!(
-            kept.views.of.len() <= 2,
-            "the client keeps at most one view per object"
+            rebuilt.get() > 40,
+            "the twin rebuilt {} views",
+            rebuilt.get()
         );
     }
 }

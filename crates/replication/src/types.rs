@@ -235,14 +235,14 @@ impl Checkpoint {
         self.folded
     }
 
-    /// Adoption order: more history wins.
-    fn rank(&self) -> (Timestamp, usize) {
-        (self.horizon, self.covered.len())
-    }
-
-    /// Whether this checkpoint's covered set contains all of `other`'s.
-    fn covers_all_of(&self, other: &Checkpoint) -> bool {
-        other.covered.keys().all(|a| self.covered.contains_key(a))
+    /// Whether a log whose checkpoint is `own` adopts this one: it
+    /// strictly extends it — ranks higher (more history wins) and covers
+    /// everything `own` does.
+    pub(crate) fn extends(&self, own: Option<&Checkpoint>) -> bool {
+        let rank = |cp: &Checkpoint| (cp.horizon, cp.covered.len());
+        own.is_none_or(|own| {
+            rank(self) > rank(own) && own.covered.keys().all(|a| self.covered.contains_key(a))
+        })
     }
 }
 
@@ -445,10 +445,8 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
     /// checkpoints (neither a superset) are refused: adopting one would
     /// orphan entries only the other summarizes.
     pub fn adopt_checkpoint(&mut self, cp: &Checkpoint) -> bool {
-        if let Some(own) = &self.checkpoint {
-            if cp.rank() <= own.rank() || !cp.covers_all_of(own) {
-                return false;
-            }
+        if !cp.extends(self.checkpoint.as_ref()) {
+            return false;
         }
         self.install_checkpoint(cp.clone());
         true
@@ -594,7 +592,7 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
     /// status this log knows for its action, so the receiver judges the
     /// entry exactly as it would have inside the whole log.
     pub fn minus(&self, held: &ObjectLog<I, R>) -> ObjectLog<I, R> {
-        let folded = |a: ActionId| folds(&held.checkpoint, a);
+        let folded = |a: ActionId| folds(held.checkpoint.as_ref(), a);
         let mut out = ObjectLog::new();
         out.gc_aborted = self.gc_aborted;
         if self.checkpoint != held.checkpoint {
@@ -626,15 +624,26 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
         out
     }
 
-    /// Drops the entry at `ts`, by no rule: a view set to a mirror key by
-    /// key (`view.rs`) drops what the mirror lacks.
-    pub(crate) fn unset_entry(&mut self, ts: Timestamp) {
-        self.entries.remove(&ts);
+    /// Stores `entry` at `ts`, or nothing, by no rule: a view or mirror
+    /// set key by key to what another log holds there (`view.rs`).
+    pub(crate) fn set_entry(&mut self, ts: Timestamp, entry: Option<LogEntry<I, R>>) {
+        match entry {
+            Some(e) => self.entries.insert(ts, e),
+            None => self.entries.remove(&ts),
+        };
     }
 
-    /// Drops the recorded status of `action`, as [`Self::unset_entry`].
-    pub(crate) fn unset_status(&mut self, action: ActionId) {
-        self.statuses.remove(&action);
+    /// Records `outcome` for `action`, or nothing, as [`Self::set_entry`].
+    pub(crate) fn set_status(&mut self, action: ActionId, outcome: Option<ActionOutcome>) {
+        match outcome {
+            Some(o) => self.statuses.insert(action, o),
+            None => self.statuses.remove(&action),
+        };
+    }
+
+    /// Sets the checkpoint, dropping nothing, as [`Self::set_entry`].
+    pub(crate) fn set_checkpoint(&mut self, cp: Option<Checkpoint>) {
+        self.checkpoint = cp;
     }
 
     /// Entries in timestamp order.
@@ -659,10 +668,8 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
 const SCAN_BELOW: usize = 64;
 
 /// Whether `checkpoint` (if any) covers `action`.
-fn folds(checkpoint: &Option<Checkpoint>, action: ActionId) -> bool {
-    checkpoint
-        .as_ref()
-        .is_some_and(|cp| cp.covers(action).is_some())
+pub(crate) fn folds(checkpoint: Option<&Checkpoint>, action: ActionId) -> bool {
+    checkpoint.is_some_and(|cp| cp.covers(action).is_some())
 }
 
 /// Below this many of `ours` per one of `theirs`, [`not_held`] walks both
@@ -727,7 +734,7 @@ impl<I: Clone, R: Clone> LogDelta<I, R> {
     /// installing the checkpoint, then inserting and resolving one by one
     /// into a fresh log leaves, built in one pass.
     pub fn to_log(&self) -> ObjectLog<I, R> {
-        let folded = |a: ActionId| folds(&self.checkpoint, a);
+        let folded = |a: ActionId| folds(self.checkpoint.as_ref(), a);
         let mut log = ObjectLog::new();
         log.entries = (self.entries.iter())
             .filter(|e| !folded(e.action))
@@ -810,6 +817,16 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
             self.journal.clear();
         }
         dropped
+    }
+
+    /// A log at `version` that journals nothing yet: a mirror rebuilt
+    /// from a front-end's view (`view.rs`).
+    pub(crate) fn at(log: ObjectLog<I, R>, version: u64) -> Self {
+        VersionedLog {
+            log,
+            version,
+            journal: VecDeque::new(),
+        }
     }
 
     /// The underlying log.
@@ -987,18 +1004,6 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
     /// delta write against it is refused, and a reply to a read sent
     /// before that may still be on its way).
     pub fn apply_delta(&mut self, delta: &LogDelta<I, R>) -> bool {
-        self.apply_delta_with(delta, |_| {}, |_, _| {})
-    }
-
-    /// [`Self::apply_delta`], telling `entry` of every entry it stores and
-    /// `status` of every status change ([`ObjectLog::upgrade`]'s report),
-    /// except on a full transfer, which replaces the log.
-    pub(crate) fn apply_delta_with(
-        &mut self,
-        delta: &LogDelta<I, R>,
-        mut entry: impl FnMut(&LogEntry<I, R>),
-        mut status: impl FnMut(ActionId, (Option<ActionOutcome>, ActionOutcome)),
-    ) -> bool {
         if delta.full {
             if delta.head >= self.version {
                 let gc = self.log.gc_aborted();
@@ -1017,14 +1022,10 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
             self.log.adopt_checkpoint(cp);
         }
         for e in &delta.entries {
-            if self.log.insert(e.clone()) {
-                entry(e);
-            }
+            self.log.insert(e.clone());
         }
         for (a, o) in &delta.statuses {
-            if let Some(change) = self.log.upgrade(*a, *o) {
-                status(*a, change);
-            }
+            self.log.resolve(*a, *o);
         }
         self.version = self.version.max(delta.head);
         true

@@ -1,14 +1,18 @@
-//! The persistent view against the per-operation rebuild it replaced.
+//! The persistent view, and the mirrors it holds as columns, against the
+//! per-operation rebuild over explicit mirrors it replaced.
 //!
 //! Three repository logs evolve under random scripts — fresh entries,
 //! resolutions, gossip between sites, status-GC fences, compaction
 //! checkpoints, aborted-entry GC — while a front-end requests deltas from
 //! them and receives the replies fresh, stale, duplicated and reordered,
-//! some counted toward a read round and some not, forgets mirrors as a
-//! refused write does, sees sites leave and rejoin the configuration and
-//! one go silent for good, and writes its view back. The reference is the
-//! front-end as it was: the round's replied mirrors merged into a blank log
-//! as of each reply, and every write cut with `ObjectLog::minus`.
+//! some counted toward a read round and some not, some under full-log
+//! shipping, forgets mirrors as a refused write does, sees sites leave and
+//! rejoin the configuration and one go silent for good, and writes its
+//! view back. The reference is the front-end as it was: a `VersionedLog`
+//! mirror per site, the round's replied mirrors merged into a blank log as
+//! of each reply, and every write cut with `ObjectLog::minus`. After every
+//! step, each mirror rebuilt from the view and its column must equal its
+//! reference: log, version and checkpoint.
 
 use proptest::prelude::*;
 use quorumcc_model::{ActionId, Event};
@@ -58,6 +62,7 @@ fn checkpoint(upto: u32) -> Option<Checkpoint> {
 /// The front-end under test and its reference, fed the same replies.
 struct FrontEnd {
     gc: bool,
+    /// The reference mirrors, one per site that has replied.
     mirrors: BTreeMap<u32, Log>,
     view: View<u64, u64>,
     /// The sites of the configuration, and one that stopped replying.
@@ -69,41 +74,105 @@ struct FrontEnd {
     /// Requested replies, not yet delivered.
     inflight: Vec<(u32, LogDelta<u64, u64>)>,
     own: u32,
+    /// How often each path that replaces what a mirror held ran: a full
+    /// transfer, a checkpoint adopted, an abort under aborted-entry GC, a
+    /// forgotten mirror, a reply under full-log shipping.
+    paths: [u32; 5],
 }
 
 impl FrontEnd {
-    /// Delivers a reply; `counted` ones take part in the live round.
+    fn new(gc: bool) -> Self {
+        FrontEnd {
+            gc,
+            mirrors: BTreeMap::new(),
+            view: View::new(gc),
+            members: (0..3).collect(),
+            silent: None,
+            round: Vec::new(),
+            merged: ObjectLog::new(),
+            inflight: Vec::new(),
+            own: 0,
+            paths: [0; 5],
+        }
+    }
+
+    /// The view holds a mirror of every site the reference does, and each
+    /// equals its reference.
+    fn check_mirrors(&self) -> Result<(), TestCaseError> {
+        let sites: BTreeSet<u32> = self.view.sites().collect();
+        prop_assert!(sites.iter().eq(self.mirrors.keys()));
+        for (s, want) in &self.mirrors {
+            let got = self.view.mirror(*s).expect("a column per mirror");
+            prop_assert_eq!(got.log(), want.log());
+            prop_assert_eq!(got.version(), want.version());
+            prop_assert_eq!(got.log().checkpoint(), want.log().checkpoint());
+            prop_assert_eq!(got.log().gc_aborted(), want.log().gc_aborted());
+        }
+        Ok(())
+    }
+
+    /// Delivers a reply; `counted` ones from members take part in the live
+    /// round. `full_log` ones are what full-log shipping answers with: the
+    /// mirror becomes their log, whatever it held.
     fn deliver(
         &mut self,
         site: u32,
         delta: &LogDelta<u64, u64>,
         counted: bool,
+        full_log: bool,
     ) -> Result<(), TestCaseError> {
         if self.silent == Some(site) {
             return Ok(());
         }
         let gc = self.gc;
         let mirror = (self.mirrors.entry(site)).or_insert_with(|| VersionedLog::with_gc(gc));
-        if !self.view.advance(site, mirror, delta) || !counted {
+        let had = |a: ActionId| mirror.log().entries().any(|e| e.action == a);
+        let aborts = (delta.statuses.iter())
+            .filter(|(a, o)| gc && *o == ActionOutcome::Aborted && had(*a))
+            .count();
+        let checkpoint = mirror.log().checkpoint().cloned();
+        if full_log {
+            *mirror = VersionedLog::with_gc(gc);
+            mirror.apply_delta(&LogDelta {
+                full: true,
+                ..delta.clone()
+            });
+            self.view.replace(site, delta);
+            self.paths[4] += 1;
+        } else {
+            let applied = mirror.apply_delta(delta);
+            prop_assert_eq!(self.view.advance(site, delta), applied);
+            let adopted = mirror.log().checkpoint() != checkpoint.as_ref();
+            self.paths[0] += u32::from(delta.full);
+            self.paths[1] += u32::from(adopted && !delta.full);
+            self.paths[2] += aborts as u32;
+            if !applied {
+                return self.check_mirrors();
+            }
+        }
+        self.check_mirrors()?;
+        if !counted || !self.members.contains(&site) {
             return Ok(());
         }
         let log = self.mirrors[&site].log();
         if self.round.is_empty() {
-            let members = self
-                .mirrors
-                .iter()
-                .filter(|(s, _)| self.members.contains(s));
-            let all: Vec<_> = members.map(|(s, m)| (*s, m.log())).collect();
-            self.view.sync(site, log, &all);
+            self.view.sync(site);
             self.merged = ObjectLog::new();
         } else {
-            self.view.join(site, log);
+            self.view.join(site);
         }
         self.merged.merge(log);
         self.round.push(site);
         prop_assert_eq!(self.view.log(), &self.merged);
         prop_assert!(!self.view.log().gc_aborted());
-        Ok(())
+        self.check_mirrors()
+    }
+
+    /// Forgets the mirror of `site`, as a refused write does.
+    fn forget(&mut self, site: u32) -> Result<(), TestCaseError> {
+        self.paths[3] += u32::from(self.mirrors.remove(&site).is_some());
+        self.view.reset(site);
+        self.check_mirrors()
     }
 
     /// Ends the live round: adds an entry of the front-end's own and what
@@ -124,27 +193,108 @@ impl FrontEnd {
             self.merged.resolve(ActionId(a), outcome(a));
         }
         prop_assert_eq!(self.view.log(), &self.merged);
+        self.check_mirrors()?;
         for (s, site) in (0..).zip(sites.iter_mut()) {
             if self.silent == Some(s) {
                 continue;
             }
-            let Some(m) = self.mirrors.get(&s).filter(|m| m.version() > 0) else {
+            let held = self.mirrors.get(&s).filter(|m| m.version() > 0);
+            let cut = self.view.cut(s);
+            prop_assert_eq!(cut.is_some(), held.is_some());
+            let (Some((cut, base)), Some(m)) = (cut, held) else {
                 site.merge(self.view.log());
                 continue;
             };
-            let cut = self.view.cut(s, m.log());
             prop_assert_eq!(&cut, &self.merged.minus(m.log()));
-            if site.extends(m.version()) {
+            prop_assert_eq!(base, m.version());
+            if site.extends(base) {
                 site.merge(&cut);
             } else {
                 // Refused: the whole view goes, and the mirror is forgotten.
                 site.merge(self.view.log());
-                self.mirrors.remove(&s);
-                self.view.forget();
+                self.forget(s)?;
             }
         }
         Ok(())
     }
+}
+
+/// Runs one script against three sites; returns how often each path that
+/// replaces what a mirror held ran ([`FrontEnd::paths`]).
+fn run(script: &[(u8, u32, u32)], gc: bool) -> Result<[u32; 5], TestCaseError> {
+    let mut sites: Vec<Log> = (0..3).map(|_| VersionedLog::with_gc(gc)).collect();
+    let mut front = FrontEnd::new(gc);
+    let mut next = 0;
+    for &(op, s, arg) in script {
+        let site = &mut sites[s as usize];
+        match op {
+            // A fresh entry at one site, and gossip between two.
+            0..=6 => {
+                site.insert(entry(next));
+                next += 1;
+            }
+            7 | 8 => {
+                let other = sites[((s + 1) % 3) as usize].log().clone();
+                sites[s as usize].merge(&other);
+            }
+            // A resolution reaches one site.
+            9..=12 => {
+                let a = next.saturating_sub(1 + arg);
+                site.resolve(ActionId(a), outcome(a));
+            }
+            // A status-GC fence: the reader's next reply is a full transfer.
+            13 => {
+                site.gc_below(|a| a.0 + 4 * arg < next && outcome(a.0).is_resolved());
+            }
+            // Compaction folds a committed prefix.
+            14 => {
+                let resolved = |a: u32| site.log().status(ActionId(a)).is_resolved();
+                let upto = next.saturating_sub(4 * arg);
+                if (0..upto).all(resolved) {
+                    if let Some(cp) = checkpoint(upto) {
+                        let newer =
+                            (site.log().checkpoint()).is_none_or(|own| own.folded() < cp.folded());
+                        if newer {
+                            site.install_checkpoint(cp);
+                        }
+                    }
+                }
+            }
+            // A read request, answered from the site as it is now.
+            15..=19 => {
+                let since = front.view.version(s);
+                front.inflight.push((s, site.delta_since(since)));
+            }
+            // A reply delivered, in any order, counted or stale; or
+            // delivered again.
+            20..=26 if !front.inflight.is_empty() => {
+                let k = arg as usize % front.inflight.len();
+                let (from, delta) = if op < 25 {
+                    front.inflight.remove(k)
+                } else {
+                    front.inflight[k].clone()
+                };
+                front.deliver(from, &delta, arg % 3 != 0, false)?;
+            }
+            // The round assembles and writes back.
+            27..=29 => front.write(&mut sites, next.saturating_sub(arg + 3))?,
+            // A refused write: the mirror is forgotten.
+            30 => front.forget(s)?,
+            // A site leaves the configuration, or rejoins it.
+            31 if !front.members.remove(&s) => {
+                front.members.insert(s);
+            }
+            // A site stops replying for the rest of the script.
+            32 if front.silent.is_none() && arg % 4 == 0 => front.silent = Some(s),
+            // A read under full-log shipping, answered and delivered.
+            33 => {
+                let delta = site.delta_since(0);
+                front.deliver(s, &delta, arg % 3 != 0, true)?;
+            }
+            _ => {}
+        }
+    }
+    Ok(front.paths)
 }
 
 proptest! {
@@ -153,85 +303,30 @@ proptest! {
         script in proptest::collection::vec((0u8..34, 0u32..3, 0u32..24), 40..400),
         gc in 0u8..2,
     ) {
-        let gc = gc == 0;
-        let mut sites: Vec<Log> = (0..3).map(|_| VersionedLog::with_gc(gc)).collect();
-        let mut front = FrontEnd {
-            gc,
-            mirrors: BTreeMap::new(),
-            view: View::default(),
-            members: (0..3).collect(),
-            silent: None,
-            round: Vec::new(),
-            merged: ObjectLog::new(),
-            inflight: Vec::new(),
-            own: 0,
+        run(&script, gc == 0)?;
+    }
+}
+
+/// Seeded scripts under aborted-entry GC run every path that replaces what
+/// a mirror held, each mirror staying equal to its reference throughout.
+#[test]
+fn every_path_that_replaces_a_mirror_runs() {
+    let mut seen = [0; 5];
+    for seed in 0..16u64 {
+        let mut x = seed;
+        let mut draw = |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
         };
-        let mut next = 0;
-        for (op, s, arg) in script {
-            let site = &mut sites[s as usize];
-            match op {
-                // A fresh entry at one site, and gossip between two.
-                0..=6 => {
-                    site.insert(entry(next));
-                    next += 1;
-                }
-                7 | 8 => {
-                    let other = sites[((s + 1) % 3) as usize].log().clone();
-                    sites[s as usize].merge(&other);
-                }
-                // A resolution reaches one site.
-                9..=12 => {
-                    let a = next.saturating_sub(1 + arg);
-                    site.resolve(ActionId(a), outcome(a));
-                }
-                // A status-GC fence: the reader's next reply is whole.
-                13 => {
-                    site.gc_below(|a| a.0 + 4 * arg < next && outcome(a.0).is_resolved());
-                }
-                // Compaction folds a committed prefix.
-                14 => {
-                    let resolved = |a: u32| site.log().status(ActionId(a)).is_resolved();
-                    let upto = next.saturating_sub(4 * arg);
-                    if (0..upto).all(resolved) {
-                        if let Some(cp) = checkpoint(upto) {
-                            let newer = site.log().checkpoint().is_none_or(|own| own.folded() < cp.folded());
-                            if newer {
-                                site.install_checkpoint(cp);
-                            }
-                        }
-                    }
-                }
-                // A read request, answered from the site as it is now.
-                15..=19 => {
-                    let since = front.mirrors.get(&s).map_or(0, Log::version);
-                    front.inflight.push((s, site.delta_since(since)));
-                }
-                // A reply delivered, in any order, counted or stale; or
-                // delivered again.
-                20..=26 if !front.inflight.is_empty() => {
-                    let k = arg as usize % front.inflight.len();
-                    let (from, delta) = if op < 25 {
-                        front.inflight.remove(k)
-                    } else {
-                        front.inflight[k].clone()
-                    };
-                    front.deliver(from, &delta, arg % 3 != 0)?;
-                }
-                // The round assembles and writes back.
-                27..=29 => front.write(&mut sites, next.saturating_sub(arg + 3))?,
-                // A refused write: the mirror is forgotten.
-                30 => {
-                    front.mirrors.remove(&s);
-                    front.view.forget();
-                }
-                // A site leaves the configuration, or rejoins it.
-                31 if !front.members.remove(&s) => {
-                    front.members.insert(s);
-                }
-                // A site stops replying for the rest of the script.
-                32 if front.silent.is_none() && arg % 4 == 0 => front.silent = Some(s),
-                _ => {}
-            }
+        let script: Vec<_> = (0..400)
+            .map(|_| (draw(34) as u8, draw(3) as u32, draw(24) as u32))
+            .collect();
+        let paths = run(&script, true).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        for (n, p) in seen.iter_mut().zip(paths) {
+            *n += p;
         }
     }
+    assert!(seen.iter().all(|n| *n > 0), "paths run: {seen:?}");
 }

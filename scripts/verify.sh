@@ -134,6 +134,17 @@ if awk "$nontest_awk" crates/replication/src/client.rs | grep -nE '\.minus\(|mer
   echo "crates/replication/src/client.rs rebuilds a view outside its tests (lines above)" >&2
   exit 1
 fi
+# A client holds one log per object: each site's mirror is a column of the
+# view's disagreement set, not a `VersionedLog` of its own, and what drops
+# from a mirror is diffed into its column rather than making the view whole.
+if awk "$nontest_awk" crates/replication/src/client.rs | grep -nE 'VersionedLog|mirrors'; then
+  echo "crates/replication/src/client.rs keeps mirrors beside its views (lines above)" >&2
+  exit 1
+fi
+if awk "$nontest_awk" crates/replication/src/view.rs | grep -n 'whole'; then
+  echo "crates/replication/src/view.rs has a whole view outside its tests (lines above)" >&2
+  exit 1
+fi
 
 echo "==> structure: unsafe lives in one module (DESIGN §3.16)"
 # `net::ready` declares ppoll(2) for the socket transports; it is the one
@@ -442,7 +453,8 @@ echo "$bench_out" | grep -q "log_shipping/1024/delta_reply" || {
 # The same binary carries the perf ledger's `Repository::handle(Resolve)`,
 # `handle(WriteLog)`, `Protocol::evaluate_from` and read-round rows.
 for row in repository_resolve/8192_logs repository_writelog/800_entries/delta \
-  protocol_evaluate/800_entries/incremental client_read_round/800_entries/persistent; do
+  protocol_evaluate/800_entries/incremental client_read_round/800_entries/persistent \
+  client_read_round/25_entries/persistent; do
   echo "$bench_out" | grep -q "$row" || {
     echo "log_shipping bench produced no $row timing:" >&2
     echo "$bench_out" >&2
