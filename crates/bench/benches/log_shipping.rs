@@ -386,7 +386,7 @@ fn bench_client_read_round(c: &mut Criterion) {
         for (s, site) in (0..).zip(&sites) {
             view.advance(s, &site.delta_since(0));
         }
-        view.sync(0);
+        view.sync(0, &[0, 1, 2]);
         for (s, site) in sites[..2].iter_mut().enumerate() {
             grow(
                 site,
@@ -410,7 +410,7 @@ fn bench_client_read_round(c: &mut Criterion) {
             for (site, delta) in (0..).zip(&deltas) {
                 view.advance(site, delta);
             }
-            view.sync(0);
+            view.sync(0, &[0, 1, 2]);
             view.join(1);
             [0, 1].map(|site| view.cut(site).expect("a mirror to cut against").0)
         };

@@ -991,9 +991,11 @@ impl<S: Classified> Client<S> {
                     };
                     // The mirror *is* the site's log at serving time;
                     // merging it is what merging the full reply did. The
-                    // round's first reply makes the view that log.
+                    // round's first reply makes the view that log, and the
+                    // sites that left the object's configuration lose
+                    // their columns.
                     if replied.is_empty() {
-                        view.sync(from);
+                        view.sync(from, &self.config.state(obj).members());
                         self.views.live.insert(obj);
                     } else {
                         view.join(from);

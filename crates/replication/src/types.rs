@@ -834,6 +834,11 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
         &self.log
     }
 
+    /// The underlying log, this log's version and journal dropped.
+    pub(crate) fn into_log(self) -> ObjectLog<I, R> {
+        self.log
+    }
+
     /// The current version (= number of changes ever applied).
     pub fn version(&self) -> u64 {
         self.version

@@ -7,10 +7,12 @@
 //! **Invariant:** outside the set, the view and every mirror agree; a key
 //! leaves the set once they all agree on it. A delta that only adds, a
 //! round's merges and a write's cut read and write the set alone, so a
-//! round costs what the mirrors disagree on, not the history. What drops
-//! from a mirror — a full transfer, a checkpoint, an abort under
-//! aborted-entry GC — or replaces it (full-log shipping) is diffed into
-//! its column once, at the cost of a log walk.
+//! round costs what the mirrors disagree on, not the history. A site's
+//! first reply, and what drops from a mirror — a full transfer, a
+//! checkpoint, an abort under aborted-entry GC — or replaces it (full-log
+//! shipping), is diffed into its column once, at the cost of a log walk.
+//! A round's first reply drops the column of every other site outside the
+//! object's configuration.
 
 use crate::types::{
     folds, ActionOutcome, Checkpoint, LogDelta, LogEntry, ObjId, ObjectLog, VersionedLog,
@@ -35,6 +37,8 @@ pub struct View<I, R> {
     /// its timestamp, so it is stored once, with a presence bit per slot.
     entries: Doubts<Timestamp, LogEntry<I, R>, bool>,
     statuses: Doubts<ActionId, (), Option<ActionOutcome>>,
+    /// Whether no column has opened yet, so no round has read the view.
+    blank: bool,
 }
 
 /// What a site's mirror holds beside its keys.
@@ -46,62 +50,7 @@ struct Column {
 }
 
 /// Keys in doubt, each with a payload and its value per slot.
-type Doubts<K, X, V> = BTreeMap<K, (X, Slots<V>)>;
-
-/// A doubt's value per slot, inline for the view and up to three mirrors:
-/// entering a key costs no allocation of its own.
-#[derive(Debug, Clone)]
-enum Slots<V> {
-    Few(usize, [V; 4]),
-    Many(Vec<V>),
-}
-
-impl<V: Copy> Slots<V> {
-    fn new(v: V, n: usize) -> Self {
-        if n <= 4 {
-            Slots::Few(n, [v; 4])
-        } else {
-            Slots::Many(vec![v; n])
-        }
-    }
-
-    fn push(&mut self, v: V) {
-        match self {
-            Slots::Few(4, at) => *self = Slots::Many([&at[..], &[v]].concat()),
-            Slots::Few(n, at) => (at[*n], *n) = (v, *n + 1),
-            Slots::Many(at) => at.push(v),
-        }
-    }
-
-    fn remove(&mut self, s: usize) {
-        match self {
-            Slots::Few(n, at) => {
-                at.copy_within(s + 1..*n, s);
-                *n -= 1;
-            }
-            Slots::Many(at) => _ = at.remove(s),
-        }
-    }
-}
-
-impl<V> std::ops::Deref for Slots<V> {
-    type Target = [V];
-    fn deref(&self) -> &[V] {
-        match self {
-            Slots::Few(n, at) => &at[..*n],
-            Slots::Many(at) => at,
-        }
-    }
-}
-
-impl<V> std::ops::DerefMut for Slots<V> {
-    fn deref_mut(&mut self) -> &mut [V] {
-        match self {
-            Slots::Few(n, at) => &mut at[..*n],
-            Slots::Many(at) => at,
-        }
-    }
-}
+type Doubts<K, X, V> = BTreeMap<K, (X, Vec<V>)>;
 
 const VIEW: usize = 0;
 
@@ -113,7 +62,7 @@ fn agreed<V: PartialEq>(at: &[V]) -> bool {
 /// (and the root node an emptied map keeps).
 fn each<K: Ord, X, V: PartialEq>(
     doubts: &mut Doubts<K, X, V>,
-    mut f: impl FnMut(&K, &X, &mut Slots<V>),
+    mut f: impl FnMut(&K, &X, &mut Vec<V>),
 ) {
     doubts.retain(|k, (x, at)| {
         f(k, x, at);
@@ -139,7 +88,7 @@ fn mark<K: Ord, X, V: Copy + PartialEq>(
         Entry::Vacant(doubt) => {
             let was = was();
             if to != was && slots > 1 {
-                let mut at = Slots::new(was, slots);
+                let mut at = vec![was; slots];
                 at[s] = to;
                 doubt.insert((payload(), at));
             }
@@ -163,6 +112,7 @@ impl<I: Clone, R: Clone> View<I, R> {
             cols: Vec::new(),
             entries: BTreeMap::new(),
             statuses: BTreeMap::new(),
+            blank: true,
         }
     }
 }
@@ -202,12 +152,17 @@ impl<I: Clone + PartialEq, R: Clone + PartialEq> View<I, R> {
     }
 
     /// Applies a reply's `delta` to `site`'s mirror as
-    /// [`VersionedLog::apply_delta`] would, opening a blank mirror for a
-    /// site without one, and returns what that does. At each key the
-    /// mirror held column `site`'s value if the key is in doubt, and the
-    /// view's otherwise.
+    /// [`VersionedLog::apply_delta`] would, and returns what that does; a
+    /// site without a mirror opens one, `delta` applied to a blank log. At
+    /// each key the mirror held column `site`'s value if the key is in
+    /// doubt, and the view's otherwise.
     pub fn advance(&mut self, site: ProcId, delta: &LogDelta<I, R>) -> bool {
-        let s = self.slot(site).unwrap_or_else(|| self.open(site));
+        let Some(s) = self.slot(site) else {
+            let mut mirror = VersionedLog::with_gc(self.gc);
+            let applied = mirror.apply_delta(delta);
+            self.open(site, mirror);
+            return applied;
+        };
         let aborts = |&(a, o): &(ActionId, ActionOutcome)| {
             self.gc && o == ActionOutcome::Aborted && self.status(s, a) != Some(o)
         };
@@ -245,8 +200,11 @@ impl<I: Clone + PartialEq, R: Clone + PartialEq> View<I, R> {
     /// `site`'s mirror becomes the log `delta` holds, whatever it held: a
     /// reply under full-log shipping.
     pub fn replace(&mut self, site: ProcId, delta: &LogDelta<I, R>) {
-        let s = self.slot(site).unwrap_or_else(|| self.open(site));
-        self.become_(s, &delta.to_log(), delta.head);
+        let mirror = VersionedLog::at(delta.to_log(), delta.head);
+        match self.slot(site) {
+            Some(s) => self.become_(s, mirror.log(), mirror.version()),
+            None => self.open(site, mirror),
+        }
     }
 
     /// Forgets `site`'s mirror, as a refused write does: its column goes,
@@ -254,14 +212,24 @@ impl<I: Clone + PartialEq, R: Clone + PartialEq> View<I, R> {
     pub fn reset(&mut self, site: ProcId) {
         let Some(s) = self.slot(site) else { return };
         self.cols.remove(s - 1);
-        each(&mut self.entries, |_, _, at| at.remove(s));
-        each(&mut self.statuses, |_, _, at| at.remove(s));
+        each(&mut self.entries, |_, _, at| _ = at.remove(s));
+        each(&mut self.statuses, |_, _, at| _ = at.remove(s));
     }
 
     /// A round's first reply: the view becomes `site`'s mirror, as merging
-    /// it into a blank log would leave it.
-    pub fn sync(&mut self, site: ProcId) {
-        let s = self.slot(site).expect("a mirror to sync to");
+    /// it into a blank log would leave it. Every other site outside
+    /// `members` first loses its mirror ([`Self::reset`]): one that left
+    /// the configuration keeps no column in the set.
+    pub fn sync(&mut self, site: ProcId, members: &[ProcId]) {
+        let gone = |c: &Column| c.site != site && !members.contains(&c.site);
+        while let Some(c) = self.cols.iter().position(gone) {
+            self.reset(self.cols[c].site);
+        }
+        self.sync_to(self.slot(site).expect("a mirror to sync to"));
+    }
+
+    /// The view becomes slot `s`'s mirror.
+    fn sync_to(&mut self, s: usize) {
         let cp = &self.cols[s - 1].checkpoint;
         if self.log.checkpoint() != cp.as_ref() {
             self.log.set_checkpoint(cp.clone());
@@ -363,6 +331,12 @@ impl<I: Clone + PartialEq, R: Clone + PartialEq> View<I, R> {
         self.log = ObjectLog::new();
     }
 
+    /// The entries this view stores: its log's, and one per timestamp in
+    /// doubt.
+    pub fn entries_held(&self) -> usize {
+        self.log.len() + self.entries.len()
+    }
+
     fn slot(&self, site: ProcId) -> Option<usize> {
         (self.cols.iter().position(|c| c.site == site)).map(|k| k + 1)
     }
@@ -372,18 +346,24 @@ impl<I: Clone + PartialEq, R: Clone + PartialEq> View<I, R> {
         (self.statuses.get(&action)).map_or_else(|| self.log.status_entry(action), |(_, at)| at[s])
     }
 
-    /// Opens a blank mirror of `site`; returns its slot.
-    fn open(&mut self, site: ProcId) -> usize {
-        let (version, checkpoint) = (0, None);
+    /// Opens a column holding `mirror`, `site`'s: a copy of the view,
+    /// diffed into `mirror` at the keys where the two differ. A view no
+    /// column has opened on and that holds nothing takes the mirror's log.
+    fn open(&mut self, site: ProcId, mirror: VersionedLog<I, R>) {
+        let (version, checkpoint) = (mirror.version(), mirror.log().checkpoint().cloned());
         (self.cols).push(Column {
             site,
             version,
             checkpoint,
         });
+        if std::mem::take(&mut self.blank) && self.log == ObjectLog::new() {
+            self.log = mirror.into_log();
+            self.log.set_gc_aborted(false);
+            return;
+        }
         each(&mut self.entries, |_, _, at| at.push(at[VIEW]));
         each(&mut self.statuses, |_, _, at| at.push(at[VIEW]));
-        self.diff(self.cols.len(), &ObjectLog::new());
-        self.cols.len()
+        self.become_(self.cols.len(), mirror.log(), version);
     }
 
     /// Slot `s`'s mirror becomes `to`, at `version`.
@@ -443,8 +423,8 @@ impl<I: Clone + PartialEq, R: Clone + PartialEq> Views<I, R> {
         let Some(view) = self.of.get_mut(&obj) else {
             return;
         };
-        if let Some(site) = view.cols.first().map(|c| c.site) {
-            view.sync(site);
+        if !view.cols.is_empty() {
+            view.sync_to(1);
         }
     }
 }
@@ -465,14 +445,5 @@ where
             .field("mirrors", &mirrors)
             .field("live", &live)
             .finish()
-    }
-}
-
-#[cfg(test)]
-impl<I: Clone, R: Clone> View<I, R> {
-    /// The entries this view stores: its log's, and one per timestamp in
-    /// doubt.
-    pub(crate) fn entries_held(&self) -> usize {
-        self.log.len() + self.entries.len()
     }
 }

@@ -76,8 +76,9 @@ struct FrontEnd {
     own: u32,
     /// How often each path that replaces what a mirror held ran: a full
     /// transfer, a checkpoint adopted, an abort under aborted-entry GC, a
-    /// forgotten mirror, a reply under full-log shipping.
-    paths: [u32; 5],
+    /// forgotten mirror, a reply under full-log shipping, a departed
+    /// site's mirror dropped when a round starts.
+    paths: [u32; 6],
 }
 
 impl FrontEnd {
@@ -92,15 +93,31 @@ impl FrontEnd {
             merged: ObjectLog::new(),
             inflight: Vec::new(),
             own: 0,
-            paths: [0; 5],
+            paths: [0; 6],
         }
     }
 
     /// The view holds a mirror of every site the reference does, and each
-    /// equals its reference.
+    /// equals its reference. It stores one entry per timestamp in its log
+    /// or where some mirror differs from it.
     fn check_mirrors(&self) -> Result<(), TestCaseError> {
         let sites: BTreeSet<u32> = self.view.sites().collect();
         prop_assert!(sites.iter().eq(self.mirrors.keys()));
+        let at = |log: &ObjectLog<u64, u64>| -> BTreeSet<Timestamp> {
+            log.entries().map(|e| e.ts).collect()
+        };
+        let mut doubted = BTreeSet::new();
+        for m in self.mirrors.values() {
+            doubted.extend(
+                at(m.log())
+                    .symmetric_difference(&at(self.view.log()))
+                    .copied(),
+            );
+        }
+        prop_assert_eq!(
+            self.view.entries_held(),
+            self.view.log().len() + doubted.len()
+        );
         for (s, want) in &self.mirrors {
             let got = self.view.mirror(*s).expect("a column per mirror");
             prop_assert_eq!(got.log(), want.log());
@@ -111,8 +128,9 @@ impl FrontEnd {
         Ok(())
     }
 
-    /// Delivers a reply; `counted` ones from members take part in the live
-    /// round. `full_log` ones are what full-log shipping answers with: the
+    /// Delivers a reply; `counted` ones take part in the live round, which
+    /// the first of them starts by dropping the mirror of every other site
+    /// outside the configuration. `full_log` ones are what full-log shipping answers with: the
     /// mirror becomes their log, whatever it held.
     fn deliver(
         &mut self,
@@ -151,17 +169,20 @@ impl FrontEnd {
             }
         }
         self.check_mirrors()?;
-        if !counted || !self.members.contains(&site) {
+        if !counted {
             return Ok(());
         }
-        let log = self.mirrors[&site].log();
         if self.round.is_empty() {
-            self.view.sync(site);
+            let members: Vec<u32> = self.members.iter().copied().collect();
+            let before = self.mirrors.len();
+            (self.mirrors).retain(|s, _| *s == site || members.contains(s));
+            self.paths[5] += (before - self.mirrors.len()) as u32;
+            self.view.sync(site, &members);
             self.merged = ObjectLog::new();
         } else {
             self.view.join(site);
         }
-        self.merged.merge(log);
+        self.merged.merge(self.mirrors[&site].log());
         self.round.push(site);
         prop_assert_eq!(self.view.log(), &self.merged);
         prop_assert!(!self.view.log().gc_aborted());
@@ -221,7 +242,7 @@ impl FrontEnd {
 
 /// Runs one script against three sites; returns how often each path that
 /// replaces what a mirror held ran ([`FrontEnd::paths`]).
-fn run(script: &[(u8, u32, u32)], gc: bool) -> Result<[u32; 5], TestCaseError> {
+fn run(script: &[(u8, u32, u32)], gc: bool) -> Result<[u32; 6], TestCaseError> {
     let mut sites: Vec<Log> = (0..3).map(|_| VersionedLog::with_gc(gc)).collect();
     let mut front = FrontEnd::new(gc);
     let mut next = 0;
@@ -311,7 +332,7 @@ proptest! {
 /// a mirror held, each mirror staying equal to its reference throughout.
 #[test]
 fn every_path_that_replaces_a_mirror_runs() {
-    let mut seen = [0; 5];
+    let mut seen = [0; 6];
     for seed in 0..16u64 {
         let mut x = seed;
         let mut draw = |n: u64| {
@@ -329,4 +350,36 @@ fn every_path_that_replaces_a_mirror_runs() {
         }
     }
     assert!(seen.iter().all(|n| *n > 0), "paths run: {seen:?}");
+}
+
+/// A site that leaves the configuration takes its mirror out of the set
+/// at the next round's start: however much the others' logs grow after,
+/// the view stores its log and at most a round's own entry and fresh
+/// entries beside it.
+#[test]
+fn a_departed_site_leaves_no_column_behind() {
+    let mut sites: Vec<Log> = (0..3).map(|_| VersionedLog::with_gc(false)).collect();
+    let mut front = FrontEnd::new(false);
+    for round in 0..200u32 {
+        if round == 10 {
+            front.members.remove(&2);
+        }
+        for (s, site) in (0..).zip(sites.iter_mut()) {
+            if round < 10 || s < 2 {
+                site.insert(entry(3 * round + s));
+            }
+        }
+        for (s, site) in (0..).zip(&sites) {
+            if front.members.contains(&s) {
+                let delta = site.delta_since(front.view.version(s));
+                front
+                    .deliver(s, &delta, true, false)
+                    .expect("a matching view");
+            }
+        }
+        front.write(&mut sites, 0).expect("a matching view");
+        let fresh = front.view.entries_held() - front.view.log().len();
+        assert!(fresh <= 4, "round {round}: {fresh} entries in doubt");
+    }
+    assert!(front.view.sites().eq([0, 1]));
 }
