@@ -41,6 +41,13 @@
 //! replied mirrors into a blank log and cuts with `ObjectLog::minus`;
 //! `persistent` advances the client's `View`, which holds the mirrors as
 //! columns, syncs and joins it and cuts it over what they disagree on.
+//!
+//! A sixth, `repository_gc_sweep/{256_logs,800_entries}`, is the row for
+//! the status-GC sweep: the one `ReadLog` whose durable frontier advance
+//! completes a 64-action batch and so sweeps, at a scoped repository whose
+//! actions each committed one entry — into 256 logs of 25 entries (the
+//! shape of `sock_shallow`), or into two logs of 800 (`sock_deep`). The
+//! read is served at the log's version, so its reply carries nothing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quorumcc_adts::queue::{Queue, QueueInv, QueueRes};
@@ -315,6 +322,82 @@ fn bench_repository_writelog(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_repository_gc_sweep(c: &mut Criterion) {
+    const CLIENT: u32 = 10;
+    /// Frontier advance per sweep (the socket runs' `gc_batch`).
+    const BATCH: u32 = 64;
+    const SAMPLES: usize = 30;
+    let mut g = c.benchmark_group("repository_gc_sweep");
+    g.sample_size(SAMPLES);
+    for (name, logs, depth) in [("256_logs", 256u32, 25u32), ("800_entries", 2, 800)] {
+        let mut repo: Repository<TestQueue> =
+            Repository::new(Mode::Hybrid, DependencyRelation::full::<TestQueue>())
+                .with_gossip(true, Some(u64::from(BATCH)));
+        let mut io: CollectIo<Msg<QInv, QRes>> = CollectIo::new(0, 7);
+        let actions = logs * depth;
+        // Action i commits one entry into log i mod `logs`.
+        for i in 0..actions {
+            let (obj, at) = (ObjId((i % logs) as u16), ts(u64::from(i) + 1, CLIENT));
+            let entry = entry_of::<TestQueue>(at, action_id(CLIENT, i), at, QInv::Enq(1), QRes::Ok);
+            let write = Msg::WriteLog {
+                obj,
+                req: 0,
+                log: ObjectLog::new(),
+                entry: Some(entry),
+                cfg: 0,
+                base: 0,
+            };
+            repo.handle(&mut io, CLIENT, write);
+            let commit = Msg::Resolve {
+                action: action_id(CLIENT, i),
+                outcome: ActionOutcome::Committed(ts(100_000 + u64::from(i), CLIENT)),
+                entries: vec![(obj, 1)],
+            };
+            repo.handle(&mut io, CLIENT, commit);
+        }
+        let read = |since: u64, durable: u32| Msg::ReadLog {
+            obj: ObjId(0),
+            req: 0,
+            action: action_id(CLIENT, actions),
+            begin_ts: ts(1, CLIENT),
+            op: "Enq",
+            cfg: 0,
+            since,
+            durable: u64::from(durable),
+        };
+        // Every earlier batch was swept: the frontier stands one batch
+        // short of the last action.
+        for durable in (BATCH..actions).step_by(BATCH as usize) {
+            repo.handle(&mut io, CLIENT, read(0, durable));
+        }
+        let head = (io.take_outputs().into_iter())
+            .filter_map(|out| match out {
+                Output::Send {
+                    msg: Msg::LogReply { delta, .. },
+                    ..
+                } => Some(delta.head),
+                _ => None,
+            })
+            .last()
+            .expect("the reads were answered");
+        let mut fresh: Vec<_> = (0..=SAMPLES).map(|_| repo.clone()).collect();
+        let mut swept = Vec::with_capacity(fresh.len());
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut repo = fresh.pop().expect("one copy per sample");
+                repo.handle(&mut io, CLIENT, read(head, actions));
+                swept.push(repo);
+            })
+        });
+        let empty = io.take_outputs().into_iter().all(|out| {
+            matches!(out, Output::Send { msg: Msg::LogReply { delta, .. }, .. }
+                if !delta.full && delta.payload_entries() == 0)
+        });
+        assert!(empty, "{name}: a timed read shipped entries");
+    }
+    g.finish();
+}
+
 fn bench_protocol_evaluate(c: &mut Criterion) {
     /// Entries the warm cache has not seen (`sock_deep`'s mean is 15.6).
     const SUFFIX: usize = 16;
@@ -448,6 +531,7 @@ criterion_group!(
     bench_log_shipping,
     bench_repository_resolve,
     bench_repository_writelog,
+    bench_repository_gc_sweep,
     bench_protocol_evaluate,
     bench_client_read_round
 );

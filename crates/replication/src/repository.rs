@@ -16,7 +16,7 @@ use crate::protocol::{Mode, Protocol};
 use crate::reconfig::ConfigState;
 use crate::types::{
     action_id, action_parts, ActionOutcome, Checkpoint, CompactionConfig, LogEntry, MergeEffect,
-    ObjId, ObjectLog, VersionedLog,
+    ObjId, ObjectLog, VersionedLog, ACTION_SPAN,
 };
 use quorumcc_core::DependencyRelation;
 use quorumcc_model::{ActionId, Classified};
@@ -193,6 +193,13 @@ pub struct Repository<S: Classified> {
     /// Total frontier advance since the last GC sweep (hysteresis
     /// accounting).
     pending_advance: u64,
+    /// Per client, the durable frontier the last GC sweep read up to.
+    swept: BTreeMap<ProcId, u64>,
+    /// Test builds: sweep by walking every log; logs handed candidates.
+    #[cfg(test)]
+    walk: bool,
+    #[cfg(test)]
+    visits: usize,
     /// Per client, one past the highest action sequence this site has
     /// learned the resolution of — from a `Resolve`, or from a status a
     /// merge changed. A front-end runs one action at a time, so every
@@ -230,6 +237,11 @@ impl<S: Classified> Repository<S> {
             resolutions: BTreeMap::new(),
             frontiers: BTreeMap::new(),
             pending_advance: 0,
+            swept: BTreeMap::new(),
+            #[cfg(test)]
+            walk: false,
+            #[cfg(test)]
+            visits: 0,
             resolved_upto: BTreeMap::new(),
         }
     }
@@ -580,25 +592,58 @@ impl<S: Classified> Repository<S> {
         }
     }
 
-    /// Drops every status tombstone below the durable frontiers, from the
+    /// Drops the status tombstones below the durable frontiers, from the
     /// per-object logs and the scoped resolution table. Logs that lost
     /// anything fence their readers into one full transfer (see
     /// [`VersionedLog::gc_below`]).
     ///
-    /// This stays a walk over every log. The touch index could name the
-    /// candidates, but its rows for committed actions stay (their entries
-    /// pin them) and outnumber the logs as soon as logs hold a few entries
-    /// each — scanning them measured dearer than the walk on all five
-    /// benchmark workloads.
+    /// Under scoped planting it reads what went stale since the last sweep,
+    /// per client the `ActionId` range `[swept, frontier)`: it drops those
+    /// table entries and hands each log, once, its rows' actions that the
+    /// table did not record committed (a committed status always has its
+    /// entry beside it). A `Resolve` replayed behind the range and a
+    /// recovery re-arm it. Full planting: every log's stale statuses are read.
     fn sweep_gc(&mut self) {
         let frontiers = &self.frontiers;
         let stale = |a: ActionId| Self::below_frontier(frontiers, a);
-        let mut gone: Vec<(ActionId, ObjId)> = Vec::new();
-        for (obj, vlog) in &mut self.logs {
-            gone.extend(vlog.gc_below(stale).into_iter().map(|a| (a, *obj)));
-        }
+        let walk = !self.scoped_statuses;
+        #[cfg(test)]
+        let walk = walk || self.walk;
         let table = self.resolutions.len();
-        self.resolutions.retain(|a, _| !stale(*a));
+        let mut candidates: BTreeMap<ObjId, Vec<ActionId>> = BTreeMap::new();
+        if walk {
+            for (obj, v) in &self.logs {
+                let held = v.log().statuses().map(|(a, _)| a);
+                candidates.insert(*obj, held.filter(|a| stale(*a)).collect());
+            }
+            self.resolutions.retain(|a, _| !stale(*a));
+        } else {
+            for (&client, &f) in frontiers {
+                let at = |seq: u64| action_id(client, seq.min(u64::from(ACTION_SPAN)) as u32);
+                let (lo, hi) = (at(self.swept.insert(client, f).unwrap_or(0).min(f)), at(f));
+                if lo == hi {
+                    continue;
+                }
+                let commits: Vec<ActionId> = (self.resolutions.extract_if(lo..hi, |_, _| true))
+                    .filter_map(|(a, o)| matches!(o, ActionOutcome::Committed(_)).then_some(a))
+                    .collect();
+                // Clients ascend, so each log's candidates come sorted.
+                for &(a, obj) in self.touch_index.range((lo, ObjId(0))..(hi, ObjId(0))) {
+                    if commits.binary_search(&a).is_err() {
+                        candidates.entry(obj).or_default().push(a);
+                    }
+                }
+            }
+        }
+        let mut gone: Vec<(ActionId, ObjId)> = Vec::new();
+        #[cfg(test)]
+        {
+            self.visits += candidates.len();
+        }
+        for (obj, stale) in candidates {
+            let vlog = self.logs.get_mut(&obj).expect("a row names a live log");
+            gone.extend(vlog.gc_below(&stale).into_iter().map(|a| (a, obj)));
+        }
         self.counters.statuses_gcd += (gone.len() + table - self.resolutions.len()) as u64;
         self.status_total -= gone.len();
         // A purge moves the version (the reader fence); record it like any
@@ -725,6 +770,7 @@ impl<S: Classified> Repository<S> {
         // equal the mirrors (or nothing at all, for an amnesiac).
         self.status_total = self.logs.values().map(|v| v.log().status_count()).sum();
         self.touch_index.clear();
+        self.swept.clear();
         if self.scoped_statuses {
             for (obj, v) in &self.logs {
                 let actions =
@@ -937,6 +983,12 @@ impl<S: Classified> Repository<S> {
                 if self.scoped_statuses && outcome.is_resolved() && !conflicting {
                     let first = *self.resolutions.entry(action).or_insert(outcome);
                     conflicting = first.contradicts(outcome);
+                    // A replayed `Resolve` behind the swept frontier: the
+                    // next sweep reads its range again.
+                    let (client, seq) = action_parts(action);
+                    if let Some(swept) = self.swept.get_mut(&client) {
+                        *swept = (*swept).min(u64::from(seq));
+                    }
                 }
                 self.counters.conflicting_resolutions += u64::from(conflicting);
                 if self.gc_batch.is_some() && outcome.is_resolved() {
@@ -1648,9 +1700,12 @@ mod tests {
     /// out of scope); the running status total is the sum; and a
     /// write-ahead mirror is its live log as of some earlier version (the
     /// log itself when the versions agree).
+    ///
+    /// Under full planting there is no index, and a status lands in every
+    /// log, entry or not.
     fn audit(repo: &Repository<TestQueue>, at: &str) {
         let mut content = BTreeSet::new();
-        for (obj, v) in &repo.logs {
+        for (obj, v) in (repo.logs.iter()).filter(|_| repo.scoped_statuses) {
             content.extend(v.log().entries().map(|e| (e.action, *obj)));
             for (a, o) in v.log().statuses() {
                 content.insert((a, *obj));
@@ -1673,6 +1728,102 @@ mod tests {
         }
     }
 
+    /// A repository beside its reference twin, which sweeps by walking
+    /// every log (`walk`): both are handed every message and every
+    /// recovery, and must then hold the same logs — versions and journals
+    /// included — write-ahead mirrors, index, resolution table and
+    /// counters, and have sent the same replies.
+    struct Paired {
+        repo: Repository<TestQueue>,
+        walk: Repository<TestQueue>,
+        ios: [TestIo; 2],
+    }
+
+    impl Paired {
+        fn new(repo: Repository<TestQueue>, me: ProcId, seed: u64) -> Self {
+            let walk = Repository {
+                walk: true,
+                ..repo.clone()
+            };
+            let ios = [CollectIo::new(me, seed), CollectIo::new(me, seed)];
+            Paired { repo, walk, ios }
+        }
+
+        fn set_now(&mut self, now: u64) {
+            self.ios.iter_mut().for_each(|io| io.set_now(now));
+        }
+
+        /// Hands `msg` to both and returns what the repository sent back.
+        fn exchange(
+            &mut self,
+            from: ProcId,
+            msg: Msg<QInv, QRes>,
+            at: &str,
+        ) -> Vec<Msg<QInv, QRes>> {
+            let walked = exchange(&mut self.walk, &mut self.ios[1], from, msg.clone());
+            let replies = exchange(&mut self.repo, &mut self.ios[0], from, msg);
+            self.check(&replies, &walked, at);
+            replies
+        }
+
+        fn recover(&mut self, at: &str) {
+            self.repo.on_recover(&mut self.ios[0]);
+            self.walk.on_recover(&mut self.ios[1]);
+            let [a, b] = &mut self.ios;
+            let (a, b) = (a.take_outputs(), b.take_outputs());
+            assert_eq!(
+                format!("{a:?}"),
+                format!("{b:?}"),
+                "{at}: recovery sends differ"
+            );
+            self.check(&[], &[], at);
+        }
+
+        fn check(&self, replies: &[Msg<QInv, QRes>], walked: &[Msg<QInv, QRes>], at: &str) {
+            assert_eq!(
+                format!("{replies:?}"),
+                format!("{walked:?}"),
+                "{at}: replies differ"
+            );
+            let state = |r: &Repository<TestQueue>| {
+                let derived = (&r.touch_index, &r.resolutions, r.status_total);
+                format!("{:?}", (&r.logs, &r.wal, derived, r.counters))
+            };
+            assert_eq!(
+                state(&self.repo),
+                state(&self.walk),
+                "{at}: the sweeps part"
+            );
+        }
+
+        /// Whether the repository would read `action` again only because
+        /// something re-armed it: it lies behind the swept frontier.
+        fn swept_past(&self, action: ActionId) -> bool {
+            Repository::<TestQueue>::below_frontier(&self.repo.swept, action)
+        }
+
+        /// Hands the repository a view of `obj` and counts the entries it
+        /// stored of actions behind the swept frontier — what a state
+        /// transfer brings in late, and no sweep reads again (they arrive
+        /// as commits, with their statuses).
+        fn transfer(
+            &mut self,
+            from: ProcId,
+            obj: ObjId,
+            view: ObjectLog<QInv, QRes>,
+            at: &str,
+        ) -> usize {
+            let held = self.repo.log(obj);
+            let late: Vec<Timestamp> = (view.entries())
+                .filter(|e| self.swept_past(e.action) && held.get(e.ts).is_none())
+                .map(|e| e.ts)
+                .collect();
+            self.exchange(from, gossip(obj, view), at);
+            let stored = self.repo.log(obj);
+            late.iter().filter(|ts| stored.get(**ts).is_some()).count()
+        }
+    }
+
     /// One scripted action: its entries are fixed when it opens, delivered
     /// (to either repository, any number of times, in any order) whenever
     /// the script says, and its outcome is fixed when first resolved.
@@ -1692,13 +1843,14 @@ mod tests {
         }
     }
 
-    /// Random scripts against a pair of scoped, status-collecting
-    /// repositories (so checkpoints and views cross between them):
+    /// Random scripts against a pair of status-collecting repositories
+    /// (so checkpoints and views cross between them), scoped and fully
+    /// planted, each beside a twin that sweeps by walking every log:
     /// interleaved reads, quorum writes and gossip, duplicated and
     /// reordered resolutions, entries arriving after their resolution,
     /// frontier advances that trigger sweeps, folds, crashes with and
-    /// without a write-ahead mirror. The derived state is audited after
-    /// every message.
+    /// without a write-ahead mirror. The derived state is audited, and
+    /// each repository held to its twin, after every message.
     #[test]
     fn index_and_status_total_stay_exact_under_random_scripts() {
         use rand::rngs::StdRng;
@@ -1707,8 +1859,12 @@ mod tests {
         const CLIENTS: u32 = 3;
         let rel = queue_rel();
         // What the scripts reached, summed over seeds: a property that
-        // never sweeps, folds, adopts or recovers proves little.
+        // never sweeps, folds, adopts or recovers proves little — nor
+        // one that never delivers an action behind the swept frontier (a
+        // duplicated `Resolve`, a state transfer) or recovers a site that
+        // swept.
         let (mut gcd, mut folds, mut recoveries, mut late) = (0, 0, 0, 0);
+        let (mut stale_resolves, mut transfers, mut rearmed) = (0, 0, 0);
         for seed in 0..120u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let objects: u16 = rng.gen_range(1..=64);
@@ -1721,16 +1877,19 @@ mod tests {
                 lag: 20,
                 min_entries: 2,
             });
-            let mut repos: Vec<Repository<TestQueue>> = (0..2)
-                .map(|_| {
-                    let r = scoped_repo(&rel, durability).with_peers(vec![0, 1]);
-                    match compaction {
+            let scoped = (seed / 6) % 4 != 3;
+            let mut repos: Vec<Paired> = (0..2)
+                .map(|me| {
+                    let r = scoped_repo(&rel, durability)
+                        .with_gossip(scoped, Some(4))
+                        .with_peers(vec![0, 1]);
+                    let r = match compaction {
                         Some(cc) => r.with_compaction(cc),
                         None => r,
-                    }
+                    };
+                    Paired::new(r, me, seed)
                 })
                 .collect();
-            let mut ios: Vec<TestIo> = (0..2).map(|me| CollectIo::new(me, seed)).collect();
             let mut plans: Vec<Vec<Planned>> = (0..CLIENTS).map(|_| Vec::new()).collect();
             // Per repository and client: the sequences whose resolution it
             // processed, which bounds the frontier a client may advertise.
@@ -1741,8 +1900,8 @@ mod tests {
             for step in 0..400 {
                 let at = format!("seed {seed} step {step}");
                 clock += rng.gen_range(0..8u64);
-                for io in &mut ios {
-                    io.set_now(clock);
+                for p in &mut repos {
+                    p.set_now(clock);
                 }
                 let c = rng.gen_range(0..CLIENTS);
                 let pid = 10 + c;
@@ -1832,35 +1991,34 @@ mod tests {
                     let obj = ObjId(rng.gen_range(0..objects));
                     read(obj, action, rng.gen_range(0..4u64), durable)
                 } else if kind < 95 {
-                    // Anti-entropy: one repository's log, pushed to the other.
+                    // State transfer: one repository's log, pushed to the
+                    // other.
                     let src = rng.gen_range(0..2usize);
                     let obj = ObjId(rng.gen_range(0..objects));
-                    let push = Msg::WriteLog {
-                        obj,
-                        req: 0,
-                        log: repos[src].log(obj),
-                        entry: None,
-                        cfg: 0,
-                        base: 0,
-                    };
-                    repos[1 - src].handle(&mut ios[1 - src], src as ProcId, push);
-                    audit(&repos[1 - src], &at);
+                    let view = repos[src].repo.log(obj);
+                    let dst = &mut repos[1 - src];
+                    transfers += dst.transfer(src as ProcId, obj, view, &at);
+                    audit(&dst.repo, &at);
                     continue;
                 } else {
-                    let r = rng.gen_range(0..2usize);
-                    repos[r].on_recover(&mut ios[r]);
-                    audit(&repos[r], &at);
+                    let p = &mut repos[rng.gen_range(0..2usize)];
+                    rearmed += usize::from(!p.repo.swept.is_empty());
+                    p.recover(&at);
+                    audit(&p.repo, &at);
                     if durability == (Durability::Volatile { wal: false }) {
-                        assert!(repos[r].touch_index.is_empty(), "{at}: amnesiac index");
+                        assert!(p.repo.touch_index.is_empty(), "{at}: amnesiac index");
                     }
                     continue;
                 };
-                for (r, repo) in repos.iter_mut().enumerate() {
+                for (r, p) in repos.iter_mut().enumerate() {
                     if !rng.gen_bool(0.8) {
                         continue; // lost on the way to this repository
                     }
-                    repo.handle(&mut ios[r], pid, msg.clone());
-                    ios[r].take_outputs();
+                    if let Some((action, _)) = to_resolve {
+                        stale_resolves += usize::from(p.swept_past(action));
+                    }
+                    p.exchange(pid, msg.clone(), &at);
+                    let repo = &p.repo;
                     audit(repo, &at);
                     if let Some((action, outcome)) = to_resolve {
                         // Every stored log that holds anything of the
@@ -1884,13 +2042,11 @@ mod tests {
                     }
                 }
             }
-            for repo in &repos {
-                let c = repo.counters();
+            for p in &repos {
+                let c = p.repo.counters();
                 gcd += c.statuses_gcd;
                 recoveries += c.recoveries;
-                folds += repo
-                    .logs
-                    .values()
+                folds += (p.repo.logs.values())
                     .filter(|v| v.log().checkpoint().is_some())
                     .count();
             }
@@ -1899,6 +2055,66 @@ mod tests {
             gcd > 0 && folds > 0 && recoveries > 0 && late > 0,
             "scripts too tame: gcd {gcd} folds {folds} recoveries {recoveries} late {late}"
         );
+        assert!(
+            stale_resolves > 0 && transfers > 0 && rearmed > 0,
+            "no late path: stale resolves {stale_resolves} transfers {transfers} \
+             re-armed recoveries {rearmed}"
+        );
+    }
+
+    /// A sweep's work follows what went stale: over 4 096 logs of
+    /// committed entries (every eighth action aborted), a frontier advance
+    /// of 64 hands candidates to no more logs than those 64 actions' index
+    /// rows name, where the walk visits every log — and both collect the
+    /// same.
+    #[test]
+    fn a_sweep_visits_only_the_logs_its_stale_actions_name() {
+        const LOGS: u32 = 4_096;
+        let mut repo =
+            Repository::<TestQueue>::new(Mode::Hybrid, queue_rel()).with_gossip(true, Some(64));
+        let mut io: TestIo = CollectIo::new(0, 1);
+        for seq in 0..2 * LOGS {
+            let (action, obj) = (action_id(7, seq), ObjId((seq % LOGS) as u16));
+            repo.handle(&mut io, 7, write(obj, enq(action, u64::from(seq) + 1)));
+            let (outcome, entries) = match seq % 8 {
+                0 => (ActionOutcome::Aborted, Vec::new()),
+                _ => (
+                    ActionOutcome::Committed(ts(u64::from(seq) + 10_000, 7)),
+                    vec![(obj, 1)],
+                ),
+            };
+            let resolve = Msg::Resolve {
+                action,
+                outcome,
+                entries,
+            };
+            repo.handle(&mut io, 7, resolve);
+        }
+        let mut walk = Repository {
+            walk: true,
+            ..repo.clone()
+        };
+        let reader = action_id(7, 2 * LOGS);
+        for r in [&mut repo, &mut walk] {
+            r.handle(&mut io, 7, read(ObjId(0), reader, 0, 64));
+            r.visits = 0;
+        }
+        let span = (action_id(7, 64), ObjId(0))..(action_id(7, 128), ObjId(0));
+        let named: BTreeSet<ObjId> = repo.touch_index.range(span).map(|(_, o)| *o).collect();
+        assert_eq!(named.len(), 64, "one log per stale action");
+        for r in [&mut repo, &mut walk] {
+            r.handle(&mut io, 7, read(ObjId(0), reader, 0, 128));
+        }
+        assert!(repo.visits <= named.len(), "{} visits", repo.visits);
+        assert_eq!(walk.visits, LOGS as usize);
+        let gcd = repo.counters().statuses_gcd;
+        assert_eq!(
+            gcd,
+            128 + 16,
+            "the table's 128 entries, eight tombstones a sweep"
+        );
+        assert_eq!(repo.counters(), walk.counters());
+        assert_eq!(format!("{:?}", repo.logs), format!("{:?}", walk.logs));
     }
 
     // ---- delta writes (DESIGN §3.11, "the write half") ----
@@ -1971,6 +2187,7 @@ mod tests {
         // What the scripts reached, summed over seeds.
         let (mut deltas, mut slimmer, mut refusals) = (0u64, 0u64, 0u64);
         let (mut fences, mut wal_recoveries, mut folds) = (0u64, 0u64, 0usize);
+        let (mut stale_resolves, mut transfers, mut rearmed) = (0usize, 0usize, 0usize);
         for seed in 0..120u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let objects: u16 = rng.gen_range(1..=4);
@@ -1983,15 +2200,16 @@ mod tests {
                 lag: 20,
                 min_entries: 2,
             });
+            let scoped = (seed / 6) % 4 != 3;
             let build = || {
-                let r = scoped_repo(&rel, durability);
-                match compaction {
+                let r = scoped_repo(&rel, durability).with_gossip(scoped, Some(4));
+                let r = match compaction {
                     Some(cc) => r.with_compaction(cc),
                     None => r,
-                }
+                };
+                Paired::new(r, 0, seed)
             };
             let (mut whole, mut cut) = (build(), build());
-            let mut ios: [TestIo; 2] = [CollectIo::new(0, seed), CollectIo::new(0, seed)];
             let mut plans: Vec<Vec<Planned>> = (0..CLIENTS).map(|_| Vec::new()).collect();
             let mut mirrors: BTreeMap<(u32, ObjId), VersionedLog<QInv, QRes>> = BTreeMap::new();
             let mut resolved: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); CLIENTS as usize];
@@ -2004,9 +2222,8 @@ mod tests {
             for step in 0..400 {
                 let at = format!("seed {seed} step {step}");
                 clock += rng.gen_range(0..8u64);
-                for io in &mut ios {
-                    io.set_now(clock);
-                }
+                whole.set_now(clock);
+                cut.set_now(clock);
                 let c = rng.gen_range(0..CLIENTS);
                 let pid = 10 + c;
                 let kind = rng.gen_range(0..100u32);
@@ -2075,16 +2292,16 @@ mod tests {
                         write
                     };
                     let w = &write;
-                    let replies = exchange(&mut whole, &mut ios[0], w.from, w.msg(&w.view, 0));
+                    let replies = whole.exchange(w.from, w.msg(&w.view, 0), &at);
                     assert!(!refused(&replies), "{at}: a whole view refused");
-                    let replies = exchange(&mut cut, &mut ios[1], w.from, w.msg(&w.cut, w.base));
+                    let replies = cut.exchange(w.from, w.msg(&w.cut, w.base), &at);
                     if refused(&replies) {
                         assert!(w.base > 0, "{at}: a whole view refused");
                         refusals += 1;
                         // The client's answer: the whole view, and the
                         // mirror forgotten.
                         mirrors.remove(&(w.from - 10, w.obj));
-                        let replies = exchange(&mut cut, &mut ios[1], w.from, w.msg(&w.view, 0));
+                        let replies = cut.exchange(w.from, w.msg(&w.view, 0), &at);
                         assert!(!refused(&replies), "{at}: the whole resend refused");
                     } else if w.base > 0 {
                         deltas += 1;
@@ -2115,8 +2332,9 @@ mod tests {
                             _ => Vec::new(),
                         },
                     };
-                    exchange(&mut whole, &mut ios[0], pid, msg.clone());
-                    exchange(&mut cut, &mut ios[1], pid, msg);
+                    stale_resolves += usize::from(cut.swept_past(p.action));
+                    whole.exchange(pid, msg.clone(), &at);
+                    cut.exchange(pid, msg, &at);
                     resolved[c as usize].insert(action_parts(p.action).1);
                 } else if kind < 88 {
                     // A read at the mirror's version, advertising the
@@ -2129,8 +2347,8 @@ mod tests {
                     let since = mirrors.get(&(c, obj)).map_or(0, VersionedLog::version);
                     let action = action_id(pid, plans[c as usize].len() as u32);
                     let msg = read(obj, action, since, durable);
-                    let a = exchange(&mut whole, &mut ios[0], pid, msg.clone());
-                    let b = exchange(&mut cut, &mut ios[1], pid, msg);
+                    let a = whole.exchange(pid, msg.clone(), &at);
+                    let b = cut.exchange(pid, msg, &at);
                     assert_eq!(format!("{a:?}"), format!("{b:?}"), "{at}: replies differ");
                     let [Msg::LogReply { delta, .. }] = b.as_slice() else {
                         panic!("{at}: expected one reply, got {b:?}");
@@ -2151,23 +2369,13 @@ mod tests {
                             }
                         }
                     }
-                    let msg = Msg::WriteLog {
-                        obj,
-                        req: 0,
-                        log: view,
-                        entry: None,
-                        cfg: 0,
-                        base: 0,
-                    };
-                    exchange(&mut whole, &mut ios[0], 1, msg.clone());
-                    exchange(&mut cut, &mut ios[1], 1, msg);
+                    whole.exchange(1, gossip(obj, view.clone()), &at);
+                    transfers += cut.transfer(1, obj, view, &at);
                     touched = Some(obj);
                 } else {
-                    whole.on_recover(&mut ios[0]);
-                    cut.on_recover(&mut ios[1]);
-                    for io in &mut ios {
-                        io.take_outputs();
-                    }
+                    rearmed += usize::from(!cut.repo.swept.is_empty());
+                    whole.recover(&at);
+                    cut.recover(&at);
                     match durability {
                         Durability::Stable => {}
                         Durability::Volatile { wal: true } => {
@@ -2176,11 +2384,11 @@ mod tests {
                             // stored, folded, or dropped as aborted — and
                             // so is the base its delta was cut against.
                             for w in &acked {
-                                let log = cut.log(w.obj);
+                                let log = cut.repo.log(w.obj);
                                 let held = |e: &LogEntry<QInv, QRes>| {
                                     log.get(e.ts).is_some()
                                         || log.status(e.action).is_resolved()
-                                        || cut.is_stale(e.action)
+                                        || cut.repo.is_stale(e.action)
                                 };
                                 assert!(held(&w.entry), "{at}: lost acked {:?}", w.entry);
                                 for e in w.view.entries() {
@@ -2210,32 +2418,34 @@ mod tests {
                                     cfg: 0,
                                     base: m.version(),
                                 };
-                                let replies = exchange(&mut cut, &mut ios[1], 10 + client, msg);
+                                let replies = cut.exchange(10 + client, msg, &at);
                                 assert!(refused(&replies), "{at}: amnesiac took a stale base");
                                 refusals += 1;
                             }
                         }
                     }
                     for obj in (0..objects).map(ObjId) {
-                        assert_eq!(whole.log(obj), cut.log(obj), "{at}: {obj} after recovery");
+                        let (a, b) = (whole.repo.log(obj), cut.repo.log(obj));
+                        assert_eq!(a, b, "{at}: {obj} after recovery");
                     }
                 }
                 if let Some(obj) = touched {
-                    assert_eq!(whole.log(obj), cut.log(obj), "{at}: {obj} differs");
+                    let (a, b) = (whole.repo.log(obj), cut.repo.log(obj));
+                    assert_eq!(a, b, "{at}: {obj} differs");
                 }
-                audit(&cut, &at);
+                audit(&cut.repo, &at);
             }
             for obj in (0..objects).map(ObjId) {
                 assert_eq!(
-                    whole.log(obj),
-                    cut.log(obj),
+                    whole.repo.log(obj),
+                    cut.repo.log(obj),
                     "seed {seed}: {obj} at the end"
                 );
             }
-            let c = cut.counters();
-            assert_eq!(whole.counters().write_delta_refusals, 0);
+            let c = cut.repo.counters();
+            assert_eq!(whole.repo.counters().write_delta_refusals, 0);
             fences += c.statuses_gcd;
-            folds += (cut.logs.values())
+            folds += (cut.repo.logs.values())
                 .filter(|v| v.log().checkpoint().is_some())
                 .count();
         }
@@ -2248,6 +2458,11 @@ mod tests {
                 && folds > 0,
             "scripts too tame: deltas {deltas} slimmer {slimmer} refusals {refusals} \
              fences {fences} wal recoveries {wal_recoveries} folds {folds}"
+        );
+        assert!(
+            stale_resolves > 0 && transfers > 0 && rearmed > 0,
+            "no late path: stale resolves {stale_resolves} transfers {transfers} \
+             re-armed recoveries {rearmed}"
         );
     }
 

@@ -469,44 +469,29 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
         self.statuses.remove(&action);
     }
 
-    /// Status garbage collection: drops resolution records that `stale`
-    /// declares globally durable (every current member is known to hold
-    /// the resolution). Aborted actions lose their tombstone *and* their
-    /// entries (aborted entries are invisible to every protocol mode);
-    /// committed actions lose their status only when no entry of theirs
-    /// remains here (entry-bearing commit statuses are still needed to
-    /// read the entries, and are pruned by checkpoint folding instead).
-    /// Returns the actions whose status was dropped.
-    pub fn gc_below(&mut self, stale: impl Fn(ActionId) -> bool) -> Vec<ActionId> {
-        // Whether a stale commit still has an entry here. A scan per
-        // commit is quadratic in a long log (800 entries under 800 stale
-        // commits, every sweep), so a long log answers from a sorted list
-        // built once per call; a short one scans, which is cheaper than
-        // building anything — and a repository holds thousands of those.
-        let entries = &self.entries;
-        let mut sorted: Option<Vec<ActionId>> = None;
-        let mut bears = |a: ActionId| {
-            if entries.len() <= SCAN_BELOW {
-                return entries.values().any(|e| e.action == a);
+    /// Status garbage collection over `stale`, a sorted list of actions
+    /// every current member is known to have resolved (candidates without
+    /// a status here are skipped). Aborted actions lose their tombstone
+    /// *and* their entries (aborted entries are invisible to every protocol
+    /// mode); committed actions lose their status only when no entry of
+    /// theirs remains here (readers still need it, and checkpoint folding
+    /// prunes it instead). Costs a status lookup per candidate and at most
+    /// one pass over the entries. Returns the actions whose status dropped.
+    pub fn gc_below(&mut self, stale: &[ActionId]) -> Vec<ActionId> {
+        // Each held candidate, and whether an entry of it is still here.
+        let mut held: Vec<(ActionId, ActionOutcome, bool)> = (stale.iter())
+            .filter_map(|a| Some((*a, *self.statuses.get(a)?, false)))
+            .collect();
+        if !held.is_empty() {
+            for e in self.entries.values() {
+                if let Ok(i) = held.binary_search_by_key(&e.action, |h| h.0) {
+                    held[i].2 = true;
+                }
             }
-            sorted
-                .get_or_insert_with(|| {
-                    let mut actions: Vec<ActionId> = entries.values().map(|e| e.action).collect();
-                    actions.sort_unstable();
-                    actions
-                })
-                .binary_search(&a)
-                .is_ok()
-        };
-        let doomed: Vec<(ActionId, ActionOutcome)> = self
-            .statuses
-            .iter()
-            .filter(|(a, o)| match o {
-                ActionOutcome::Aborted => stale(**a),
-                ActionOutcome::Committed(_) => stale(**a) && !bears(**a),
-                ActionOutcome::Active => false,
-            })
-            .map(|(a, o)| (*a, *o))
+        }
+        let doomed: Vec<(ActionId, ActionOutcome)> = (held.into_iter())
+            .filter(|(_, o, bears)| o.is_resolved() && (!bears || *o == ActionOutcome::Aborted))
+            .map(|(a, o, _)| (a, o))
             .collect();
         let mut aborted = BTreeSet::new();
         for (a, o) in &doomed {
@@ -662,11 +647,6 @@ impl<I: Clone, R: Clone> ObjectLog<I, R> {
     }
 }
 
-/// Log length up to which [`ObjectLog::gc_below`] looks for an action's
-/// entries by scanning (at 64 entries a scan per stale commit and one sort
-/// cost about the same).
-const SCAN_BELOW: usize = 64;
-
 /// Whether `checkpoint` (if any) covers `action`.
 pub(crate) fn folds(checkpoint: Option<&Checkpoint>, action: ActionId) -> bool {
     checkpoint.is_some_and(|cp| cp.covers(action).is_some())
@@ -810,7 +790,7 @@ impl<I: Clone, R: Clone> VersionedLog<I, R> {
     /// non-contiguous. That full transfer is what flushes a reader's
     /// stale pre-GC entries (an aborted action's entry with no tombstone
     /// would otherwise linger in a mirror as a phantom lock).
-    pub fn gc_below(&mut self, stale: impl Fn(ActionId) -> bool) -> Vec<ActionId> {
+    pub fn gc_below(&mut self, stale: &[ActionId]) -> Vec<ActionId> {
         let dropped = self.log.gc_below(stale);
         if !dropped.is_empty() {
             self.version += 1;
@@ -1176,7 +1156,7 @@ mod tests {
         log.resolve(ActionId(1), ActionOutcome::Committed(ts(9, 0)));
         log.resolve(ActionId(2), ActionOutcome::Aborted);
         log.resolve(ActionId(3), ActionOutcome::Committed(ts(10, 0))); // no entries
-        let dropped = log.gc_below(|_| true);
+        let dropped = log.gc_below(&[ActionId(1), ActionId(2), ActionId(3), ActionId(4)]);
         assert_eq!(
             dropped,
             vec![ActionId(2), ActionId(3)],
@@ -1191,10 +1171,12 @@ mod tests {
 
     #[test]
     fn gc_below_judges_long_logs_as_it_does_short_ones() {
-        // Past `SCAN_BELOW` entries the entry-bearing test changes method;
-        // the verdicts may not. Even actions keep an entry, odd ones are
-        // committed without one; every third is aborted instead.
-        for len in [SCAN_BELOW as u32 / 2, SCAN_BELOW as u32 * 3] {
+        // One pass over the entries answers for every stale commit, in a
+        // short log and a long one alike; actions outside the candidate
+        // list keep everything. Even actions keep an entry, odd ones are
+        // committed without one; every third is aborted instead; the last
+        // eight are not candidates.
+        for len in [32u32, 192] {
             let mut log = ObjectLog::new();
             for a in 0..len {
                 if a % 2 == 0 || a % 3 == 0 {
@@ -1206,16 +1188,23 @@ mod tests {
                 };
                 log.resolve(ActionId(a), outcome);
             }
-            let expected: Vec<ActionId> = (0..len)
+            let stale: Vec<ActionId> = (0..len - 8).map(ActionId).collect();
+            let expected: Vec<ActionId> = (0..len - 8)
                 .filter(|a| a % 3 == 0 || a % 2 == 1)
                 .map(ActionId)
                 .collect();
-            assert_eq!(log.gc_below(|_| true), expected, "{len} actions");
+            assert_eq!(log.gc_below(&stale), expected, "{len} actions");
             assert!(
-                log.entries().all(|e| e.action.0 % 3 != 0),
+                log.entries()
+                    .all(|e| e.action.0 % 3 != 0 || e.action.0 >= len - 8),
                 "aborted entries go"
             );
-            assert_eq!(log.status_count(), log.len(), "entry-bearing commits stay");
+            let kept = (len - 8..len).filter(|a| a % 2 == 1 && a % 3 != 0).count();
+            assert_eq!(
+                log.status_count(),
+                log.len() + kept,
+                "entry-bearing commits and non-candidates stay"
+            );
         }
     }
 
@@ -1230,7 +1219,7 @@ mod tests {
         // The repo resolves action 2 aborted and GCs the tombstone; the
         // mirror still holds the entry with no status (a phantom lock).
         repo.resolve(ActionId(2), ActionOutcome::Aborted);
-        assert_eq!(repo.gc_below(|a| a == ActionId(2)), vec![ActionId(2)]);
+        assert_eq!(repo.gc_below(&[ActionId(2)]), vec![ActionId(2)]);
         let d = repo.delta_since(mirror.version());
         assert!(d.full, "GC fences the reader into a full transfer");
         mirror.apply_delta(&d);
@@ -1238,7 +1227,7 @@ mod tests {
         assert_eq!(mirror.log().len(), 1, "stale aborted entry flushed");
         // A no-op GC does not fence.
         let v = repo.version();
-        assert!(repo.gc_below(|_| true).is_empty());
+        assert!(repo.gc_below(&[ActionId(1), ActionId(2)]).is_empty());
         assert_eq!(repo.version(), v);
     }
 
@@ -1403,7 +1392,7 @@ mod tests {
         // A purge is subtractive: the fence refuses everything before it.
         log.resolve(ActionId(2), ActionOutcome::Aborted);
         let before = log.version();
-        assert_eq!(log.gc_below(|a| a == ActionId(2)), vec![ActionId(2)]);
+        assert_eq!(log.gc_below(&[ActionId(2)]), vec![ActionId(2)]);
         assert!(!log.extends(before) && !log.extends(seen));
         assert!(log.extends(log.version()));
         // So is a recovery's jump, and a copy older than the journal.

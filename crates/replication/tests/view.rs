@@ -265,7 +265,11 @@ fn run(script: &[(u8, u32, u32)], gc: bool) -> Result<[u32; 6], TestCaseError> {
             }
             // A status-GC fence: the reader's next reply is a full transfer.
             13 => {
-                site.gc_below(|a| a.0 + 4 * arg < next && outcome(a.0).is_resolved());
+                let stale: Vec<ActionId> = (site.log().statuses())
+                    .map(|(a, _)| a)
+                    .filter(|a| a.0 + 4 * arg < next && outcome(a.0).is_resolved())
+                    .collect();
+                site.gc_below(&stale);
             }
             // Compaction folds a committed prefix.
             14 => {

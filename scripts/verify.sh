@@ -232,11 +232,15 @@ echo "$reconfig_out" | grep -q "replanned quorum sizes" || {
 }
 
 echo "==> exp_reconfig smoke run (asserts hybrid replans beat static)"
-cargo run -q --release -p quorumcc-bench --bin exp_reconfig > /dev/null
-test -f BENCH_exp_reconfig.json || {
+# From a scratch dir: the binary writes its artifact into the working
+# directory, and the committed one records a wall-clock phase time.
+reconfig_scratch="$(mktemp -d)"
+(cd "$reconfig_scratch" && "$root/target/release/exp_reconfig" > /dev/null)
+test -f "$reconfig_scratch/BENCH_exp_reconfig.json" || {
   echo "exp_reconfig wrote no BENCH_exp_reconfig.json" >&2
   exit 1
 }
+rm -rf "$reconfig_scratch"
 
 echo "==> chaos smoke: 200-plan sweep must pass the safety oracle"
 chaos_out="$(cargo run -q --release --bin qcc -- chaos queue --seed 7 --runs 200)"
@@ -451,8 +455,9 @@ echo "$bench_out" | grep -q "log_shipping/1024/delta_reply" || {
   exit 1
 }
 # The same binary carries the perf ledger's `Repository::handle(Resolve)`,
-# `handle(WriteLog)`, `Protocol::evaluate_from` and read-round rows.
+# `handle(WriteLog)`, GC sweep, `Protocol::evaluate_from` and read-round rows.
 for row in repository_resolve/8192_logs repository_writelog/800_entries/delta \
+  repository_gc_sweep/256_logs repository_gc_sweep/800_entries \
   protocol_evaluate/800_entries/incremental client_read_round/800_entries/persistent \
   client_read_round/25_entries/persistent; do
   echo "$bench_out" | grep -q "$row" || {
