@@ -2,7 +2,9 @@
 //! under load on every host, and gate that the run *recovers* rather
 //! than merely survives.
 //!
-//! Three phases, one per hosting substrate, strongest oracle first:
+//! Three phases, strongest oracle first: two in virtual time on the
+//! simulator (the one stepping loop, `host::run`, over the in-memory
+//! loopback), one over real sockets.
 //!
 //! 1. **DES** — a 5-site Queue cluster per mode with a volatile (WAL)
 //!    repository crashed mid-run, the self-healing reconfiguration
@@ -13,9 +15,8 @@
 //!    actually firing. Full [`RunTelemetry`] per mode is embedded in the
 //!    JSON — the runs are deterministic, so the artifact is
 //!    byte-identical at every `--threads` count.
-//! 2. **Loopback** — the same protocol core under the real-time loop
-//!    that serves sockets (`host::run`), over the deterministic in-memory
-//!    loopback on virtual time, with a scripted crash window. The run is
+//! 2. **Scripted crash** — a long crash window on a microsecond-scale
+//!    tick (the socket harness's unit) and no reconfiguration. The run is
 //!    deterministic, so like phase 1 it gates exact counts (commits,
 //!    recoveries) and embeds its full [`RunTelemetry`].
 //! 3. **Event loop** — the real-socket harness ([`run_load`]) with a
@@ -44,7 +45,7 @@ use std::time::Duration;
 
 const BASE_SEED: u64 = 20_260;
 const N_SITES: u32 = 5;
-/// Crashed repository (DES / loopback phases).
+/// Crashed repository (virtual-time phases).
 const VICTIM: u32 = 1;
 
 /// `mode` under its minimal relation (majority thresholds satisfy any
@@ -152,12 +153,11 @@ fn des_phase(threads: usize) -> Json {
     by_mode
 }
 
-fn loopback_phase() -> Json {
-    section("2. Loopback: scripted crash window under the real-time loop");
+fn scripted_crash_phase() -> Json {
+    section("2. Scripted crash window, no reconfiguration");
     // Virtual ticks: the victim is dark from tick 50 000 to 150 000 of a
     // run that 40 txns x 5 000 ticks of think time keep busy past the
-    // window end, so the recovery fires while clients still run (the
-    // run stops as soon as clients drain and the network is empty).
+    // window end, so the recovery fires while clients still run.
     let mut faults = FaultPlan::none();
     faults.crash(VICTIM, 50_000, 150_000);
     let mode = Mode::Hybrid;
@@ -178,12 +178,11 @@ fn loopback_phase() -> Json {
                 .resolve_retransmit(25_000),
         )
         .max_time(400_000)
-        .assemble()
-        .unwrap_or_else(|e| panic!("loopback assembly failed: {e}"))
-        .run_loopback();
+        .run()
+        .unwrap_or_else(|e| panic!("scripted-crash run failed: {e}"));
     report
         .check_atomicity(experiment_bounds())
-        .unwrap_or_else(|o| panic!("loopback: non-atomic history on {o}"));
+        .unwrap_or_else(|o| panic!("scripted crash: non-atomic history on {o}"));
     let committed = report.stats().committed;
     let t = report.telemetry();
     println!(
@@ -193,8 +192,11 @@ fn loopback_phase() -> Json {
         t.resolve_ack_retransmits,
         t.statuses_gcd
     );
-    assert_eq!(committed, total, "loopback: Enq-only leaves no conflicts");
-    assert_eq!(t.recoveries, 1, "loopback: the crash window must fire once");
+    assert_eq!(
+        committed, total,
+        "scripted crash: Enq-only leaves no conflicts"
+    );
+    assert_eq!(t.recoveries, 1, "scripted crash: the window must fire once");
     Json::object().field(mode.name(), t.to_json())
 }
 
@@ -379,7 +381,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let doc = Json::object()
         .field("experiment", "exp_recovery")
         .field("des", des_phase(threads))
-        .field("loopback", loopback_phase())
+        .field("scripted_crash", scripted_crash_phase())
         .field("eventloop", eventloop_phase(quick));
     write_artifact("exp_recovery", &doc)?;
     Ok(())

@@ -46,13 +46,13 @@ use quorumcc_adts::queue::{QueueInv, QueueRes};
 use quorumcc_adts::Queue;
 use quorumcc_replication::client::Record;
 use quorumcc_replication::cluster::{Assembly, ProtocolConfig, RunBuilder, TuningConfig};
-use quorumcc_replication::host::{self, Clock as _, CrashScript, HostStats, WallClock};
+use quorumcc_replication::host::{self, Clock as _, CrashScript, WallClock};
 use quorumcc_replication::protocol::Protocol;
 use quorumcc_replication::types::ObjId;
 use quorumcc_replication::{
-    CollectIo, Durability, Fanout, LogicalHistogram, Msg, Node, RunReport, Transaction,
+    CollectIo, Driver as _, Durability, Fanout, LogicalHistogram, Msg, Node, RunReport, Transaction,
 };
-use quorumcc_sim::{splitmix64, ProcId, SimTime};
+use quorumcc_sim::{splitmix64, ProcId, SimStats, SimTime};
 
 pub use config::{CrashSpec, LoadBackend, LoadConfig, LoadReport};
 use sockets::{CellSockets, WorkerLinks};
@@ -276,10 +276,10 @@ fn run_cluster(cfg: &LoadConfig) -> CellRun {
         ran.push(cell.join().expect("cell host panicked"));
     });
     CellRun {
-        unfinished: cfg.clients - ran.iter().map(|r| r.done).sum::<usize>(),
+        unfinished: clients.iter().filter(|(node, _)| !node.is_done()).count(),
         report: assembly.harvest(
             repos.iter().chain(&clients).map(|(node, _)| node),
-            HostStats::sim_stats(&ran, clock.now()),
+            SimStats::total(&ran),
             None,
         ),
         reconnects,
@@ -293,7 +293,8 @@ fn run_cluster(cfg: &LoadConfig) -> CellRun {
 /// A scripted [`LoadConfig::crash`] kills one co-hosted repository for a
 /// wall-clock window; it restarts amnesiac and catches up through
 /// `SyncReq` state transfer over the cell's local queue before serving
-/// quorums again.
+/// quorums again. The cell outlives its workers until that window has
+/// closed, so a scripted crash always ends in its recovery.
 fn cell_main(
     cfg: &LoadConfig,
     repos: &mut [Hosted],
@@ -301,23 +302,24 @@ fn cell_main(
     wake: UnixStream,
     stop: &AtomicBool,
     clock: &WallClock,
-) -> HostStats {
-    let script = CrashScript::new(cfg.crash.map(|spec| {
+) -> SimStats {
+    let window = cfg.crash.map(|spec| {
         let from = spec.at_ms.saturating_mul(1000);
         (
             spec.repo.min(repos.len() - 1),
             from,
             from.saturating_add(spec.down_ms.saturating_mul(1000)),
         )
-    }));
+    });
+    let recovered_at = window.map_or(0, |(_, _, until)| until);
     let mut sockets = CellSockets::new(listeners, cfg.fault_profile, cfg.seed, wake);
     host::run(
         repos,
         &mut sockets,
         clock,
-        script,
+        CrashScript::new(window),
         |_| 0,
-        |_, _| stop.load(Ordering::Relaxed),
+        |_, now| stop.load(Ordering::Relaxed) && now >= recovered_at,
     )
 }
 
@@ -331,7 +333,7 @@ fn worker_main(
     clients: &mut [Hosted],
     ports: &[u16],
     clock: &WallClock,
-) -> (HostStats, (u64, u64)) {
+) -> (SimStats, (u64, u64)) {
     let count = clients.len();
     let base_id = cfg.n_repos + first as ProcId;
     let mut links = WorkerLinks::connect(
@@ -349,7 +351,7 @@ fn worker_main(
         clients,
         &mut links,
         clock,
-        CrashScript::none(),
+        CrashScript::default(),
         |k| t0 + ramp_us * k as u64 / count as u64,
         |done, now| done == count || now >= deadline,
     );

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation};
 use quorumcc_model::spec::ExploreBounds;
-use quorumcc_net::{run_load, LoadBackend, LoadConfig, NetFaultProfile};
+use quorumcc_net::{run_load, CrashSpec, LoadBackend, LoadConfig, NetFaultProfile};
 use quorumcc_replication::protocol::Mode;
 use quorumcc_replication::{RunTelemetry, SafetyViolation};
 use quorumcc_sim::Json;
@@ -185,4 +185,33 @@ fn multi_cell_telemetry_is_the_sum_of_its_cells() {
     );
     assert_eq!(merged.committed as usize, report.committed);
     assert!(merged.msgs_sent > 0 && merged.msgs_delivered > 0);
+}
+
+/// A workload that drains long before its scripted crash window closes
+/// still sees the crash through: each cell runs on until its victim has
+/// recovered, so every cell reports one recovery.
+#[test]
+fn a_scripted_crash_recovers_even_after_the_workload_drains() {
+    use quorumcc_adts::Queue;
+    let report = run_load(&LoadConfig {
+        mode: Mode::Hybrid,
+        relation: minimal_static_relation::<Queue>(bounds()).relation,
+        n_repos: 3,
+        clients: 4,
+        clusters: 2,
+        txns_per_client: 2,
+        ops_per_txn: 1,
+        objects: 16,
+        workers: 1,
+        seed: 5,
+        crash: Some(CrashSpec {
+            repo: 2,
+            at_ms: 0,
+            down_ms: 300,
+        }),
+        deadline: Duration::from_secs(30),
+        ..LoadConfig::default()
+    });
+    assert_eq!(report.unfinished, 0, "{report:?}");
+    assert_eq!(report.recoveries, 2, "one recovery per cell: {report:?}");
 }

@@ -1,6 +1,6 @@
 //! Cluster assembly: repositories + clients under any host, one call to
 //! run a workload and harvest histories, statistics, telemetry, and
-//! (optionally, on the simulator) a structured trace.
+//! (optionally) a structured trace.
 //!
 //! The entry point is [`RunBuilder`], which groups the run's knobs into
 //! cohesive configs: [`NetworkConfig`], [`FaultPlan`], [`ProtocolConfig`]
@@ -11,7 +11,6 @@
 use crate::client::{Client, ClientConfig, ClientStats, Fanout, Record, Transaction};
 use crate::error::ReplicationError;
 use crate::history;
-use crate::host::{self, Clock as _, CrashScript, HostStats, Loopback};
 use crate::messages::Msg;
 use crate::metrics::RunTelemetry;
 use crate::protocol::Protocol;
@@ -22,8 +21,8 @@ use quorumcc_model::spec::ExploreBounds;
 use quorumcc_model::{BHistory, Classified, Enumerable};
 use quorumcc_quorum::{planner, SiteSet, ThresholdAssignment};
 use quorumcc_sim::{
-    splitmix64, CollectIo, Driver, FaultPlan, Input, Io, NetworkConfig, ProcId, Sim, SimStats,
-    SimTime, TraceBuffer, TraceConfig,
+    Driver, FaultPlan, Input, Io, NetworkConfig, ProcId, Sim, SimStats, SimTime, TraceBuffer,
+    TraceConfig,
 };
 use std::collections::BTreeSet;
 
@@ -41,10 +40,10 @@ pub enum Node<S: Classified> {
     Reconfig(Reconfigurer<S>),
 }
 
-/// A whole node is one sans-I/O [`Driver`]: every host — the
-/// deterministic simulator, the explorer and the real-time loop
-/// ([`crate::host::run`]) — feeds it the same [`Input`] alphabet and
-/// receives effects through the same [`Io`] surface.
+/// A whole node is one sans-I/O [`Driver`]: every host — the explorer
+/// and the one stepping loop ([`crate::host::run`]), simulated or over
+/// sockets — feeds it the same [`Input`] alphabet and receives effects
+/// through the same [`Io`] surface.
 impl<S: Classified> Driver<Msg<S::Inv, S::Res>> for Node<S> {
     #[inline]
     fn handle<IO: Io<Msg<S::Inv, S::Res>> + ?Sized>(
@@ -483,30 +482,31 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
         self
     }
 
-    /// Builds and runs the cluster under the deterministic simulator to
-    /// quiescence (or `max_time`). [`Assembly::run_loopback`] runs the
-    /// same cluster under the real-time loop instead.
+    /// Builds the cluster and runs it to quiescence (or `max_time`) under
+    /// the deterministic simulator: the loop that serves sockets,
+    /// [`crate::host::run`], over the in-memory [`crate::host::Loopback`]
+    /// in virtual time.
     ///
     /// # Errors
     ///
     /// Everything [`RunBuilder::assemble`] refuses.
     pub fn run(self) -> Result<RunReport<S>, ReplicationError> {
-        Ok(self.assemble()?.run_des())
+        Ok(self.assemble()?.run())
     }
 
     /// Like [`RunBuilder::run`] but skips quorum validation — for
     /// experiments that *demonstrate* what goes wrong with too-small
     /// quorums.
     pub fn run_unchecked(self) -> Result<RunReport<S>, ReplicationError> {
-        Ok(self.assemble_with(false)?.run_des())
+        Ok(self.assemble_with(false)?.run())
     }
 
     /// Validates the configuration and builds the cluster without running
     /// it — the one way any host gets its drivers. The built-in hosts
-    /// ([`RunBuilder::run`] on the DES, [`Assembly::run_loopback`], the
-    /// interleaving explorer) and external ones (`quorumcc_net`'s socket
-    /// harness) all take [`Assembly::take_nodes`], step them, and read the
-    /// result back with [`Assembly::harvest`].
+    /// ([`RunBuilder::run`]'s simulator, the interleaving explorer) and
+    /// external ones (`quorumcc_net`'s socket harness) all take
+    /// [`Assembly::take_nodes`], step them, and read the result back with
+    /// [`Assembly::harvest`].
     ///
     /// # Errors
     ///
@@ -879,7 +879,7 @@ impl<S: Classified + Enumerable> RunBuilder<S> {
 
 /// A validated, built cluster: the drivers a host steps, and the recipe
 /// for reading them back into a [`RunReport`]. Made by
-/// [`RunBuilder::assemble`]; every host — DES, loopback, explorer, sockets
+/// [`RunBuilder::assemble`]; every host — simulator, explorer, sockets
 /// — goes through it, so they share one validation and one harvest.
 #[derive(Debug)]
 pub struct Assembly<S: Classified> {
@@ -904,53 +904,13 @@ impl<S: Classified + Enumerable> Assembly<S> {
     }
 
     /// Runs the drivers under the deterministic simulator.
-    fn run_des(mut self) -> RunReport<S> {
+    fn run(mut self) -> RunReport<S> {
         let nodes = self.take_nodes();
         let faults = std::mem::replace(&mut self.faults, FaultPlan::none());
         let mut sim = Sim::with_trace(nodes, self.net, faults, self.seed, self.trace_cfg);
         let sim_stats = sim.run(self.max_time);
         let trace = sim.take_trace();
         self.harvest(sim.processes(), sim_stats, trace)
-    }
-
-    /// Runs the drivers under the real-time loop [`host::run`] — the loop
-    /// that serves sockets — over a deterministic [`Loopback`] network on
-    /// a virtual clock: the DES's delay, loss, duplication and reorder
-    /// model drawn from the run seed, partitions cut at send time, crash
-    /// windows applied by the loop. Each node gets its own
-    /// [`CollectIo`], whose entropy is per node where the DES's is one
-    /// stream shared with the network, so the two schedule messages
-    /// differently and agree on decisions that do not depend on the
-    /// schedule. The run stops once every client is done and nothing is
-    /// in flight, or at `max_time`. Traces stay the DES's until
-    /// `CollectIo` gets a recorder: the report carries none.
-    pub fn run_loopback(mut self) -> RunReport<S> {
-        let nodes = self.take_nodes();
-        let clients = nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Client(_)))
-            .count();
-        let seed = self.seed;
-        let io = |me: ProcId| CollectIo::new(me, seed ^ splitmix64(u64::from(me) + 1));
-        let mut hosted: Vec<_> = (0..).zip(nodes).map(|(me, n)| (n, io(me))).collect();
-        let crashes = self.faults.crashes().iter();
-        let script = CrashScript::new(crashes.map(|c| (c.proc as usize, c.from, c.until)));
-        let mut net = Loopback::new(self.net, self.faults.clone(), seed, self.max_time);
-        let (clock, in_flight, max_time) =
-            (net.clock.clone(), net.in_flight.clone(), self.max_time);
-        let ran = host::run(
-            &mut hosted,
-            &mut net,
-            &clock,
-            script,
-            |_| 0,
-            |done, now| now >= max_time || (done == clients && in_flight.get() == 0),
-        );
-        let mut stats = HostStats::sim_stats([&ran], clock.now());
-        stats.dropped += net.stats.dropped;
-        stats.duplicated = net.stats.duplicated;
-        stats.reordered = net.stats.reordered;
-        self.harvest(hosted.iter().map(|(node, _)| node), stats, None)
     }
 
     /// Reads a [`RunReport`] back from the drivers (all of them, in the

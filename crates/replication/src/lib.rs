@@ -1,9 +1,8 @@
 //! Quorum-consensus replication of typed objects (§3.2 of the paper), as
-//! sans-I/O drivers that every host steps alike: the deterministic
-//! simulator ([`cluster::RunBuilder::run`]), the exhaustive explorer, and
-//! the one real-time loop ([`host::run`]) — over the deterministic
-//! in-memory [`host::Loopback`] ([`cluster::Assembly::run_loopback`]) or
-//! over sockets (`quorumcc-net`).
+//! sans-I/O drivers that every host steps alike: the exhaustive explorer
+//! and the one stepping loop ([`host::run`]) — over the deterministic
+//! in-memory [`host::Loopback`] in virtual time (the simulator,
+//! [`cluster::RunBuilder::run`]) or over sockets (`quorumcc-net`).
 //!
 //! The architecture follows the paper exactly:
 //!
@@ -48,7 +47,6 @@ pub mod cluster;
 pub mod error;
 pub mod explore;
 pub mod history;
-pub mod host;
 pub mod messages;
 pub mod metrics;
 pub mod oracle;
@@ -59,6 +57,9 @@ mod spec;
 pub mod types;
 mod view;
 pub mod workload;
+
+/// The one stepping loop and its transports, from `quorumcc-sim`.
+pub use quorumcc_sim::host;
 
 pub use chaos::{ChaosConfig, ChaosOutcome, ChaosPlan, ChaosProfile, ProfileStats};
 pub use client::{Client, ClientConfig, ClientStats, Fanout, Transaction};

@@ -732,7 +732,7 @@ impl<S: Classified> Repository<S> {
         }
     }
 
-    /// Crash-recovery hook, called by the engine when a crash interval
+    /// Crash-recovery hook, called by the host when a crash window
     /// ends. [`Durability::Stable`] sites kept everything and do nothing.
     /// Volatile sites lost their in-memory state: with a WAL they restore
     /// the write-ahead mirror and advance each log past its durable

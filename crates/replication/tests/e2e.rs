@@ -248,10 +248,11 @@ fn invalid_thresholds_are_rejected() {
 #[test]
 fn undersized_quorums_break_atomicity() {
     let mut broken = false;
-    // Seed 1 is a known violation under these parameters (the in-tree
-    // `rand` is xoshiro256++, so seed→workload differs from upstream);
-    // scan a window around it so the test stays fast while still
-    // *searching*.
+    // Narrow fan-out sends each read to one site, so a 1-of-3 read quorum
+    // misses whatever that site has not yet received (with broadcast the
+    // first of three replies wins, and no seed in 0..200 broke). Seeds 6,
+    // 7 and 8 are known violations under these parameters; scan a window
+    // around them so the test stays fast while still *searching*.
     for seed in 0..12u64 {
         let mut ta = ThresholdAssignment::new(3);
         for op in ["Enq", "Deq"] {
@@ -268,6 +269,7 @@ fn undersized_quorums_break_atomicity() {
             .protocol(queue_protocol(Mode::Hybrid))
             .thresholds(ta)
             .seed(seed)
+            .tuning(TuningConfig::default().fanout(Fanout::Narrow))
             .workload(queue_workload(seed, 3, 6))
             .run_unchecked()
             .unwrap();

@@ -9,18 +9,14 @@
 //!    always safe.
 //! 2. **Transparency** — turning the retransmitter on must not change any
 //!    commit/abort decision: it only repeats messages the protocol already
-//!    tolerates. The same workload pushed through the DES and through the
-//!    real-time loop over the deterministic loopback
-//!    ([`Assembly::run_loopback`]) with frontier repair enabled must
-//!    produce identical per-client decision sequences for Queue, PROM, and
-//!    FlagSet in all three concurrency-control modes.
+//!    tolerates. The same workload run with and without frontier repair
+//!    must produce identical per-client decision sequences for Queue,
+//!    PROM, and FlagSet in all three concurrency-control modes.
 //!
 //! The first claim is exercised directly against a [`Client`] driver (the
 //! frontier is client state; no cluster needed), then end-to-end under a
-//! duplicating DES network. The second reuses the equivalence idiom of
-//! `backends.rs` with the repair tuning switched on.
-//!
-//! [`Assembly::run_loopback`]: quorumcc_replication::Assembly::run_loopback
+//! duplicating DES network. The second runs each workload twice, repair
+//! off and on.
 
 use quorumcc_adts::flagset::FlagSetInv;
 use quorumcc_adts::prom::PromInv;
@@ -202,58 +198,54 @@ fn private_txns<I: Clone>(obj: u16, txns: &[Vec<I>]) -> Vec<Transaction<I>> {
         .collect()
 }
 
-/// Both hosts, frontier repair on: decisions must match each other and
-/// the workload total (conflict-free, fault-free — retransmission may
-/// repeat wire traffic but never changes an outcome). The think time
-/// outlasts the largest network delay, so a client's next transaction
-/// never overtakes its previous one's `Resolve`: the hosts schedule
-/// messages differently (their entropy streams differ), and an overtaken
-/// `Resolve` is the one way a private object's decision could depend on
-/// that.
+/// Frontier repair off, then on: decisions must match each other and the
+/// workload total (conflict-free, fault-free — retransmission may repeat
+/// wire traffic but never changes an outcome). The think time outlasts
+/// the largest network delay, so a client's next transaction never
+/// overtakes its previous one's `Resolve`, which is the one way a private
+/// object's transaction could abort.
 fn assert_equivalent_under_repair<S: Classified + Enumerable>(
     mode: Mode,
     workload: Vec<Vec<Transaction<S::Inv>>>,
 ) {
     let total_txns: usize = workload.iter().map(Vec::len).sum();
-    let build = || {
+    let run = |repair: bool| {
+        let tuning = TuningConfig::default()
+            .think_time(NetworkConfig::default().max_delay + 1)
+            .scoped_statuses()
+            .status_gc(2);
         RunBuilder::<S>::new(3)
             .protocol(ProtocolConfig::new(Protocol::new(
                 mode,
                 relation::<S>(mode),
             )))
-            .tuning(
-                TuningConfig::default()
-                    .think_time(NetworkConfig::default().max_delay + 1)
-                    .scoped_statuses()
-                    .status_gc(2)
-                    .resolve_retransmit(400),
-            )
+            .tuning(if repair {
+                tuning.resolve_retransmit(400)
+            } else {
+                tuning
+            })
             .seed(7)
             .workload(workload.clone())
+            .run()
+            .unwrap_or_else(|e| panic!("{mode:?}/repair {repair}: run failed: {e}"))
     };
-    let des = build()
-        .run()
-        .unwrap_or_else(|e| panic!("{mode:?}/DES run failed: {e}"));
-    let lb = build()
-        .assemble()
-        .unwrap_or_else(|e| panic!("{mode:?}/loopback assembly failed: {e}"))
-        .run_loopback();
+    let (plain, repair) = (run(false), run(true));
     assert_eq!(
-        decisions(&des),
-        decisions(&lb),
+        decisions(&plain),
+        decisions(&repair),
         "{mode:?}: decision sequences diverge under retransmit"
     );
-    assert_eq!(des.stats().committed, total_txns, "{mode:?}: DES aborts");
+    assert_eq!(plain.stats().committed, total_txns, "{mode:?}: aborts");
     assert_eq!(
-        lb.stats().committed,
+        repair.stats().committed,
         total_txns,
-        "{mode:?}: loopback aborts"
+        "{mode:?}: aborts under retransmit"
     );
-    // The repair plumbing must actually be live on the deterministic run:
-    // statuses reach durability and get collected.
+    // The repair plumbing must actually be live: statuses reach
+    // durability and get collected.
     assert!(
-        des.telemetry().statuses_gcd > 0,
-        "{mode:?}: status GC never ran on the DES backend"
+        repair.telemetry().statuses_gcd > 0,
+        "{mode:?}: status GC never ran"
     );
 }
 

@@ -1,21 +1,21 @@
-//! The deterministic discrete-event engine: [`Driver`]s exchange messages
-//! over a lossy, delaying, crash- and partition-prone network.
-//!
-//! The engine steps each node with one [`Input`] at a time through
-//! [`Driver::handle`], handing it a [`Ctx`] as its [`Io`] — the call every
-//! real-time host makes with a [`CollectIo`](crate::node::CollectIo).
+//! The deterministic discrete-event simulator: [`Driver`]s exchange
+//! messages over a lossy, delaying, crash- and partition-prone network.
+//! [`Sim`] runs the loop that serves sockets, [`host::run`], over a
+//! [`Loopback`] (the network model [`NetworkConfig::fate`], virtual
+//! time), with the fault plan's crash windows as its [`CrashScript`].
 //!
 //! Determinism: executions are a pure function of (drivers, network
-//! config, fault plan, seed). Events are ordered by `(time, sequence)`;
-//! all randomness (delays, drops, [`Io::rand_below`]) comes from one
-//! seeded RNG.
+//! config, fault plan, seed). The network draws from one stream seeded
+//! with the seed; node `k`'s collector from its own, seeded
+//! `seed ^ splitmix64(k + 1)`.
 
 use crate::fault::{FaultPlan, ProcId, SimTime};
-use crate::node::{Driver, Input, Io};
-use crate::trace::{DropCause, TraceAction, TraceBuffer, TraceConfig, Tracer};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use crate::host::{self, CrashScript, Loopback};
+use crate::node::{CollectIo, Driver};
+use crate::splitmix64;
+use crate::trace::{DropCause, TraceBuffer, TraceConfig, Tracer};
+use rand::Rng;
+use std::rc::Rc;
 
 /// Network timing and loss parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,8 +55,8 @@ impl NetworkConfig {
     }
 
     /// Decides at send time what the network does with one message —
-    /// the one network model, which [`Sim`]'s step and the real-time
-    /// loopback transport both call: `Err` with why it is lost (`severed`
+    /// the one network model, drawn by the [`Loopback`] transport
+    /// [`Sim`] runs over: `Err` with why it is lost (`severed`
     /// says a partition cuts the link now), or `Ok((delay, reordered,
     /// dup))` — ticks in flight, whether a reorder penalty is part of
     /// them, and a duplicate's own ticks in flight. The draws come from
@@ -88,97 +88,13 @@ impl NetworkConfig {
     }
 }
 
-/// The engine's [`Io`], handed to a driver for one [`Driver::handle`]
-/// call: time, identity, entropy and the trace come from the run; sends
-/// and timers are buffered and applied when the handler returns. The
-/// explorer builds one per event the same way.
-#[derive(Debug)]
-pub struct Ctx<'a, M> {
-    now: SimTime,
-    me: ProcId,
-    rng: &'a mut StdRng,
-    tracer: &'a mut Tracer,
-    outbox: Vec<(ProcId, M, u64)>,
-    timers: Vec<(SimTime, u64)>,
-}
-
-impl<'a, M> Ctx<'a, M> {
-    pub(crate) fn new(
-        now: SimTime,
-        me: ProcId,
-        rng: &'a mut StdRng,
-        tracer: &'a mut Tracer,
-    ) -> Self {
-        Ctx {
-            now,
-            me,
-            rng,
-            tracer,
-            outbox: Vec::new(),
-            timers: Vec::new(),
-        }
-    }
-
-    /// Consumes the context, yielding the buffered sends
-    /// `(to, msg, weight)` and timers `(delay, token)`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_effects(self) -> (Vec<(ProcId, M, u64)>, Vec<(SimTime, u64)>) {
-        (self.outbox, self.timers)
-    }
-}
-
-/// A batch envelope (`send_weighted`) is one message to the network — one
-/// delay, one loss draw, one delivery — but advances
-/// [`SimStats::payload_msgs`] by its weight.
-impl<M> Io<M> for Ctx<'_, M> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn me(&self) -> ProcId {
-        self.me
-    }
-
-    fn send(&mut self, to: ProcId, msg: M) {
-        self.outbox.push((to, msg, 1));
-    }
-
-    fn send_weighted(&mut self, to: ProcId, msg: M, weight: u64) {
-        self.outbox.push((to, msg, weight.max(1)));
-    }
-
-    fn set_timer(&mut self, delay: SimTime, token: u64) {
-        self.timers.push((delay.max(1), token));
-    }
-
-    fn rand_below(&mut self, bound: u64) -> u64 {
-        // The run's seeded stream: seeded runs replay byte for byte.
-        self.rng.gen_range(0..bound.max(1))
-    }
-
-    fn trace(&mut self, action: TraceAction) {
-        self.tracer.record_local(self.now, self.me, action);
-    }
-
-    fn tracing(&self) -> bool {
-        self.tracer.enabled()
-    }
-}
-
-#[derive(Debug)]
-enum EventKind<M> {
-    Deliver { from: ProcId, msg: M, stamp: u64 },
-    Timer { token: u64 },
-    Recover,
-}
-
 /// Counters describing one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Messages submitted to the network.
     pub sent: usize,
     /// Logical payloads submitted: like `sent`, but a batch envelope sent
-    /// with [`Io::send_weighted`] counts its full weight. Equal to
+    /// with [`Io::send_weighted`](crate::node::Io::send_weighted) counts its full weight. Equal to
     /// `sent` when nothing batches.
     pub payload_msgs: usize,
     /// Messages delivered.
@@ -192,8 +108,26 @@ pub struct SimStats {
     pub reordered: usize,
     /// Timer events fired.
     pub timers: usize,
-    /// Final simulated time.
+    /// Final simulated time: the tick of the run's last event (a
+    /// delivery, drop, timer, or crash window opening or closing).
     pub end_time: SimTime,
+}
+
+impl SimStats {
+    /// Folds the counters of one run's loops (one per thread): the run
+    /// ends when the last of them stopped.
+    pub fn total<'a>(ran: impl IntoIterator<Item = &'a SimStats>) -> SimStats {
+        ran.into_iter().fold(SimStats::default(), |t, r| SimStats {
+            sent: t.sent + r.sent,
+            payload_msgs: t.payload_msgs + r.payload_msgs,
+            delivered: t.delivered + r.delivered,
+            dropped: t.dropped + r.dropped,
+            duplicated: t.duplicated + r.duplicated,
+            reordered: t.reordered + r.reordered,
+            timers: t.timers + r.timers,
+            end_time: t.end_time.max(r.end_time),
+        })
+    }
 }
 
 /// The simulator.
@@ -234,18 +168,10 @@ pub struct SimStats {
 /// ```
 #[derive(Debug)]
 pub struct Sim<M, D> {
-    procs: Vec<D>,
-    /// Pending events `(to, kind)` by `(time, sequence)`.
-    queue: BTreeMap<(SimTime, u64), (ProcId, EventKind<M>)>,
-    now: SimTime,
-    seq: u64,
-    rng: StdRng,
-    net: NetworkConfig,
-    faults: FaultPlan,
-    stats: SimStats,
-    tracer: Tracer,
-    /// Whether every driver has had its [`Input::Start`].
-    started: bool,
+    nodes: Vec<(D, CollectIo<M>)>,
+    net: Loopback<M>,
+    /// The crash windows, until [`Sim::run`] hands them to the loop.
+    script: Option<CrashScript>,
 }
 
 impl<M: Clone, D: Driver<M>> Sim<M, D> {
@@ -270,167 +196,73 @@ impl<M: Clone, D: Driver<M>> Sim<M, D> {
             net.probabilities_valid(),
             "drop_prob / dup_prob outside [0, 1]"
         );
-        let mut tracer = Tracer::new(trace, procs.len());
+        let nodes: Vec<_> = (0..)
+            .zip(procs)
+            .map(|(k, d): (ProcId, D)| {
+                let io = CollectIo::new(k, seed ^ splitmix64(u64::from(k) + 1));
+                (d, io.traced(trace.is_enabled()))
+            })
+            .collect();
+        let crashes = faults.crashes().iter();
+        let script = CrashScript::new(crashes.map(|c| (c.proc as usize, c.from, c.until)));
+        let mut tracer = Tracer::new(trace, nodes.len());
         tracer.prologue(&faults);
-        let mut sim = Sim {
-            procs,
-            queue: BTreeMap::new(),
-            now: 0,
-            seq: 0,
-            rng: StdRng::seed_from_u64(seed),
+        let mut net = Loopback::new(net, faults, seed, 0);
+        net.tracer = tracer;
+        Sim {
+            nodes,
             net,
-            faults,
-            stats: SimStats::default(),
-            tracer,
-            started: false,
-        };
-        // Schedule one recovery event per crash interval up front. The low
-        // sequence numbers make recoveries run before any same-tick
-        // delivery, so a recovering driver rebuilds state first.
-        for c in sim.faults.crashes().to_vec() {
-            sim.schedule(c.until, c.proc, EventKind::Recover);
+            script: Some(script),
         }
-        sim
     }
 
     /// Takes the captured trace out of the simulator (`None` when tracing
     /// was disabled). Call after [`Sim::run`].
     pub fn take_trace(&mut self) -> Option<TraceBuffer> {
-        self.tracer.take()
+        self.net.tracer.take()
     }
 
     /// Immutable access to a driver (e.g. to read results after `run`).
     pub fn process(&self, id: ProcId) -> &D {
-        &self.procs[id as usize]
+        &self.nodes[id as usize].0
     }
 
     /// All drivers, in id order.
-    pub fn processes(&self) -> &[D] {
-        &self.procs
+    pub fn processes(&self) -> impl Iterator<Item = &D> {
+        self.nodes.iter().map(|(d, _)| d)
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Drains events until the queue is empty or `max_time` is reached,
-    /// first delivering [`Input::Start`] to every driver in id order if no
-    /// earlier call has. May be called again to resume. Returns the run's
-    /// statistics so far.
+    /// Delivers [`Input::Start`](crate::node::Input::Start) to every
+    /// driver in id order, then steps the run until nothing is in flight,
+    /// no timer is armed and no crash window is left to open or close —
+    /// or until all that is left lies past `max_time`. Returns the run's
+    /// statistics.
+    ///
+    /// # Panics
+    ///
+    /// On a second call: a run does not resume.
     pub fn run(&mut self, max_time: SimTime) -> SimStats {
-        if !self.started {
-            self.started = true;
-            for id in 0..self.procs.len() as ProcId {
-                self.step(id, Input::Start);
-            }
-        }
-        // An event past max_time stays queued; time stops at max_time.
-        while let Some(next) = self.queue.first_entry().filter(|e| e.key().0 <= max_time) {
-            let ((at, _), (to, kind)) = next.remove_entry();
-            self.now = at;
-            if self.faults.is_crashed(to, self.now) {
-                // A recovery swallowed by an overlapping crash interval is
-                // not an occurrence at all: skip it without counting.
-                if matches!(kind, EventKind::Recover) {
-                    continue;
-                }
-                self.stats.dropped += 1;
-                if let EventKind::Deliver { .. } = kind {
-                    self.tracer.record_local(
-                        self.now,
-                        to,
-                        TraceAction::Drop {
-                            to,
-                            cause: DropCause::Crashed,
-                        },
-                    );
-                }
-                continue;
-            }
-            match kind {
-                EventKind::Deliver { from, msg, stamp } => {
-                    self.stats.delivered += 1;
-                    self.tracer.record_deliver(self.now, to, from, stamp);
-                    self.step(to, Input::Deliver { from, msg });
-                }
-                EventKind::Timer { token } => {
-                    self.stats.timers += 1;
-                    self.tracer
-                        .record_local(self.now, to, TraceAction::TimerFire { token });
-                    self.step(to, Input::Timer { token });
-                }
-                EventKind::Recover => {
-                    self.tracer.record_local(self.now, to, TraceAction::Recover);
-                    self.step(to, Input::Recover);
-                }
-            }
-        }
-        self.stats.end_time = self.now;
-        self.stats
-    }
-
-    /// Hands `input` to driver `id`, then applies the sends and timers it
-    /// buffered.
-    fn step(&mut self, id: ProcId, input: Input<M>) {
-        let mut ctx = Ctx::new(self.now, id, &mut self.rng, &mut self.tracer);
-        self.procs[id as usize].handle(&mut ctx, input);
-        let (outbox, timers) = ctx.into_effects();
-        for (to, msg, weight) in outbox {
-            self.stats.sent += 1;
-            self.stats.payload_msgs += weight as usize;
-            // Random loss and partitions are assessed at send time,
-            // receiver crashes at delivery time.
-            let severed = self.faults.is_partitioned(id, to, self.now);
-            let (delay, reordered, dup) = match self.net.fate(&mut self.rng, severed) {
-                Ok(fate) => fate,
-                Err(cause) => {
-                    self.stats.dropped += 1;
-                    self.tracer
-                        .record_local(self.now, id, TraceAction::Drop { to, cause });
-                    continue;
-                }
-            };
-            let stamp = self.tracer.record_send(self.now, id, to);
-            if reordered {
-                self.stats.reordered += 1;
-                self.tracer
-                    .record_local(self.now, id, TraceAction::NetReorder { to });
-            }
-            if let Some(dup_delay) = dup {
-                self.stats.duplicated += 1;
-                self.tracer
-                    .record_local(self.now, id, TraceAction::NetDup { to });
-                let copy = EventKind::Deliver {
-                    from: id,
-                    msg: msg.clone(),
-                    stamp,
-                };
-                self.schedule(self.now + dup_delay, to, copy);
-            }
-            let kind = EventKind::Deliver {
-                from: id,
-                msg,
-                stamp,
-            };
-            self.schedule(self.now + delay, to, kind);
-        }
-        for (delay, token) in timers {
-            self.schedule(self.now + delay, id, EventKind::Timer { token });
-        }
-    }
-
-    /// Queues `kind` for `to` at tick `at`, after everything already
-    /// queued for that tick.
-    fn schedule(&mut self, at: SimTime, to: ProcId, kind: EventKind<M>) {
-        self.seq += 1;
-        self.queue.insert((at, self.seq), (to, kind));
+        let script = self.script.take().expect("a simulation runs once");
+        self.net.horizon = max_time;
+        let clock = self.net.clock.clone();
+        let idle = Rc::clone(&self.net.idle);
+        let ran = host::run(
+            &mut self.nodes,
+            &mut self.net,
+            &clock,
+            script,
+            |_| 0,
+            |_, _| idle.get(),
+        );
+        SimStats::total([&ran, &self.net.stats])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{Input, Io};
+    use crate::trace::TraceAction;
 
     /// Flood: node 0 broadcasts; others record receipt time.
     struct Flood {
@@ -671,6 +503,53 @@ mod tests {
         }
     }
 
+    /// Arms a timer and traces at every input; node 0 messages node 1.
+    struct Tattler;
+    impl Driver<()> for Tattler {
+        fn handle<IO: Io<()> + ?Sized>(&mut self, io: &mut IO, input: Input<()>) {
+            io.trace(TraceAction::Commit {
+                action: u64::from(io.me()),
+            });
+            if let Input::Start = input {
+                io.set_timer(3, 7);
+                if io.me() == 0 {
+                    io.send(1, ());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn traced_run_records_what_the_loop_and_the_drivers_do() {
+        let mut faults = FaultPlan::none();
+        faults.crash(1, 0, 20);
+        let mut sim = Sim::with_trace(
+            vec![Tattler, Tattler],
+            NetworkConfig::default(),
+            faults,
+            1,
+            TraceConfig::unbounded(),
+        );
+        sim.run(1_000);
+        let buf = sim.take_trace().expect("tracing enabled");
+        let lines: Vec<String> = buf
+            .events()
+            .iter()
+            .filter(|e| e.lamport > 0)
+            .map(|e| format!("{} {}", e.site, e.action))
+            .collect();
+        let at = |line: &str| lines.iter().position(|l| l == line);
+        // A driver's own record lands after its input and before its sends.
+        assert!(at("0 commit action=0") < at("0 send to=1"), "{lines:?}");
+        assert!(at("0 timer token=7").is_some(), "{lines:?}");
+        // Node 1 is dark until t=20: the message and the timer are lost.
+        assert!(at("1 net-drop to=1 cause=crashed").is_some(), "{lines:?}");
+        assert!(at("1 timer token=7").is_none(), "{lines:?}");
+        // It recovers once, and traces that input right after the record.
+        let recover = at("1 recover").expect("node 1 recovers");
+        assert_eq!(lines[recover + 1], "1 commit action=1");
+    }
+
     #[test]
     fn untraced_run_yields_no_trace() {
         let mut sim = Sim::new(flood(3), NetworkConfig::default(), FaultPlan::none(), 1);
@@ -726,35 +605,7 @@ mod tests {
         let stats = sim.run(7);
         assert_eq!(sim.process(0).fired, vec![(5, 1)]);
         assert_eq!(stats.timers, 1);
-        // Resuming picks the pending timer back up.
-        sim.run(1_000);
-        assert_eq!(sim.process(0).fired.len(), 2);
-    }
-
-    /// Counts its boots and arms one timer per boot.
-    struct Boots(u32);
-    impl Driver<()> for Boots {
-        fn handle<IO: Io<()> + ?Sized>(&mut self, io: &mut IO, input: Input<()>) {
-            if let Input::Start = input {
-                self.0 += 1;
-                io.set_timer(5, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn start_is_delivered_once_across_resumed_runs() {
-        // The first call processes no event (the timer is due at t=5), so
-        // nothing but a flag can tell the second call the drivers booted.
-        let mut sim = Sim::new(
-            vec![Boots(0)],
-            NetworkConfig::default(),
-            FaultPlan::none(),
-            1,
-        );
-        sim.run(0);
-        let stats = sim.run(1_000);
-        assert_eq!(sim.process(0).0, 1);
-        assert_eq!(stats.timers, 1);
+        // Time stops at the last event, not at the horizon.
+        assert_eq!(stats.end_time, 5);
     }
 }

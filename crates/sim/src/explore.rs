@@ -1,7 +1,7 @@
 //! Exhaustive interleaving exploration: a forking scheduler over the same
 //! [`Driver`]s the DES steps, enumerating *every* enabled-event order
 //! instead of sampling one. Each event is one [`Input`] handed to
-//! [`Driver::handle`] with a fresh [`Ctx`] as the driver's `Io`.
+//! [`Driver::handle`] with a fresh [`CollectIo`] as the driver's `Io`.
 //!
 //! Where [`crate::engine::Sim`] draws one delivery order per seed, the
 //! explorer treats the set of in-flight messages, armed timers, and
@@ -73,13 +73,9 @@
 //! Schedules index the **unreduced** canonical choice list, so a witness
 //! found with reduction on replays identically with reduction off.
 
-use crate::engine::Ctx;
 use crate::fault::{ProcId, SimTime};
-use crate::node::{Driver, Input};
+use crate::node::{CollectIo, Driver, Input, Output};
 use crate::splitmix64;
-use crate::trace::{TraceConfig, Tracer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt::Debug;
@@ -253,12 +249,11 @@ struct SleepEnt<M> {
 
 type SleepKey = (ProcId, ProcId, u64);
 
-/// Per-event randomness: a pure function of `(seed, process, the
-/// process's executed-event count)`, so it commutes across processes.
-fn event_rng(seed: u64, p: ProcId, count: u64) -> StdRng {
-    StdRng::seed_from_u64(splitmix64(
-        splitmix64(seed ^ (u64::from(p) << 32)).wrapping_add(count),
-    ))
+/// The seed of one event's collector: per-event randomness is a pure
+/// function of `(seed, process, the process's executed-event count)`, so
+/// it commutes across processes.
+fn event_seed(seed: u64, p: ProcId, count: u64) -> u64 {
+    splitmix64(splitmix64(seed ^ (u64::from(p) << 32)).wrapping_add(count))
 }
 
 /// A `fmt::Write` sink that feeds one or two hashers directly — state
@@ -286,32 +281,7 @@ fn fingerprint<M: Debug>(msg: &M) -> u64 {
     h.finish()
 }
 
-fn apply_effects<M: Debug, D>(
-    st: &mut ExpState<M, D>,
-    me: ProcId,
-    sends: Vec<(ProcId, M, u64)>,
-    timers: Vec<(SimTime, u64)>,
-) {
-    for (to, msg, _weight) in sends {
-        // Sends to crashed (or out-of-range) endpoints vanish at send
-        // time, as in the engine.
-        if (to as usize) >= st.crashed.len() || st.crashed[to as usize] {
-            continue;
-        }
-        let fp = fingerprint(&msg);
-        st.pending.push(Pend {
-            from: me,
-            to,
-            fp,
-            msg,
-        });
-    }
-    for (delay, token) in timers {
-        st.timers[me as usize].push((st.now + delay, token));
-    }
-}
-
-/// Hands `input` to driver `p` under a fresh context and applies its
+/// Hands `input` to driver `p` with a fresh collector and applies its
 /// effects.
 fn run_event<M: Debug, D: Driver<M>>(
     st: &mut ExpState<M, D>,
@@ -319,13 +289,30 @@ fn run_event<M: Debug, D: Driver<M>>(
     seed: u64,
     input: Input<M>,
 ) {
-    let mut rng = event_rng(seed, p, st.events_at[p as usize]);
+    let mut io = CollectIo::new(p, event_seed(seed, p, st.events_at[p as usize]));
     st.events_at[p as usize] += 1;
-    let mut tracer = Tracer::new(TraceConfig::disabled(), st.procs.len());
-    let mut ctx = Ctx::new(st.now, p, &mut rng, &mut tracer);
-    st.procs[p as usize].handle(&mut ctx, input);
-    let (sends, timers) = ctx.into_effects();
-    apply_effects(st, p, sends, timers);
+    io.set_now(st.now);
+    st.procs[p as usize].handle(&mut io, input);
+    for out in io.take_outputs() {
+        match out {
+            // Sends to crashed (or out-of-range) endpoints vanish at send
+            // time.
+            Output::Send { to, .. }
+                if (to as usize) >= st.crashed.len() || st.crashed[to as usize] => {}
+            Output::Send { to, msg, .. } => {
+                let fp = fingerprint(&msg);
+                st.pending.push(Pend {
+                    from: p,
+                    to,
+                    fp,
+                    msg,
+                });
+            }
+            Output::SetTimer { delay, token } => {
+                st.timers[p as usize].push((st.now + delay, token));
+            }
+        }
+    }
 }
 
 fn execute<M, D>(st: &mut ExpState<M, D>, c: Choice, seed: u64)

@@ -11,8 +11,10 @@
 //! * [`clock`] — Lamport clocks, totally-ordered unique timestamps.
 //! * [`fault`] — crash and partition schedules.
 //! * [`node`] — what a node is on every host: a [`Driver`] fed [`Input`]s,
-//!   acting through an [`Io`].
-//! * [`engine`] — the event loop ([`Sim`]) and its [`Io`], [`Ctx`].
+//!   acting through an [`Io`], the [`CollectIo`].
+//! * [`host`] — the one stepping loop ([`host::run`]) over a transport.
+//! * [`engine`] — the network model and the simulator ([`Sim`]): the loop
+//!   over the in-memory [`host::Loopback`].
 //! * [`explore`] — exhaustive interleaving enumeration over the same
 //!   drivers, with partial-order reduction.
 //! * [`json`] — the one JSON writer every report and artifact goes through.
@@ -25,12 +27,13 @@ pub mod clock;
 pub mod engine;
 pub mod explore;
 pub mod fault;
+pub mod host;
 pub mod json;
 pub mod node;
 pub mod trace;
 
 pub use clock::{LamportClock, Timestamp};
-pub use engine::{Ctx, NetworkConfig, Sim, SimStats};
+pub use engine::{NetworkConfig, Sim, SimStats};
 pub use explore::{ExploreConfig, ExploreHooks, ExploreOutcome, ExploreStats, Witness};
 pub use fault::{FaultPlan, ProcId, SimTime};
 pub use json::Json;

@@ -2,17 +2,11 @@
 //! [`Input`]s — and everything it observes (time, own id, entropy) or
 //! effects (sends, timers, trace records) goes through [`Io`].
 //!
-//! Every host steps the same `Driver` values through `handle(io, input)`;
-//! only the `Io` differs:
-//!
-//! * the engine's [`Ctx`](crate::engine::Ctx) — [`Sim`](crate::engine::Sim)
-//!   and [`explore`](crate::explore::explore) hand it to `handle`; it
-//!   buffers sends and timers, and the engine applies them when the
-//!   handler returns;
-//! * [`CollectIo`] — the real-time hosts (`quorumcc_replication::host::run`
-//!   over the in-memory loopback or sockets) stamp in the current tick,
-//!   let the driver run, and drain the emitted [`Output`]s to their
-//!   transport: the pure `handle(Input) -> Vec<Output>` form.
+//! Every host — the loop ([`host::run`](crate::host::run)), simulated or
+//! over sockets, and the [explorer](crate::explore::explore) — steps the
+//! same `Driver` values through `handle(io, input)` with the one `Io`,
+//! [`CollectIo`]: stamp in the tick, let the driver run, drain the
+//! [`Output`]s. It is the pure `handle(Input) -> Vec<Output>` form.
 
 use crate::fault::{ProcId, SimTime};
 use crate::trace::TraceAction;
@@ -20,10 +14,7 @@ use crate::{splitmix64, SPLITMIX64_GAMMA};
 
 /// Everything a protocol state machine may observe or effect. The only
 /// window protocol code has onto the outside world — no simulator
-/// handles, no clocks, no ambient randomness.
-///
-/// Implementations: the engine's [`Ctx`](crate::engine::Ctx) (seeded,
-/// traced) and [`CollectIo`] (buffered, for real-time backends).
+/// handles, no clocks, no ambient randomness. [`CollectIo`] implements it.
 pub trait Io<M> {
     /// The current logical time: simulated ticks under the DES, a
     /// host-supplied monotonic tick count on real backends.
@@ -81,9 +72,8 @@ pub enum Input<M> {
 }
 
 /// One effect a [`Driver`] requested, as buffered by [`CollectIo`]: the
-/// complete output alphabet of a node. Real-time backends drain these
-/// into their transport; the engine's [`Ctx`](crate::engine::Ctx) buffers
-/// the same two effect kinds and applies them when the handler returns.
+/// complete output alphabet of a node. The loop drains these into its
+/// transport; the explorer into its pending set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Output<M> {
     /// Deliver `msg` to `to`.
@@ -108,7 +98,7 @@ pub enum Output<M> {
 /// A transport-agnostic protocol node: a state machine whose entire
 /// interaction with the world is `handle(io, input)`. The same driver
 /// value runs unmodified under the deterministic simulator, the explorer
-/// and real concurrency (`quorumcc_replication::host::run`).
+/// and real concurrency ([`host::run`](crate::host::run)).
 pub trait Driver<M> {
     /// Feeds one input, applying effects through `io`. Generic, not
     /// `dyn`: each host's `Io` is known statically, so a disabled
@@ -116,30 +106,34 @@ pub trait Driver<M> {
     fn handle<IO: Io<M> + ?Sized>(&mut self, io: &mut IO, input: Input<M>);
 
     /// Whether the node has finished its scripted work. Real-time hosts
-    /// count these to detect quiescence (the DES runs until its event
-    /// queue drains instead); servers never finish.
+    /// count these to detect quiescence (the simulator runs until nothing
+    /// is left to happen instead); servers never finish.
     fn is_done(&self) -> bool {
         false
     }
 }
 
-/// A buffered [`Io`] for real-time backends: the host stamps in the
-/// current tick before each [`Driver::handle`] call, the driver's effects
-/// accumulate as [`Output`]s, and the host drains them into its
-/// transport. This is the pure `handle(Input) -> Vec<Output>` face of the
-/// sans-I/O core.
+/// The [`Io`]: the host stamps in the current tick before each
+/// [`Driver::handle`] call, the driver's effects accumulate as
+/// [`Output`]s, and the host drains them into its transport. This is the
+/// pure `handle(Input) -> Vec<Output>` face of the sans-I/O core.
 ///
 /// Entropy is a private splitmix64 stream seeded per node — a pure
-/// function of the seed, but not the DES's one shared stream, so a
-/// deterministic host (the loopback) reproduces itself without drawing
-/// what the DES would — and keeping the generator inside the `Io` keeps
-/// protocol code free of any direct RNG dependency.
+/// function of the seed, apart from the network's own stream, so a node's
+/// draws do not depend on how many messages the others sent — and keeping
+/// the generator inside the `Io` keeps protocol code free of any direct
+/// RNG dependency.
+///
+/// A traced collector ([`CollectIo::traced`]) buffers the driver's
+/// [`Io::trace`] calls for the loop to record after the step; an untraced
+/// one (the default) reports `tracing() == false` and drops them.
 #[derive(Debug)]
 pub struct CollectIo<M> {
     now: SimTime,
     me: ProcId,
     entropy: u64,
     outputs: Vec<Output<M>>,
+    traces: Option<Vec<TraceAction>>,
 }
 
 impl<M> CollectIo<M> {
@@ -152,7 +146,19 @@ impl<M> CollectIo<M> {
             // Avoid the all-zeros fixed point.
             entropy: seed ^ SPLITMIX64_GAMMA,
             outputs: Vec::new(),
+            traces: None,
         }
+    }
+
+    /// Turns trace buffering on (`on`) or off.
+    pub fn traced(mut self, on: bool) -> Self {
+        self.traces = on.then(Vec::new);
+        self
+    }
+
+    /// Drains the trace records buffered since the last call.
+    pub fn drain_traces(&mut self) -> impl Iterator<Item = TraceAction> + '_ {
+        self.traces.iter_mut().flat_map(|t| t.drain(..))
     }
 
     /// Stamps the logical time the next `handle` call will observe.
@@ -163,11 +169,6 @@ impl<M> CollectIo<M> {
     /// Drains the effects buffered since the last call.
     pub fn take_outputs(&mut self) -> Vec<Output<M>> {
         std::mem::take(&mut self.outputs)
-    }
-
-    /// Whether any effects are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.outputs.is_empty()
     }
 
     fn next_entropy(&mut self) -> u64 {
@@ -210,10 +211,14 @@ impl<M> Io<M> for CollectIo<M> {
         self.next_entropy() % bound.max(1)
     }
 
-    fn trace(&mut self, _action: TraceAction) {}
+    fn trace(&mut self, action: TraceAction) {
+        if let Some(traces) = &mut self.traces {
+            traces.push(action);
+        }
+    }
 
     fn tracing(&self) -> bool {
-        false
+        self.traces.is_some()
     }
 }
 
@@ -276,7 +281,7 @@ mod tests {
                 weight: 1
             }
         );
-        assert!(io.is_empty());
+        assert!(io.take_outputs().is_empty());
         assert_eq!(d.delivered, 1);
     }
 

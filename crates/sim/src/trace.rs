@@ -4,11 +4,14 @@
 //! Every [`TraceEvent`] is stamped with the simulated time, the site it
 //! happened at, and a per-site Lamport counter (message deliveries observe
 //! the sender's stamp, so the trace's Lamport order refines causality).
-//! The engine records network-level events (send / deliver / drop / timer)
-//! and the fault schedule; drivers record protocol-level events through
-//! [`Io::trace`](crate::node::Io::trace), which the engine's `Ctx` routes here.
+//! A traced run has one recorder, kept by its
+//! [`Loopback`](crate::host::Loopback): the network records the fault
+//! schedule, each send's fate and each delivery; the loop
+//! ([`host::run`](crate::host::run)) records timer firings, recoveries and
+//! what drivers traced through [`Io::trace`](crate::node::Io::trace),
+//! which their [`CollectIo`](crate::node::CollectIo) buffers.
 //!
-//! Capture is deterministic: because the engine itself is a pure function
+//! Capture is deterministic: because the run itself is a pure function
 //! of (processes, network, faults, seed), the same seed yields a
 //! byte-identical [`TraceBuffer::render`] — which the test suite asserts.
 
@@ -182,7 +185,7 @@ macro_rules! trace_actions {
 }
 
 trace_actions! {
-    /// What happened. Network and fault events come from the engine;
+    /// What happened. Network and fault events come from the loop and its network;
     /// protocol events are recorded by drivers via
     /// [`Io::trace`](crate::node::Io::trace). Identifiers are plain
     /// integers so the trace layer stays independent of the layers above it.
@@ -431,9 +434,10 @@ impl TraceBuffer {
     }
 }
 
-/// The engine-side recorder. Lives inside `Sim`; drivers reach it
-/// through `Ctx`'s `Io::trace`.
-#[derive(Debug)]
+/// A run's recorder, kept by its [`Loopback`](crate::host::Loopback)
+/// (disabled by default); drivers reach it through the loop, which drains
+/// their collectors' `Io::trace` calls into it after every step.
+#[derive(Debug, Default)]
 pub(crate) struct Tracer {
     cfg: TraceConfig,
     buf: VecDeque<TraceEvent>,
@@ -454,11 +458,6 @@ impl Tracer {
             overwritten: 0,
             clocks,
         }
-    }
-
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.cfg.enabled
     }
 
     fn push(&mut self, e: TraceEvent) {

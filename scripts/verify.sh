@@ -95,10 +95,9 @@ for label in $labels; do
 done
 
 echo "==> structure: a node is a Driver on every host (DESIGN §3.14)"
-# The DES, the explorer and the real-time hosts all step `Driver::handle`
-# with an `Io`; a second node trait, an adapter between the two, or a
-# callback-per-input shim would make the audited run a translation of the
-# served one again.
+# The loop and the explorer both step `Driver::handle` with an `Io`; a
+# second node trait, an adapter between the two, or a callback-per-input
+# shim would make the audited run a translation of the served one again.
 node_src="$(find crates/*/src src -name '*.rs' | sort | while read -r f; do
   awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f ":" FNR ": " $0}' "$f"
 done)"
@@ -115,13 +114,32 @@ for decl in 'pub trait Driver<' 'pub trait Io<'; do
   fi
 done
 
-echo "==> structure: one real-time loop, two transports (DESIGN §3.14)"
-# host::run is the one real-time loop; host::Loopback (virtual time, the
-# DES's network model) and the socket transports are what it runs over.
-# The threads-and-channels host, the builder switch that chose it and the
+echo "==> structure: one stepping loop, two transports (DESIGN §3.14)"
+# sim::host::run is the one loop; host::Loopback (virtual time: the
+# simulator) and the socket transports are what it runs over. The
+# threads-and-channels host, the builder switch that chose it and the
 # refusal its nondeterminism needed must not come back beside them.
 if echo "$node_src" | grep -E 'ChannelTransport|BackendKind|run_channels|Unsupported|TICK_US|WALL_CAP'; then
   echo "a second real-time host or its backend switch outside tests (lines above)" >&2
+  exit 1
+fi
+# Nor may the simulator's own loop: an event queue of its own, an `Io`
+# of its own, or a run path beside `RunBuilder::run`'s. `CollectIo` is the
+# one `Io`, and the loop is declared once, in quorumcc-sim.
+if echo "$node_src" | grep -E 'struct Ctx\b|EventKind|fn run_des\b'; then
+  echo "a second stepping loop outside tests (lines above)" >&2
+  exit 1
+fi
+io_impls="$(echo "$node_src" | grep -E 'impl<[^>]*> Io<' || true)"
+if [ "$(echo "$io_impls" | grep -c . || true)" != 1 ] || ! echo "$io_impls" | grep -q 'for CollectIo<'; then
+  echo "Io is implemented on these non-test lines, not once on CollectIo:" >&2
+  echo "$io_impls" >&2
+  exit 1
+fi
+loops="$(echo "$node_src" | grep -F 'pub fn run<' || true)"
+if [ "$(echo "$loops" | grep -c . || true)" != 1 ] || ! echo "$loops" | grep -q '^crates/sim/src/'; then
+  echo "'pub fn run<' is declared on these non-test lines, not once in quorumcc-sim:" >&2
+  echo "$loops" >&2
   exit 1
 fi
 
@@ -191,7 +209,7 @@ git diff --quiet -- perf BENCHMARK.json || {
   exit 1
 }
 
-echo "==> sans-I/O host equivalence suite (DES vs host::run over Loopback)"
+echo "==> simulator suite: shared-object, hostile-network and determinism runs on host::run over Loopback"
 cargo test -q --release -p quorumcc-replication --test backends > /dev/null
 
 echo "==> qcc trace smoke run"
@@ -407,7 +425,7 @@ echo "$lossy_out" | grep -q '"recoveries": 1' || {
   exit 1
 }
 
-echo "==> recovery property suite (frontier idempotence + host identity under retransmit)"
+echo "==> recovery property suite (frontier idempotence + decisions unmoved by retransmit)"
 cargo test -q --release -p quorumcc-replication --test recovery > /dev/null
 
 echo "==> gossip A/B decision-identity suite (scoped+GC vs full shipping, 3 ADTs x 3 modes + GC chaos sweep)"
