@@ -294,7 +294,9 @@ fn run_cluster(cfg: &LoadConfig) -> CellRun {
 /// wall-clock window; it restarts amnesiac and catches up through
 /// `SyncReq` state transfer over the cell's local queue before serving
 /// quorums again. The cell outlives its workers until that window has
-/// closed, so a scripted crash always ends in its recovery.
+/// closed, so a scripted crash always ends in its recovery — unless the
+/// window outlasts [`LoadConfig::deadline`], which caps the cell as it
+/// caps the workers.
 fn cell_main(
     cfg: &LoadConfig,
     repos: &mut [Hosted],
@@ -312,6 +314,7 @@ fn cell_main(
         )
     });
     let recovered_at = window.map_or(0, |(_, _, until)| until);
+    let deadline = SimTime::try_from(cfg.deadline.as_micros()).unwrap_or(SimTime::MAX);
     let mut sockets = CellSockets::new(listeners, cfg.fault_profile, cfg.seed, wake);
     host::run(
         repos,
@@ -319,7 +322,7 @@ fn cell_main(
         clock,
         CrashScript::new(window),
         |_| 0,
-        |_, now| stop.load(Ordering::Relaxed) && now >= recovered_at,
+        |_, now| stop.load(Ordering::Relaxed) && now >= recovered_at.min(deadline),
     )
 }
 

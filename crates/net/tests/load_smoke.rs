@@ -215,3 +215,33 @@ fn a_scripted_crash_recovers_even_after_the_workload_drains() {
     assert_eq!(report.unfinished, 0, "{report:?}");
     assert_eq!(report.recoveries, 2, "one recovery per cell: {report:?}");
 }
+
+/// A scripted crash window that outlasts the deadline does not hold the
+/// run past it: the deadline caps the cell as it caps the workers, also
+/// when the window's end saturates the clock.
+#[test]
+fn a_crash_window_past_the_deadline_ends_at_the_deadline() {
+    use quorumcc_adts::Queue;
+    let started = std::time::Instant::now();
+    let report = run_load(&LoadConfig {
+        mode: Mode::Hybrid,
+        relation: minimal_static_relation::<Queue>(bounds()).relation,
+        n_repos: 3,
+        clients: 2,
+        txns_per_client: 2,
+        ops_per_txn: 1,
+        objects: 16,
+        workers: 1,
+        seed: 5,
+        crash: Some(CrashSpec {
+            repo: 2,
+            at_ms: 0,
+            down_ms: u64::MAX,
+        }),
+        deadline: Duration::from_millis(500),
+        ..LoadConfig::default()
+    });
+    assert_eq!(report.unfinished, 0, "{report:?}");
+    assert_eq!(report.recoveries, 0, "the window never closed: {report:?}");
+    assert!(started.elapsed() < Duration::from_secs(20), "{report:?}");
+}

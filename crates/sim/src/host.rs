@@ -50,10 +50,30 @@ pub trait Transport<M> {
     /// Hosted node `node` left its crash window.
     fn recovered(&mut self, _node: ProcId) {}
 
+    /// Whether this is the simulator's transport: one that keeps the run's
+    /// trace and puts its deliveries and the loop's timers on one
+    /// `(tick, sequence)` line. Known at compile time, so a socket host's
+    /// step pays for neither.
+    const SIMULATED: bool = false;
+
     /// Records `action` at `site` in the run's trace (only a traced
     /// [`Loopback`] keeps one): what a node traced, and what the loop fed
     /// it or dropped. A `Deliver` is the delivery `poll` handed out last.
     fn record(&mut self, _t: SimTime, _site: ProcId, _action: TraceAction) {}
+
+    /// How many messages a [`SIMULATED`](Transport::SIMULATED) transport
+    /// has queued so far: a timer armed now goes after those of them due
+    /// at its tick and before the rest.
+    fn queued(&self) -> u64 {
+        0
+    }
+
+    /// The `(tick, sequence)` of the next ready delivery of a
+    /// [`SIMULATED`](Transport::SIMULATED) transport, whose sequence
+    /// counts [`queued`](Transport::queued) messages.
+    fn next_ready(&self) -> Option<(SimTime, u64)> {
+        None
+    }
 }
 
 /// The host's notion of time: a monotonic count of one-microsecond ticks
@@ -93,17 +113,26 @@ impl Clock for ManualClock {
     }
 }
 
-/// Pending timers, fired in `(due, arming order)` order.
+/// One pending timer: `(due, transport sequence, arming order, node,
+/// token)`.
+type Armed = (SimTime, u64, u64, usize, u64);
+
+/// Pending timers, fired in `(due, transport sequence, arming order)`
+/// order: a timer goes after the messages its transport had queued when
+/// it was armed ([`Transport::queued`]; always 0 on the socket
+/// transports).
 #[derive(Debug, Default)]
 pub struct Timers {
-    heap: BinaryHeap<Reverse<(SimTime, u64, usize, u64)>>,
+    heap: BinaryHeap<Reverse<Armed>>,
     seq: u64,
 }
 
 impl Timers {
-    /// Arms a timer for node index `node`, due at tick `due`.
-    pub fn arm(&mut self, due: SimTime, node: usize, token: u64) {
-        self.heap.push(Reverse((due, self.seq, node, token)));
+    /// Arms a timer for node index `node`, due at tick `due`, after the
+    /// `queued` messages its transport holds.
+    pub fn arm(&mut self, due: SimTime, queued: u64, node: usize, token: u64) {
+        self.heap
+            .push(Reverse((due, queued, self.seq, node, token)));
         self.seq += 1;
     }
 
@@ -112,21 +141,39 @@ impl Timers {
         self.heap.peek().map(|Reverse((due, ..))| *due)
     }
 
-    /// Pops the next timer due at or before `now` as `(node, token)`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(usize, u64)> {
-        if self.next_due()? > now {
+    /// Whether the next timer is due at `now` and goes before `delivery`,
+    /// the `(tick, sequence)` of the next ready delivery (`None`: there is
+    /// none, or its transport keeps no such line).
+    fn precedes(&self, now: SimTime, delivery: Option<(SimTime, u64)>) -> bool {
+        match self.heap.peek() {
+            Some(Reverse((due, queued, ..))) if *due <= now => {
+                delivery.is_none_or(|at| (*due, *queued) < at)
+            }
+            _ => false,
+        }
+    }
+
+    /// Pops the next timer due at or before `now` and ordered before
+    /// `delivery`, the `(tick, sequence)` of the next ready delivery, as
+    /// `(node, token)`.
+    pub fn pop_due(
+        &mut self,
+        now: SimTime,
+        delivery: Option<(SimTime, u64)>,
+    ) -> Option<(usize, u64)> {
+        if !self.precedes(now, delivery) {
             return None;
         }
         self.heap
             .pop()
-            .map(|Reverse((_, _, node, token))| (node, token))
+            .map(|Reverse((_, _, _, node, token))| (node, token))
     }
 
     /// Drops `node`'s timers due inside `[from, until)`; returns how many.
     fn drop_window(&mut self, node: usize, from: SimTime, until: SimTime) -> usize {
         let before = self.heap.len();
         self.heap
-            .retain(|Reverse((due, _, n, _))| *n != node || *due < from || *due >= until);
+            .retain(|Reverse((due, _, _, n, _))| *n != node || *due < from || *due >= until);
         before - self.heap.len()
     }
 }
@@ -213,7 +260,7 @@ impl<M, N: Driver<M>, T: Transport<M>> Stepper<'_, M, N, T> {
         io.set_now(now);
         node.handle(io, input);
         let me = io.me();
-        if io.tracing() {
+        if T::SIMULATED && io.tracing() {
             for action in io.drain_traces() {
                 self.transport.record(now, me, action);
             }
@@ -226,7 +273,8 @@ impl<M, N: Driver<M>, T: Transport<M>> Stepper<'_, M, N, T> {
                     self.transport.send(me, to, msg);
                 }
                 Output::SetTimer { delay, token } => {
-                    self.timers.arm(now.saturating_add(delay), k, token);
+                    let queued = self.transport.queued();
+                    self.timers.arm(now.saturating_add(delay), queued, k, token);
                 }
             }
         }
@@ -242,11 +290,14 @@ impl<M, N: Driver<M>, T: Transport<M>> Stepper<'_, M, N, T> {
 ///
 /// Node `k` receives [`Input::Start`] once `start_at(k)` (nondecreasing in
 /// `k`) has passed. Each turn drains the transport's ready backlog, fires
-/// the timers that came due, flushes once, asks `until` (handed the count
-/// of finished nodes and the tick the turn began at, so every start and
-/// window edge due by then has been handled) whether to stop — so nothing
-/// a node emitted is ever left unflushed — and otherwise parks until the
-/// next timer, start or crash-window edge.
+/// the timers that came due (interleaved with the deliveries in one
+/// `(tick, sequence)` order on a [`SIMULATED`](Transport::SIMULATED)
+/// transport, as a discrete-event queue would), flushes once, asks
+/// `until` (handed the count of finished nodes and the tick the turn
+/// began at, so every start and window edge due by then has been
+/// handled) whether to stop — so nothing a node emitted is ever left
+/// unflushed — and otherwise parks until the next timer, start or
+/// crash-window edge.
 ///
 /// Returns what the loop counted: messages handed to the transport,
 /// deliveries and timers handed to a node, those a crash window swallowed
@@ -303,28 +354,40 @@ where
                 h.step(v.node, turn, Input::Recover);
             }
         }
-        while let Some((to, from, msg)) = h.transport.poll() {
-            let (k, now) = ((to - base) as usize, clock.now());
-            if script.is_dark(k) {
-                h.stats.dropped += 1;
-                let cause = DropCause::Crashed;
-                h.transport.record(now, to, TraceAction::Drop { to, cause });
-                continue;
+        // On a simulated transport a due timer goes before a ready
+        // delivery queued after it was armed; the socket transports hand
+        // out their whole backlog first.
+        let mut now = turn;
+        loop {
+            while !(T::SIMULATED && h.timers.precedes(now, h.transport.next_ready())) {
+                let Some((to, from, msg)) = h.transport.poll() else {
+                    break;
+                };
+                let (k, now) = ((to - base) as usize, clock.now());
+                if script.is_dark(k) {
+                    h.stats.dropped += 1;
+                    let cause = DropCause::Crashed;
+                    h.transport.record(now, to, TraceAction::Drop { to, cause });
+                    continue;
+                }
+                h.transport.record(now, to, TraceAction::Deliver { from });
+                h.step(k, now, Input::Deliver { from, msg });
+                h.stats.delivered += 1;
             }
-            h.transport.record(now, to, TraceAction::Deliver { from });
-            h.step(k, now, Input::Deliver { from, msg });
-            h.stats.delivered += 1;
-        }
-        let now = clock.now();
-        while let Some((k, token)) = h.timers.pop_due(now) {
-            if script.is_dark(k) {
-                h.stats.dropped += 1;
-                continue;
+            now = clock.now();
+            while let Some((k, token)) = h.timers.pop_due(now, h.transport.next_ready()) {
+                if script.is_dark(k) {
+                    h.stats.dropped += 1;
+                    continue;
+                }
+                h.transport
+                    .record(now, base + k as ProcId, TraceAction::TimerFire { token });
+                h.step(k, now, Input::Timer { token });
+                h.stats.timers += 1;
             }
-            h.transport
-                .record(now, base + k as ProcId, TraceAction::TimerFire { token });
-            h.step(k, now, Input::Timer { token });
-            h.stats.timers += 1;
+            if h.transport.next_ready().is_none() {
+                break;
+            }
         }
         h.transport.flush();
         if until(h.finished, turn) {
@@ -405,6 +468,8 @@ impl<M> Loopback<M> {
 }
 
 impl<M: Clone> Transport<M> for Loopback<M> {
+    const SIMULATED: bool = true;
+
     fn poll(&mut self) -> Option<(ProcId, ProcId, M)> {
         let now = self.clock.now();
         let due = self.queue.first_entry().filter(|e| e.key().0 <= now)?;
@@ -460,6 +525,19 @@ impl<M: Clone> Transport<M> for Loopback<M> {
             }
             _ => self.tracer.record_local(t, site, action),
         }
+    }
+
+    fn queued(&self) -> u64 {
+        self.sends
+    }
+
+    fn next_ready(&self) -> Option<(SimTime, u64)> {
+        let now = self.clock.now();
+        self.queue
+            .keys()
+            .next()
+            .copied()
+            .filter(|&(at, _)| at <= now)
     }
 }
 
@@ -523,8 +601,16 @@ mod tests {
     }
 
     impl Transport<u32> for Mem {
+        const SIMULATED: bool = true;
+
         fn poll(&mut self) -> Option<(ProcId, ProcId, u32)> {
             self.net.poll()
+        }
+        fn queued(&self) -> u64 {
+            self.net.queued()
+        }
+        fn next_ready(&self) -> Option<(SimTime, u64)> {
+            self.net.next_ready()
         }
         fn send(&mut self, from: ProcId, to: ProcId, msg: u32) {
             self.calls.push(Call::Send);
@@ -640,6 +726,38 @@ mod tests {
         assert_eq!(
             mem.parks[..2],
             [Duration::from_micros(3), Duration::from_micros(2)]
+        );
+    }
+
+    #[test]
+    fn same_tick_timers_and_deliveries_run_in_queue_order() {
+        // Node 0 arms a timer due at 5, then greets itself over a
+        // five-tick network; a delivery from outside, due at 5 too, was
+        // queued before either.
+        let mut nodes = hosted(vec![Probe {
+            arm: vec![(5, 1)],
+            greet: true,
+            ..Probe::default()
+        }]);
+        let five = NetworkConfig {
+            min_delay: 5,
+            max_delay: 5,
+            ..NetworkConfig::default()
+        };
+        let mut mem = Mem {
+            net: Loopback::new(five, FaultPlan::none(), 0, SimTime::MAX),
+            ..Mem::default()
+        };
+        mem.net.push(5, 0, 9, 50, 0);
+        run_to(&mut nodes, &mut mem, CrashScript::default(), 10);
+        assert_eq!(
+            nodes[0].0.seen,
+            [
+                (0, Seen::Start),
+                (5, Seen::Msg(9, 50)),
+                (5, Seen::Timer(1)),
+                (5, Seen::Msg(0, 7)),
+            ]
         );
     }
 
